@@ -1,20 +1,12 @@
-"""Hot kernels for free-word rewriting on integer arrays.
+"""Hot kernels for free-word rewriting on tuples of signed letters.
 
-A word is a 1-d ``int64`` array of nonzero letters: ``+j`` denotes the j-th
-generator, ``-j`` its inverse.  Kernels keep words freely reduced: given
-reduced input they return reduced output.
+A word is a tuple of nonzero ints: ``+j`` denotes the j-th generator, ``-j``
+its inverse.  Kernels keep words freely reduced: given reduced input they
+return reduced output.
 
 The expensive inner loop of the whole package lives here: applying a braid
 letter to the generator images of a free-group automorphism, with immediate
-stack reduction.  Two interchangeable backends are provided:
-
-* a numba ``@njit`` backend (default whenever numba imports), and
-* a pure-Python backend.
-
-``SUPERELLIPTIC_NUMBA=0`` forces the Python path, ``=1`` requires numba and
-fails loudly if it is missing; anything else means "auto".  The selected
-backend name is exported as ``BACKEND``; ``bench/benchmark.py`` compares the
-two paths on a representative workload.
+stack reduction.
 
 Only the generic braid substitution is special-cased: for the sphere model
 the top generator ``sigma_m`` rewrites ``x_m`` through the relation word
@@ -24,60 +16,31 @@ its images are ``m`` letters long instead of three.
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from .errors import BudgetError
 
-INT = np.int64
-EMPTY = np.zeros(0, dtype=INT)
 
-
-def backend_request() -> str:
-    flag = os.environ.get("SUPERELLIPTIC_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "no", "off", "python"):
-        return "python"
-    if flag in ("1", "true", "yes", "on", "numba"):
-        return "numba"
-    return "auto"
-
-
-def as_word_array(letters) -> np.ndarray:
-    """Coerce an iterable of signed letters to a contiguous int64 array."""
-    arr = np.asarray(letters, dtype=INT)
-    if arr.ndim != 1:
-        raise ValueError("a word must be one-dimensional")
-    return np.ascontiguousarray(arr)
-
-
-# ---------------------------------------------------------------------------
-# Pure-Python backend.  Reference implementation; also the fallback path.
-# ---------------------------------------------------------------------------
-
-def reduce_word_py(w: np.ndarray) -> np.ndarray:
+def reduce_word(w) -> tuple[int, ...]:
+    """Freely reduce an iterable of signed letters."""
     out: list[int] = []
-    for a in w.tolist():
+    for a in w:
         if out and out[-1] == -a:
             out.pop()
         else:
             out.append(a)
-    return np.array(out, dtype=INT) if out else EMPTY.copy()
+    return tuple(out)
 
 
-def concat_py(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    i = len(a) - 1
+def concat(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of two reduced words."""
+    i = len(a)
     j = 0
-    while i >= 0 and j < len(b) and a[i] == -b[j]:
+    while i and j < len(b) and a[i - 1] == -b[j]:
         i -= 1
         j += 1
-    out = np.empty(i + 1 + len(b) - j, dtype=INT)
-    out[: i + 1] = a[: i + 1]
-    out[i + 1 :] = b[j:]
-    return out
+    return a[:i] + b[j:]
 
 
-def _sigma_pass_py(img: list[int], i: int, pos: bool, sphere_m: int) -> list[int]:
+def _sigma_pass(img: list[int], i: int, pos: bool, sphere_m: int) -> list[int]:
     """Apply one braid letter sigma_i^{+/-1} to the free word ``img``."""
     out: list[int] = []
 
@@ -147,332 +110,50 @@ def _sigma_pass_py(img: list[int], i: int, pos: bool, sphere_m: int) -> list[int
     return out
 
 
-def act_word_py(letters: np.ndarray, m: int, sphere_m: int, budget: int) -> list[np.ndarray]:
+def act_word(
+    letters: tuple[int, ...], m: int, sphere_m: int, budget: int
+) -> tuple[tuple[int, ...], ...]:
     """Images of x_1..x_m under the word action, rightmost letter first."""
     images: list[list[int]] = [[j] for j in range(1, m + 1)]
-    for t in range(len(letters) - 1, -1, -1):
-        a = int(letters[t])
+    for a in reversed(letters):
         i = a if a > 0 else -a
         pos = a > 0
-        for jdx in range(m):
-            img = images[jdx]
-            touched = i == sphere_m and any(y == i or y == -i for y in img)
+        for jdx, img in enumerate(images):
+            touched = i in img or -i in img
             if i != sphere_m:
-                jj = i + 1
-                touched = any(y in (i, -i, jj, -jj) for y in img)
+                touched = touched or i + 1 in img or -i - 1 in img
             if not touched:
                 continue
-            new = _sigma_pass_py(img, i, pos, sphere_m)
+            new = _sigma_pass(img, i, pos, sphere_m)
             if len(new) > budget:
                 raise BudgetError(
                     f"intermediate free word of {len(new)} letters exceeds "
                     f"budget {budget}"
                 )
             images[jdx] = new
-    return [np.array(img, dtype=INT) if img else EMPTY.copy() for img in images]
+    return tuple(tuple(img) for img in images)
 
 
-def apply_subst_py(w: np.ndarray, flat: np.ndarray, offs: np.ndarray, budget: int) -> np.ndarray:
+def apply_subst(
+    w: tuple[int, ...], images: tuple[tuple[int, ...], ...], budget: int
+) -> tuple[int, ...]:
     """Substitute generator images into ``w``.
 
-    ``flat``/``offs`` hold the image of generator j in
-    ``flat[offs[j-1]:offs[j]]``; the image of ``-j`` is the reversed
-    negation.
+    ``images[j-1]`` is the image of generator ``j``; the image of ``-j`` is
+    its reversed negation.
     """
-    bound = 0
-    for y in w.tolist():
-        k = y if y > 0 else -y
-        bound += int(offs[k] - offs[k - 1])
+    bound = sum(len(images[abs(y) - 1]) for y in w)
     if bound > budget:
         raise BudgetError(f"substitution output bound {bound} exceeds budget {budget}")
     out: list[int] = []
-    for y in w.tolist():
-        k = y if y > 0 else -y
-        lo, hi = int(offs[k - 1]), int(offs[k])
+    for y in w:
         if y > 0:
-            seg = range(lo, hi)
-            for t in seg:
-                x = int(flat[t])
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+            seg = images[y - 1]
         else:
-            for t in range(hi - 1, lo - 1, -1):
-                x = -int(flat[t])
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-    return np.array(out, dtype=INT) if out else EMPTY.copy()
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-_BACKEND = backend_request()
-_HAVE_NUMBA = False
-
-if _BACKEND in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise ImportError(
-                "SUPERELLIPTIC_NUMBA=1 but numba is not importable"
-            ) from None
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _reduce_nb(w):  # pragma: no cover - exercised through wrappers
-        out = np.empty(len(w), dtype=INT)
-        p = 0
-        for t in range(len(w)):
-            a = w[t]
-            if p > 0 and out[p - 1] == -a:
-                p -= 1
+            seg = [-x for x in reversed(images[-y - 1])]
+        for x in seg:
+            if out and out[-1] == -x:
+                out.pop()
             else:
-                out[p] = a
-                p += 1
-        return out[:p].copy()
-
-    @njit(cache=True)
-    def _concat_nb(a, b):  # pragma: no cover
-        i = len(a) - 1
-        j = 0
-        while i >= 0 and j < len(b) and a[i] == -b[j]:
-            i -= 1
-            j += 1
-        out = np.empty(i + 1 + len(b) - j, dtype=INT)
-        for t in range(i + 1):
-            out[t] = a[t]
-        for t in range(j, len(b)):
-            out[i + 1 + t - j] = b[t]
-        return out
-
-    @njit(cache=True)
-    def _sigma_pass_nb(img, i, pos, sphere_m):  # pragma: no cover
-        n0 = len(img)
-        if i == sphere_m:
-            cnt = 0
-            for t in range(n0):
-                if img[t] == i or img[t] == -i:
-                    cnt += 1
-            if cnt == 0:
-                return img, False
-            out = np.empty(n0 + cnt * (sphere_m - 1), dtype=INT)
-        else:
-            j = i + 1
-            grow = 0
-            touched = 0
-            for t in range(n0):
-                y = img[t]
-                if y == i or y == -i:
-                    touched += 1
-                    if pos:
-                        grow += 1
-                elif y == j or y == -j:
-                    touched += 1
-                    if not pos:
-                        grow += 1
-            if touched == 0:
-                return img, False
-            out = np.empty(n0 + 2 * grow, dtype=INT)
-        p = 0
-        m = sphere_m
-        for t in range(n0):
-            y = img[t]
-            if i == sphere_m:
-                if y == m:
-                    if pos:
-                        for d in range(m - 1, 0, -1):
-                            if p > 0 and out[p - 1] == d:
-                                p -= 1
-                            else:
-                                out[p] = -d
-                                p += 1
-                        if p > 0 and out[p - 1] == m:
-                            p -= 1
-                        else:
-                            out[p] = -m
-                            p += 1
-                    else:
-                        if p > 0 and out[p - 1] == m:
-                            p -= 1
-                        else:
-                            out[p] = -m
-                            p += 1
-                        for d in range(m - 1, 0, -1):
-                            if p > 0 and out[p - 1] == d:
-                                p -= 1
-                            else:
-                                out[p] = -d
-                                p += 1
-                elif y == -m:
-                    if pos:
-                        if p > 0 and out[p - 1] == -m:
-                            p -= 1
-                        else:
-                            out[p] = m
-                            p += 1
-                        for d in range(1, m):
-                            if p > 0 and out[p - 1] == -d:
-                                p -= 1
-                            else:
-                                out[p] = d
-                                p += 1
-                    else:
-                        for d in range(1, m):
-                            if p > 0 and out[p - 1] == -d:
-                                p -= 1
-                            else:
-                                out[p] = d
-                                p += 1
-                        if p > 0 and out[p - 1] == -m:
-                            p -= 1
-                        else:
-                            out[p] = m
-                            p += 1
-                else:
-                    if p > 0 and out[p - 1] == -y:
-                        p -= 1
-                    else:
-                        out[p] = y
-                        p += 1
-            else:
-                j = i + 1
-                if pos:
-                    if y == i:
-                        a1, a2, a3, ln = i, j, -i, 3
-                    elif y == -i:
-                        a1, a2, a3, ln = i, -j, -i, 3
-                    elif y == j:
-                        a1, a2, a3, ln = i, 0, 0, 1
-                    elif y == -j:
-                        a1, a2, a3, ln = -i, 0, 0, 1
-                    else:
-                        a1, a2, a3, ln = y, 0, 0, 1
-                else:
-                    if y == i:
-                        a1, a2, a3, ln = j, 0, 0, 1
-                    elif y == -i:
-                        a1, a2, a3, ln = -j, 0, 0, 1
-                    elif y == j:
-                        a1, a2, a3, ln = -j, i, j, 3
-                    elif y == -j:
-                        a1, a2, a3, ln = -j, -i, j, 3
-                    else:
-                        a1, a2, a3, ln = y, 0, 0, 1
-                if p > 0 and out[p - 1] == -a1:
-                    p -= 1
-                else:
-                    out[p] = a1
-                    p += 1
-                if ln == 3:
-                    if p > 0 and out[p - 1] == -a2:
-                        p -= 1
-                    else:
-                        out[p] = a2
-                        p += 1
-                    if p > 0 and out[p - 1] == -a3:
-                        p -= 1
-                    else:
-                        out[p] = a3
-                        p += 1
-        return out[:p].copy(), True
-
-    @njit(cache=True)
-    def _act_word_nb(letters, m, sphere_m, budget):  # pragma: no cover
-        images = [np.arange(j, j + 1).astype(INT) for j in range(1, m + 1)]
-        for t in range(len(letters) - 1, -1, -1):
-            a = letters[t]
-            i = a if a > 0 else -a
-            pos = a > 0
-            for jdx in range(m):
-                new, changed = _sigma_pass_nb(images[jdx], i, pos, sphere_m)
-                if changed:
-                    if len(new) > budget:
-                        return images, False
-                    images[jdx] = new
-        return images, True
-
-    @njit(cache=True)
-    def _apply_subst_nb(w, flat, offs, budget):  # pragma: no cover
-        bound = 0
-        for t in range(len(w)):
-            y = w[t]
-            k = y if y > 0 else -y
-            bound += offs[k] - offs[k - 1]
-        if bound > budget:
-            return EMPTY, False
-        out = np.empty(max(bound, 1), dtype=INT)
-        p = 0
-        for t in range(len(w)):
-            y = w[t]
-            k = y if y > 0 else -y
-            lo = offs[k - 1]
-            hi = offs[k]
-            if y > 0:
-                for s in range(lo, hi):
-                    x = flat[s]
-                    if p > 0 and out[p - 1] == -x:
-                        p -= 1
-                    else:
-                        out[p] = x
-                        p += 1
-            else:
-                for s in range(hi - 1, lo - 1, -1):
-                    x = -flat[s]
-                    if p > 0 and out[p - 1] == -x:
-                        p -= 1
-                    else:
-                        out[p] = x
-                        p += 1
-        return out[:p].copy(), True
-
-    def reduce_word_nb(w: np.ndarray) -> np.ndarray:
-        return _reduce_nb(as_word_array(w))
-
-    def concat_nb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _concat_nb(as_word_array(a), as_word_array(b))
-
-    def act_word_nb(letters: np.ndarray, m: int, sphere_m: int, budget: int) -> list[np.ndarray]:
-        images, ok = _act_word_nb(as_word_array(letters), m, sphere_m, budget)
-        if not ok:
-            raise BudgetError(f"intermediate free word exceeds budget {budget}")
-        return [np.asarray(img) for img in images]
-
-    def apply_subst_nb(w, flat, offs, budget: int) -> np.ndarray:
-        out, ok = _apply_subst_nb(
-            as_word_array(w), as_word_array(flat), np.asarray(offs, dtype=INT), budget
-        )
-        if not ok:
-            raise BudgetError(f"substitution output exceeds budget {budget}")
-        return out
-
-
-if _HAVE_NUMBA:
-    BACKEND = "numba"
-    reduce_word = reduce_word_nb
-    concat = concat_nb
-    act_word = act_word_nb
-    apply_subst = apply_subst_nb
-else:
-    BACKEND = "python"
-    reduce_word = reduce_word_py
-    concat = concat_py
-
-    def _act_word_wrapped(letters, m, sphere_m, budget):
-        return act_word_py(as_word_array(letters), m, sphere_m, budget)
-
-    def _apply_subst_wrapped(w, flat, offs, budget):
-        return apply_subst_py(
-            as_word_array(w), as_word_array(flat), np.asarray(offs, dtype=INT), budget
-        )
-
-    act_word = _act_word_wrapped
-    apply_subst = _apply_subst_wrapped
+                out.append(x)
+    return tuple(out)

@@ -12,8 +12,8 @@ Subcommands::
 Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
-where a command defines one, 2 usage or parse error, 3 letter budget
-exceeded.
+where a command defines one, 2 usage or parse error (a letter budget that
+is not a positive integer included), 3 letter budget exceeded.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "balanced superelliptic cover",
     )
     parser.add_argument("--budget-letters", type=int, default=None,
-                        help="intermediate free-word letter budget "
-                        "(default %(default)s; env SUPERELLIPTIC_BUDGET_LETTERS)")
+                        help="intermediate free-word letter budget, a positive "
+                        "integer (default 10^7; env SUPERELLIPTIC_BUDGET_LETTERS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser("eq", help="decide equality of two words")
@@ -85,9 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> int:
-    if args.budget_letters is not None:
-        return args.budget_letters
-    return oracle.default_budget()
+    return oracle.resolve_budget(args.budget_letters)
 
 
 def _cmd_eq(args) -> int:

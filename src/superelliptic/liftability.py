@@ -95,10 +95,10 @@ class CurveClass:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "CurveClass":
-        reduced = [int(a) for a in K.reduce_word(K.as_word_array(list(letters)))]
+        reduced = K.reduce_word(letters)
         while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
             reduced = reduced[1:-1]
-        return cls(ctx, tuple(reduced))
+        return cls(ctx, reduced)
 
     def inverse(self) -> "CurveClass":
         return CurveClass(self.ctx, tuple(-a for a in reversed(self.letters)))

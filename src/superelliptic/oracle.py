@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
+from functools import lru_cache
 
 from . import _kernels as K
 from .words import Context, Word, exponent_sum, psi
@@ -31,12 +29,26 @@ from .words import Context, Word, exponent_sum, psi
 DEFAULT_BUDGET = 10_000_000
 
 
-def default_budget() -> int:
-    raw = os.environ.get("SUPERELLIPTIC_BUDGET_LETTERS", "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET
-    except ValueError:
-        return DEFAULT_BUDGET
+def resolve_budget(budget: int | None = None) -> int:
+    """The free-word letter budget to use for ``budget``.
+
+    ``None`` means ``SUPERELLIPTIC_BUDGET_LETTERS`` if it is set, else
+    ``DEFAULT_BUDGET``.  A budget below 1, or an environment value that is
+    not an integer, raises ``ValueError``.
+    """
+    source = "letter budget"
+    if budget is None:
+        raw = os.environ.get("SUPERELLIPTIC_BUDGET_LETTERS", "").strip()
+        if not raw:
+            return DEFAULT_BUDGET
+        source = "SUPERELLIPTIC_BUDGET_LETTERS"
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{source} must be a positive integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be a positive integer, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -61,18 +73,12 @@ class FreeWord:
 
     @classmethod
     def from_letters(cls, rank: int, letters) -> "FreeWord":
-        reduced = K.reduce_word(K.as_word_array(list(letters)))
-        return cls(rank, tuple(int(a) for a in reduced))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return K.as_word_array(self.letters)
+        return cls(rank, K.reduce_word(letters))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        merged = K.concat(self.array, other.array)
-        return FreeWord(self.rank, tuple(int(a) for a in merged))
+        return FreeWord(self.rank, K.concat(self.letters, other.letters))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(self.rank, tuple(-a for a in reversed(self.letters)))
@@ -117,22 +123,11 @@ class FreeAutomorphism:
     def is_identity(self) -> bool:
         return all(im.letters == (j,) for j, im in enumerate(self.images, start=1))
 
-    @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        offs = np.zeros(self.rank + 1, dtype=np.int64)
-        for j, im in enumerate(self.images, start=1):
-            offs[j] = offs[j - 1] + len(im)
-        flat = np.empty(int(offs[-1]), dtype=np.int64)
-        for j, im in enumerate(self.images, start=1):
-            flat[int(offs[j - 1]) : int(offs[j])] = im.array
-        return flat, offs
-
     def apply(self, w: FreeWord, budget: int | None = None) -> FreeWord:
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        flat, offs = self._flat
-        out = K.apply_subst(w.array, flat, offs, budget or default_budget())
-        return FreeWord(self.rank, tuple(int(a) for a in out))
+        images = tuple(im.letters for im in self.images)
+        return FreeWord(self.rank, K.apply_subst(w.letters, images, resolve_budget(budget)))
 
     def compose(self, other: "FreeAutomorphism", budget: int | None = None) -> "FreeAutomorphism":
         """``self o other`` (apply ``other`` first)."""
@@ -143,20 +138,11 @@ class FreeAutomorphism:
 
 # -- evaluation of braid words as free-group automorphisms ------------------
 
-_ACTION_CACHE: dict = {}
-_ACTION_CACHE_MAX = 4096
-
-
+@lru_cache(maxsize=4096)
 def _action_images(letters: tuple[int, ...], m: int, sphere_m: int, budget: int):
-    key = (letters, m, sphere_m)
-    hit = _ACTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    arrays = K.act_word(K.as_word_array(list(letters)), m, sphere_m, budget)
-    value = tuple(tuple(int(x) for x in a) for a in arrays)
-    if len(_ACTION_CACHE) < _ACTION_CACHE_MAX:
-        _ACTION_CACHE[key] = value
-    return value
+    # the budget is part of the key: a word that fits a large budget must
+    # still raise BudgetError under a small one
+    return K.act_word(letters, m, sphere_m, budget)
 
 
 def _wrap(m: int, images) -> FreeAutomorphism:
@@ -168,13 +154,13 @@ def artin_action(w: Word, m: int, *, budget: int | None = None) -> FreeAutomorph
     for a in w.letters:
         if abs(a) > m - 1:
             raise ValueError(f"letter sigma_{abs(a)} needs more than {m} strands")
-    return _wrap(m, _action_images(w.letters, m, 0, budget or default_budget()))
+    return _wrap(m, _action_images(w.letters, m, 0, resolve_budget(budget)))
 
 
 def sphere_action(w: Word, ctx: Context, *, budget: int | None = None) -> FreeAutomorphism:
     """The marked-sphere action on the rank ``2n+1`` free group."""
     m = ctx.num_arcs
-    return _wrap(m, _action_images(w.letters, m, m, budget or default_budget()))
+    return _wrap(m, _action_images(w.letters, m, m, resolve_budget(budget)))
 
 
 def is_inner(phi: FreeAutomorphism) -> FreeWord | None:
@@ -230,7 +216,7 @@ def eq_disk(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
     _require_disk_letters(v, ctx)
     d = u * v.inverse()
     m = ctx.num_arcs
-    images = _action_images(d.letters, m, 0, budget or default_budget())
+    images = _action_images(d.letters, m, 0, resolve_budget(budget))
     return all(im == (j,) for j, im in enumerate(images, start=1))
 
 
@@ -270,7 +256,7 @@ def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> b
     if not psi(d, ctx).is_identity:
         return False
     m = ctx.num_arcs
-    images = _action_images(d.letters, m, m, budget or default_budget())
+    images = _action_images(d.letters, m, m, resolve_budget(budget))
     return is_inner(_wrap(m, images)) is not None
 
 

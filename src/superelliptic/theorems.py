@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
-from . import _kernels, cover, intmat, liftability, oracle
+from . import cover, intmat, liftability, oracle
 from .errors import BudgetError
 from .generators import (
     expand_token_text,
@@ -90,6 +90,43 @@ class Bounds:
     homology_k: int = 4
 
 
+# The claims run_all reports beyond the liftability and cover claims, in
+# report order: (id, group, least n, greatest n or None).  The run path takes
+# its n-conditions from these rows and the skip path lists them, so a run
+# and a skip at the same n report the same claim ids.
+_BASE_CLAIMS = (
+    ("oracle-sphere-presentation", "sphere", 1, None),
+    ("generators-validation", "sphere", 1, None),
+    ("relation-twist-conjugation", "disk", 1, None),
+    ("relation-chain-twist-factorization", "disk", 1, None),
+    ("relation-h-triple-conjugation", "disk", 2, None),
+    ("relation-hchain-shift", "disk", 2, None),
+    ("lemma-r1-factorization", "sphere", 1, None),
+    ("generation-lmod-sphere", "sphere", 1, None),
+    ("generation-lmod-star", "star", 1, None),
+    ("generation-lmod-disk", "disk", 1, None),
+)
+_HOMOLOGY_CLAIMS = (
+    ("smod-conjugation-t", "homology", 1, None),
+    ("smod-conjugation-h", "homology", 1, None),
+    ("smod-deck-factorization", "homology", 1, None),
+    ("smod-deck-normalization", "homology", 1, None),
+    ("smod-r1-lift-consistency", "homology", 1, 1),
+    ("smod-chain-pattern", "homology", 1, None),
+)
+
+
+def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
+    """``(id, group)`` of the rows whose claim exists at this ``n``."""
+    return [
+        (cid, group) for cid, group, lo, hi in rows if lo <= n and (hi is None or n <= hi)
+    ]
+
+
+def _exists(cid: str, n: int) -> bool:
+    return any(c == cid for c, _ in _claim_ids(_BASE_CLAIMS + _HOMOLOGY_CLAIMS, n))
+
+
 @dataclass
 class Report:
     header: dict
@@ -135,12 +172,6 @@ class Report:
 
 
 def convention_header(ctx: Context, budget: int) -> dict:
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = "absent"
     return {
         "package": f"superelliptic {_pkg_version}",
         "composition": "rightmost letter acts first; [u][v] = [u o v]",
@@ -150,10 +181,8 @@ def convention_header(ctx: Context, budget: int) -> dict:
         "sheets": "crossing an odd arc upward increments the sheet; lifted arcs labeled by their upper face",
         "homology": "one-vertex contraction; J from vertex-link chord crossings; "
         "homology claims are necessary conditions only (the representation is not faithful)",
-        "backend": _kernels.BACKEND,
         "budget_letters": budget,
         "numpy": np.__version__,
-        "numba": numba_version,
         "n": ctx.n,
         "k": ctx.k,
     }
@@ -312,7 +341,7 @@ def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
                 "expect": True,
             }
         )
-    if instances:
+    if _exists("relation-h-triple-conjugation", n):
         claims.append(
             _run_instances(
                 Claim(id="relation-h-triple-conjugation", group="disk"),
@@ -322,7 +351,7 @@ def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
             )
         )
 
-    if n >= 2:
+    if _exists("relation-hchain-shift", n):
         instances = []
         for i in range(1, 2 * n - 2):
             instances.append(
@@ -713,7 +742,7 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     claim.elapsed = time.monotonic() - t0
     claims.append(claim)
 
-    if n == 1:
+    if _exists("smod-r1-lift-consistency", n):
         t0 = time.monotonic()
         claim = Claim(id="smod-r1-lift-consistency", group="homology", n=n, k=k)
         lhs = cover.lift_rep(surf, "r1")
@@ -804,13 +833,15 @@ def run_all(
     """Assemble the full claim table for one ``(n, k)``."""
     bounds = bounds or Bounds()
     ctx = Context(n, k)
-    budget_value = budget or oracle.default_budget()
-    report = Report(header=convention_header(ctx, budget_value))
+    budget = oracle.resolve_budget(budget)
+    report = Report(header=convention_header(ctx, budget))
 
-    def skip(cid: str, group: str, why: str) -> Claim:
-        return Claim(id=cid, group=group, status="skipped", detail=why, n=n, k=k)
+    def skip(rows, why: str) -> list[Claim]:
+        return [
+            Claim(id=cid, group=group, status="skipped", detail=why, n=n, k=k)
+            for cid, group in _claim_ids(rows, n)
+        ]
 
-    over = f"over desk-scale bound (n <= {bounds.base_n}); raise --bound-base-n"
     if n <= bounds.base_n:
         report.claims.append(verify_oracle_presentation(ctx, budget))
         report.claims.append(verify_generator_validations(ctx, budget))
@@ -819,19 +850,8 @@ def run_all(
         for group in ("lmod_sphere", "lmod_star", "lmod_disk"):
             report.claims.append(verify_generation(group, ctx, budget))
     else:
-        for cid, group in [
-            ("oracle-sphere-presentation", "sphere"),
-            ("generators-validation", "sphere"),
-            ("relation-twist-conjugation", "disk"),
-            ("relation-chain-twist-factorization", "disk"),
-            ("relation-h-triple-conjugation", "disk"),
-            ("relation-hchain-shift", "disk"),
-            ("lemma-r1-factorization", "sphere"),
-            ("generation-lmod-sphere", "sphere"),
-            ("generation-lmod-star", "star"),
-            ("generation-lmod-disk", "disk"),
-        ]:
-            report.claims.append(skip(cid, group, over))
+        over = f"over desk-scale bound (n <= {bounds.base_n}); raise --bound-base-n"
+        report.claims.extend(skip(_BASE_CLAIMS, over))
 
     report.claims.extend(verify_liftability(ctx, samples=liftability_samples))
     report.claims.extend(verify_cover(ctx))
@@ -843,12 +863,5 @@ def run_all(
         why = (
             f"over homology bounds (n <= {bounds.homology_n}, k <= {bounds.homology_k})"
         )
-        for cid in (
-            "smod-conjugation-t",
-            "smod-conjugation-h",
-            "smod-deck-factorization",
-            "smod-deck-normalization",
-            "smod-chain-pattern",
-        ):
-            report.claims.append(skip(cid, "homology", why))
+        report.claims.extend(skip(_HOMOLOGY_CLAIMS, why))
     return report

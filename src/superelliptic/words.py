@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from . import _kernels as K
 from .errors import ContextMismatchError, WordSyntaxError
@@ -69,14 +66,9 @@ class Word:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "Word":
-        reduced = K.reduce_word(K.as_word_array(list(letters)))
-        return cls(ctx, tuple(int(a) for a in reduced))
+        return cls(ctx, K.reduce_word(letters))
 
     # -- views -------------------------------------------------------------
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return K.as_word_array(self.letters)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -105,8 +97,7 @@ class Word:
             raise ContextMismatchError(
                 f"cannot concatenate words over {self.ctx} and {other.ctx}"
             )
-        merged = K.concat(self.array, other.array)
-        return Word(self.ctx, tuple(int(a) for a in merged))
+        return Word(self.ctx, K.concat(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return Word(self.ctx, tuple(-a for a in reversed(self.letters)))

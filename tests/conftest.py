@@ -1,26 +1,10 @@
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings
 
-# JIT compilation makes first calls slow; wall-clock deadlines are meaningless.
+# Oracle calls on random words vary widely in cost; wall-clock deadlines are
+# meaningless for them.
 settings.register_profile(
     "superelliptic",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("superelliptic")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels once so timed tests measure math, not the JIT."""
-    from superelliptic import _kernels as K
-
-    w = np.array([1, 2, -1], dtype=np.int64)
-    K.reduce_word(w)
-    K.concat(w, w)
-    K.act_word(w, 3, 0, 10**6)
-    K.act_word(w, 3, 3, 10**6)
-    offs = np.array([0, 1, 2, 3], dtype=np.int64)
-    K.apply_subst(w, np.array([1, 2, 3], dtype=np.int64), offs, 10**6)
-    yield

@@ -39,6 +39,18 @@ class TestEq:
         )
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_exit_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "--budget-letters", budget, "eq", "disk", "s1^40", "", "--n", "2",
+        )
+        assert code == 2 and "positive integer" in err and not out
+
+    def test_bad_env_budget_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERELLIPTIC_BUDGET_LETTERS", "abc")
+        code, out, err = run(capsys, "eq", "disk", "s1^40", "", "--n", "2")
+        assert code == 2 and "SUPERELLIPTIC_BUDGET_LETTERS" in err and not out
+
 
 class TestLiftable:
     def test_word_liftable(self, capsys):

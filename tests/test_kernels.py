@@ -1,6 +1,7 @@
-"""Backend equivalence and free-reduction properties of the hot kernels."""
+"""The free-word kernels against independent reference computations."""
 
-import numpy as np
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,27 +9,45 @@ from superelliptic import _kernels as K
 from superelliptic.errors import BudgetError
 
 letters = st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0)
-words = st.lists(letters, max_size=40).map(lambda ls: np.array(ls, dtype=np.int64))
+words = st.lists(letters, max_size=40).map(tuple)
 
 
-def test_backend_selected():
-    assert K.BACKEND in ("numba", "python")
+def naive_reduce(w):
+    """Delete the first adjacent cancelling pair until none is left."""
+    w = list(w)
+    while True:
+        for t in range(len(w) - 1):
+            if w[t] == -w[t + 1]:
+                del w[t : t + 2]
+                break
+        else:
+            return tuple(w)
+
+
+def naive_subst(w, images):
+    """Substitute ``images[j-1]`` for ``j`` (its reversed negation for ``-j``), then reduce."""
+    out = []
+    for y in w:
+        im = images[abs(y) - 1]
+        out += im if y > 0 else [-x for x in reversed(im)]
+    return naive_reduce(out)
+
+
+def inverse(w):
+    return tuple(-a for a in reversed(w))
 
 
 @given(words)
 def test_reduce_idempotent(w):
     once = K.reduce_word(w)
-    twice = K.reduce_word(once)
-    assert np.array_equal(once, twice)
-    assert np.array_equal(once, K.reduce_word_py(w))
+    assert once == naive_reduce(w)
+    assert K.reduce_word(once) == once
 
 
 @given(words, words)
 def test_concat_matches_reduce(a, b):
     ra, rb = K.reduce_word(a), K.reduce_word(b)
-    merged = K.concat(ra, rb)
-    assert np.array_equal(merged, K.reduce_word(np.concatenate([ra, rb])))
-    assert np.array_equal(merged, K.concat_py(ra, rb))
+    assert K.concat(ra, rb) == naive_reduce(ra + rb)
 
 
 @given(words, words, words)
@@ -36,7 +55,15 @@ def test_concat_associative_on_reduced(a, b, c):
     ra, rb, rc = (K.reduce_word(x) for x in (a, b, c))
     left = K.concat(K.concat(ra, rb), rc)
     right = K.concat(ra, K.concat(rb, rc))
-    assert np.array_equal(left, right)
+    assert left == right
+
+
+def test_act_word_single_letters():
+    # disk model: sigma_1 maps x_1 -> x_1 x_2 x_1^-1, x_2 -> x_1
+    assert K.act_word((1,), 3, 0, 10**6) == ((1, 2, -1), (1,), (3,))
+    assert K.act_word((-1,), 3, 0, 10**6) == ((2,), (-2, 1, 2), (3,))
+    # sphere model: sigma_3 rewrites x_3 through x_4 = (x_1 x_2 x_3)^-1
+    assert K.act_word((3,), 3, 3, 10**6) == ((1,), (2,), (-2, -1, -3))
 
 
 @settings(max_examples=60)
@@ -45,55 +72,40 @@ def test_concat_associative_on_reduced(a, b, c):
     st.integers(3, 8),
     st.booleans(),
 )
-def test_act_word_backends_agree(raw, m, sphere):
+def test_act_word_inverse_composes_to_identity(raw, m, sphere):
     top = m if sphere else m - 1
-    word = np.array(
-        [(i if pos else -i) for i, pos in raw if i <= top], dtype=np.int64
-    )
+    word = tuple((i if pos else -i) for i, pos in raw if i <= top)
     sphere_m = m if sphere else 0
-    got = K.act_word(word, m, sphere_m, 10**6)
-    ref = K.act_word_py(word, m, sphere_m, 10**6)
-    assert len(got) == len(ref) == m
-    for x, y in zip(got, ref):
-        assert np.array_equal(x, y)
+    images = K.act_word(word, m, sphere_m, 10**6)
+    inverse_images = K.act_word(inverse(word), m, sphere_m, 10**6)
+    assert len(images) == len(inverse_images) == m
+    for j in range(1, m + 1):
+        assert naive_subst(inverse_images[j - 1], images) == (j,)
+        assert naive_subst(images[j - 1], inverse_images) == (j,)
 
 
 def test_act_word_inverse_cancels():
     # sigma_m then its inverse in the sphere model is the identity
     for m in (3, 5):
-        word = np.array([m, -m], dtype=np.int64)
-        for img, j in zip(K.act_word(word, m, m, 10**6), range(1, m + 1)):
-            assert list(img) == [j]
+        images = K.act_word((m, -m), m, m, 10**6)
+        assert images == tuple((j,) for j in range(1, m + 1))
 
 
-def test_apply_subst_matches_python():
-    rng = np.random.default_rng(11)
+def test_apply_subst_matches_substitute_then_reduce():
+    rng = random.Random(11)
+    alphabet = [-4, -3, -2, -1, 1, 2, 3, 4]
     for _ in range(50):
-        m = 4
-        images = [
-            K.reduce_word(
-                np.array(
-                    [int(x) for x in rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], size=rng.integers(1, 6))],
-                    dtype=np.int64,
-                )
-            )
-            for _ in range(m)
-        ]
-        images = [im if len(im) else np.array([1], dtype=np.int64) for im in images]
-        offs = np.zeros(m + 1, dtype=np.int64)
-        for j, im in enumerate(images, start=1):
-            offs[j] = offs[j - 1] + len(im)
-        flat = np.concatenate(images) if offs[-1] else np.zeros(0, dtype=np.int64)
-        w = np.array([1, -2, 3, -4, 2], dtype=np.int64)
-        a = K.apply_subst(w, flat, offs, 10**6)
-        b = K.apply_subst_py(w, flat, offs, 10**6)
-        assert np.array_equal(a, b)
+        images = tuple(
+            K.reduce_word(rng.choices(alphabet, k=rng.randint(1, 5))) or (1,)
+            for _ in range(4)
+        )
+        w = tuple(rng.choices(alphabet, k=rng.randint(0, 8)))
+        assert K.apply_subst(w, images, 10**6) == naive_subst(w, images)
 
 
 def test_budget_is_enforced():
     # iterated sigma_1 conjugation grows x_2's image linearly; a tiny budget trips
-    word = np.array([1] * 200, dtype=np.int64)
     with pytest.raises(BudgetError):
-        K.act_word(word, 3, 0, budget=12)
+        K.act_word((1,) * 200, 3, 0, budget=12)
     with pytest.raises(BudgetError):
-        K.act_word_py(word, 3, 0, budget=12)
+        K.apply_subst((1, 2, 1), ((1, 2), (2, 3), (3,)), budget=4)

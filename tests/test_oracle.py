@@ -215,3 +215,38 @@ def test_sphere_action_budget_error():
     growing = Word.from_letters(CTX, [1] * 200)  # x_2's image grows linearly
     with pytest.raises(BudgetError):
         sphere_action(growing, CTX, budget=10)
+
+
+def test_cached_word_still_raises_under_small_budget():
+    from superelliptic.errors import BudgetError
+
+    ctx = Context(2, 3)
+    growing = word_parse(" ".join(["s1"] * 40), ctx)
+    assert not eq_disk(growing, EMPTY, ctx, budget=10**6)
+    with pytest.raises(BudgetError):
+        eq_disk(growing, EMPTY, ctx, budget=5)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match="positive integer"):
+        eq_disk(EMPTY, EMPTY, CTX, budget=budget)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-4", "0", "1.5"])
+def test_bad_env_budget_is_rejected(monkeypatch, raw):
+    from superelliptic.oracle import resolve_budget
+
+    monkeypatch.setenv("SUPERELLIPTIC_BUDGET_LETTERS", raw)
+    with pytest.raises(ValueError, match="SUPERELLIPTIC_BUDGET_LETTERS"):
+        resolve_budget(None)
+
+
+def test_env_budget_and_default(monkeypatch):
+    from superelliptic.oracle import DEFAULT_BUDGET, resolve_budget
+
+    monkeypatch.delenv("SUPERELLIPTIC_BUDGET_LETTERS", raising=False)
+    assert resolve_budget(None) == DEFAULT_BUDGET
+    monkeypatch.setenv("SUPERELLIPTIC_BUDGET_LETTERS", "77")
+    assert resolve_budget(None) == 77
+    assert resolve_budget(5) == 5

@@ -110,9 +110,6 @@ class TestVerifiers:
         assert verify_chain_pattern(Context(1, 3)).passed
 
     def test_budget_exhaustion_marks_skipped(self):
-        from superelliptic import oracle
-
-        oracle._ACTION_CACHE.clear()  # cached successes are budget-independent
         claim = verify_factorization_r1(Context(3, 3), budget=5)
         assert claim.status == "skipped"
         assert "budget" in claim.detail
@@ -157,6 +154,13 @@ class TestRunAll:
         assert "generation-lmod-sphere" in skipped
         assert "smod-deck-factorization" in skipped
         assert report.all_passed  # skipped claims do not fail the run
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_skip_path_lists_the_run_path_ids(self, n):
+        ran = run_all(n, 3, liftability_samples=10)
+        skipped = run_all(n, 3, bounds=Bounds(base_n=0, homology_n=0), liftability_samples=10)
+        assert [c.id for c in skipped.claims] == [c.id for c in ran.claims]
+        assert [c.group for c in skipped.claims] == [c.group for c in ran.claims]
 
     def test_header_mentions_conventions(self):
         report = run_all(1, 3, liftability_samples=10)
