@@ -72,14 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--n", type=int, required=True)
     p_matrix.add_argument("--k", type=int, default=3)
 
+    bounds = theorems.Bounds()
     p_verify = sub.add_parser("verify-all", help="run the full claim suite")
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--k", type=int, default=3)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
-    p_verify.add_argument("--bound-base-n", type=int, default=4)
-    p_verify.add_argument("--bound-homology-n", type=int, default=3)
-    p_verify.add_argument("--bound-homology-k", type=int, default=4)
+    p_verify.add_argument("--bound-base-n", type=int, default=bounds.base_n)
+    p_verify.add_argument("--bound-homology-n", type=int, default=bounds.homology_n)
+    p_verify.add_argument("--bound-homology-k", type=int, default=bounds.homology_k)
     p_verify.add_argument("--liftability-samples", type=int, default=10_000)
     return parser
 

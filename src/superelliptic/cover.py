@@ -19,6 +19,15 @@ Twists act by transvections ``x -> x + <x, c> c``; the deck rotation and
 the half-turn act through their edge maps directly.  The homology
 representation is a necessary-condition shadow only (it is not faithful);
 every verification built on it is labeled accordingly by the theorem suite.
+
+Arithmetic.  :func:`build_cover` derives the relations, the crossing form,
+the homology basis and ``J`` exactly (Python ints, through :mod:`intmat`)
+and stores every matrix as ``int64``, raising ``OverflowError`` if an entry
+does not fit.  From there on every product of homology matrices goes
+through :func:`mul`, which checks ``max|A| * max|B| * inner_dim < 2**62``
+before each int64 product and raises ``OverflowError`` when the bound
+fails, so a result is exact or the call raises: it never wraps and never
+falls back to object arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +48,42 @@ from .words import Context
 _ORIENT = 1
 
 
+# A product's entries are sums of ``inner_dim`` terms each at most
+# ``max|A| * max|B|``, so below this bound no int64 sum can wrap.
+_PRODUCT_BOUND = 2**62
+
+
+def _as_int64(A) -> np.ndarray:
+    """``A`` as an int64 array; ``OverflowError`` if an entry does not fit."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biO":
+        raise TypeError(f"expected an integer array, got dtype {A.dtype}")
+    return A.astype(np.int64, copy=False)
+
+
+def _max_abs(A: np.ndarray) -> int:
+    return max(int(A.max()), -int(A.min())) if A.size else 0
+
+
+def mul(*factors) -> np.ndarray:
+    """Checked int64 product ``factors[0] @ factors[1] @ ...``, left to right.
+
+    Factors are matrices or vectors, converted by :func:`_as_int64`.  Before
+    each product, ``max|A| * max|B| * inner_dim < 2**62`` must hold, so no
+    entry or partial sum can leave int64; otherwise ``OverflowError``.
+    """
+    out = _as_int64(factors[0])
+    for B in factors[1:]:
+        B = _as_int64(B)
+        bound = _max_abs(out) * _max_abs(B) * out.shape[-1]
+        if bound >= _PRODUCT_BOUND:
+            raise OverflowError(
+                f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
+            )
+        out = out @ B
+    return out
+
+
 def _c(i: int) -> int:
     return 1 if i % 2 == 1 else 0
 
@@ -52,12 +97,12 @@ class CoverSurface:
     loops: tuple[tuple[int, int], ...]
     loop_index: dict
     face_sides: tuple[tuple[tuple[int, int, int], ...], ...]  # (arc, label, dir)
-    relations: np.ndarray  # k x m, object
-    crossing: np.ndarray  # m x m pairing of loop classes, object
-    basis: np.ndarray  # m x 2g, object
-    proj: np.ndarray  # 2g x m, object
-    J: np.ndarray  # 2g x 2g, object
-    Jinv: np.ndarray
+    relations: np.ndarray  # k x m, int64
+    crossing: np.ndarray  # m x m pairing of loop classes, int64
+    basis: np.ndarray  # m x 2g, int64
+    proj: np.ndarray  # 2g x m, int64
+    J: np.ndarray  # 2g x 2g, int64
+    Jinv: np.ndarray  # 2g x 2g, int64
 
     @property
     def genus(self) -> int:
@@ -96,11 +141,11 @@ class LiftedCurve:
     base: CurveClass
     label: int
     crossings: tuple[tuple[int, int, int], ...]  # (arc, edge label, direction)
-    class_vector: np.ndarray = field(repr=False)  # 2g object ints
+    class_vector: np.ndarray = field(repr=False)  # 2g, int64
 
     def edge_chain(self, surface: "CoverSurface") -> dict:
         """The class as an integer chain over all edges (tree edges included)."""
-        x = surface.basis @ self.class_vector
+        x = mul(surface.basis, self.class_vector)
         chain: dict = {}
         k = surface.ctx.k
         for i in range(1, surface.ctx.num_arcs + 1):
@@ -224,12 +269,12 @@ def build_cover(ctx: Context) -> CoverSurface:
         loops=loops,
         loop_index=loop_index,
         face_sides=face_sides,
-        relations=relations,
-        crossing=crossing,
-        basis=basis,
-        proj=proj,
-        J=J,
-        Jinv=Jinv,
+        relations=_as_int64(relations),
+        crossing=_as_int64(crossing),
+        basis=_as_int64(basis),
+        proj=_as_int64(proj),
+        J=_as_int64(J),
+        Jinv=_as_int64(Jinv),
     )
     chi = surface.euler_characteristic
     if chi != 2 - 2 * ctx.genus:
@@ -296,14 +341,14 @@ def lift_cycle(
             s = _norm(s + d * _c(arc), k)
         if s != label:
             raise AssertionError("zero-monodromy lift failed to close")
-        u = np.zeros(surface.h1_rank, dtype=object)
+        cycle = [0] * len(surface.loops)
         for arc, lab, d in crossings:
             if lab >= 2:
-                u += d * surface.basis[surface.loop_index[(arc, lab)], :]
+                cycle[surface.loop_index[(arc, lab)]] += d
             else:
                 for l in range(2, k + 1):
-                    u -= d * surface.basis[surface.loop_index[(arc, l)], :]
-        beta = surface.Jinv @ u
+                    cycle[surface.loop_index[(arc, l)]] -= d
+        beta = mul(surface.Jinv, mul(cycle, surface.basis))
         curves.append(
             LiftedCurve(
                 base=base, label=label, crossings=tuple(crossings), class_vector=beta
@@ -316,52 +361,53 @@ def pairing(surface: CoverSurface, a, b) -> int:
     """Algebraic intersection number of two homology classes."""
     va = _class_vector(surface, a)
     vb = _class_vector(surface, b)
-    return int(va @ surface.J @ vb)
+    return int(mul(va, surface.J, vb))
 
 
 def _class_vector(surface: CoverSurface, c) -> np.ndarray:
     if isinstance(c, LiftedCurve):
         return c.class_vector
-    v = np.asarray(c, dtype=object)
+    v = _as_int64(c)
     if v.shape == (surface.h1_rank,):
         return v
     if v.shape == (len(surface.loops),):
-        return surface.proj @ v
+        return mul(surface.proj, v)
     raise ValueError("expected a LiftedCurve, a basis vector, or a loop-coordinate vector")
+
+
+def identity(surface: CoverSurface) -> np.ndarray:
+    return np.eye(surface.h1_rank, dtype=np.int64)
 
 
 def twist_matrix(surface: CoverSurface, c) -> np.ndarray:
     """Transvection of the right twist about ``c``: ``x -> x + <x, c> c``."""
     v = _class_vector(surface, c)
-    T = intmat.identity_object(surface.h1_rank) + np.outer(v, surface.J @ v)
-    return T
+    # the outer product v (J v)^T as a checked product with inner dimension 1
+    return identity(surface) + mul(v[:, None], mul(surface.J, v)[None, :])
 
 
 def is_symplectic(surface: CoverSurface, M: np.ndarray) -> bool:
-    return np.array_equal(M.T @ surface.J @ M, surface.J)
+    return np.array_equal(mul(M.T, surface.J, M), surface.J)
 
 
 def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
     """Inverse of a symplectic integer matrix: ``J^{-1} M^T J``."""
-    return surface.Jinv @ M.T @ surface.J
+    return mul(surface.Jinv, M.T, surface.J)
 
 
 def matrix_power(surface: CoverSurface, M: np.ndarray, e: int) -> np.ndarray:
-    out = intmat.identity_object(surface.h1_rank)
+    out = identity(surface)
     base = M if e >= 0 else symplectic_inverse(surface, M)
     for _ in range(abs(e)):
-        out = out @ base
+        out = mul(out, base)
     return out
 
 
 def _induced_matrix(surface: CoverSurface, chain_map: np.ndarray) -> np.ndarray:
     """Push a cycle-space map down to the homology basis, with checks."""
-    for row in surface.relations:
-        if not np.array_equal(
-            surface.proj @ (chain_map @ row), np.zeros(surface.h1_rank, dtype=object)
-        ):
-            raise AssertionError("cycle map does not preserve the relation lattice")
-    M = surface.proj @ chain_map @ surface.basis
+    if mul(surface.proj, chain_map, surface.relations.T).any():
+        raise AssertionError("cycle map does not preserve the relation lattice")
+    M = mul(surface.proj, chain_map, surface.basis)
     if not is_symplectic(surface, M):
         raise AssertionError("induced homology map is not symplectic")
     return M
@@ -371,7 +417,7 @@ def _deck_cycle_map(surface: CoverSurface) -> np.ndarray:
     ctx = surface.ctx
     k = ctx.k
     m = len(surface.loops)
-    C = np.zeros((m, m), dtype=object)
+    C = np.zeros((m, m), dtype=np.int64)
     for t, (i, l) in enumerate(surface.loops):
         nxt = _norm(l + 1, k)
         if nxt != 1:
@@ -388,7 +434,7 @@ def _half_turn_cycle_map(surface: CoverSurface) -> np.ndarray:
     def rho(i: int, l: int) -> int:
         return _norm(k - l + 2, k) if i % 2 == 1 else _norm(k - l + 1, k)
 
-    C = np.zeros((m, m), dtype=object)
+    C = np.zeros((m, m), dtype=np.int64)
     for t, (i, l) in enumerate(surface.loops):
         i2 = ctx.num_points - i
         lab = rho(i, l)
@@ -434,9 +480,9 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
     elif kind == "t":
         if not (index and 1 <= index <= ctx.num_arcs):
             raise ValueError(f"t-lift index {index} out of range 1..{ctx.num_arcs}")
-        M = intmat.identity_object(surface.h1_rank)
+        M = identity(surface)
         for c in _gamma_lifts(surface, index):
-            M = M @ twist_matrix(surface, c)
+            M = mul(M, twist_matrix(surface, c))
     elif kind == "h":
         if not (index and 1 <= index <= 2 * n):
             raise ValueError(f"h-lift index {index} out of range 1..{2 * n}")
@@ -451,23 +497,23 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
             for l in range(k, 1, -1):
                 order += [low[l - 1], high[l - 1]]
             order.append(low[0])
-        M = intmat.identity_object(surface.h1_rank)
+        M = identity(surface)
         for c in order:
-            M = M @ twist_matrix(surface, c)
+            M = mul(M, twist_matrix(surface, c))
     elif kind == "r1":
         from .generators import F_factors
 
         M = lift_rep(surface, "r")
         for fkind, params, e in F_factors(n):
             base = lift_rep(surface, fkind, params[0])
-            M = M @ matrix_power(surface, base, e)
+            M = mul(M, matrix_power(surface, base, e))
     elif kind == "zeta_prime":
         from .generators import t_chain_factors
 
-        M = intmat.identity_object(surface.h1_rank)
+        M = identity(surface)
         for fkind, params, e in t_chain_factors(1, ctx.num_arcs):
             base = lift_rep(surface, fkind, params[0])
-            M = M @ matrix_power(surface, base, e)
+            M = mul(M, matrix_power(surface, base, e))
     else:
         raise ValueError(f"unknown lift name {kind!r}")
 
@@ -480,10 +526,10 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
 def check_normalizes_deck(M: np.ndarray, surface: CoverSurface) -> int | None:
     """Return ``j`` with ``M zeta M^{-1} = zeta^j`` (1 <= j <= k-1), or None."""
     Mz = lift_rep(surface, "zeta")
-    conj = M @ Mz @ symplectic_inverse(surface, M)
-    power = intmat.identity_object(surface.h1_rank)
+    conj = mul(M, Mz, symplectic_inverse(surface, M))
+    power = identity(surface)
     for j in range(1, surface.ctx.k):
-        power = power @ Mz
+        power = mul(power, Mz)
         if np.array_equal(conj, power):
             return j
     return None

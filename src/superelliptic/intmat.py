@@ -1,10 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
-Everything here works on numpy ``object`` arrays holding Python ints, so
-no overflow is possible.  Sizes stay tiny (at most a few dozen rows), so
-the cubic classics are plenty: Smith normal form with transforms, rational
-rank, exact inverses of unimodular matrices, and a symplectic basis for a
-skew unimodular form.
+The package's exact arithmetic lives here: these functions work on numpy
+``object`` arrays of Python ints (or on ``Fraction`` lists), so no
+overflow is possible, and accept any integer matrix as input.  The cover
+derives its homology apparatus with them and then stores it as int64 (see
+:mod:`superelliptic.cover`).  Sizes stay tiny (at most a few dozen rows),
+so the cubic classics are plenty: Smith normal form with transforms,
+rational rank, exact inverses of unimodular matrices, and a symplectic
+basis for a skew unimodular form.
 """
 
 from __future__ import annotations
@@ -204,37 +207,38 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     m = J.shape[0]
     basis = [np.array([int(i == t) for i in range(m)], dtype=object) for t in range(m)]
 
-    def pair(x, y) -> int:
-        return int(x @ J @ y)
-
     out: list[np.ndarray] = []
     while basis:
         u = basis.pop(0)
-        if all(pair(u, w) == 0 for w in basis):
+        uJ = u @ J  # pair(u, x) = uJ . x, one dot product per pairing
+
+        def pair(x) -> int:
+            return int(uJ @ x)
+
+        if all(pair(w) == 0 for w in basis):
             raise ValueError("form is degenerate on the remaining sublattice")
         # make some pairing equal +-1 by gcd combinations
         while True:
-            best = min(
-                (w for w in basis if pair(u, w) != 0), key=lambda w: abs(pair(u, w))
-            )
-            d = pair(u, best)
+            best = min((w for w in basis if pair(w) != 0), key=lambda w: abs(pair(w)))
+            d = pair(best)
             reducedany = False
             for idx, w in enumerate(basis):
-                p = pair(u, w)
+                p = pair(w)
                 if w is not best and p != 0:
                     q = p // d
                     basis[idx] = w - q * best
-                    if pair(u, basis[idx]) != 0:
+                    if pair(basis[idx]) != 0:
                         reducedany = True
             if abs(d) == 1 or not reducedany:
                 break
-        w0 = min((x for x in basis if pair(u, x) != 0), key=lambda x: abs(pair(u, x)))
-        d = pair(u, w0)
+        w0 = min((x for x in basis if pair(x) != 0), key=lambda x: abs(pair(x)))
+        d = pair(w0)
         if abs(d) != 1:
             raise ValueError("could not reach a unimodular pairing; form not unimodular?")
         basis = [x for x in basis if x is not w0]
         w = w0 if d == 1 else -w0
-        basis = [x - pair(x, w) * u + pair(x, u) * w for x in basis]
+        Jw, Ju = J @ w, J @ u
+        basis = [x - int(x @ Jw) * u + int(x @ Ju) * w for x in basis]
         out.append(u)
         out.append(w)
     P = np.zeros((m, m), dtype=object)

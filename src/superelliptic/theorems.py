@@ -86,40 +86,44 @@ class Bounds:
     """Desk-scale limits; claims beyond them are reported as skipped."""
 
     base_n: int = 4
-    homology_n: int = 3
-    homology_k: int = 4
+    homology_n: int = 6
+    homology_k: int = 6
 
 
 # The claims run_all reports beyond the liftability and cover claims, in
-# report order: (id, group, least n, greatest n or None).  The run path takes
-# its n-conditions from these rows and the skip path lists them, so a run
-# and a skip at the same n report the same claim ids.
+# report order: (id, group, least n, greatest n or None, witness).  The run
+# path takes its n-conditions from these rows and the skip path lists them,
+# so a run and a skip at the same n report the same claim ids.  A claim
+# with ``witness`` True rests on oracle instances stored in the report.
 _BASE_CLAIMS = (
-    ("oracle-sphere-presentation", "sphere", 1, None),
-    ("generators-validation", "sphere", 1, None),
-    ("relation-twist-conjugation", "disk", 1, None),
-    ("relation-chain-twist-factorization", "disk", 1, None),
-    ("relation-h-triple-conjugation", "disk", 2, None),
-    ("relation-hchain-shift", "disk", 2, None),
-    ("lemma-r1-factorization", "sphere", 1, None),
-    ("generation-lmod-sphere", "sphere", 1, None),
-    ("generation-lmod-star", "star", 1, None),
-    ("generation-lmod-disk", "disk", 1, None),
+    ("oracle-sphere-presentation", "sphere", 1, None, True),
+    ("generators-validation", "sphere", 1, None, False),
+    ("relation-twist-conjugation", "disk", 1, None, True),
+    ("relation-chain-twist-factorization", "disk", 1, None, True),
+    ("relation-h-triple-conjugation", "disk", 2, None, True),
+    ("relation-hchain-shift", "disk", 2, None, True),
+    ("lemma-r1-factorization", "sphere", 1, None, True),
+    ("generation-lmod-sphere", "sphere", 1, None, True),
+    ("generation-lmod-star", "star", 1, None, True),
+    ("generation-lmod-disk", "disk", 1, None, True),
 )
 _HOMOLOGY_CLAIMS = (
-    ("smod-conjugation-t", "homology", 1, None),
-    ("smod-conjugation-h", "homology", 1, None),
-    ("smod-deck-factorization", "homology", 1, None),
-    ("smod-deck-normalization", "homology", 1, None),
-    ("smod-r1-lift-consistency", "homology", 1, 1),
-    ("smod-chain-pattern", "homology", 1, None),
+    ("smod-conjugation-t", "homology", 1, None, False),
+    ("smod-conjugation-h", "homology", 1, None, False),
+    ("smod-deck-factorization", "homology", 1, None, False),
+    ("smod-deck-normalization", "homology", 1, None, False),
+    ("smod-r1-lift-consistency", "homology", 1, 1, False),
+    ("smod-chain-pattern", "homology", 1, None, False),
 )
+_WITNESS_CLAIMS = frozenset(row[0] for row in _BASE_CLAIMS if row[4])
 
 
 def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
     """``(id, group)`` of the rows whose claim exists at this ``n``."""
     return [
-        (cid, group) for cid, group, lo, hi in rows if lo <= n and (hi is None or n <= hi)
+        (cid, group)
+        for cid, group, lo, hi, _ in rows
+        if lo <= n and (hi is None or n <= hi)
     ]
 
 
@@ -636,7 +640,7 @@ def verify_cover(ctx: Context) -> list[Claim]:
     ok = ok and intmat.det_exact(surf.J) == 1
     P = intmat.symplectic_change_of_basis(surf.J)
     ok = ok and np.array_equal(
-        P.T @ surf.J @ P, intmat.standard_symplectic(surf.h1_rank)
+        cover.mul(P.T, surf.J, P), intmat.standard_symplectic(surf.h1_rank)
     )
     claim.status = "pass" if ok else "fail"
     claim.detail = f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
@@ -646,13 +650,13 @@ def verify_cover(ctx: Context) -> list[Claim]:
     t0 = time.monotonic()
     claim = Claim(id="cover-deck-rotation", group="homology", n=ctx.n, k=ctx.k)
     Mz = cover.lift_rep(surf, "zeta")
-    ident = intmat.identity_object(surf.h1_rank)
+    ident = cover.identity(surf)
     power = ident
     ok = True
     for j in range(1, ctx.k):
-        power = power @ Mz
+        power = cover.mul(power, Mz)
         ok = ok and not np.array_equal(power, ident)
-    ok = ok and np.array_equal(power @ Mz, ident)
+    ok = ok and np.array_equal(cover.mul(power, Mz), ident)
     ok = ok and intmat.rank_rational(Mz - ident) == 2 * ctx.genus
     claim.status = "pass" if ok else "fail"
     claim.detail = (
@@ -679,7 +683,7 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     Mr1i = cover.symplectic_inverse(surf, Mr1)
     bad = []
     for i in range(1, 2 * n + 1):
-        lhs = Mr1 @ cover.lift_rep(surf, "t", i) @ Mr1i
+        lhs = cover.mul(Mr1, cover.lift_rep(surf, "t", i), Mr1i)
         if not np.array_equal(lhs, cover.lift_rep(surf, "t", i + 1)):
             bad.append(i)
     claim.status = "pass" if not bad else "fail"
@@ -693,7 +697,7 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     claim = Claim(id="smod-conjugation-h", group="homology", n=n, k=k)
     bad = []
     for i in range(1, 2 * n):
-        lhs = Mr1 @ cover.lift_rep(surf, "h", i) @ Mr1i
+        lhs = cover.mul(Mr1, cover.lift_rep(surf, "h", i), Mr1i)
         if not np.array_equal(lhs, cover.lift_rep(surf, "h", i + 1)):
             bad.append(i)
     claim.status = "pass" if not bad else "fail"
@@ -746,8 +750,9 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
         t0 = time.monotonic()
         claim = Claim(id="smod-r1-lift-consistency", group="homology", n=n, k=k)
         lhs = cover.lift_rep(surf, "r1")
-        rhs = cover.lift_rep(surf, "r") @ cover.symplectic_inverse(
-            surf, cover.lift_rep(surf, "h", 1)
+        rhs = cover.mul(
+            cover.lift_rep(surf, "r"),
+            cover.symplectic_inverse(surf, cover.lift_rep(surf, "h", 1)),
         )
         claim.status = "pass" if np.array_equal(lhs, rhs) else "fail"
         claim.detail = _HOMOLOGY_NOTE + "n=1 rotation lift equals half-turn times inverse half-rotation lift"
@@ -807,14 +812,27 @@ def verify_chain_pattern(ctx: Context) -> Claim:
 
 
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
-    """Re-check every stored witness instance of a report; certificates only."""
+    """Re-check every stored witness instance of a report; certificates only.
+
+    A claim whose ``n`` or ``k`` differs from the header's (where the header
+    states them; a bundle of certificates may leave them out), and a claim
+    that ran (not skipped) on witness instances but stores none, fail.
+    """
     if isinstance(report, Report):
         report = report.to_dict()
+    header = report["header"]
     results = []
     for cdict in report["claims"]:
+        if any(key in header and cdict[key] != header[key] for key in ("n", "k")):
+            results.append((cdict["id"], False))
+            continue
+        if cdict["status"] == "skipped":
+            continue
         witness = cdict.get("witness") or {}
         instances = witness.get("instances")
-        if not instances or cdict["status"] == "skipped":
+        if not instances:
+            if cdict["id"] in _WITNESS_CLAIMS:
+                results.append((cdict["id"], False))
             continue
         ctx = Context(cdict["n"], cdict["k"])
         ok = all(check_instance(i, ctx, budget) for i in instances)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from superelliptic.cli import main
+from superelliptic.cli import _build_parser, main
+from superelliptic.theorems import Bounds
 
 
 def run(capsys, *argv):
@@ -142,6 +143,13 @@ class TestVerifyAll:
         assert code == 0
         data = json.loads(out)
         assert any(c["status"] == "skipped" for c in data["claims"])
+
+    def test_bound_defaults_come_from_bounds(self):
+        args = _build_parser().parse_args(["verify-all", "--n", "1"])
+        defaults = Bounds()
+        assert (args.bound_base_n, args.bound_homology_n, args.bound_homology_k) == (
+            defaults.base_n, defaults.homology_n, defaults.homology_k
+        )
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -78,6 +78,43 @@ class TestHomology:
         assert np.array_equal(P.T @ S.J @ P, intmat.standard_symplectic(S.h1_rank))
 
 
+class TestCheckedProduct:
+    def test_raises_instead_of_wrapping(self):
+        A = np.full((8, 8), 2**40, dtype=np.int64)
+        # 2**40 * 2**40 * 8 >= 2**62: the unchecked int64 product wraps
+        assert not np.array_equal(A @ A, A.astype(object) @ A.astype(object))
+        with pytest.raises(OverflowError):
+            cover_mod.mul(A, A)
+        with pytest.raises(OverflowError):
+            cover_mod.mul(np.eye(8, dtype=np.int64), A, A)
+
+    def test_accepts_the_same_matrices_within_the_bound(self):
+        A = np.full((8, 8), 2**40, dtype=np.int64)
+        B = np.arange(-32, 32, dtype=np.int64).reshape(8, 8)  # 2**40 * 32 * 8 < 2**62
+        exact = A.astype(object) @ B.astype(object)
+        got = cover_mod.mul(A, B)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, exact)
+        v = A[:, 0]
+        assert np.array_equal(cover_mod.mul(B, v), B.astype(object) @ v.astype(object))
+
+    def test_bound_is_strict(self):
+        A = np.full((8, 8), 2**29, dtype=np.int64)
+        B = np.full((8, 8), 2**30, dtype=np.int64)
+        got = cover_mod.mul(A[:, :4], B[:4, :])  # 2**29 * 2**30 * 4 = 2**61
+        assert np.array_equal(got, np.full((8, 8), 2**61, dtype=object))
+        with pytest.raises(OverflowError):
+            cover_mod.mul(A, B)  # 2**29 * 2**30 * 8 = 2**62
+        with pytest.raises(OverflowError):  # |int64 min| does not fit in int64
+            low = np.array([[-(2**63)]], dtype=np.int64)
+            cover_mod.mul(low, np.ones((1, 1), dtype=np.int64))
+
+    def test_object_entries_that_do_not_fit_raise(self):
+        big = np.array([[2**63]], dtype=object)
+        with pytest.raises(OverflowError):
+            cover_mod.mul(big, np.array([[1]], dtype=np.int64))
+
+
 class TestDeckRotation:
     @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 3), (2, 4), (1, 5)])
     def test_order_and_fixed_space(self, n, k):
@@ -209,7 +246,59 @@ class TestChainPattern:
                         assert pairing(S, ca, cb) == 0
 
 
+def _transvection_product(curves, J):
+    """Matrix of ``T_{c_1} T_{c_2} ... T_{c_m}`` in Python ints, where
+    ``T_c: x -> x + <x, c> c`` and ``<x, y> = x^T J y``."""
+    m = len(J)
+
+    def pair(x, y):
+        return sum(x[i] * J[i][j] * y[j] for i in range(m) for j in range(m))
+
+    def apply(c, x):
+        p = pair(x, c)
+        return [xi + p * ci for xi, ci in zip(x, c)]
+
+    columns = []
+    for j in range(m):
+        x = [int(i == j) for i in range(m)]
+        for c in reversed(curves):  # the rightmost factor acts first
+            x = apply(c, x)
+        columns.append(x)
+    return [[columns[j][i] for j in range(m)] for i in range(m)]
+
+
 class TestLiftReps:
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
+    def test_lifts_and_symplectic_basis_match_exact_references(self, n, k):
+        ctx = Context(n, k)
+        S = build_cover(ctx)
+        J = S.J.tolist()
+
+        def vectors(curves):
+            return [[int(x) for x in c.class_vector] for c in curves]
+
+        for i in range(1, ctx.num_points):
+            want = _transvection_product(vectors(cover_mod._gamma_lifts(S, i)), J)
+            assert lift_rep(S, "t", i).tolist() == want, ("t", i)
+        for i in range(1, 2 * n + 1):
+            low = cover_mod._gamma_lifts(S, i)
+            high = cover_mod._gamma_lifts(S, i + 1)
+            if i % 2 == 1:
+                order = [c for l in range(k - 1) for c in (low[l], high[l])] + [low[-1]]
+            else:
+                order = [c for l in range(k - 1, 0, -1) for c in (low[l], high[l])]
+                order.append(low[0])
+            want = _transvection_product(vectors(order), J)
+            assert lift_rep(S, "h", i).tolist() == want, ("h", i)
+        # the exact symplectic basis still standardizes J, in Python ints
+        P = intmat.symplectic_change_of_basis(S.J).tolist()
+        PtJP = [
+            [sum(P[a][i] * J[a][b] * P[b][j] for a in range(len(J)) for b in range(len(J)))
+             for j in range(len(J))]
+            for i in range(len(J))
+        ]
+        assert PtJP == intmat.standard_symplectic(S.h1_rank).tolist()
+
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (1, 4)])
     def test_half_turn_involution(self, n, k):
         S = build_cover(Context(n, k))

@@ -132,6 +132,27 @@ class TestCertificates:
         results = reverify_report(json.loads(path.read_text()))
         assert results and all(ok for _, ok in results)
 
+    @pytest.fixture(scope="class")
+    def report_2_3(self):
+        return run_all(2, 3, liftability_samples=10).to_dict()
+
+    def test_emptied_instances_are_caught(self, report_2_3):
+        results = dict(reverify_report(report_2_3))
+        assert results["generation-lmod-sphere"] is True
+        cut = json.loads(json.dumps(report_2_3))
+        claim = next(c for c in cut["claims"] if c["id"] == "generation-lmod-sphere")
+        claim["witness"]["instances"] = []
+        results = reverify_report(cut)
+        assert ("generation-lmod-sphere", False) in results
+        assert len(results) == len(reverify_report(report_2_3))
+
+    def test_header_claim_mismatch_is_caught(self, report_2_3):
+        cut = json.loads(json.dumps(report_2_3))
+        cut["header"]["n"] = 7
+        results = reverify_report(cut)
+        assert len(results) == len(cut["claims"])
+        assert not any(ok for _, ok in results)
+
     def test_tampered_witness_is_caught(self):
         ctx = Context(1, 3)
         claim = verify_generation("lmod_sphere", ctx)
@@ -149,11 +170,16 @@ class TestRunAll:
         assert "oracle-sphere-presentation" in ids[0]
 
     def test_bounds_skip_policy(self):
-        report = run_all(5, 3, bounds=Bounds(base_n=4), liftability_samples=10)
+        report = run_all(5, 3, bounds=Bounds(base_n=4, homology_n=4), liftability_samples=10)
         skipped = {c.id for c in report.claims if c.status == "skipped"}
         assert "generation-lmod-sphere" in skipped
         assert "smod-deck-factorization" in skipped
         assert report.all_passed  # skipped claims do not fail the run
+
+    def test_default_homology_bounds_reach_6_6(self):
+        report = run_all(6, 6, bounds=Bounds(base_n=0), liftability_samples=10)
+        homology = [c for c in report.claims if c.id.startswith("smod-")]
+        assert homology and all(c.passed for c in homology)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_skip_path_lists_the_run_path_ids(self, n):
