@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bound-base-n", type=int, default=bounds.base_n)
     p_verify.add_argument("--bound-homology-n", type=int, default=bounds.homology_n)
     p_verify.add_argument("--bound-homology-k", type=int, default=bounds.homology_k)
-    p_verify.add_argument("--liftability-samples", type=int, default=10_000)
     return parser
 
 
@@ -132,11 +131,8 @@ def _cmd_cover(args) -> int:
     if args.cover_command == "info":
         info = surface.info()
         if args.json:
-            from . import intmat
-
-            P = intmat.symplectic_change_of_basis(surface.J)
             info["intersection_form"] = surface.J.tolist()
-            info["standard_symplectic_change"] = P.tolist()
+            info["standard_symplectic_change"] = surface.P.tolist()
             print(json.dumps(info, indent=2, sort_keys=True))
         else:
             for key in ("n", "k", "vertices", "edges", "faces", "genus",
@@ -162,13 +158,7 @@ def _cmd_verify_all(args) -> int:
         homology_n=args.bound_homology_n,
         homology_k=args.bound_homology_k,
     )
-    report = theorems.run_all(
-        args.n,
-        args.k,
-        budget=_budget(args),
-        bounds=bounds,
-        liftability_samples=args.liftability_samples,
-    )
+    report = theorems.run_all(args.n, args.k, budget=_budget(args), bounds=bounds)
     text = report.to_json() if args.json else report.render_text()
     if args.out:
         directory = os.path.dirname(os.path.abspath(args.out))

@@ -21,13 +21,13 @@ representation is a necessary-condition shadow only (it is not faithful);
 every verification built on it is labeled accordingly by the theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations, the crossing form,
-the homology basis and ``J`` exactly (Python ints, through :mod:`intmat`)
-and stores every matrix as ``int64``, raising ``OverflowError`` if an entry
-does not fit.  From there on every product of homology matrices goes
-through :func:`mul`, which checks ``max|A| * max|B| * inner_dim < 2**62``
-before each int64 product and raises ``OverflowError`` when the bound
-fails, so a result is exact or the call raises: it never wraps and never
-falls back to object arithmetic.
+the homology basis, ``J`` and a symplectic basis ``P`` (``J^-1 = -P J0
+P^T``) exactly in Python ints through :mod:`intmat`, and stores every
+matrix as ``int64`` (``OverflowError`` if an entry does not fit).  Every
+later product of homology matrices goes through :func:`mul`, which checks
+``max|A| * max|B| * inner_dim < 2**62`` before each int64 product and
+raises ``OverflowError`` when the bound fails, so a result is exact or the
+call raises: it never wraps and never falls back to object arithmetic.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class CoverSurface:
     proj: np.ndarray  # 2g x m, int64
     J: np.ndarray  # 2g x 2g, int64
     Jinv: np.ndarray  # 2g x 2g, int64
+    P: np.ndarray  # 2g x 2g, int64: P^T J P is the standard symplectic form
 
     @property
     def genus(self) -> int:
@@ -257,9 +258,14 @@ def build_cover(ctx: Context) -> CoverSurface:
         raise AssertionError("homology rank disagrees with the genus")
     if not np.array_equal(J, -J.T):
         raise AssertionError("intersection form is not skew")
-    if intmat.det_exact(J) != 1:
+    try:  # an integer P with P^T J P = J0 certifies det J = 1
+        P = intmat.symplectic_change_of_basis(J)
+    except ValueError as exc:
+        raise AssertionError(f"intersection form is not unimodular: {exc}") from exc
+    J0 = intmat.standard_symplectic(J.shape[0])
+    if not np.array_equal(P.T @ J @ P, J0):
         raise AssertionError("intersection form is not unimodular")
-    Jinv = intmat.inverse_unimodular(J)
+    Jinv = -(P @ J0 @ P.T)
 
     surface = CoverSurface(
         ctx=ctx,
@@ -275,6 +281,7 @@ def build_cover(ctx: Context) -> CoverSurface:
         proj=_as_int64(proj),
         J=_as_int64(J),
         Jinv=_as_int64(Jinv),
+        P=_as_int64(P),
     )
     chi = surface.euler_characteristic
     if chi != 2 - 2 * ctx.genus:

@@ -6,8 +6,8 @@ overflow is possible, and accept any integer matrix as input.  The cover
 derives its homology apparatus with them and then stores it as int64 (see
 :mod:`superelliptic.cover`).  Sizes stay tiny (at most a few dozen rows),
 so the cubic classics are plenty: Smith normal form with transforms,
-rational rank, exact inverses of unimodular matrices, and a symplectic
-basis for a skew unimodular form.
+rational rank, determinants, and a symplectic basis for a skew unimodular
+form.
 """
 
 from __future__ import annotations
@@ -166,34 +166,6 @@ def det_exact(A) -> int:
             M[i, t] = 0
         prev = M[t, t]
     return sign * int(M[m - 1, m - 1])
-
-
-def inverse_unimodular(A) -> np.ndarray:
-    """Exact inverse of an integer matrix with determinant ±1."""
-    M = [[Fraction(int(x)) for x in row] for row in np.array(A, dtype=object)]
-    m = len(M)
-    Inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for c in range(m):
-        piv = next((r for r in range(c, m) if M[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        M[c], M[piv] = M[piv], M[c]
-        Inv[c], Inv[piv] = Inv[piv], Inv[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        Inv[c] = [x * inv for x in Inv[c]]
-        for r in range(m):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-                Inv[r] = [a - f * b for a, b in zip(Inv[r], Inv[c])]
-    out = np.zeros((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            if Inv[i][j].denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out[i, j] = int(Inv[i][j])
-    return out
 
 
 def symplectic_change_of_basis(J) -> np.ndarray:

@@ -19,7 +19,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from . import _kernels as K
 from .errors import WordSyntaxError
@@ -62,6 +62,46 @@ def w_parity_map(perm: Permutation, ctx: Context) -> int:
 def w_size(ctx: Context) -> int:
     """The order ``2 ((n+1)!)^2`` of the parity subgroup of ``S_{2n+2}``."""
     return 2 * factorial(ctx.n + 1) ** 2
+
+
+def _closure(start, neighbours) -> set:
+    """Everything reachable from ``start`` by repeated ``neighbours`` steps."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        for y in neighbours(frontier.pop()) - seen:
+            seen.add(y)
+            frontier.append(y)
+    return seen
+
+
+def generated_group(perms, ctx: Context) -> tuple[int, list[frozenset[int]]]:
+    """Order and blocks of the group ``G`` generated by point permutations.
+
+    The transpositions among ``perms``, closed under conjugation by
+    ``perms``, join the points into blocks, and ``G`` contains the
+    symmetric group of each block.  Each generator permutes the blocks
+    (checked), so those groups are the kernel of ``G``'s action on the
+    blocks: ``|G|`` = (induced block permutations) x prod(``|block|!``).
+    """
+    points = range(1, ctx.num_points + 1)
+    moved = [frozenset(x for x in points if p(x) != x) for p in perms]
+    swaps = _closure(
+        [m for m in moved if len(m) == 2],
+        lambda pair: {frozenset(map(p, pair)) for p in perms},
+    )
+    adjacent = {x: {z for pair in swaps if x in pair for z in pair} for x in points}
+    blocks = sorted({frozenset(_closure([x], adjacent.get)) for x in points}, key=min)
+    index = {x: t for t, block in enumerate(blocks) for x in block}
+    induced = [tuple(index[p(min(block))] for block in blocks) for p in perms]
+    if any(frozenset(map(p, blocks[t])) != blocks[u]
+           for p, images in zip(perms, induced) for t, u in enumerate(images)):
+        raise ValueError("a generator does not permute the blocks")
+    quotient = _closure(
+        [tuple(range(len(blocks)))],
+        lambda q: {tuple(images[t] for t in q) for images in induced},
+    )
+    return len(quotient) * prod(factorial(len(block)) for block in blocks), blocks
 
 
 def enumerate_W(ctx: Context):

@@ -19,25 +19,17 @@ the homology representation is not faithful, and their details say so.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from . import cover, intmat, liftability, oracle
 from .errors import BudgetError
-from .generators import (
-    expand_token_text,
-    gen_h,
-    gen_r,
-    gen_r1,
-    gen_t,
-    t_chain_factors,
-    validate_named_generators,
-)
-from .words import Context, Word
+from .generators import expand_token_text, t_chain_factors, validate_named_generators
+from .words import Context, psi
 
 
 @dataclass
@@ -511,15 +503,17 @@ def generation_targets(group: str, ctx: Context) -> list[str]:
 _GROUP_TO_ORACLE = {"lmod_sphere": "sphere", "lmod_star": "star", "lmod_disk": "disk"}
 
 
+def _basis_tokens(basis: str, ctx: Context) -> list[str]:
+    """The small generating set of ``basis`` (see :func:`express`) as tokens."""
+    if basis == "sphere":
+        return ["h1", "t1,2", "r1"]
+    return ["h1", "t1,2"] if ctx.n == 1 else ["h1", "h2", "hchain_t"]
+
+
 def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Claim:
     """Constructive generation certificate for one of the three groups."""
     basis = "sphere" if group == "lmod_sphere" else "star"
     oracle_group = _GROUP_TO_ORACLE[group]
-    basis_tokens = {
-        ("sphere", False): "h1, t1,2, r1",
-        ("star", False): "h1, h2, hchain_t",
-        ("star", True): "h1, t1,2",
-    }[(basis, ctx.n == 1 and basis == "star")]
     instances = []
     for target in generation_targets(group, ctx):
         witness = expr_to_text(express(target, basis, ctx))
@@ -529,7 +523,7 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
     claim = Claim(
         id=f"generation-{group.replace('_', '-')}",
         group=oracle_group,
-        detail=f"basis {{{basis_tokens}}}:",
+        detail=f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}:",
     )
     return _run_instances(claim, instances, ctx, budget)
 
@@ -537,9 +531,7 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
 # -- liftability --------------------------------------------------------------
 
 
-def verify_liftability(
-    ctx: Context, samples: int = 10_000, seed: int = 20250808
-) -> list[Claim]:
+def verify_liftability(ctx: Context) -> list[Claim]:
     claims = []
     n = ctx.n
 
@@ -557,26 +549,24 @@ def verify_liftability(
     claims.append(claim)
 
     t0 = time.monotonic()
-    claim = Claim(id="liftability-subgroup-closure", group="sphere", n=n, k=ctx.k)
-    rng = random.Random(seed)
-    pool = [gen_h(i, ctx) for i in range(1, 2 * n + 1)]
-    pool += [gen_t(1, 2, ctx), gen_r1(ctx), gen_r(ctx)]
-    bad = 0
-    for _ in range(samples):
-        u = Word.identity(ctx)
-        v = Word.identity(ctx)
-        for _ in range(rng.randrange(1, 5)):
-            u = u * rng.choice(pool) ** rng.choice((-1, 1))
-            v = v * rng.choice(pool) ** rng.choice((-1, 1))
-        if not (
-            liftability.is_liftable_word(u, ctx)
-            and liftability.is_liftable_word(v, ctx)
-            and liftability.is_liftable_word(u * v, ctx)
-            and liftability.is_liftable_word(u.inverse(), ctx)
-        ):
-            bad += 1
-    claim.status = "pass" if bad == 0 else "fail"
-    claim.detail = f"{samples} random pairs closed under product and inverse"
+    claim = Claim(id="liftability-w-generation", group="sphere", n=n, k=ctx.k)
+    # The generated group permutes its blocks.  Blocks odd | even and order
+    # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
+    # and order (n+1)! n! make psi(star basis) the stabilizer of 2n+2 in W.
+    top = ctx.num_points
+    odds, evens = frozenset(range(1, top, 2)), frozenset(range(2, top, 2))
+    found = []
+    for basis, name, want in (
+        ("sphere", "W", (liftability.w_size(ctx), [odds, evens | {top}])),
+        ("star", "Stab_W(2n+2)", (factorial(n + 1) * factorial(n), [odds, evens, {top}])),
+    ):
+        tokens = _basis_tokens(basis, ctx)
+        perms = [psi(expand_token_text(t, ctx), ctx) for t in tokens]
+        got = liftability.generated_group(perms, ctx)
+        claim.status = "pass" if got == want and claim.passed else "fail"
+        found.append(f"psi{{{', '.join(tokens)}}} {'=' if got == want else '!='} "
+                     f"{name}: order {got[0]}, {len(got[1])} blocks")
+    claim.detail = "; ".join(found) + " (exact)"
     claim.elapsed = time.monotonic() - t0
     claims.append(claim)
 
@@ -638,9 +628,8 @@ def verify_cover(ctx: Context) -> list[Claim]:
     ok = surf.h1_rank == 2 * ctx.genus
     ok = ok and np.array_equal(surf.J, -surf.J.T)
     ok = ok and intmat.det_exact(surf.J) == 1
-    P = intmat.symplectic_change_of_basis(surf.J)
     ok = ok and np.array_equal(
-        cover.mul(P.T, surf.J, P), intmat.standard_symplectic(surf.h1_rank)
+        cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
     )
     claim.status = "pass" if ok else "fail"
     claim.detail = f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
@@ -815,8 +804,9 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
     """Re-check every stored witness instance of a report; certificates only.
 
     A claim whose ``n`` or ``k`` differs from the header's (where the header
-    states them; a bundle of certificates may leave them out), and a claim
-    that ran (not skipped) on witness instances but stores none, fail.
+    states them; a bundle of certificates may leave them out), a claim that
+    ran (not skipped) on witness instances but stores none, and a
+    witness-bearing claim that the header's ``n`` calls for but is missing, fail.
     """
     if isinstance(report, Report):
         report = report.to_dict()
@@ -837,6 +827,13 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
         ctx = Context(cdict["n"], cdict["k"])
         ok = all(check_instance(i, ctx, budget) for i in instances)
         results.append((cdict["id"], ok == (cdict["status"] == "pass")))
+    if "n" in header:
+        present = {cdict["id"] for cdict in report["claims"]}
+        results += [
+            (cid, False)
+            for cid, _ in _claim_ids(_BASE_CLAIMS, header["n"])
+            if cid in _WITNESS_CLAIMS and cid not in present
+        ]
     return results
 
 
@@ -846,7 +843,6 @@ def run_all(
     *,
     budget: int | None = None,
     bounds: Bounds | None = None,
-    liftability_samples: int = 10_000,
 ) -> Report:
     """Assemble the full claim table for one ``(n, k)``."""
     bounds = bounds or Bounds()
@@ -871,7 +867,7 @@ def run_all(
         over = f"over desk-scale bound (n <= {bounds.base_n}); raise --bound-base-n"
         report.claims.extend(skip(_BASE_CLAIMS, over))
 
-    report.claims.extend(verify_liftability(ctx, samples=liftability_samples))
+    report.claims.extend(verify_liftability(ctx))
     report.claims.extend(verify_cover(ctx))
 
     if n <= bounds.homology_n and k <= bounds.homology_k:

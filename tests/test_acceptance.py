@@ -187,7 +187,7 @@ def test_09_chain_pattern():
 
 
 def test_full_report_is_green():
-    report = run_all(2, 3, liftability_samples=500)
+    report = run_all(2, 3)
     assert report.all_passed
     failed = [c.id for c in report.claims if c.status == "fail"]
     assert not failed

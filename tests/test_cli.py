@@ -107,18 +107,12 @@ class TestCover:
 
 class TestVerifyAll:
     def test_small_run_exit_0(self, capsys):
-        code, out, _ = run(
-            capsys, "verify-all", "--n", "1", "--k", "3",
-            "--liftability-samples", "50",
-        )
+        code, out, _ = run(capsys, "verify-all", "--n", "1", "--k", "3")
         assert code == 0
         assert "claims:" in out and "0 failed" in out
 
     def test_json_report(self, capsys):
-        code, out, _ = run(
-            capsys, "verify-all", "--n", "1", "--k", "3", "--json",
-            "--liftability-samples", "20",
-        )
+        code, out, _ = run(capsys, "verify-all", "--n", "1", "--k", "3", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["header"]["n"] == 1
@@ -128,7 +122,7 @@ class TestVerifyAll:
         target = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "verify-all", "--n", "1", "--k", "3", "--json",
-            "--out", str(target), "--liftability-samples", "20",
+            "--out", str(target),
         )
         assert code == 0
         data = json.loads(target.read_text())
@@ -136,10 +130,7 @@ class TestVerifyAll:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_over_bound_claims_skipped(self, capsys):
-        code, out, _ = run(
-            capsys, "verify-all", "--n", "9", "--k", "3", "--json",
-            "--liftability-samples", "5",
-        )
+        code, out, _ = run(capsys, "verify-all", "--n", "9", "--k", "3", "--json")
         assert code == 0
         data = json.loads(out)
         assert any(c["status"] == "skipped" for c in data["claims"])

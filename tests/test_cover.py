@@ -71,6 +71,14 @@ class TestHomology:
         zero = np.zeros_like(S.relations)
         assert np.array_equal(S.relations @ S.crossing, zero)
 
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (4, 3), (2, 2)])
+    def test_stored_symplectic_basis_and_inverse(self, n, k):
+        S = build_cover(Context(n, k))
+        P, J, Jinv = (M.astype(object) for M in (S.P, S.J, S.Jinv))
+        assert S.P.dtype == np.int64 and S.Jinv.dtype == np.int64
+        assert np.array_equal(P.T @ J @ P, intmat.standard_symplectic(S.h1_rank))
+        assert np.array_equal(J @ Jinv, intmat.identity_object(S.h1_rank))
+
     def test_standard_symplectic_basis_exists(self):
         S = build_cover(Context(2, 3))
         P = intmat.symplectic_change_of_basis(S.J)

@@ -23,8 +23,8 @@ from superelliptic import (
     w_size,
 )
 from superelliptic.errors import WordSyntaxError
-from superelliptic.generators import gen_F, gen_h, gen_r, gen_r1, gen_t
-from superelliptic.liftability import enumerate_W
+from superelliptic.generators import gen_F, gen_h, gen_hchain_t, gen_r, gen_r1, gen_t
+from superelliptic.liftability import enumerate_W, generated_group
 
 CTX = Context(2, 3)
 
@@ -67,6 +67,21 @@ class TestParity:
             ) % 2
 
 
+def _brute_force_group(gens, size):
+    """The generated group as a set of image tuples, by breadth-first search."""
+    identity = Permutation.identity(size)
+    seen = {identity.images}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = g.compose(cur)
+            if nxt.images not in seen:
+                seen.add(nxt.images)
+                frontier.append(nxt)
+    return seen
+
+
 class TestWSize:
     @pytest.mark.parametrize("n,expected", [(1, 8), (2, 72), (3, 1152)])
     def test_formula_matches_enumeration(self, n, expected):
@@ -92,16 +107,53 @@ class TestWSize:
                 Permutation.transposition(ctx.num_points, i, i + 2)
                 for i in range(1, 2 * n + 1)
             ]
-            seen = {Permutation.identity(ctx.num_points).images}
-            frontier = [Permutation.identity(ctx.num_points)]
-            while frontier:
-                cur = frontier.pop()
-                for g in gens:
-                    nxt = g.compose(cur)
-                    if nxt.images not in seen:
-                        seen.add(nxt.images)
-                        frontier.append(nxt)
-            assert seen == kernel
+            assert _brute_force_group(gens, ctx.num_points) == kernel
+
+
+class TestGeneratedGroup:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_basis_generates_W(self, n):
+        ctx = Context(n, 3)
+        gens = [psi(w, ctx) for w in (gen_h(1, ctx), gen_t(1, 2, ctx), gen_r1(ctx))]
+        group = _brute_force_group(gens, ctx.num_points)
+        assert group == {p.images for p in enumerate_W(ctx)}
+        order, blocks = generated_group(gens, ctx)
+        assert order == len(group) == w_size(ctx)
+        assert blocks == [set(range(1, 2 * n + 2, 2)), set(range(2, 2 * n + 3, 2))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_star_basis_generates_point_stabilizer(self, n):
+        ctx = Context(n, 3)
+        top = ctx.num_points
+        words = [gen_h(1, ctx), gen_t(1, 2, ctx)] if n == 1 else [
+            gen_h(1, ctx), gen_h(2, ctx), gen_hchain_t(ctx)
+        ]
+        gens = [psi(w, ctx) for w in words]
+        group = _brute_force_group(gens, top)
+        assert group == {p.images for p in enumerate_W(ctx) if p(top) == top}
+        order, blocks = generated_group(gens, ctx)
+        assert order == len(group)
+        assert blocks == [set(range(1, top, 2)), set(range(2, top, 2)), {top}]
+
+    def test_order_matches_brute_force_on_all_pairs_of_four_points(self):
+        ctx = Context(1, 3)
+        perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
+        for a in perms:
+            for b in perms:
+                order, blocks = generated_group([a, b], ctx)
+                assert order == len(_brute_force_group([a, b], 4)), (a, b)
+                assert sorted(x for block in blocks for x in block) == [1, 2, 3, 4]
+
+    def test_order_matches_brute_force_on_six_points(self):
+        ctx = Context(2, 3)
+        rng = random.Random(5)
+        perms = [Permutation(p) for p in itertools.permutations(range(1, 7))]
+        pairs = itertools.combinations(range(1, 7), 2)
+        swaps = [Permutation.transposition(6, i, j) for i, j in pairs]
+        for _ in range(40):
+            gens = [rng.choice(swaps), rng.choice(perms)]
+            order, _ = generated_group(gens, ctx)
+            assert order == len(_brute_force_group(gens, 6)), gens
 
 
 class TestLiftableWords:

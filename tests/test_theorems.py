@@ -1,10 +1,11 @@
 """Claims, certificates, and report round-trips."""
 
 import json
+from math import factorial
 
 import pytest
 
-from superelliptic import Context, eq_sphere, eq_star
+from superelliptic import Context, eq_sphere, eq_star, theorems
 from superelliptic.generators import expand_token_text, gen_t
 from superelliptic.theorems import (
     Bounds,
@@ -19,6 +20,7 @@ from superelliptic.theorems import (
     verify_factorization_r1,
     verify_generation,
     verify_generator_validations,
+    verify_liftability,
     verify_oracle_presentation,
     verify_relations,
     verify_smod_homology,
@@ -123,7 +125,7 @@ class TestCertificates:
             assert check_instance(inst, ctx)
 
     def test_report_roundtrip_and_reverify(self, tmp_path):
-        report = run_all(1, 3, liftability_samples=200)
+        report = run_all(1, 3)
         assert report.all_passed
         path = tmp_path / "report.json"
         path.write_text(report.to_json())
@@ -134,7 +136,7 @@ class TestCertificates:
 
     @pytest.fixture(scope="class")
     def report_2_3(self):
-        return run_all(2, 3, liftability_samples=10).to_dict()
+        return run_all(2, 3).to_dict()
 
     def test_emptied_instances_are_caught(self, report_2_3):
         results = dict(reverify_report(report_2_3))
@@ -145,6 +147,13 @@ class TestCertificates:
         results = reverify_report(cut)
         assert ("generation-lmod-sphere", False) in results
         assert len(results) == len(reverify_report(report_2_3))
+
+    def test_deleted_claim_is_caught(self, report_2_3):
+        cut = json.loads(json.dumps(report_2_3))
+        cut["claims"] = [c for c in cut["claims"] if c["id"] != "generation-lmod-sphere"]
+        results = reverify_report(cut)
+        assert ("generation-lmod-sphere", False) in results
+        assert sum(not ok for _, ok in results) == 1
 
     def test_header_claim_mismatch_is_caught(self, report_2_3):
         cut = json.loads(json.dumps(report_2_3))
@@ -163,34 +172,89 @@ class TestCertificates:
 
 class TestRunAll:
     def test_all_green_small(self):
-        report = run_all(1, 3, liftability_samples=100)
+        report = run_all(1, 3)
         assert report.all_passed
         ids = [c.id for c in report.claims]
         assert ids == sorted(set(ids), key=ids.index)  # no duplicates
         assert "oracle-sphere-presentation" in ids[0]
 
     def test_bounds_skip_policy(self):
-        report = run_all(5, 3, bounds=Bounds(base_n=4, homology_n=4), liftability_samples=10)
+        report = run_all(5, 3, bounds=Bounds(base_n=4, homology_n=4))
         skipped = {c.id for c in report.claims if c.status == "skipped"}
         assert "generation-lmod-sphere" in skipped
         assert "smod-deck-factorization" in skipped
         assert report.all_passed  # skipped claims do not fail the run
 
     def test_default_homology_bounds_reach_6_6(self):
-        report = run_all(6, 6, bounds=Bounds(base_n=0), liftability_samples=10)
+        report = run_all(6, 6, bounds=Bounds(base_n=0))
         homology = [c for c in report.claims if c.id.startswith("smod-")]
         assert homology and all(c.passed for c in homology)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_skip_path_lists_the_run_path_ids(self, n):
-        ran = run_all(n, 3, liftability_samples=10)
-        skipped = run_all(n, 3, bounds=Bounds(base_n=0, homology_n=0), liftability_samples=10)
+        ran = run_all(n, 3)
+        skipped = run_all(n, 3, bounds=Bounds(base_n=0, homology_n=0))
         assert [c.id for c in skipped.claims] == [c.id for c in ran.claims]
         assert [c.group for c in skipped.claims] == [c.group for c in ran.claims]
 
     def test_header_mentions_conventions(self):
-        report = run_all(1, 3, liftability_samples=10)
+        report = run_all(1, 3)
         assert "rightmost" in report.header["composition"]
         assert report.header["budget_letters"] > 0
         text = report.render_text()
         assert "PASS" in text and "conventions:" in text
+
+
+def _w_generation(ctx: Context):
+    return next(c for c in verify_liftability(ctx) if c.id == "liftability-w-generation")
+
+
+class TestWGeneration:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_passes_with_both_orders(self, n):
+        claim = _w_generation(Context(n, 3))
+        assert claim.passed, claim.detail
+        w, stab = 2 * factorial(n + 1) ** 2, factorial(n + 1) * factorial(n)
+        assert f"= W: order {w}, 2 blocks" in claim.detail
+        assert f"= Stab_W(2n+2): order {stab}, 3 blocks" in claim.detail
+
+    @pytest.fixture
+    def edit_basis(self, monkeypatch):
+        """Replace a basis's tokens by ``edit(tokens, ctx)`` in the claim."""
+
+        def install(basis, edit):
+            real = theorems._basis_tokens
+            monkeypatch.setattr(
+                theorems,
+                "_basis_tokens",
+                lambda b, ctx: edit(real(b, ctx), ctx) if b == basis else real(b, ctx),
+            )
+
+        return install
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dropping_r1_fails(self, edit_basis, n):
+        edit_basis("sphere", lambda tokens, ctx: [t for t in tokens if t != "r1"])
+        claim = _w_generation(Context(n, 3))
+        assert claim.status == "fail"
+        # psi{h1, t1,2} is generated by the one swap (1 3)
+        assert "psi{h1, t1,2} != W: order 2," in claim.detail
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_parity_preserving_part_alone_fails(self, edit_basis, n):
+        # every h_i instead of r1: right blocks, order ((n+1)!)^2 = |W| / 2
+        edit_basis(
+            "sphere",
+            lambda tokens, ctx: [f"h{i}" for i in range(1, 2 * ctx.n + 1)] + ["t1,2"],
+        )
+        claim = _w_generation(Context(n, 3))
+        assert claim.status == "fail"
+        assert f"!= W: order {factorial(n + 1) ** 2}, 2 blocks" in claim.detail
+
+    @pytest.mark.parametrize("basis", ["sphere", "star"])
+    def test_adding_s1_merges_blocks_and_fails(self, edit_basis, basis):
+        edit_basis(basis, lambda tokens, ctx: tokens + ["s1"])
+        claim = _w_generation(Context(2, 3))
+        assert claim.status == "fail"
+        blocks = 1 if basis == "sphere" else 2
+        assert f"s1}} != " in claim.detail and f"{blocks} blocks" in claim.detail
