@@ -1,12 +1,14 @@
-"""Hot kernels for free-word rewriting on tuples of signed letters.
+"""Hot kernels on tuples of signed letters.
 
 A word is a tuple of nonzero ints: ``+j`` denotes the j-th generator, ``-j``
 its inverse.  Kernels keep words freely reduced: given reduced input they
 return reduced output.
 
-The expensive inner loop of the whole package lives here: applying a braid
-letter to the generator images of a free-group automorphism, with immediate
-stack reduction.
+Two braid actions live here.  :func:`act_dynnikov` acts a braid word on
+integer Dynnikov coordinates at O(1) integer operations per letter; it is
+the production path of the word problem.  :func:`act_word` applies braid
+letters to the generator images of a free-group automorphism, with
+immediate stack reduction; it is the independent reference.
 
 Only the generic braid substitution is special-cased: for the sphere model
 the top generator ``sigma_m`` rewrites ``x_m`` through the relation word
@@ -38,6 +40,53 @@ def concat(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         i -= 1
         j += 1
     return a[:i] + b[j:]
+
+
+def act_dynnikov(letters: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Dynnikov coordinates ``(a_1, b_1, ..., a_m, b_m)`` after ``letters``.
+
+    The braid group on ``m`` strands acts on the right, leftmost letter
+    first; ``sigma_i^{+/-1}`` changes pairs ``i`` and ``i+1`` only
+    (Dynnikov 2002; Dehornoy, "Efficient solutions to the braid isotopy
+    problem", 2008).  A braid is trivial iff it fixes ``(0, 1, ..., 0, 1)``
+    (``a = 0, b = 1`` in every pair).  With ``x+ = max(x, 0)`` and
+    ``x- = min(x, 0)``, ``sigma_i`` maps ``(a1, b1, a2, b2)`` to
+    ``(a1 + b1+ + (b2+ - c)+, b2 - c+, a2 + b2- + (b1- + c)-, b1 + c+)``
+    with ``c = a1 - b1- - a2 + b2+``, and ``sigma_i^-1`` maps it to
+    ``(a1 - b1+ - (b2+ + d)+, b2 + d-, a2 - b2- - (b1- - d)-, b1 - d-)``
+    with ``d = a1 + b1- - a2 - b2+``.
+    """
+    v = list(coords)
+    for x in letters:
+        j = 2 * x - 2 if x > 0 else -2 * x - 2
+        a1, b1, a2, b2 = v[j : j + 4]
+        b1p = b1 if b1 > 0 else 0
+        b1m = b1 - b1p
+        b2p = b2 if b2 > 0 else 0
+        b2m = b2 - b2p
+        if x > 0:
+            c = a1 - b1m - a2 + b2p
+            cp = c if c > 0 else 0
+            s = b2p - c
+            t = b1m + c
+            v[j : j + 4] = (
+                a1 + b1p + (s if s > 0 else 0),
+                b2 - cp,
+                a2 + b2m + (t if t < 0 else 0),
+                b1 + cp,
+            )
+        else:
+            d = a1 + b1m - a2 - b2p
+            dm = d if d < 0 else 0
+            s = b2p + d
+            t = b1m - d
+            v[j : j + 4] = (
+                a1 - b1p - (s if s > 0 else 0),
+                b2 + dm,
+                a2 - b2m - (t if t < 0 else 0),
+                b1 - dm,
+            )
+    return tuple(v)
 
 
 def _sigma_pass(img: list[int], i: int, pos: bool, sphere_m: int) -> list[int]:

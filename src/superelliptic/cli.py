@@ -44,8 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "balanced superelliptic cover",
     )
     parser.add_argument("--budget-letters", type=int, default=None,
-                        help="intermediate free-word letter budget, a positive "
-                        "integer (default 10^7; env SUPERELLIPTIC_BUDGET_LETTERS)")
+                        help="letter budget: the longest word the coordinate oracle "
+                        "acts on, after the sphere rewrite and the full-twist factor; "
+                        "a positive integer (default 10^7; env "
+                        "SUPERELLIPTIC_BUDGET_LETTERS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser("eq", help="decide equality of two words")

@@ -14,7 +14,11 @@ class ContextMismatchError(SuperellipticError, ValueError):
 
 
 class BudgetError(SuperellipticError, RuntimeError):
-    """An intermediate free word exceeded the configured letter budget.
+    """A word to act on exceeded the configured letter budget.
+
+    For the coordinate oracle that is the word after the sphere rewrite and
+    the full-twist factor; for the free-group action, any intermediate free
+    word.
 
     Raised instead of silently truncating; callers may retry with a larger
     budget (``--budget-letters`` / ``SUPERELLIPTIC_BUDGET_LETTERS``).

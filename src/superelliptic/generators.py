@@ -121,7 +121,7 @@ def t_chain_factors(i: int, j: int) -> tuple[Factor, ...]:
 
 
 def expand_factors(factors, ctx: Context) -> Word:
-    out = Word.identity(ctx)
+    letters: list[int] = []
     for kind, params, e in factors:
         if e == 0:
             continue
@@ -131,8 +131,8 @@ def expand_factors(factors, ctx: Context) -> Word:
             base = gen_t(params[0], params[1], ctx)
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
-        out = out * base**e
-    return out
+        letters.extend((base**e).letters)
+    return Word.from_letters(ctx, letters)
 
 
 def gen_F(ctx: Context) -> Word:
@@ -210,7 +210,8 @@ def _eval_linexpr(text: str, ctx: Context) -> int:
     return total
 
 
-def _parse_token(tok: str, ctx: Context) -> Word:
+def _token_letters(tok: str, ctx: Context) -> tuple[int, ...]:
+    """The letters of one token, not reduced across the exponent."""
     name_part, caret, exp_part = tok.partition("^")
     m = _NAME_RE.match(name_part)
     if not m:
@@ -224,7 +225,7 @@ def _parse_token(tok: str, ctx: Context) -> Word:
     else:
         base = _BUILDERS[name_part]((), ctx)
     if not caret:
-        return base
+        return base.letters
     if exp_part.startswith("(") and exp_part.endswith(")"):
         e = _eval_linexpr(exp_part[1:-1], ctx)
     else:
@@ -232,15 +233,16 @@ def _parse_token(tok: str, ctx: Context) -> Word:
             e = int(exp_part)
         except ValueError:
             raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    return base**e
+    letters = base.letters if e >= 0 else tuple(-a for a in reversed(base.letters))
+    return letters * abs(e)
 
 
 def expand_token_text(text: str, ctx: Context) -> Word:
     """Expand generator tokens (``h3 t1,2^-1 r1^(2n+2)`` ...) to a word."""
-    out = Word.identity(ctx)
+    letters: list[int] = []
     for tok in text.split():
-        out = out * _parse_token(tok, ctx)
-    return out
+        letters.extend(_token_letters(tok, ctx))
+    return Word.from_letters(ctx, letters)
 
 
 def validate_named_generators(ctx: Context, budget: int | None = None) -> list[tuple[str, bool]]:

@@ -177,6 +177,8 @@ def convention_header(ctx: Context, budget: int) -> dict:
         "sheets": "crossing an odd arc upward increments the sheet; lifted arcs labeled by their upper face",
         "homology": "one-vertex contraction; J from vertex-link chord crossings; "
         "homology claims are necessary conditions only (the representation is not faithful)",
+        "oracle": "disk and star: Dynnikov coordinates of (0,1,...,0,1); "
+        "sphere: pure words capped to the star group",
         "budget_letters": budget,
         "numpy": np.__version__,
         "n": ctx.n,

@@ -103,13 +103,8 @@ class Word:
         return Word(self.ctx, tuple(-a for a in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "Word":
-        if e == 0:
-            return Word.identity(self.ctx)
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
+        base = self if e >= 0 else self.inverse()
+        return Word.from_letters(self.ctx, base.letters * abs(e))
 
 
 def word_parse(text: str, ctx: Context) -> Word:

@@ -1,5 +1,7 @@
 """Named generator words and their oracle-backed validation suites."""
 
+import random
+
 import pytest
 
 from superelliptic import Context, Word, eq_disk, eq_sphere, psi, word_parse
@@ -119,6 +121,19 @@ class TestTokenSyntax:
     def test_mixed_expression(self):
         w = expand_token_text("r1 h1 r1^-1", CTX)
         assert w == gen_r1(CTX) * gen_h(1, CTX) * gen_r1(CTX).inverse()
+
+    def test_expansion_equals_product_of_tokens(self):
+        # one reduction over all letters gives the word the token-by-token
+        # product gives, cancellation across token boundaries included
+        rng = random.Random(5)
+        names = ["s1", "s2^-1", "s5^3", "h1", "h2^-2", "t1,3", "t2,3^-1", "r1", "r^-1",
+                 "F", "hchain_t^2", "r1^(2n+2)", "s3^-4"]
+        for _ in range(50):
+            tokens = rng.choices(names, k=rng.randint(0, 12))
+            product = Word.identity(CTX)
+            for tok in tokens:
+                product = product * expand_token_text(tok, CTX)
+            assert expand_token_text(" ".join(tokens), CTX) == product
 
     def test_rejects_unknown_token(self):
         for bad in ("q1", "h", "t1", "r2", "h1^", "h1^()", "r1^(2m)"):

@@ -1,4 +1,4 @@
-"""The free-word kernels against independent reference computations."""
+"""The kernels against independent reference computations and braid relations."""
 
 import random
 
@@ -109,3 +109,47 @@ def test_budget_is_enforced():
         K.act_word((1,) * 200, 3, 0, budget=12)
     with pytest.raises(BudgetError):
         K.apply_subst((1, 2, 1), ((1, 2), (2, 3), (3,)), budget=4)
+
+
+# -- Dynnikov coordinates -------------------------------------------------------
+
+coords = st.lists(st.integers(-50, 50), min_size=10, max_size=10).map(tuple)
+
+
+def test_act_dynnikov_single_letters():
+    start = (0, 1) * 3
+    # c = 1 at the start vector: (0, 1, 0, 1) -> (1, 0, 0, 2) and (-1, 2, 0, 0)
+    assert K.act_dynnikov((1,), start) == (1, 0, 0, 2, 0, 1)
+    assert K.act_dynnikov((-1,), start) == (-1, 0, 0, 2, 0, 1)
+    assert K.act_dynnikov((), start) == start
+
+
+@settings(max_examples=200)
+@given(coords, st.integers(1, 4))
+def test_act_dynnikov_letter_and_inverse_cancel(v, i):
+    assert K.act_dynnikov((i, -i), v) == v
+    assert K.act_dynnikov((-i, i), v) == v
+
+
+@settings(max_examples=200)
+@given(coords, st.integers(1, 3), st.booleans())
+def test_act_dynnikov_braid_relation(v, i, pos):
+    s = 1 if pos else -1
+    a, b = s * i, s * (i + 1)
+    assert K.act_dynnikov((a, b, a), v) == K.act_dynnikov((b, a, b), v)
+
+
+@settings(max_examples=200)
+@given(coords, st.integers(1, 2), st.integers(3, 4), st.booleans(), st.booleans())
+def test_act_dynnikov_far_letters_commute(v, i, j, pi, pj):
+    a, b = (i if pi else -i), (j if pj else -j)
+    if j - i >= 2:
+        assert K.act_dynnikov((a, b), v) == K.act_dynnikov((b, a), v)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_act_dynnikov_sees_the_full_twist(m):
+    # the coordinate action is faithful on the braid group, center included
+    start = (0, 1) * m
+    full_twist = tuple(range(1, m)) * m
+    assert K.act_dynnikov(full_twist, start) != start

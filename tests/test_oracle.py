@@ -1,5 +1,7 @@
 """The word-problem backends: action examples, equality, innerness, orders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +15,17 @@ from superelliptic import (
     eq_star,
     is_inner,
     order_of,
+    psi,
     sphere_action,
     word_parse,
 )
 from superelliptic.generators import gen_h, gen_r, gen_r1, gen_sigma, gen_t
-from superelliptic.oracle import FreeAutomorphism, boundary_word_is_fixed
+from superelliptic.oracle import (
+    FreeAutomorphism,
+    _point_push,
+    boundary_word_is_fixed,
+    cap_to_star,
+)
 
 CTX = Context(2, 3)
 EMPTY = Word.identity(CTX)
@@ -250,3 +258,173 @@ def test_env_budget_and_default(monkeypatch):
     monkeypatch.setenv("SUPERELLIPTIC_BUDGET_LETTERS", "77")
     assert resolve_budget(None) == 77
     assert resolve_budget(5) == 5
+
+
+# -- the coordinate oracle against the free-group referee ----------------------
+#
+# The referee decides each group from the free-group action alone: the disk
+# group acts faithfully on F_{2n+1}; its center acts by conjugation with the
+# boundary word and is the only part acting by inner automorphisms, so a word
+# is trivial in the star group iff its disk action is inner; a word is
+# trivial in the sphere group iff it is pure and its sphere action is inner.
+
+EQ = {"disk": eq_disk, "star": eq_star, "sphere": eq_sphere}
+
+
+def referee(group, u, v, ctx):
+    d = u * v.inverse()
+    if group == "disk":
+        return artin_action(d, ctx.num_arcs).is_identity
+    if group == "star":
+        return is_inner(artin_action(d, ctx.num_arcs)) is not None
+    return psi(d, ctx).is_identity and is_inner(sphere_action(d, ctx)) is not None
+
+
+def _top(group, ctx):
+    return ctx.num_arcs if group == "sphere" else 2 * ctx.n
+
+
+def _random_letters(rng, top, length):
+    return [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(length)]
+
+
+def _relator(rng, group, ctx):
+    """A word that is trivial in ``group``."""
+    top = _top(group, ctx)
+    kinds = ["braid"] + (["far"] if top >= 3 else [])
+    kinds += {"disk": [], "star": ["cycle"], "sphere": ["sphere", "cycle"]}[group]
+    kind = rng.choice(kinds)
+    if kind == "braid":
+        i = rng.randint(1, top - 1)
+        rel = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+    elif kind == "far":
+        i = rng.randint(1, top - 2)
+        j = rng.randint(i + 2, top)
+        rel = [i, j, -i, -j]
+    elif kind == "sphere":
+        rel = list(range(1, top + 1)) + list(range(top, 0, -1))
+    else:  # the full twist (star) or r1^(2n+2) (sphere)
+        rel = list(range(1, top + 1)) * (top + 1)
+    return rel if rng.random() < 0.5 else [-a for a in reversed(rel)]
+
+
+def _perturbation(rng, group, ctx):
+    """``s_i^2 s_j^-2`` with the two curves distinct in ``group``.
+
+    On the four-marked sphere the curves around ``{1,2}`` and ``{3,4}``
+    coincide, so that pair is excluded there.
+    """
+    top = _top(group, ctx)
+    while True:
+        i, j = rng.sample(range(1, top + 1), 2)
+        if not (group == "sphere" and ctx.n == 1 and {i, j} == {1, 3}):
+            return [i, i, -j, -j]
+
+
+def _insert(rng, letters, piece):
+    at = rng.randint(0, len(letters))
+    return letters[:at] + piece + letters[at:]
+
+
+GROUP_N = [(g, n) for g in ("disk", "star", "sphere") for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("group,n", GROUP_N)
+def test_coordinate_oracle_matches_referee(group, n):
+    ctx = Context(n, 3)
+    top = _top(group, ctx)
+    rng = random.Random(f"{group}-{n}")
+    verdicts = []
+    for _ in range(120):
+        base = _random_letters(rng, top, rng.randint(0, 10))
+        other = list(base)
+        roll = rng.random()
+        if roll < 0.3:
+            other = _insert(rng, other, _relator(rng, group, ctx))
+        elif roll < 0.5:
+            other = _insert(rng, other, _perturbation(rng, group, ctx))
+        elif roll < 0.8:
+            other = _insert(rng, other, _random_letters(rng, top, rng.randint(1, 4)))
+        u, v = Word.from_letters(ctx, base), Word.from_letters(ctx, other)
+        verdict = EQ[group](u, v, ctx)
+        assert verdict == referee(group, u, v, ctx), (u, v)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("group,n", GROUP_N)
+def test_relator_insertions_are_true(group, n):
+    ctx = Context(n, 3)
+    top = _top(group, ctx)
+    rng = random.Random(f"relators-{group}-{n}")
+    for _ in range(30):
+        base = _random_letters(rng, top, rng.randint(0, 10))
+        other = base
+        for _ in range(rng.randint(1, 3)):
+            other = _insert(rng, other, _relator(rng, group, ctx))
+        u, v = Word.from_letters(ctx, base), Word.from_letters(ctx, other)
+        assert EQ[group](u, v, ctx), (u, v)
+        assert referee(group, u, v, ctx)
+
+
+@pytest.mark.parametrize("group,n", GROUP_N)
+def test_forced_false_controls(group, n):
+    ctx = Context(n, 3)
+    top = _top(group, ctx)
+    rng = random.Random(f"false-{group}-{n}")
+    for _ in range(30):
+        base = _random_letters(rng, top, rng.randint(0, 8))
+        other = _insert(rng, base, _perturbation(rng, group, ctx))
+        if rng.random() < 0.5:
+            other = _insert(rng, other, _relator(rng, group, ctx))
+        u, v = Word.from_letters(ctx, base), Word.from_letters(ctx, other)
+        assert not EQ[group](u, v, ctx), (u, v)
+        assert not referee(group, u, v, ctx)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cap_to_star_entries_match_referee(n):
+    # A_q = tau_{q+1} sigma_q^2 tau_{q+1}^-1 with tau_q = sigma_{N-1} ... sigma_q
+    # is the inverse of the push of q around the other 2n points of the disk
+    ctx = Context(n, 3)
+    N = ctx.num_points
+    for q in range(1, N):
+        tau = tuple(range(N - 1, q, -1))
+        a_q = Word.from_letters(ctx, tau + (q, q) + tuple(-x for x in reversed(tau)))
+        push = Word.from_letters(ctx, _point_push(q, 2 * n))
+        assert max(push.letters) <= 2 * n and len(push) == 4 * n
+        assert referee("sphere", a_q, push.inverse(), ctx)
+        assert not referee("sphere", a_q, push, ctx)
+        assert cap_to_star(a_q, ctx) == push.inverse()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cap_to_star_preserves_pure_words(n):
+    ctx = Context(n, 3)
+    top = ctx.num_arcs
+    rng = random.Random(f"cap-{n}")
+    for _ in range(40):
+        letters = []
+        for _ in range(rng.randint(0, 3)):  # a product of conjugated sigma_i^2
+            w = _random_letters(rng, top, rng.randint(0, 4))
+            i = rng.choice((-1, 1)) * rng.randint(1, top)
+            letters += w + [i, i] + [-a for a in reversed(w)]
+        d = Word.from_letters(ctx, letters)
+        capped = cap_to_star(d, ctx)
+        assert all(abs(a) <= 2 * n for a in capped.letters)
+        assert referee("sphere", capped, d, ctx), d
+    with pytest.raises(ValueError, match="fix point"):
+        cap_to_star(gen_sigma(top, ctx), ctx)
+
+
+def test_sphere_rewrite_over_budget_raises():
+    from superelliptic.errors import BudgetError
+
+    # r1^8 at n = 3 is 56 letters; capped and divided by the full twist it
+    # is a disk word of 168 letters, which is what the budget bounds
+    ctx = Context(3, 3)
+    rotation = gen_r1(ctx) ** ctx.num_points
+    assert len(rotation) == 56
+    with pytest.raises(BudgetError):
+        eq_sphere(rotation, Word.identity(ctx), ctx, budget=100)
+    assert eq_sphere(rotation, Word.identity(ctx), ctx, budget=168)

@@ -68,6 +68,14 @@ class TestGroupOps:
     def test_power_exponent_sum(self, w, e):
         assert exponent_sum(w**e) == e * exponent_sum(w)
 
+    @given(wordstrat(max_size=12), st.integers(-6, 6))
+    def test_power_equals_repeated_product(self, w, e):
+        base = w if e >= 0 else w.inverse()
+        product = Word.identity(CTX)
+        for _ in range(abs(e)):
+            product = product * base
+        assert w**e == product
+
 
 class TestExponentSum:
     def test_examples(self):
