@@ -16,7 +16,7 @@ from .errors import (
     SuperellipticError,
     WordSyntaxError,
 )
-from .words import Context, Permutation, Word, exponent_sum, psi, word_concat, word_invert, word_parse
+from .words import Context, Permutation, Word, exponent_sum, psi, word_parse
 from .generators import (
     NamedGenerator,
     expand_token_text,

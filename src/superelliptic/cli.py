@@ -13,7 +13,9 @@ Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
 where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer included), 3 letter budget exceeded.
+is not a positive integer included), 3 letter budget exceeded.  A reader
+that closes stdout early (``| head -n 1``) ends the output quietly: nothing
+is printed to stderr and the exit code is the one the command computed.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(*lines: str) -> None:
+    """Write ``lines`` to stdout; a closed pipe sends the rest to the null device."""
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _budget(args) -> int:
     return oracle.resolve_budget(args.budget_letters)
 
@@ -94,14 +105,11 @@ def _cmd_eq(args) -> int:
     ctx = Context(args.n, args.k)
     u = expand_token_text(args.u, ctx)
     v = expand_token_text(args.v, ctx)
-    eq = {"disk": oracle.eq_disk, "star": oracle.eq_star, "sphere": oracle.eq_sphere}[
-        args.group
-    ]
-    verdict = eq(u, v, ctx, budget=_budget(args))
-    print("true" if verdict else "false")
+    verdict = oracle._EQ[args.group](u, v, ctx, budget=_budget(args))
+    lines = ["true" if verdict else "false"]
     if args.group == "sphere":
-        print(f"psi(u) = {psi(u, ctx).to_text()}")
-        print(f"psi(v) = {psi(v, ctx).to_text()}")
+        lines += [f"psi(u) = {psi(u, ctx).to_text()}", f"psi(v) = {psi(v, ctx).to_text()}"]
+    _emit(*lines)
     return EXIT_OK
 
 
@@ -117,13 +125,11 @@ def _cmd_liftable(args) -> int:
         w = expand_token_text(args.input, ctx)
         cls = parity(psi(w, ctx), ctx)
         liftable = cls is not liftability.ParityClass.NEITHER
-        print("liftable" if liftable else "not liftable")
-        print(f"parity: {cls.value}")
+        _emit("liftable" if liftable else "not liftable", f"parity: {cls.value}")
     else:
         c = curve_parse(args.input, ctx)
         residue = curve_monodromy(c, ctx)
-        print("lifts" if residue == 0 else "does not lift")
-        print(f"monodromy: {residue} mod {ctx.k}")
+        _emit("lifts" if residue == 0 else "does not lift", f"monodromy: {residue} mod {ctx.k}")
     return EXIT_OK
 
 
@@ -135,12 +141,12 @@ def _cmd_cover(args) -> int:
         if args.json:
             info["intersection_form"] = surface.J.tolist()
             info["standard_symplectic_change"] = surface.P.tolist()
-            print(json.dumps(info, indent=2, sort_keys=True))
+            _emit(json.dumps(info, indent=2, sort_keys=True))
         else:
-            for key in ("n", "k", "vertices", "edges", "faces", "genus",
-                        "euler_characteristic", "h1_rank"):
-                print(f"{key}: {info[key]}")
-            print("conventions: sheets increment across odd arcs; "
+            keys = ("n", "k", "vertices", "edges", "faces", "genus",
+                    "euler_characteristic", "h1_rank")
+            _emit(*(f"{key}: {info[key]}" for key in keys),
+                  "conventions: sheets increment across odd arcs; "
                   "rightmost letter acts first")
         return EXIT_OK
     name = args.name
@@ -150,7 +156,7 @@ def _cmd_cover(args) -> int:
         M = cover_mod.lift_rep(surface, name[0], int(name[1:]))
     else:
         raise WordSyntaxError(f"unknown lift name {name!r}")
-    print(json.dumps(M.tolist()))
+    _emit(json.dumps(M.tolist()))
     return EXIT_OK
 
 
@@ -173,7 +179,7 @@ def _cmd_verify_all(args) -> int:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    print(text)
+    _emit(text)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 

@@ -466,6 +466,20 @@ def _gamma_lifts(surface: CoverSurface, i: int) -> list[LiftedCurve]:
     return _LIFT_CACHE[key]
 
 
+def h_chain(surface: CoverSurface, i: int) -> list[LiftedCurve]:
+    """The (2k-1)-chain of lifted curves whose twists make the lift of ``h_i``.
+
+    Lifts of ``gamma_i`` and ``gamma_{i+1}`` alternate by label, ascending
+    for odd ``i`` and descending for even ``i``, and the chain closes with a
+    lift of ``gamma_i``.
+    """
+    k = surface.ctx.k
+    low, high = _gamma_lifts(surface, i), _gamma_lifts(surface, i + 1)
+    labels = range(1, k) if i % 2 == 1 else range(k, 1, -1)
+    chain = [c for l in labels for c in (low[l - 1], high[l - 1])]
+    return chain + [low[k - 1] if i % 2 == 1 else low[0]]
+
+
 def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.ndarray:
     """Homology matrix of a named lift.
 
@@ -479,7 +493,7 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
     if key in _LIFT_CACHE:
         return _LIFT_CACHE[key].copy()
 
-    n, k = ctx.n, ctx.k
+    n = ctx.n
     if kind == "zeta":
         M = _induced_matrix(surface, _deck_cycle_map(surface))
     elif kind == "r":
@@ -493,19 +507,8 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
     elif kind == "h":
         if not (index and 1 <= index <= 2 * n):
             raise ValueError(f"h-lift index {index} out of range 1..{2 * n}")
-        low = _gamma_lifts(surface, index)
-        high = _gamma_lifts(surface, index + 1)
-        order: list[LiftedCurve] = []
-        if index % 2 == 1:
-            for l in range(1, k):
-                order += [low[l - 1], high[l - 1]]
-            order.append(low[k - 1])
-        else:
-            for l in range(k, 1, -1):
-                order += [low[l - 1], high[l - 1]]
-            order.append(low[0])
         M = identity(surface)
-        for c in order:
+        for c in h_chain(surface, index):
             M = mul(M, twist_matrix(surface, c))
     elif kind == "r1":
         from .generators import F_factors

@@ -32,15 +32,19 @@ class ParityClass(enum.Enum):
     NEITHER = "neither"
 
 
-def parity(perm: Permutation, ctx: Context) -> ParityClass:
-    odds = frozenset(range(1, ctx.num_points + 1, 2))
-    evens = frozenset(range(2, ctx.num_points + 1, 2))
-    image = frozenset(perm(x) for x in odds)
-    if image == odds:
+def _parity_of(images) -> ParityClass:
+    """The class of the permutation ``x -> images[x-1]``, read off the
+    parities of ``p(x) - x``: all even preserves, all odd reverses."""
+    shifts = {(y - x) % 2 for x, y in enumerate(images, start=1)}
+    if shifts == {0}:
         return ParityClass.PRESERVING
-    if image == evens:
+    if shifts == {1}:
         return ParityClass.REVERSING
     return ParityClass.NEITHER
+
+
+def parity(perm: Permutation, ctx: Context) -> ParityClass:
+    return _parity_of([perm(x) for x in range(1, ctx.num_points + 1)])
 
 
 def in_W(perm: Permutation, ctx: Context) -> bool:
@@ -109,9 +113,8 @@ def enumerate_W(ctx: Context):
     if ctx.n > 3:
         raise ValueError("exhaustive enumeration is limited to n <= 3")
     for images in itertools.permutations(range(1, ctx.num_points + 1)):
-        perm = Permutation(images)
-        if in_W(perm, ctx):
-            yield perm
+        if _parity_of(images) is not ParityClass.NEITHER:
+            yield Permutation(images)
 
 
 _CURVE_TOKEN_RE = re.compile(r"^x(\d+)(\^-1)?$")

@@ -119,10 +119,6 @@ def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
     ]
 
 
-def _exists(cid: str, n: int) -> bool:
-    return any(c == cid for c, _ in _claim_ids(_BASE_CLAIMS + _HOMOLOGY_CLAIMS, n))
-
-
 @dataclass
 class Report:
     header: dict
@@ -186,13 +182,34 @@ def convention_header(ctx: Context, budget: int) -> dict:
     }
 
 
-# -- witness instances --------------------------------------------------------
+# -- claim runner --------------------------------------------------------------
 
-_EQ_BY_GROUP = {
-    "disk": oracle.eq_disk,
-    "star": oracle.eq_star,
-    "sphere": oracle.eq_sphere,
-}
+
+def _claim(cid: str, group: str, ctx: Context, check, witness: dict | None = None) -> Claim:
+    """Run one claim: ``check()`` returns ``(ok, detail)``.
+
+    ``ok`` True passes, False fails and None skips.  An oracle that runs
+    over its letter budget skips the claim; a witness is kept either way.
+    ``elapsed`` covers ``check()`` alone.
+    """
+    t0 = time.monotonic()
+    try:
+        ok, detail = check()
+    except BudgetError as exc:
+        ok, detail = None, f"oracle budget exceeded: {exc}"
+    return Claim(
+        id=cid,
+        group=group,
+        status="skipped" if ok is None else "pass" if ok else "fail",
+        detail=detail,
+        witness=witness,
+        elapsed=time.monotonic() - t0,
+        n=ctx.n,
+        k=ctx.k,
+    )
+
+
+_EQ_BY_GROUP = oracle._EQ
 
 
 def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
@@ -204,25 +221,17 @@ def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
 
 
 def _run_instances(
-    claim: Claim, instances: list[dict], ctx: Context, budget: int | None
+    cid: str, group: str, ctx: Context, instances: list[dict], budget: int | None, note: str = ""
 ) -> Claim:
-    t0 = time.monotonic()
-    claim.n, claim.k = ctx.n, ctx.k
-    claim.witness = {"instances": instances}
-    try:
+    """The claim that every witness instance holds; ``note`` leads its detail."""
+
+    def check():
         bad = [i for i in instances if not check_instance(i, ctx, budget)]
-    except BudgetError as exc:
-        claim.status = "skipped"
-        claim.detail = f"oracle budget exceeded: {exc}"
-        claim.elapsed = time.monotonic() - t0
-        return claim
-    claim.status = "pass" if not bad else "fail"
-    if bad:
-        claim.detail = f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
-    else:
-        claim.detail = (claim.detail + f" {len(instances)} instances").strip()
-    claim.elapsed = time.monotonic() - t0
-    return claim
+        if bad:
+            return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
+        return True, f"{note} {len(instances)} instances".strip()
+
+    return _claim(cid, group, ctx, check, {"instances": instances})
 
 
 def _factors_to_tokens(factors) -> str:
@@ -262,27 +271,18 @@ def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim
     instances.append({"group": "sphere", "lhs": "r1^(2n+2)", "rhs": "", "expect": True})
     instances.append({"group": "sphere", "lhs": "s1", "rhs": "", "expect": False})
     instances.append({"group": "sphere", "lhs": "s1^2", "rhs": "", "expect": False})
-    claim = Claim(id="oracle-sphere-presentation", group="sphere")
-    return _run_instances(claim, instances, ctx, budget)
+    return _run_instances("oracle-sphere-presentation", "sphere", ctx, instances, budget)
 
 
 def verify_generator_validations(ctx: Context, budget: int | None = None) -> Claim:
-    t0 = time.monotonic()
-    claim = Claim(id="generators-validation", group="sphere", n=ctx.n, k=ctx.k)
-    try:
+    def check():
         checks = validate_named_generators(ctx, budget=budget)
-    except BudgetError as exc:
-        claim.status = "skipped"
-        claim.detail = f"oracle budget exceeded: {exc}"
-        claim.elapsed = time.monotonic() - t0
-        return claim
-    failed = [name for name, ok in checks if not ok]
-    claim.status = "pass" if not failed else "fail"
-    claim.detail = (
-        f"{len(checks)} checks" if not failed else f"failed: {', '.join(failed)}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    return claim
+        failed = [name for name, ok in checks if not ok]
+        return not failed, (
+            f"{len(checks)} checks" if not failed else f"failed: {', '.join(failed)}"
+        )
+
+    return _claim("generators-validation", "sphere", ctx, check)
 
 
 # -- relations ---------------------------------------------------------------
@@ -290,88 +290,55 @@ def verify_generator_validations(ctx: Context, budget: int | None = None) -> Cla
 
 def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
     n = ctx.n
-    claims = []
-
-    instances = []
-    for i in range(1, 2 * n + 1):
-        group = "disk" if i <= 2 * n - 1 else "sphere"
-        instances.append(
+    instances = {
+        "relation-twist-conjugation": [
             {
-                "group": group,
+                "group": "disk" if i <= 2 * n - 1 else "sphere",
                 "lhs": f"h{i} t{i},{i + 1} h{i}^-1",
                 "rhs": f"t{i + 1},{i + 2}",
                 "expect": True,
             }
-        )
-    claims.append(
-        _run_instances(
-            Claim(id="relation-twist-conjugation", group="disk"), instances, ctx, budget
-        )
-    )
-
-    instances = []
-    for i in range(1, ctx.num_arcs):
-        for j in range(i + 2, ctx.num_arcs + 1):
-            instances.append(
-                {
-                    "group": "disk",
-                    "lhs": f"t{i},{j}",
-                    "rhs": _factors_to_tokens(t_chain_factors(i, j)),
-                    "expect": True,
-                }
-            )
-    claims.append(
-        _run_instances(
-            Claim(id="relation-chain-twist-factorization", group="disk"),
-            instances,
-            ctx,
-            budget,
-        )
-    )
-
-    instances = []
-    for i in range(1, 2 * n - 2):
-        instances.append(
+            for i in range(1, 2 * n + 1)
+        ],
+        "relation-chain-twist-factorization": [
+            {
+                "group": "disk",
+                "lhs": f"t{i},{j}",
+                "rhs": _factors_to_tokens(t_chain_factors(i, j)),
+                "expect": True,
+            }
+            for i in range(1, ctx.num_arcs)
+            for j in range(i + 2, ctx.num_arcs + 1)
+        ],
+        "relation-h-triple-conjugation": [
             {
                 "group": "disk",
                 "lhs": f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}",
                 "rhs": f"h{i + 2}",
                 "expect": True,
             }
-        )
-    if _exists("relation-h-triple-conjugation", n):
-        claims.append(
-            _run_instances(
-                Claim(id="relation-h-triple-conjugation", group="disk"),
-                instances,
-                ctx,
-                budget,
-            )
-        )
-
-    if _exists("relation-hchain-shift", n):
-        instances = []
-        for i in range(1, 2 * n - 2):
-            instances.append(
-                {
-                    "group": "disk",
-                    "lhs": f"hchain_t^-1 h{i} hchain_t",
-                    "rhs": f"h{i + 2}",
-                    "expect": True,
-                }
-            )
-        claims.append(
-            _run_instances(
-                Claim(id="relation-hchain-shift", group="disk"), instances, ctx, budget
-            )
-        )
-    return claims
+            for i in range(1, 2 * n - 2)
+        ],
+        "relation-hchain-shift": [
+            {
+                "group": "disk",
+                "lhs": f"hchain_t^-1 h{i} hchain_t",
+                "rhs": f"h{i + 2}",
+                "expect": True,
+            }
+            for i in range(1, 2 * n - 2)
+        ],
+    }
+    return [
+        _run_instances(cid, group, ctx, instances[cid], budget)
+        for cid, group in _claim_ids(_BASE_CLAIMS, n)
+        if cid in instances
+    ]
 
 
 def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
-    claim = Claim(id="lemma-r1-factorization", group="sphere")
     instances = [{"group": "sphere", "lhs": "r1", "rhs": "r F", "expect": True}]
-    return _run_instances(claim, instances, ctx, budget)
+    return _run_instances("lemma-r1-factorization", "sphere", ctx, instances, budget)
 
 
 # -- constructive generation --------------------------------------------------
@@ -516,94 +483,85 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
     """Constructive generation certificate for one of the three groups."""
     basis = "sphere" if group == "lmod_sphere" else "star"
     oracle_group = _GROUP_TO_ORACLE[group]
-    instances = []
-    for target in generation_targets(group, ctx):
-        witness = expr_to_text(express(target, basis, ctx))
-        instances.append(
-            {"group": oracle_group, "lhs": target, "rhs": witness, "expect": True}
-        )
-    claim = Claim(
-        id=f"generation-{group.replace('_', '-')}",
-        group=oracle_group,
-        detail=f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}:",
-    )
-    return _run_instances(claim, instances, ctx, budget)
+    instances = [
+        {
+            "group": oracle_group,
+            "lhs": target,
+            "rhs": expr_to_text(express(target, basis, ctx)),
+            "expect": True,
+        }
+        for target in generation_targets(group, ctx)
+    ]
+    cid = f"generation-{group.replace('_', '-')}"
+    note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}:"
+    return _run_instances(cid, oracle_group, ctx, instances, budget, note)
 
 
 # -- liftability --------------------------------------------------------------
 
 
 def verify_liftability(ctx: Context) -> list[Claim]:
-    claims = []
     n = ctx.n
 
-    t0 = time.monotonic()
-    claim = Claim(id="liftability-w-size", group="sphere", n=n, k=ctx.k)
-    expected = liftability.w_size(ctx)
-    if n <= 3:
+    def w_size():
+        expected = liftability.w_size(ctx)
+        if n > 3:
+            return None, f"exhaustive check limited to n <= 3; formula gives {expected}"
         count = sum(1 for _ in liftability.enumerate_W(ctx))
-        claim.status = "pass" if count == expected else "fail"
-        claim.detail = f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
-    else:
-        claim.status = "skipped"
-        claim.detail = f"exhaustive check limited to n <= 3; formula gives {expected}"
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
+        return count == expected, f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
 
-    t0 = time.monotonic()
-    claim = Claim(id="liftability-w-generation", group="sphere", n=n, k=ctx.k)
-    # The generated group permutes its blocks.  Blocks odd | even and order
-    # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
-    # and order (n+1)! n! make psi(star basis) the stabilizer of 2n+2 in W.
-    top = ctx.num_points
-    odds, evens = frozenset(range(1, top, 2)), frozenset(range(2, top, 2))
-    found = []
-    for basis, name, want in (
-        ("sphere", "W", (liftability.w_size(ctx), [odds, evens | {top}])),
-        ("star", "Stab_W(2n+2)", (factorial(n + 1) * factorial(n), [odds, evens, {top}])),
-    ):
-        tokens = _basis_tokens(basis, ctx)
-        perms = [psi(expand_token_text(t, ctx), ctx) for t in tokens]
-        got = liftability.generated_group(perms, ctx)
-        claim.status = "pass" if got == want and claim.passed else "fail"
-        found.append(f"psi{{{', '.join(tokens)}}} {'=' if got == want else '!='} "
-                     f"{name}: order {got[0]}, {len(got[1])} blocks")
-    claim.detail = "; ".join(found) + " (exact)"
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
+    def w_generation():
+        # The generated group permutes its blocks.  Blocks odd | even and order
+        # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
+        # and order (n+1)! n! make psi(star basis) the stabilizer of 2n+2 in W.
+        top = ctx.num_points
+        odds, evens = frozenset(range(1, top, 2)), frozenset(range(2, top, 2))
+        ok, found = True, []
+        for basis, name, want in (
+            ("sphere", "W", (liftability.w_size(ctx), [odds, evens | {top}])),
+            ("star", "Stab_W(2n+2)", (factorial(n + 1) * factorial(n), [odds, evens, {top}])),
+        ):
+            tokens = _basis_tokens(basis, ctx)
+            perms = [psi(expand_token_text(t, ctx), ctx) for t in tokens]
+            got = liftability.generated_group(perms, ctx)
+            ok = ok and got == want
+            found.append(f"psi{{{', '.join(tokens)}}} {'=' if got == want else '!='} "
+                         f"{name}: order {got[0]}, {len(got[1])} blocks")
+        return ok, "; ".join(found) + " (exact)"
 
-    t0 = time.monotonic()
-    claim = Claim(id="liftability-curve-lifts", group="sphere", n=n, k=ctx.k)
-    problems = []
-    for k in (3, 4, 5):
-        kctx = Context(n, k)
-        for i in range(1, kctx.num_points):
-            c = liftability.gamma_curve(i, i + 1, kctx)
-            if liftability.curve_monodromy(c, kctx) != 0:
-                problems.append(f"gamma_{i},{i + 1} k={k}")
-        single = liftability.CurveClass(kctx, (1,))
-        if liftability.curve_monodromy(single, kctx) == 0:
-            problems.append(f"x1 k={k}")
-    claim.status = "pass" if not problems else "fail"
-    claim.detail = (
-        "adjacent curves lift, single-puncture loop does not (k = 3, 4, 5)"
-        if not problems
-        else f"failures: {problems}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
-    return claims
+    def curve_lifts():
+        problems = []
+        for k in (3, 4, 5):
+            kctx = Context(n, k)
+            for i in range(1, kctx.num_points):
+                c = liftability.gamma_curve(i, i + 1, kctx)
+                if liftability.curve_monodromy(c, kctx) != 0:
+                    problems.append(f"gamma_{i},{i + 1} k={k}")
+            single = liftability.CurveClass(kctx, (1,))
+            if liftability.curve_monodromy(single, kctx) == 0:
+                problems.append(f"x1 k={k}")
+        return not problems, (
+            "adjacent curves lift, single-puncture loop does not (k = 3, 4, 5)"
+            if not problems
+            else f"failures: {problems}"
+        )
+
+    return [
+        _claim("liftability-w-size", "sphere", ctx, w_size),
+        _claim("liftability-w-generation", "sphere", ctx, w_generation),
+        _claim("liftability-curve-lifts", "sphere", ctx, curve_lifts),
+    ]
 
 
 # -- cover and homology --------------------------------------------------------
 
 
 def verify_cover(ctx: Context) -> list[Claim]:
-    claims = []
-    t0 = time.monotonic()
-    claim = Claim(id="cover-build", group="homology", n=ctx.n, k=ctx.k)
-    try:
-        surf = cover.build_cover(ctx)
+    def build():
+        try:
+            surf = cover.build_cover(ctx)
+        except AssertionError as exc:
+            return False, str(exc)
         chi = surf.euler_characteristic
         ok = (
             chi == 2 - 2 * ctx.genus
@@ -611,192 +569,160 @@ def verify_cover(ctx: Context) -> list[Claim]:
             and surf.n_edges == ctx.k * ctx.num_arcs
             and surf.n_faces == ctx.k
         )
-        claim.status = "pass" if ok else "fail"
-        claim.detail = (
+        return ok, (
             f"V={surf.n_vertices} E={surf.n_edges} F={surf.n_faces} chi={chi} "
             f"= 2-2g (g={ctx.genus})"
         )
-    except AssertionError as exc:
-        claim.status = "fail"
-        claim.detail = str(exc)
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
-    if claim.status == "fail":
-        return claims
 
-    t0 = time.monotonic()
-    claim = Claim(id="cover-homology", group="homology", n=ctx.n, k=ctx.k)
+    built = _claim("cover-build", "homology", ctx, build)
+    if not built.passed:
+        return [built]
     surf = cover.build_cover(ctx)
-    ok = surf.h1_rank == 2 * ctx.genus
-    ok = ok and np.array_equal(surf.J, -surf.J.T)
-    ok = ok and intmat.det_exact(surf.J) == 1
-    ok = ok and np.array_equal(
-        cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
-    )
-    claim.status = "pass" if ok else "fail"
-    claim.detail = f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
 
-    t0 = time.monotonic()
-    claim = Claim(id="cover-deck-rotation", group="homology", n=ctx.n, k=ctx.k)
-    Mz = cover.lift_rep(surf, "zeta")
-    ident = cover.identity(surf)
-    power = ident
-    ok = True
-    for j in range(1, ctx.k):
-        power = cover.mul(power, Mz)
-        ok = ok and not np.array_equal(power, ident)
-    ok = ok and np.array_equal(cover.mul(power, Mz), ident)
-    ok = ok and intmat.rank_rational(Mz - ident) == 2 * ctx.genus
-    claim.status = "pass" if ok else "fail"
-    claim.detail = (
-        f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
-        "(no invariant homology)"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
-    return claims
+    def homology():
+        ok = (
+            surf.h1_rank == 2 * ctx.genus
+            and np.array_equal(surf.J, -surf.J.T)
+            and intmat.det_exact(surf.J) == 1
+            and np.array_equal(
+                cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
+            )
+        )
+        return ok, f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
+
+    def deck_rotation():
+        Mz = cover.lift_rep(surf, "zeta")
+        ident = cover.identity(surf)
+        power = ident
+        ok = True
+        for _ in range(1, ctx.k):
+            power = cover.mul(power, Mz)
+            ok = ok and not np.array_equal(power, ident)
+        ok = (
+            ok
+            and np.array_equal(cover.mul(power, Mz), ident)
+            and intmat.rank_rational(Mz - ident) == 2 * ctx.genus
+        )
+        return ok, (
+            f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
+            "(no invariant homology)"
+        )
+
+    return [
+        built,
+        _claim("cover-homology", "homology", ctx, homology),
+        _claim("cover-deck-rotation", "homology", ctx, deck_rotation),
+    ]
 
 
 _HOMOLOGY_NOTE = "homology-level (necessary condition only): "
+
+
+def _smod_claim(cid: str, ctx: Context, check) -> Claim:
+    """A homology-level claim; its detail says it is a necessary condition."""
+    claim = _claim(cid, "homology", ctx, check)
+    claim.detail = _HOMOLOGY_NOTE + claim.detail
+    return claim
 
 
 def verify_smod_homology(ctx: Context) -> list[Claim]:
     """Matrix identities for the lifted generators; necessary conditions only."""
     n, k = ctx.n, ctx.k
     surf = cover.build_cover(ctx)
-    claims = []
 
-    t0 = time.monotonic()
-    claim = Claim(id="smod-conjugation-t", group="homology", n=n, k=k)
-    Mr1 = cover.lift_rep(surf, "r1")
-    Mr1i = cover.symplectic_inverse(surf, Mr1)
-    bad = []
-    for i in range(1, 2 * n + 1):
-        lhs = cover.mul(Mr1, cover.lift_rep(surf, "t", i), Mr1i)
-        if not np.array_equal(lhs, cover.lift_rep(surf, "t", i + 1)):
-            bad.append(i)
-    claim.status = "pass" if not bad else "fail"
-    claim.detail = _HOMOLOGY_NOTE + (
-        f"rotation lift shifts twist lifts, i = 1..{2 * n}" if not bad else f"failed at {bad}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
+    def lift(kind: str, index: int | None = None) -> np.ndarray:
+        return cover.lift_rep(surf, kind, index)
 
-    t0 = time.monotonic()
-    claim = Claim(id="smod-conjugation-h", group="homology", n=n, k=k)
-    bad = []
-    for i in range(1, 2 * n):
-        lhs = cover.mul(Mr1, cover.lift_rep(surf, "h", i), Mr1i)
-        if not np.array_equal(lhs, cover.lift_rep(surf, "h", i + 1)):
-            bad.append(i)
-    claim.status = "pass" if not bad else "fail"
-    claim.detail = _HOMOLOGY_NOTE + (
-        f"rotation lift shifts half-rotation lifts, i = 1..{2 * n - 1}"
-        if not bad
-        else f"failed at {bad}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
+    def rotation_shifts(kind: str, last: int, what: str):
+        def check():
+            Mr1 = lift("r1")
+            Mr1i = cover.symplectic_inverse(surf, Mr1)
+            bad = [
+                i
+                for i in range(1, last + 1)
+                if not np.array_equal(cover.mul(Mr1, lift(kind, i), Mr1i), lift(kind, i + 1))
+            ]
+            return not bad, (
+                f"rotation lift shifts {what}, i = 1..{last}" if not bad else f"failed at {bad}"
+            )
 
-    t0 = time.monotonic()
-    claim = Claim(id="smod-deck-factorization", group="homology", n=n, k=k)
-    ok = np.array_equal(
-        cover.lift_rep(surf, "zeta_prime"), cover.lift_rep(surf, "zeta")
-    )
-    claim.status = "pass" if ok else "fail"
-    claim.detail = _HOMOLOGY_NOTE + (
-        "boundary-twist lift factorization reproduces the deck rotation"
-        if ok
-        else "factorization does not equal the deck rotation"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
+        return check
 
-    t0 = time.monotonic()
-    claim = Claim(id="smod-deck-normalization", group="homology", n=n, k=k)
-    bad = []
-    for i in range(1, ctx.num_arcs + 1):
-        if cover.check_normalizes_deck(cover.lift_rep(surf, "t", i), surf) != 1:
-            bad.append(f"t{i}")
-    for i in range(1, 2 * n + 1):
-        if cover.check_normalizes_deck(cover.lift_rep(surf, "h", i), surf) != 1:
-            bad.append(f"h{i}")
-    if cover.check_normalizes_deck(cover.lift_rep(surf, "r"), surf) != k - 1:
-        bad.append("r")
-    if cover.check_normalizes_deck(cover.lift_rep(surf, "r1"), surf) != k - 1:
-        bad.append("r1")
-    claim.status = "pass" if not bad else "fail"
-    claim.detail = _HOMOLOGY_NOTE + (
-        f"parity-preserving lifts commute with the deck rotation (j=1); "
-        f"half-turn and rotation invert it (j={k - 1})"
-        if not bad
-        else f"failed: {bad}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    claims.append(claim)
-
-    if _exists("smod-r1-lift-consistency", n):
-        t0 = time.monotonic()
-        claim = Claim(id="smod-r1-lift-consistency", group="homology", n=n, k=k)
-        lhs = cover.lift_rep(surf, "r1")
-        rhs = cover.mul(
-            cover.lift_rep(surf, "r"),
-            cover.symplectic_inverse(surf, cover.lift_rep(surf, "h", 1)),
+    def deck_factorization():
+        ok = np.array_equal(lift("zeta_prime"), lift("zeta"))
+        return ok, (
+            "boundary-twist lift factorization reproduces the deck rotation"
+            if ok
+            else "factorization does not equal the deck rotation"
         )
-        claim.status = "pass" if np.array_equal(lhs, rhs) else "fail"
-        claim.detail = _HOMOLOGY_NOTE + "n=1 rotation lift equals half-turn times inverse half-rotation lift"
-        claim.elapsed = time.monotonic() - t0
-        claims.append(claim)
-    return claims
+
+    def deck_normalization():
+        def exponent(kind: str, index: int | None = None) -> int | None:
+            return cover.check_normalizes_deck(lift(kind, index), surf)
+
+        bad = [f"t{i}" for i in range(1, ctx.num_arcs + 1) if exponent("t", i) != 1]
+        bad += [f"h{i}" for i in range(1, 2 * n + 1) if exponent("h", i) != 1]
+        bad += [kind for kind in ("r", "r1") if exponent(kind) != k - 1]
+        return not bad, (
+            f"parity-preserving lifts commute with the deck rotation (j=1); "
+            f"half-turn and rotation invert it (j={k - 1})"
+            if not bad
+            else f"failed: {bad}"
+        )
+
+    def r1_consistency():
+        rhs = cover.mul(lift("r"), cover.symplectic_inverse(surf, lift("h", 1)))
+        return np.array_equal(lift("r1"), rhs), (
+            "n=1 rotation lift equals half-turn times inverse half-rotation lift"
+        )
+
+    checks = {
+        "smod-conjugation-t": rotation_shifts("t", 2 * n, "twist lifts"),
+        "smod-conjugation-h": rotation_shifts("h", 2 * n - 1, "half-rotation lifts"),
+        "smod-deck-factorization": deck_factorization,
+        "smod-deck-normalization": deck_normalization,
+        "smod-r1-lift-consistency": r1_consistency,
+    }
+    return [
+        _smod_claim(cid, ctx, checks[cid])
+        for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, n)
+        if cid in checks
+    ]
 
 
 def verify_chain_pattern(ctx: Context) -> Claim:
     """Intersection pattern of the lifted curve families.
 
-    The alternating family used by the half-rotation lifts must be a
-    (2k-1)-chain: consecutive curves meet once (pairing +-1), all other
-    pairs are disjoint (pairing 0).
+    The alternating family used by the half-rotation lifts
+    (:func:`cover.h_chain`) must be a (2k-1)-chain: consecutive curves meet
+    once (pairing +-1), all other pairs are disjoint (pairing 0).
     """
-    t0 = time.monotonic()
-    surf = cover.build_cover(ctx)
     n, k = ctx.n, ctx.k
-    claim = Claim(id="smod-chain-pattern", group="homology", n=n, k=k)
-    bad = []
-    for i in range(1, 2 * n + 1):
-        low = cover._gamma_lifts(surf, i)
-        high = cover._gamma_lifts(surf, i + 1)
-        if i % 2 == 1:
-            chain = []
-            for l in range(1, k):
-                chain += [low[l - 1], high[l - 1]]
-            chain.append(low[k - 1])
-        else:
-            chain = []
-            for l in range(k, 1, -1):
-                chain += [low[l - 1], high[l - 1]]
-            chain.append(low[0])
-        for a in range(len(chain)):
-            for b in range(a + 1, len(chain)):
-                got = abs(cover.pairing(surf, chain[a], chain[b]))
-                want = 1 if b == a + 1 else 0
-                if got != want:
-                    bad.append((i, a, b, got))
-    for i in range(1, 2 * n + 2):
-        for j in range(i + 2, 2 * n + 2):
-            for ca in cover._gamma_lifts(surf, i):
-                for cb in cover._gamma_lifts(surf, j):
-                    if cover.pairing(surf, ca, cb) != 0:
-                        bad.append((i, j, ca.label, cb.label))
-    claim.status = "pass" if not bad else "fail"
-    claim.detail = _HOMOLOGY_NOTE + (
-        f"alternating lifted families are (2k-1)-chains (k={k})"
-        if not bad
-        else f"violations: {bad[:4]}"
-    )
-    claim.elapsed = time.monotonic() - t0
-    return claim
+
+    def check():
+        surf = cover.build_cover(ctx)
+        bad = []
+        for i in range(1, 2 * n + 1):
+            chain = cover.h_chain(surf, i)
+            for a in range(len(chain)):
+                for b in range(a + 1, len(chain)):
+                    got = abs(cover.pairing(surf, chain[a], chain[b]))
+                    want = 1 if b == a + 1 else 0
+                    if got != want:
+                        bad.append((i, a, b, got))
+        for i in range(1, 2 * n + 2):
+            for j in range(i + 2, 2 * n + 2):
+                for ca in cover._gamma_lifts(surf, i):
+                    for cb in cover._gamma_lifts(surf, j):
+                        if cover.pairing(surf, ca, cb) != 0:
+                            bad.append((i, j, ca.label, cb.label))
+        return not bad, (
+            f"alternating lifted families are (2k-1)-chains (k={k})"
+            if not bad
+            else f"violations: {bad[:4]}"
+        )
+
+    return _smod_claim("smod-chain-pattern", ctx, check)
 
 
 # -- report assembly -----------------------------------------------------------

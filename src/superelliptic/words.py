@@ -121,14 +121,6 @@ def word_parse(text: str, ctx: Context) -> Word:
     return Word.from_letters(ctx, letters)
 
 
-def word_invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def word_concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
 def exponent_sum(w: Word) -> int:
     return sum(1 if a > 0 else -1 for a in w.letters)
 
@@ -200,13 +192,8 @@ def psi(w: Word, ctx: Context) -> Permutation:
     Homomorphic for the rightmost-first convention:
     ``psi(u v) = psi(u) o psi(v)``.
     """
-    size = ctx.num_points
-    im = list(range(1, size + 1))
-    for a in reversed(w.letters):
+    im = list(range(1, ctx.num_points + 1))
+    for a in w.letters:  # p o (i i+1) swaps entries i and i+1 of p's images
         i = abs(a)
-        for t in range(size):
-            if im[t] == i:
-                im[t] = i + 1
-            elif im[t] == i + 1:
-                im[t] = i
+        im[i - 1], im[i] = im[i], im[i - 1]
     return Permutation(tuple(im))

@@ -1,9 +1,13 @@
 """The command-line surface: verdicts, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import superelliptic
 from superelliptic.cli import _build_parser, main
 from superelliptic.theorems import Bounds
 
@@ -146,3 +150,34 @@ class TestVerifyAll:
         with pytest.raises(SystemExit) as exc:
             main(["verify-all"])  # missing --n
         assert exc.value.code == 2
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the output, not the command."""
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            pytest.param(("cover", "info", "--json", "--n", "8", "--k", "5"), b"{",
+                         id="cover-info"),
+            pytest.param(("eq", "sphere", "r1^(2n+2)", "", "--n", "3"), b"true",
+                         id="eq-sphere"),
+        ],
+    )
+    def test_no_traceback_and_exit_status_kept(self, argv, first, lines_read):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(superelliptic.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superelliptic", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        # closing before any read makes every write of the command hit EPIPE
+        got = [proc.stdout.readline().strip() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert got == [first][:lines_read]

@@ -46,6 +46,17 @@ class TestParity:
         assert parity(psi(gen_r(CTX), CTX), CTX) is ParityClass.REVERSING
         assert parity(psi(gen_r1(CTX), CTX), CTX) is ParityClass.REVERSING
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_odd_image_definition(self, n):
+        ctx = Context(n, 3)
+        odds = frozenset(range(1, ctx.num_points + 1, 2))
+        evens = frozenset(range(2, ctx.num_points + 1, 2))
+        by_image = {odds: ParityClass.PRESERVING, evens: ParityClass.REVERSING}
+        for images in itertools.permutations(range(1, ctx.num_points + 1)):
+            p = Permutation(images)
+            image = frozenset(p(x) for x in odds)
+            assert parity(p, ctx) is by_image.get(image, ParityClass.NEITHER), images
+
     def test_parity_map_values(self):
         assert w_parity_map(psi(gen_h(1, CTX), CTX), CTX) == 0
         assert w_parity_map(psi(gen_r(CTX), CTX), CTX) == 1

@@ -1,6 +1,7 @@
 """Claims, certificates, and report round-trips."""
 
 import json
+from functools import partial
 from math import factorial
 
 import pytest
@@ -111,10 +112,25 @@ class TestVerifiers:
     def test_chain_pattern(self):
         assert verify_chain_pattern(Context(1, 3)).passed
 
-    def test_budget_exhaustion_marks_skipped(self):
-        claim = verify_factorization_r1(Context(3, 3), budget=5)
-        assert claim.status == "skipped"
-        assert "budget" in claim.detail
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            verify_factorization_r1,
+            verify_generator_validations,
+            verify_oracle_presentation,
+            verify_relations,
+            pytest.param(partial(verify_generation, "lmod_sphere"), id="verify_generation"),
+        ],
+    )
+    def test_budget_exhaustion_marks_skipped(self, verify):
+        claims = verify(Context(3, 3), budget=5)
+        claims = claims if isinstance(claims, list) else [claims]
+        assert claims
+        for claim in claims:
+            assert claim.status == "skipped", (claim.id, claim.detail)
+            assert claim.detail.startswith("oracle budget exceeded: ")
+            if claim.id in theorems._WITNESS_CLAIMS:
+                assert claim.witness["instances"], claim.id
 
 
 class TestCertificates:

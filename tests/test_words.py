@@ -1,5 +1,7 @@
 """Words, free reduction, serialization, and the permutation shadow."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +111,19 @@ class TestPsi:
     def test_half_turn_reverses(self):
         images = psi(gen_r(CTX), CTX).images
         assert images == tuple(CTX.num_points + 1 - x for x in range(1, CTX.num_points + 1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_product_of_transpositions(self, n):
+        ctx = Context(n, 3)
+        size, rng = ctx.num_points, random.Random(n)
+        for _ in range(20):
+            letters = [rng.choice((-1, 1)) * rng.randint(1, ctx.num_arcs)
+                       for _ in range(rng.randint(0, 200))]
+            w = Word.from_letters(ctx, letters)
+            want = Permutation.identity(size)
+            for a in w.letters:
+                want = want.compose(Permutation.transposition(size, abs(a), abs(a) + 1))
+            assert psi(w, ctx) == want, w
 
     @given(wordstrat(max_size=14), wordstrat(max_size=14))
     def test_homomorphism(self, u, v):
