@@ -21,13 +21,17 @@ representation is a necessary-condition shadow only (it is not faithful);
 every verification built on it is labeled accordingly by the theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations, the crossing form,
-the homology basis, ``J`` and a symplectic basis ``P`` (``J^-1 = -P J0
-P^T``) exactly in Python ints through :mod:`intmat`, and stores every
-matrix as ``int64`` (``OverflowError`` if an entry does not fit).  Every
-later product of homology matrices goes through :func:`mul`, which checks
-``max|A| * max|B| * inner_dim < 2**62`` before each int64 product and
-raises ``OverflowError`` when the bound fails, so a result is exact or the
-call raises: it never wraps and never falls back to object arithmetic.
+the homology basis and a symplectic basis ``P`` exactly in Python ints
+through :mod:`intmat` and stores them as ``int64`` (``OverflowError`` if an
+entry does not fit).  Its products (the check that the relations pair to
+zero, ``J = basis^T crossing basis``, the check ``P^T J P = J0`` and
+``J^-1 = -P J0 P^T``) and every later product of homology matrices go
+through :func:`mul`.  ``mul`` bounds every entry and partial sum by
+``max|A| * max|B| * inner_dim`` and takes one of two exact paths: below
+``2**53`` a float64 (BLAS) product, below ``2**62`` an int64 product.  At
+``2**62`` and above it raises ``OverflowError``, so a result is exact or
+the call raises: it never wraps or rounds and never falls back to object
+arithmetic.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from .words import Context
 _ORIENT = 1
 
 
-# A product's entries are sums of ``inner_dim`` terms each at most
-# ``max|A| * max|B|``, so below this bound no int64 sum can wrap.
+# A product's entries, and every partial sum of them, are sums of at most
+# ``inner_dim`` terms each at most ``max|A| * max|B|`` in absolute value.
+_FLOAT_BOUND = 2**53
 _PRODUCT_BOUND = 2**62
 
 
@@ -66,21 +71,34 @@ def _max_abs(A: np.ndarray) -> int:
 
 
 def mul(*factors) -> np.ndarray:
-    """Checked int64 product ``factors[0] @ factors[1] @ ...``, left to right.
+    """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
 
     Factors are matrices or vectors, converted by :func:`_as_int64`.  Before
-    each product, ``max|A| * max|B| * inner_dim < 2**62`` must hold, so no
-    entry or partial sum can leave int64; otherwise ``OverflowError``.
+    each product, ``bound = max|A| * max|B| * inner_dim`` bounds every entry
+    and every partial sum of the result, in any summation order.
+
+    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS) and is
+      converted back to int64.  Each term and each partial sum is then an
+      integer below ``2**53``, which float64 holds exactly, so neither the
+      summation order nor fused multiply-adds can round.  (An entry at or
+      above ``2**53`` is rounded on conversion, but then the other factor
+      is zero and so is the product.)
+    - ``2**53 <= bound < 2**62``: the product runs as int64 ``@``, the only
+      exact path there; no int64 sum can wrap.
+    - ``bound >= 2**62``: ``OverflowError``.
     """
     out = _as_int64(factors[0])
     for B in factors[1:]:
         B = _as_int64(B)
         bound = _max_abs(out) * _max_abs(B) * out.shape[-1]
-        if bound >= _PRODUCT_BOUND:
+        if bound < _FLOAT_BOUND:
+            out = (out.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        elif bound < _PRODUCT_BOUND:
+            out = out @ B
+        else:
             raise OverflowError(
                 f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
             )
-        out = out @ B
     return out
 
 
@@ -199,7 +217,7 @@ def build_cover(ctx: Context) -> CoverSurface:
         face_sides.append(tuple(sides))
     face_sides = tuple(face_sides)
 
-    relations = np.zeros((k, m), dtype=object)
+    relations = np.zeros((k, m), dtype=np.int64)
     for s, sides in enumerate(face_sides):
         for (i, lab, d) in sides:
             relations[s, loop_index[(i, lab)]] += d
@@ -234,7 +252,7 @@ def build_cover(ctx: Context) -> CoverSurface:
         if count != 2 * m:
             raise AssertionError("vertex link is not a single circle")
 
-    crossing = np.zeros((m, m), dtype=object)
+    crossing = np.zeros((m, m), dtype=np.int64)
     for e in range(m):
         for f in range(e + 1, m):
             sgn = _chord_sign(
@@ -243,17 +261,17 @@ def build_cover(ctx: Context) -> CoverSurface:
             crossing[e, f] = _ORIENT * sgn
             crossing[f, e] = -_ORIENT * sgn
 
-    if not np.array_equal(relations @ crossing, np.zeros((k, m), dtype=object)):
+    if mul(relations, crossing).any():
         raise AssertionError("face relations do not pair to zero")
 
     D, U, Uinv, _V, r = intmat.smith_normal_form(relations.T)
     for t in range(r):
         if D[t, t] != 1:
             raise AssertionError("surface homology has torsion; complex corrupt")
-    basis = Uinv[:, r:]
-    proj = U[r:, :]
+    basis = _as_int64(Uinv[:, r:])
+    proj = _as_int64(U[r:, :])
 
-    J = basis.T @ crossing @ basis
+    J = mul(basis.T, crossing, basis)
     if J.shape[0] != 2 * ctx.genus:
         raise AssertionError("homology rank disagrees with the genus")
     if not np.array_equal(J, -J.T):
@@ -262,10 +280,11 @@ def build_cover(ctx: Context) -> CoverSurface:
         P = intmat.symplectic_change_of_basis(J)
     except ValueError as exc:
         raise AssertionError(f"intersection form is not unimodular: {exc}") from exc
+    P = _as_int64(P)
     J0 = intmat.standard_symplectic(J.shape[0])
-    if not np.array_equal(P.T @ J @ P, J0):
+    if not np.array_equal(mul(P.T, J, P), J0):
         raise AssertionError("intersection form is not unimodular")
-    Jinv = -(P @ J0 @ P.T)
+    Jinv = -mul(P, J0, P.T)
 
     surface = CoverSurface(
         ctx=ctx,
@@ -275,13 +294,13 @@ def build_cover(ctx: Context) -> CoverSurface:
         loops=loops,
         loop_index=loop_index,
         face_sides=face_sides,
-        relations=_as_int64(relations),
-        crossing=_as_int64(crossing),
-        basis=_as_int64(basis),
-        proj=_as_int64(proj),
-        J=_as_int64(J),
-        Jinv=_as_int64(Jinv),
-        P=_as_int64(P),
+        relations=relations,
+        crossing=crossing,
+        basis=basis,
+        proj=proj,
+        J=J,
+        Jinv=Jinv,
+        P=P,
     )
     chi = surface.euler_characteristic
     if chi != 2 - 2 * ctx.genus:

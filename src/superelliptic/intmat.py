@@ -1,18 +1,16 @@
 """Exact integer linear algebra on small dense matrices.
 
-The package's exact arithmetic lives here: these functions work on numpy
-``object`` arrays of Python ints (or on ``Fraction`` lists), so no
+The package's exact arithmetic lives here: these functions work on Python
+ints (numpy ``object`` arrays, or lists of ints for elimination), so no
 overflow is possible, and accept any integer matrix as input.  The cover
 derives its homology apparatus with them and then stores it as int64 (see
-:mod:`superelliptic.cover`).  Sizes stay tiny (at most a few dozen rows),
-so the cubic classics are plenty: Smith normal form with transforms,
-rational rank, determinants, and a symplectic basis for a skew unimodular
-form.
+:mod:`superelliptic.cover`).  Sizes stay small (at most a few hundred
+rows), so the cubic classics are plenty: Smith normal form with
+transforms, one fraction-free (Bareiss) elimination for rational rank and
+determinants, and a symplectic basis for a skew unimodular form.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -119,53 +117,55 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return D, U, Uinv, V, r
 
 
-def rank_rational(A) -> int:
-    """Rank over the rationals, by exact fraction elimination."""
-    M = [[Fraction(int(x)) for x in row] for row in np.array(A, dtype=object)]
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    rank = 0
+def _bareiss(A) -> tuple[int, int]:
+    """``(rank, det)`` of an integer matrix by fraction-free row echelon form.
+
+    Bareiss elimination on lists of Python ints: after the pivot ``p`` in
+    column ``c``, each lower row becomes ``(p * row - row[c] * pivot_row) /
+    prev`` with ``prev`` the previous pivot.  Every entry is then a minor of
+    the input, so each division is exact and the entries stay as small as
+    the minors.  A column with no pivot is skipped, which leaves the minors
+    on the pivot columns as they are.  ``det`` is the determinant when
+    ``A`` is square (1 for the 0x0 matrix) and 0 otherwise.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    rows, cols = A.shape
+    M = [[int(x) for x in row] for row in A.tolist()]
+    rank, sign, prev = 0, 1, 1
     for c in range(cols):
-        piv = next((r for r in range(rank, rows) if M[r][c] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][c]
-        M[rank] = [x * inv for x in M[rank]]
-        for r in range(rows):
-            if r != rank and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
         if rank == rows:
             break
-    return rank
+        piv = next((r for r in range(rank, rows) if M[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            sign = -sign
+        top = M[rank]
+        p = top[c]
+        for r in range(rank + 1, rows):
+            row = M[r]
+            f = row[c]
+            row[c:] = [0] + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = p
+        rank += 1
+    det = sign * prev if rank == rows == cols else 0
+    return rank, det
+
+
+def rank_rational(A) -> int:
+    """Rank over the rationals, by fraction-free elimination."""
+    return _bareiss(A)[0]
 
 
 def det_exact(A) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
-    M = as_object_matrix(A).copy()
-    m, n = M.shape
-    if m != n:
+    shape = np.shape(A)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("determinant needs a square matrix")
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(m - 1):
-        if M[t, t] == 0:
-            piv = next((r for r in range(t + 1, m) if M[r, t] != 0), None)
-            if piv is None:
-                return 0
-            M[[t, piv], :] = M[[piv, t], :]
-            sign = -sign
-        for i in range(t + 1, m):
-            for j in range(t + 1, m):
-                M[i, j] = (M[i, j] * M[t, t] - M[i, t] * M[t, j]) // prev
-            M[i, t] = 0
-        prev = M[t, t]
-    return sign * int(M[m - 1, m - 1])
+    return _bareiss(A)[1]
 
 
 def symplectic_change_of_basis(J) -> np.ndarray:

@@ -75,11 +75,21 @@ class Claim:
 
 @dataclass
 class Bounds:
-    """Desk-scale limits; claims beyond them are reported as skipped."""
+    """Desk-scale limits; claims beyond them are reported as skipped.
+
+    Each bound is an integer >= 0 (``ValueError`` otherwise); 0 skips every
+    claim it bounds.
+    """
 
     base_n: int = 4
-    homology_n: int = 6
-    homology_k: int = 6
+    homology_n: int = 10
+    homology_k: int = 10
+
+    def __post_init__(self):
+        for name in ("base_n", "homology_n", "homology_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"bound {name} must be an integer >= 0, got {value!r}")
 
 
 # The claims run_all reports beyond the liftability and cover claims, in
@@ -690,32 +700,48 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     ]
 
 
+def _gamma_gram(surf: cover.CoverSurface) -> tuple[dict, np.ndarray]:
+    """Every lift of every ``gamma_i`` and their pairings, in one product.
+
+    Returns ``(column, G)``: ``column`` maps each lifted curve of
+    ``gamma_1 .. gamma_{2n+1}`` (in that order, ``k`` labels each) to its
+    index, and ``G = V^T J V`` over the stacked class vectors ``V``, so
+    ``G[column[a], column[b]]`` is ``cover.pairing(surf, a, b)``.
+    """
+    lifts = [
+        c for i in range(1, surf.ctx.num_points) for c in cover._gamma_lifts(surf, i)
+    ]
+    V = np.stack([c.class_vector for c in lifts], axis=1)
+    return {c: t for t, c in enumerate(lifts)}, cover.mul(V.T, surf.J, V)
+
+
 def verify_chain_pattern(ctx: Context) -> Claim:
     """Intersection pattern of the lifted curve families.
 
     The alternating family used by the half-rotation lifts
     (:func:`cover.h_chain`) must be a (2k-1)-chain: consecutive curves meet
-    once (pairing +-1), all other pairs are disjoint (pairing 0).
+    once (pairing +-1), all other pairs are disjoint (pairing 0).  Lifts of
+    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  Every
+    pairing is read from one Gram matrix (:func:`_gamma_gram`).
     """
     n, k = ctx.n, ctx.k
 
     def check():
         surf = cover.build_cover(ctx)
+        column, G = _gamma_gram(surf)
         bad = []
         for i in range(1, 2 * n + 1):
-            chain = cover.h_chain(surf, i)
+            chain = [column[c] for c in cover.h_chain(surf, i)]
             for a in range(len(chain)):
                 for b in range(a + 1, len(chain)):
-                    got = abs(cover.pairing(surf, chain[a], chain[b]))
+                    got = abs(int(G[chain[a], chain[b]]))
                     want = 1 if b == a + 1 else 0
                     if got != want:
                         bad.append((i, a, b, got))
         for i in range(1, 2 * n + 2):
             for j in range(i + 2, 2 * n + 2):
-                for ca in cover._gamma_lifts(surf, i):
-                    for cb in cover._gamma_lifts(surf, j):
-                        if cover.pairing(surf, ca, cb) != 0:
-                            bad.append((i, j, ca.label, cb.label))
+                block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
+                bad += [(i, j, int(la) + 1, int(lb) + 1) for la, lb in zip(*np.nonzero(block))]
         return not bad, (
             f"alternating lifted families are (2k-1)-chains (k={k})"
             if not bad

@@ -146,6 +146,14 @@ class TestVerifyAll:
             defaults.base_n, defaults.homology_n, defaults.homology_k
         )
 
+    @pytest.mark.parametrize(
+        "flag", ["--bound-base-n", "--bound-homology-n", "--bound-homology-k"]
+    )
+    def test_negative_bound_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "verify-all", "--n", "2", "--k", "3", flag, "-1")
+        assert code == 2 and not out
+        assert "must be an integer >= 0" in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify-all"])  # missing --n

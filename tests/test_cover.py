@@ -1,5 +1,8 @@
 """The branched cover surface, its homology, and the lifted actions."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,118 @@ class TestCheckedProduct:
         big = np.array([[2**63]], dtype=object)
         with pytest.raises(OverflowError):
             cover_mod.mul(big, np.array([[1]], dtype=np.int64))
+
+    @staticmethod
+    def _seeded_pair(rng, a, b, d):
+        """Random ``m x d`` and ``d x p`` factors with ``max|A| = a``, ``max|B| = b``."""
+        m, p = rng.randrange(1, 9), rng.randrange(1, 9)
+        A = [[rng.randint(-a, a) for _ in range(d)] for _ in range(m)]
+        B = [[rng.randint(-b, b) for _ in range(p)] for _ in range(d)]
+        A[0][0], B[0][0] = a, -b
+        return np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_exact_on_both_sides_of_2_53(self, side):
+        # bound = a * b * d just below 2**53 (float64 path) or at or just
+        # above it (int64 path); both must equal the Python-int product
+        rng = random.Random(53 if side == "below" else 54)
+        for _ in range(40):
+            d = rng.choice([1, 2, 3, 8, 17, 64])
+            a = rng.randrange(1, 2**30)
+            b = (2**53 - 1) // (a * d) if side == "below" else -(-(2**53) // (a * d))
+            assert (a * b * d < 2**53) == (side == "below")
+            A, B = self._seeded_pair(rng, a, b, d)
+            got = cover_mod.mul(A, B)
+            assert got.dtype == np.int64
+            assert got.tolist() == (A.astype(object) @ B.astype(object)).tolist()
+            # the same magnitudes with every term of one sign: the sum is the bound
+            row, col = np.full((1, d), a, dtype=np.int64), np.full((d, 1), b, dtype=np.int64)
+            assert int(cover_mod.mul(row, col)[0, 0]) == a * b * d
+
+    def test_float_cannot_hold_this_product(self):
+        # (2**27 + 1)**2 * 2 = 2**55 + 2**29 + 2 needs 55 bits: float64 rounds it,
+        # so this product must take the int64 path
+        A = np.full((1, 2), 2**27 + 1, dtype=np.int64)
+        want = 2 * (2**27 + 1) ** 2
+        assert int((A.astype(np.float64) @ A.T.astype(np.float64))[0, 0]) != want
+        assert int(cover_mod.mul(A, A.T)[0, 0]) == want
+
+    def test_zero_factor_times_huge_entries(self):
+        huge = np.array([[2**62, -(2**53) - 1], [2**53 + 1, 2**60 + 3]], dtype=np.int64)
+        zero = np.zeros((2, 2), dtype=np.int64)
+        assert cover_mod.mul(zero, huge).tolist() == [[0, 0], [0, 0]]
+        assert cover_mod.mul(huge, zero).tolist() == [[0, 0], [0, 0]]
+        assert cover_mod.mul(huge, zero[:, 0]).tolist() == [0, 0]
+
+
+def _fraction_echelon(A):
+    """``(rank, det)`` by Gauss-Jordan elimination over ``Fraction``: the
+    exact referee for :mod:`intmat`'s fraction-free elimination."""
+    M = [[Fraction(int(x)) for x in row] for row in A]
+    rows, cols = len(M), len(M[0]) if M else 0
+    rank, det = 0, Fraction(1)
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if M[r][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            det = -det
+        det *= M[rank][c]
+        inv = 1 / M[rank][c]
+        M[rank] = [x * inv for x in M[rank]]
+        for r in range(rows):
+            if r != rank and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank, int(det) if rank == rows == cols else 0
+
+
+class TestElimination:
+    @staticmethod
+    def _seeded_matrices():
+        rng = random.Random(7)
+        for _ in range(60):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            if rng.random() < 0.5:
+                yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            else:  # a thin product: rank at most r
+                r = rng.randrange(0, min(rows, cols) + 1)
+                B = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(rows)]
+                C = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(r)]
+                yield [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(cols)]
+                       for i in range(rows)]
+        for m in range(1, 9):  # square: large, sparse (row swaps) and rank-deficient
+            yield [[rng.randint(-2**40, 2**40) for _ in range(m)] for _ in range(m)]
+            for _ in range(5):
+                yield [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(m)] for _ in range(m)]
+            B = [[rng.randint(-5, 5) for _ in range(m - 1)] for _ in range(m)]
+            yield [[sum(B[i][t] * B[j][t] for t in range(m - 1)) for j in range(m)]
+                   for i in range(m)]
+
+    def test_rank_and_det_match_fraction_elimination(self):
+        deficient = nonzero = 0
+        for A in self._seeded_matrices():
+            rank, det = _fraction_echelon(A)
+            deficient += rank < min(len(A), len(A[0]))
+            assert intmat.rank_rational(A) == rank, A
+            assert intmat.rank_rational(np.array(A, dtype=object)) == rank, A
+            if len(A) == len(A[0]):
+                assert intmat.det_exact(A) == det, A
+                nonzero += det != 0
+        assert deficient >= 10 and nonzero >= 20
+
+    def test_empty_and_non_square(self):
+        assert intmat.det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
+        assert intmat.rank_rational(np.zeros((0, 3), dtype=np.int64)) == 0
+        assert intmat.rank_rational(np.zeros((3, 0), dtype=np.int64)) == 0
+        with pytest.raises(ValueError):
+            intmat.det_exact([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            intmat.det_exact([1, 2])
 
 
 class TestDeckRotation:

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from superelliptic import Context, eq_sphere, eq_star, theorems
+from superelliptic import Context, cover, eq_sphere, eq_star, theorems
 from superelliptic.generators import expand_token_text, gen_t
 from superelliptic.theorems import (
     Bounds,
@@ -112,6 +112,16 @@ class TestVerifiers:
     def test_chain_pattern(self):
         assert verify_chain_pattern(Context(1, 3)).passed
 
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 4)])
+    def test_chain_gram_matrix_is_the_pairing(self, n, k):
+        surf = cover.build_cover(Context(n, k))
+        column, G = theorems._gamma_gram(surf)
+        lifts = [c for i in range(1, 2 * n + 2) for c in cover._gamma_lifts(surf, i)]
+        assert [column[c] for c in lifts] == list(range(len(lifts)))
+        for a in lifts:
+            for b in lifts:
+                assert G[column[a], column[b]] == cover.pairing(surf, a, b)
+
     @pytest.mark.parametrize(
         "verify",
         [
@@ -201,10 +211,17 @@ class TestRunAll:
         assert "smod-deck-factorization" in skipped
         assert report.all_passed  # skipped claims do not fail the run
 
-    def test_default_homology_bounds_reach_6_6(self):
-        report = run_all(6, 6, bounds=Bounds(base_n=0))
+    def test_default_homology_bounds_reach_10_10(self):
+        report = run_all(10, 10, bounds=Bounds(base_n=0))
         homology = [c for c in report.claims if c.id.startswith("smod-")]
         assert homology and all(c.passed for c in homology)
+
+    @pytest.mark.parametrize("field", ["base_n", "homology_n", "homology_k"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_bounds_must_be_integers_at_least_0(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Bounds(**{field: value})
+        assert getattr(Bounds(**{field: 0}), field) == 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_skip_path_lists_the_run_path_ids(self, n):
