@@ -16,9 +16,8 @@ from .errors import (
     SuperellipticError,
     WordSyntaxError,
 )
-from .words import Context, Permutation, Word, exponent_sum, psi, word_parse
+from .words import Context, Permutation, Word, exponent_sum, psi
 from .generators import (
-    NamedGenerator,
     expand_token_text,
     gen_F,
     gen_h,
@@ -27,7 +26,6 @@ from .generators import (
     gen_r1,
     gen_sigma,
     gen_t,
-    named_generator,
     validate_named_generators,
 )
 from .oracle import (
@@ -55,11 +53,9 @@ from .liftability import (
 )
 from .cover import (
     CoverSurface,
-    HomologyBasis,
     LiftedCurve,
     build_cover,
     check_normalizes_deck,
-    homology,
     lift_cycle,
     lift_rep,
     pairing,

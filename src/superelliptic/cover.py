@@ -148,13 +148,6 @@ class CoverSurface:
         }
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
-    rank: int
-    cycles: np.ndarray  # m x rank: loop coordinates of the basis classes
-    J: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class LiftedCurve:
     base: CurveClass
@@ -306,12 +299,6 @@ def build_cover(ctx: Context) -> CoverSurface:
     if chi != 2 - 2 * ctx.genus:
         raise AssertionError(f"Euler characteristic {chi} != {2 - 2 * ctx.genus}")
     return surface
-
-
-def homology(surface: CoverSurface) -> HomologyBasis:
-    return HomologyBasis(
-        rank=surface.h1_rank, cycles=surface.basis.copy(), J=surface.J.copy()
-    )
 
 
 # -- lifted curves -----------------------------------------------------------

@@ -20,7 +20,6 @@ wrong convention fails loudly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import WordSyntaxError
 from .words import Context, Permutation, Word, psi
@@ -29,8 +28,6 @@ Factor = tuple[str, tuple[int, ...], int]  # (kind, params, exponent)
 
 
 def gen_sigma(i: int, ctx: Context) -> Word:
-    if not (1 <= i <= ctx.num_arcs):
-        raise ValueError(f"sigma index {i} out of range 1..{ctx.num_arcs}")
     return Word(ctx, (i,))
 
 
@@ -120,23 +117,19 @@ def t_chain_factors(i: int, j: int) -> tuple[Factor, ...]:
     return tuple(fs)
 
 
-def expand_factors(factors, ctx: Context) -> Word:
-    letters: list[int] = []
+def factors_to_tokens(factors) -> str:
+    """Token text of a factor list, e.g. ``h1^-1 t4,5``; zero powers drop out."""
+    toks = []
     for kind, params, e in factors:
         if e == 0:
             continue
-        if kind == "h":
-            base = gen_h(params[0], ctx)
-        elif kind == "t":
-            base = gen_t(params[0], params[1], ctx)
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-        letters.extend((base**e).letters)
-    return Word.from_letters(ctx, letters)
+        name = f"h{params[0]}" if kind == "h" else f"t{params[0]},{params[1]}"
+        toks.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(toks)
 
 
 def gen_F(ctx: Context) -> Word:
-    return expand_factors(F_factors(ctx.n), ctx)
+    return expand_token_text(factors_to_tokens(F_factors(ctx.n)), ctx)
 
 
 def gen_hchain_t(ctx: Context) -> Word:
@@ -146,39 +139,6 @@ def gen_hchain_t(ctx: Context) -> Word:
     return out * gen_t(1, 2, ctx)
 
 
-@dataclass(frozen=True)
-class NamedGenerator:
-    name: str
-    params: tuple[int, ...]
-    word: Word
-
-    @property
-    def token(self) -> str:
-        if self.name in ("sigma", "h"):
-            prefix = "s" if self.name == "sigma" else "h"
-            return f"{prefix}{self.params[0]}"
-        if self.name == "t":
-            return f"t{self.params[0]},{self.params[1]}"
-        return self.name
-
-
-_BUILDERS = {
-    "sigma": lambda p, ctx: gen_sigma(p[0], ctx),
-    "h": lambda p, ctx: gen_h(p[0], ctx),
-    "t": lambda p, ctx: gen_t(p[0], p[1], ctx),
-    "r1": lambda p, ctx: gen_r1(ctx),
-    "r": lambda p, ctx: gen_r(ctx),
-    "F": lambda p, ctx: gen_F(ctx),
-    "hchain_t": lambda p, ctx: gen_hchain_t(ctx),
-}
-
-
-def named_generator(name: str, params: tuple[int, ...], ctx: Context) -> NamedGenerator:
-    if name not in _BUILDERS:
-        raise WordSyntaxError(f"unknown generator name {name!r}")
-    return NamedGenerator(name, params, _BUILDERS[name](params, ctx))
-
-
 # -- rich word syntax --------------------------------------------------------
 #
 # CLI and certificate syntax: whitespace-separated generator tokens with
@@ -186,6 +146,7 @@ def named_generator(name: str, params: tuple[int, ...], ctx: Context) -> NamedGe
 # Exponents in parentheses may be linear expressions in n and k.
 
 _NAME_RE = re.compile(r"^(s(\d+)|h(\d+)|t(\d+),(\d+)|r1|r|F|hchain_t)$")
+_WORDS = {"r1": gen_r1, "r": gen_r, "F": gen_F, "hchain_t": gen_hchain_t}
 _TERM_RE = re.compile(r"([+-]?)(\d+[nk]?|[nk])")
 
 
@@ -211,21 +172,25 @@ def _eval_linexpr(text: str, ctx: Context) -> int:
 
 
 def _token_letters(tok: str, ctx: Context) -> tuple[int, ...]:
-    """The letters of one token, not reduced across the exponent."""
+    """The letters of one token, not reduced across the exponent.
+
+    ``s<i>`` letters are range-checked later, with the whole text, by
+    :meth:`Word.from_letters`.
+    """
     name_part, caret, exp_part = tok.partition("^")
     m = _NAME_RE.match(name_part)
     if not m:
         raise WordSyntaxError(f"unknown generator token {tok!r}")
     if m.group(2) is not None:
-        base = gen_sigma(int(m.group(2)), ctx)
+        base = (int(m.group(2)),)
     elif m.group(3) is not None:
-        base = gen_h(int(m.group(3)), ctx)
+        base = gen_h(int(m.group(3)), ctx).letters
     elif m.group(4) is not None:
-        base = gen_t(int(m.group(4)), int(m.group(5)), ctx)
+        base = gen_t(int(m.group(4)), int(m.group(5)), ctx).letters
     else:
-        base = _BUILDERS[name_part]((), ctx)
+        base = _WORDS[name_part](ctx).letters
     if not caret:
-        return base.letters
+        return base
     if exp_part.startswith("(") and exp_part.endswith(")"):
         e = _eval_linexpr(exp_part[1:-1], ctx)
     else:
@@ -233,12 +198,19 @@ def _token_letters(tok: str, ctx: Context) -> tuple[int, ...]:
             e = int(exp_part)
         except ValueError:
             raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    letters = base.letters if e >= 0 else tuple(-a for a in reversed(base.letters))
-    return letters * abs(e)
+    inverse = tuple(-a for a in reversed(base))
+    if e == 0:  # keep the letters so that they are range-checked; they cancel
+        return base + inverse
+    return (base if e > 0 else inverse) * abs(e)
 
 
 def expand_token_text(text: str, ctx: Context) -> Word:
-    """Expand generator tokens (``h3 t1,2^-1 r1^(2n+2)`` ...) to a word."""
+    """Expand generator tokens (``h3 t1,2^-1 r1^(2n+2)`` ...) to a word.
+
+    The one reader of word text: CLI arguments, report certificates and
+    :meth:`Word.to_text` output.  Every letter is range-checked before free
+    reduction, so ``s0 s0`` or ``s4 s4^-1`` at ``n = 1`` raises.
+    """
     letters: list[int] = []
     for tok in text.split():
         letters.extend(_token_letters(tok, ctx))

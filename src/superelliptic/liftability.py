@@ -138,7 +138,8 @@ class CurveClass:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "CurveClass":
-        reduced = K.reduce_word(letters)
+        """The cyclically reduced class; letters are range-checked first."""
+        reduced = K.reduce_word(cls(ctx, tuple(letters)).letters)
         while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
             reduced = reduced[1:-1]
         return cls(ctx, reduced)
@@ -163,8 +164,6 @@ def curve_parse(text: str, ctx: Context) -> CurveClass:
         if not m:
             raise WordSyntaxError(f"malformed curve token {tok!r}")
         j = int(m.group(1))
-        if not (1 <= j <= ctx.num_points):
-            raise WordSyntaxError(f"index {j} out of range 1..{ctx.num_points}")
         letters.append(-j if m.group(2) else j)
     return CurveClass.from_letters(ctx, letters)
 

@@ -85,7 +85,8 @@ class FreeWord:
 
     @classmethod
     def from_letters(cls, rank: int, letters) -> "FreeWord":
-        return cls(rank, K.reduce_word(letters))
+        """The reduced word; every letter is range-checked before reduction."""
+        return cls(rank, K.reduce_word(cls(rank, tuple(letters)).letters))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:

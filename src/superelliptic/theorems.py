@@ -28,7 +28,12 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import cover, intmat, liftability, oracle
 from .errors import BudgetError
-from .generators import expand_token_text, t_chain_factors, validate_named_generators
+from .generators import (
+    expand_token_text,
+    factors_to_tokens,
+    t_chain_factors,
+    validate_named_generators,
+)
 from .words import Context, psi
 
 
@@ -244,16 +249,6 @@ def _run_instances(
     return _claim(cid, group, ctx, check, {"instances": instances})
 
 
-def _factors_to_tokens(factors) -> str:
-    toks = []
-    for kind, params, e in factors:
-        if e == 0:
-            continue
-        name = f"h{params[0]}" if kind == "h" else f"t{params[0]},{params[1]}"
-        toks.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(toks)
-
-
 # -- oracle cross-check -------------------------------------------------------
 
 
@@ -314,7 +309,7 @@ def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
             {
                 "group": "disk",
                 "lhs": f"t{i},{j}",
-                "rhs": _factors_to_tokens(t_chain_factors(i, j)),
+                "rhs": factors_to_tokens(t_chain_factors(i, j)),
                 "expect": True,
             }
             for i in range(1, ctx.num_arcs)

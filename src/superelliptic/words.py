@@ -2,14 +2,18 @@
 
 A :class:`Word` is a freely reduced sequence of signed letters ``+i``/``-i``
 standing for ``sigma_i^{+1}`` / ``sigma_i^{-1}`` with ``1 <= i <= 2n+1``.
-Everything in this module is an immutable value; the single global
-composition convention is *rightmost letter acts first*, i.e. a word
-``u v`` acts as the function ``u o v``.
+Every letter is range-checked before free reduction, so an out-of-range
+letter raises even where it would cancel.  Everything in this module is an
+immutable value; the single global composition convention is *rightmost
+letter acts first*, i.e. a word ``u v`` acts as the function ``u o v``.
+
+Words have one text form, generator tokens: :meth:`Word.to_text` writes
+``s<i>``/``s<i>^-1`` tokens, and :func:`generators.expand_token_text`
+reads them back along with every named generator.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import _kernels as K
@@ -42,9 +46,6 @@ class Context:
         return self.n * (self.k - 1)
 
 
-_TOKEN_RE = re.compile(r"^s(\d+)(\^-1)?$")
-
-
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over ``sigma_1 .. sigma_{2n+1}``."""
@@ -66,14 +67,10 @@ class Word:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "Word":
-        return cls(ctx, K.reduce_word(letters))
+        """The reduced word; every letter is range-checked before reduction."""
+        return cls(ctx, K.reduce_word(cls(ctx, tuple(letters)).letters))
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Letters as (index, sign) pairs."""
-        return tuple((abs(a), 1 if a > 0 else -1) for a in self.letters)
 
     @property
     def is_identity(self) -> bool:
@@ -105,20 +102,6 @@ class Word:
     def __pow__(self, e: int) -> "Word":
         base = self if e >= 0 else self.inverse()
         return Word.from_letters(self.ctx, base.letters * abs(e))
-
-
-def word_parse(text: str, ctx: Context) -> Word:
-    """Parse the interchange format: whitespace-separated ``s<i>``/``s<i>^-1``."""
-    letters = []
-    for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise WordSyntaxError(f"malformed token {tok!r}")
-        i = int(m.group(1))
-        if not (1 <= i <= ctx.num_arcs):
-            raise WordSyntaxError(f"index {i} out of range 1..{ctx.num_arcs}")
-        letters.append(-i if m.group(2) else i)
-    return Word.from_letters(ctx, letters)
 
 
 def exponent_sum(w: Word) -> int:

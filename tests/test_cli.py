@@ -37,6 +37,10 @@ class TestEq:
         code, _, err = run(capsys, "eq", "disk", "zz", "", "--n", "1")
         assert code == 2 and "error" in err
 
+    def test_cancelling_out_of_range_letters_exit_2(self, capsys):
+        code, _, err = run(capsys, "eq", "disk", "s4 s4^-1", "", "--n", "1")
+        assert code == 2 and "out of range" in err
+
     def test_budget_exit_3(self, capsys):
         code, _, err = run(
             capsys, "--budget-letters", "10", "eq", "disk",

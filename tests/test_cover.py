@@ -12,7 +12,6 @@ from superelliptic import (
     build_cover,
     check_normalizes_deck,
     gamma_curve,
-    homology,
     lift_cycle,
     lift_rep,
     pairing,
@@ -60,10 +59,9 @@ class TestHomology:
     def test_rank_and_form(self, n, k):
         ctx = Context(n, k)
         S = build_cover(ctx)
-        H = homology(S)
-        assert H.rank == 2 * ctx.genus
-        assert np.array_equal(H.J, -H.J.T)
-        assert intmat.det_exact(H.J) == 1
+        assert S.h1_rank == 2 * ctx.genus
+        assert np.array_equal(S.J, -S.J.T)
+        assert intmat.det_exact(S.J) == 1
 
     def test_crossing_form_antisymmetric(self):
         S = build_cover(Context(2, 3))

@@ -4,19 +4,18 @@ import random
 
 import pytest
 
-from superelliptic import Context, Word, eq_disk, eq_sphere, psi, word_parse
+from superelliptic import Context, Word, eq_disk, eq_sphere, psi
 from superelliptic.errors import WordSyntaxError
 from superelliptic.generators import (
     F_factors,
-    expand_factors,
     expand_token_text,
+    factors_to_tokens,
     gen_F,
     gen_h,
     gen_hchain_t,
     gen_r,
     gen_r1,
     gen_t,
-    named_generator,
     t_chain_factors,
     validate_named_generators,
 )
@@ -90,7 +89,7 @@ class TestFactorLists:
         for i in range(1, ctx.num_arcs):
             for j in range(i + 2, ctx.num_arcs + 1):
                 lhs = gen_t(i, j, ctx)
-                rhs = expand_factors(t_chain_factors(i, j), ctx)
+                rhs = expand_token_text(factors_to_tokens(t_chain_factors(i, j)), ctx)
                 assert exponent_sum(lhs) == exponent_sum(rhs) == (j - i) * (j - i + 1)
 
     def test_F_factor_exponents_positive_twists(self):
@@ -140,17 +139,19 @@ class TestTokenSyntax:
             with pytest.raises(WordSyntaxError):
                 expand_token_text(bad, CTX)
 
-    def test_named_generator_wrapper(self):
-        g = named_generator("t", (1, 3), CTX)
-        assert g.token == "t1,3"
-        assert g.word == gen_t(1, 3, CTX)
-        with pytest.raises(WordSyntaxError):
-            named_generator("nope", (), CTX)
+    @pytest.mark.parametrize("bad", ["s0", "s0 s0", "s0^2", "s0^0", "s4 s4^-1", "h3", "t3,3"])
+    def test_rejects_out_of_range_letters_before_they_cancel(self, bad):
+        with pytest.raises(ValueError):
+            expand_token_text(bad, Context(1, 3))
+
+    def test_factor_list_rendering(self):
+        factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))
+        assert factors_to_tokens(factors) == "h1^-1 t4,5^2 t2,3"
 
 
 class TestOracleBackedIdentities:
     def test_h1_braid_partner(self):
-        assert eq_disk(gen_h(1, CTX), word_parse("s2 s1 s2", CTX), CTX)
+        assert eq_disk(gen_h(1, CTX), expand_token_text("s2 s1 s2", CTX), CTX)
 
     def test_t13_is_h1_squared(self):
         assert eq_disk(gen_t(1, 3, CTX), gen_h(1, CTX) ** 2, CTX)

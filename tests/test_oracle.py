@@ -13,11 +13,11 @@ from superelliptic import (
     eq_disk,
     eq_sphere,
     eq_star,
+    expand_token_text,
     is_inner,
     order_of,
     psi,
     sphere_action,
-    word_parse,
 )
 from superelliptic.generators import gen_h, gen_r, gen_r1, gen_sigma, gen_t
 from superelliptic.oracle import (
@@ -48,7 +48,7 @@ def spherewords(ctx=CTX, max_size=10):
 class TestArtinAction:
     def test_single_generator_images(self):
         ctx = Context(1, 3)
-        phi = artin_action(word_parse("s1", ctx), 3)
+        phi = artin_action(expand_token_text("s1", ctx), 3)
         assert phi.images[0].letters == (1, 2, -1)
         assert phi.images[1].letters == (1,)
         assert phi.images[2].letters == (3,)
@@ -58,11 +58,11 @@ class TestArtinAction:
 
     def test_cancelling_word_is_identity(self):
         ctx = Context(1, 3)
-        assert artin_action(word_parse("s1 s1^-1", ctx), 3).is_identity
+        assert artin_action(expand_token_text("s1 s1^-1", ctx), 3).is_identity
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            artin_action(word_parse("s3", CTX), 3)
+            artin_action(expand_token_text("s3", CTX), 3)
 
     @settings(max_examples=40)
     @given(diskwords(max_size=8), diskwords(max_size=8))
@@ -91,13 +91,14 @@ class TestArtinAction:
 
 class TestEqDisk:
     def test_braid_relation(self):
-        assert eq_disk(word_parse("s1 s2 s1", CTX), word_parse("s2 s1 s2", CTX), CTX)
+        u, v = expand_token_text("s1 s2 s1", CTX), expand_token_text("s2 s1 s2", CTX)
+        assert eq_disk(u, v, CTX)
 
     def test_commutation(self):
-        assert eq_disk(word_parse("s1 s3", CTX), word_parse("s3 s1", CTX), CTX)
+        assert eq_disk(expand_token_text("s1 s3", CTX), expand_token_text("s3 s1", CTX), CTX)
 
     def test_faithful_on_generator(self):
-        assert not eq_disk(word_parse("s1", CTX), EMPTY, CTX)
+        assert not eq_disk(expand_token_text("s1", CTX), EMPTY, CTX)
 
     def test_rejects_sphere_letters(self):
         with pytest.raises(ValueError):
@@ -122,7 +123,7 @@ class TestEqStar:
         assert not eq_disk(gen_t(1, CTX.num_arcs, CTX), EMPTY, CTX)
 
     def test_exponent_obstruction(self):
-        assert not eq_star(word_parse("s1", CTX), EMPTY, CTX)
+        assert not eq_star(expand_token_text("s1", CTX), EMPTY, CTX)
 
     @settings(max_examples=25)
     @given(diskwords(max_size=8), diskwords(max_size=8))
@@ -134,8 +135,8 @@ class TestEqStar:
     @given(diskwords(max_size=6))
     def test_star_equality_implies_sphere(self, w):
         # conjugating by the braid relation produces star-equal pairs
-        rel = word_parse("s1 s2 s1", CTX)
-        alt = word_parse("s2 s1 s2", CTX)
+        rel = expand_token_text("s1 s2 s1", CTX)
+        alt = expand_token_text("s2 s1 s2", CTX)
         assert eq_star(rel * w, alt * w, CTX)
         assert eq_sphere(rel * w, alt * w, CTX)
 
@@ -174,7 +175,7 @@ class TestIsInner:
     def test_sigma1_squared_is_not_inner(self):
         # fixes x_3 but conjugates x_1 with basepoint winding
         ctx = Context(1, 3)
-        phi = artin_action(word_parse("s1 s1", ctx), 3)
+        phi = artin_action(expand_token_text("s1 s1", ctx), 3)
         assert is_inner(phi) is None
 
 
@@ -182,16 +183,16 @@ class TestEqSphere:
     def test_point_push_relation(self):
         up = " ".join(f"s{i}" for i in range(1, CTX.num_arcs + 1))
         down = " ".join(f"s{i}" for i in range(CTX.num_arcs, 0, -1))
-        assert eq_sphere(word_parse(f"{up} {down}", CTX), EMPTY, CTX)
+        assert eq_sphere(expand_token_text(f"{up} {down}", CTX), EMPTY, CTX)
 
     def test_rotation_torsion(self):
         assert eq_sphere(gen_r1(CTX) ** CTX.num_points, EMPTY, CTX)
 
     def test_refutes_generator(self):
-        assert not eq_sphere(word_parse("s1", CTX), EMPTY, CTX)
+        assert not eq_sphere(expand_token_text("s1", CTX), EMPTY, CTX)
 
     def test_refutes_generator_squared(self):
-        assert not eq_sphere(word_parse("s1 s1", CTX), EMPTY, CTX)
+        assert not eq_sphere(expand_token_text("s1 s1", CTX), EMPTY, CTX)
 
     @settings(max_examples=20)
     @given(spherewords(max_size=6), spherewords(max_size=6))
@@ -210,7 +211,7 @@ class TestOrderOf:
             assert order_of(gen_r1(ctx), "sphere", ctx) == 2 * n + 2
 
     def test_braid_generators_are_torsion_free(self):
-        assert order_of(word_parse("s1", CTX), "disk", CTX, max_order=8) is None
+        assert order_of(expand_token_text("s1", CTX), "disk", CTX, max_order=8) is None
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError):
@@ -229,7 +230,7 @@ def test_cached_word_still_raises_under_small_budget():
     from superelliptic.errors import BudgetError
 
     ctx = Context(2, 3)
-    growing = word_parse(" ".join(["s1"] * 40), ctx)
+    growing = expand_token_text(" ".join(["s1"] * 40), ctx)
     assert not eq_disk(growing, EMPTY, ctx, budget=10**6)
     with pytest.raises(BudgetError):
         eq_disk(growing, EMPTY, ctx, budget=5)

@@ -5,7 +5,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from superelliptic import Context, Permutation, Word, exponent_sum, psi, word_parse
+from superelliptic import (
+    Context,
+    CurveClass,
+    FreeWord,
+    Permutation,
+    Word,
+    expand_token_text,
+    exponent_sum,
+    psi,
+)
 from superelliptic.errors import ContextMismatchError, WordSyntaxError
 from superelliptic.generators import gen_h, gen_r, gen_r1
 
@@ -21,46 +30,58 @@ def wordstrat(ctx=CTX, max_size=30):
 
 class TestParsing:
     def test_parse_h1_letters(self):
-        w = word_parse("s1 s2 s1", CTX)
+        w = expand_token_text("s1 s2 s1", CTX)
         assert w.letters == (1, 2, 1)
         assert len(w) == 3
 
     def test_parse_cancellation(self):
-        assert word_parse("s1 s1^-1", CTX).is_identity
+        assert expand_token_text("s1 s1^-1", CTX).is_identity
 
     def test_parse_no_reduction_on_same_sign(self):
-        assert word_parse("s3^-1 s3^-1", CTX).letters == (-3, -3)
+        assert expand_token_text("s3^-1 s3^-1", CTX).letters == (-3, -3)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("sigma1", "s0", "s99", "s2^2", "s-1"):
+        for bad in ("sigma1", "s0", "s99", "s-1"):
             with pytest.raises(WordSyntaxError):
-                word_parse(bad, CTX)
+                expand_token_text(bad, CTX)
 
     @given(wordstrat())
     def test_roundtrip(self, w):
-        assert word_parse(w.to_text(), CTX) == w
+        assert expand_token_text(w.to_text(), CTX) == w
 
-    def test_pairs_view(self):
-        w = word_parse("s1 s3^-1", CTX)
-        assert w.pairs == ((1, 1), (3, -1))
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Word.from_letters(Context(1, 3), [5, -5]),
+        lambda: Word.from_letters(Context(1, 3), [0, 0]),
+        lambda: FreeWord.from_letters(3, [9, -9]),
+        lambda: CurveClass.from_letters(Context(1, 3), [9, 1, -9]),
+    ],
+    ids=["word", "word-zero", "free-word", "curve-class"],
+)
+def test_from_letters_checks_letters_before_reducing(build):
+    # each of these letters cancels, so a check after reduction misses it
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestGroupOps:
     def test_invert_reverses_and_flips(self):
-        w = word_parse("s1 s2", CTX)
+        w = expand_token_text("s1 s2", CTX)
         assert w.inverse().letters == (-2, -1)
-        h1 = word_parse("s1 s2 s1", CTX)
+        h1 = expand_token_text("s1 s2 s1", CTX)
         assert h1.inverse().letters == (-1, -2, -1)
         assert Word.identity(CTX).inverse().is_identity
 
     def test_concat_single_cancellation(self):
-        u = word_parse("s1 s2", CTX)
-        v = word_parse("s2^-1 s3", CTX)
+        u = expand_token_text("s1 s2", CTX)
+        v = expand_token_text("s2^-1 s3", CTX)
         assert (u * v).letters == (1, 3)
 
     def test_concat_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            word_parse("s1", CTX) * word_parse("s1", Context(3, 3))
+            expand_token_text("s1", CTX) * expand_token_text("s1", Context(3, 3))
 
     @given(wordstrat())
     def test_word_times_inverse_is_identity(self, w):
@@ -81,7 +102,7 @@ class TestGroupOps:
 
 class TestExponentSum:
     def test_examples(self):
-        assert exponent_sum(word_parse("s1 s2 s1", CTX)) == 3
+        assert exponent_sum(expand_token_text("s1 s2 s1", CTX)) == 3
         assert exponent_sum(Word.identity(CTX)) == 0
         # adjacent twist word is sigma_i^2
         from superelliptic.generators import gen_t
@@ -95,7 +116,7 @@ class TestExponentSum:
 
 class TestPsi:
     def test_sigma_is_adjacent_transposition(self):
-        w = word_parse("s2", CTX)
+        w = expand_token_text("s2", CTX)
         assert psi(w, CTX) == Permutation.transposition(CTX.num_points, 2, 3)
 
     def test_h_is_distance_two_transposition(self):
