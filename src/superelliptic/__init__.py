@@ -65,7 +65,6 @@ from .theorems import (
     Bounds,
     Claim,
     Report,
-    express,
     reverify_report,
     run_all,
     verify_factorization_r1,

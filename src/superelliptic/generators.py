@@ -24,7 +24,12 @@ import re
 from .errors import WordSyntaxError
 from .words import Context, Permutation, Word, psi
 
-Factor = tuple[str, tuple[int, ...], int]  # (kind, params, exponent)
+# A product of named generators is a sequence of factors (kind, params,
+# exponent).  Kinds: "h" with params (i,), "t" with params (i, j), "r1" and
+# "hchain_t" with params ().  A factor's token is its kind followed by its
+# params joined by commas (h3, t1,2, r1, hchain_t): the names that
+# expand_token_text reads.  factors_to_tokens renders a product as text.
+Factor = tuple[str, tuple[int, ...], int]
 
 
 def gen_sigma(i: int, ctx: Context) -> Word:
@@ -118,12 +123,12 @@ def t_chain_factors(i: int, j: int) -> tuple[Factor, ...]:
 
 
 def factors_to_tokens(factors) -> str:
-    """Token text of a factor list, e.g. ``h1^-1 t4,5``; zero powers drop out."""
+    """Token text of a factor list, e.g. ``h1^-1 t4,5 r1^2``; zero powers drop out."""
     toks = []
     for kind, params, e in factors:
         if e == 0:
             continue
-        name = f"h{params[0]}" if kind == "h" else f"t{params[0]},{params[1]}"
+        name = kind + ",".join(map(str, params))
         toks.append(name if e == 1 else f"{name}^{e}")
     return " ".join(toks)
 
@@ -244,10 +249,9 @@ def validate_named_generators(ctx: Context, budget: int | None = None) -> list[t
                 (f"t{i},{j}-pure", psi(gen_t(i, j, ctx), ctx).is_identity)
             )
     checks.append(("t1,2-is-sigma1-squared", gen_t(1, 2, ctx).letters == (1, 1)))
-    if n >= 1:
-        lhs = gen_t(1, 3, ctx)
-        rhs = gen_h(1, ctx) ** 2
-        checks.append(("t1,3-equals-h1-squared", oracle.eq_disk(lhs, rhs, ctx, budget=budget)))
+    lhs = gen_t(1, 3, ctx)
+    rhs = gen_h(1, ctx) ** 2
+    checks.append(("t1,3-equals-h1-squared", oracle.eq_disk(lhs, rhs, ctx, budget=budget)))
     for (i, j) in [(2, 3), (2, min(4, ctx.num_arcs))] if n >= 2 else [(1, 2)]:
         tw = gen_t(i, j, ctx)
         ok = True

@@ -1,14 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
 The package's exact arithmetic lives here: these functions work on Python
-ints (numpy ``object`` arrays, or lists of ints for elimination), so no
-overflow is possible, and accept any integer matrix as input.  The cover
-derives its homology apparatus with them and then stores it as int64 (see
-:mod:`superelliptic.cover`).  Sizes stay small (at most a few hundred
-rows), so the cubic classics are plenty: Smith normal form with
-transforms, one fraction-free (Bareiss) elimination for rational rank and
-determinants, and a symplectic basis for a skew unimodular form.
-"""
+ints in numpy ``object`` arrays, so no overflow is possible, and accept
+any integer matrix as input.  The cover derives its homology apparatus
+with them and then stores it as int64 (see :mod:`superelliptic.cover`).
+Sizes stay small (at most a few hundred rows), so the cubic classics are
+plenty: Smith normal form with transforms, one fraction-free (Bareiss)
+elimination for rational rank and determinants, and a symplectic basis
+for a skew unimodular form."""
 
 from __future__ import annotations
 
@@ -120,35 +119,31 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 def _bareiss(A) -> tuple[int, int]:
     """``(rank, det)`` of an integer matrix by fraction-free row echelon form.
 
-    Bareiss elimination on lists of Python ints: after the pivot ``p`` in
-    column ``c``, each lower row becomes ``(p * row - row[c] * pivot_row) /
-    prev`` with ``prev`` the previous pivot.  Every entry is then a minor of
-    the input, so each division is exact and the entries stay as small as
-    the minors.  A column with no pivot is skipped, which leaves the minors
-    on the pivot columns as they are.  ``det`` is the determinant when
-    ``A`` is square (1 for the 0x0 matrix) and 0 otherwise.
+    Bareiss elimination: after the pivot ``p`` in column ``c``, each lower
+    row becomes ``(p * row - row[c] * pivot_row) / prev`` with ``prev`` the
+    previous pivot, one array expression over the trailing block.  Every
+    entry is then a minor of the input, so each division is exact and the
+    entries stay as small as the minors.  A column with no pivot is skipped,
+    which leaves the minors on the pivot columns as they are.  ``det`` is
+    the determinant when ``A`` is square (1 for the 0x0 matrix) and 0
+    otherwise.
     """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = A.shape
-    M = [[int(x) for x in row] for row in A.tolist()]
+    M = as_object_matrix(A).copy()
+    rows, cols = M.shape
     rank, sign, prev = 0, 1, 1
     for c in range(cols):
         if rank == rows:
             break
-        piv = next((r for r in range(rank, rows) if M[r][c]), None)
-        if piv is None:
+        below = np.flatnonzero(M[rank:, c])
+        if not below.size:
             continue
+        piv = rank + int(below[0])
         if piv != rank:
-            M[rank], M[piv] = M[piv], M[rank]
+            M[[rank, piv]] = M[[piv, rank]]
             sign = -sign
-        top = M[rank]
-        p = top[c]
-        for r in range(rank + 1, rows):
-            row = M[r]
-            f = row[c]
-            row[c:] = [0] + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+        p = M[rank, c]
+        lower = M[rank + 1:, c + 1:]
+        lower[...] = (p * lower - np.outer(M[rank + 1:, c], M[rank, c + 1:])) // prev
         prev = p
         rank += 1
     det = sign * prev if rank == rows == cols else 0
@@ -182,35 +177,31 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     out: list[np.ndarray] = []
     while basis:
         u = basis.pop(0)
-        uJ = u @ J  # pair(u, x) = uJ . x, one dot product per pairing
-
-        def pair(x) -> int:
-            return int(uJ @ x)
-
-        if all(pair(w) == 0 for w in basis):
+        uJ = u @ J
+        pairs = [int(uJ @ w) for w in basis]  # pairs[i] = u^T J basis[i]
+        if not any(pairs):
             raise ValueError("form is degenerate on the remaining sublattice")
-        # make some pairing equal +-1 by gcd combinations
+        # make some pairing equal +-1 by gcd combinations; pairings are
+        # linear, so w - q * best pairs to p - q * d
         while True:
-            best = min((w for w in basis if pair(w) != 0), key=lambda w: abs(pair(w)))
-            d = pair(best)
-            reducedany = False
-            for idx, w in enumerate(basis):
-                p = pair(w)
-                if w is not best and p != 0:
+            b = min((i for i, p in enumerate(pairs) if p), key=lambda i: abs(pairs[i]))
+            best, d = basis[b], pairs[b]
+            reduced = False
+            for i, p in enumerate(pairs):
+                if i != b and p:
                     q = p // d
-                    basis[idx] = w - q * best
-                    if pair(basis[idx]) != 0:
-                        reducedany = True
-            if abs(d) == 1 or not reducedany:
+                    basis[i] = basis[i] - q * best
+                    pairs[i] = p - q * d
+                    reduced = reduced or pairs[i] != 0
+            if not reduced:  # best is the only vector that pairs with u
                 break
-        w0 = min((x for x in basis if pair(x) != 0), key=lambda x: abs(pair(x)))
-        d = pair(w0)
         if abs(d) != 1:
             raise ValueError("could not reach a unimodular pairing; form not unimodular?")
-        basis = [x for x in basis if x is not w0]
-        w = w0 if d == 1 else -w0
-        Jw, Ju = J @ w, J @ u
-        basis = [x - int(x @ Jw) * u + int(x @ Ju) * w for x in basis]
+        del basis[b]
+        w = best if d == 1 else -best
+        # the rest pair to 0 with u; clear their pairing with w
+        Jw = J @ w
+        basis = [x - int(x @ Jw) * u for x in basis]
         out.append(u)
         out.append(w)
     P = np.zeros((m, m), dtype=object)

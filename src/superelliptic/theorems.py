@@ -29,6 +29,7 @@ from . import __version__ as _pkg_version
 from . import cover, intmat, liftability, oracle
 from .errors import BudgetError
 from .generators import (
+    Factor,
     expand_token_text,
     factors_to_tokens,
     t_chain_factors,
@@ -348,137 +349,94 @@ def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
 
 # -- constructive generation --------------------------------------------------
 
-Expression = list[tuple[str, int]]
 
-
-def _coalesce(expr: Expression) -> Expression:
-    out: Expression = []
-    for tok, e in expr:
+def _coalesce(factors: list[Factor]) -> list[Factor]:
+    """Merge neighbouring powers of one generator; zero powers drop out."""
+    out: list[Factor] = []
+    for kind, params, e in factors:
         if e == 0:
             continue
-        if out and out[-1][0] == tok:
-            merged = out[-1][1] + e
-            out.pop()
+        if out and out[-1][:2] == (kind, params):
+            merged = out.pop()[2] + e
             if merged:
-                out.append((tok, merged))
+                out.append((kind, params, merged))
         else:
-            out.append((tok, e))
+            out.append((kind, params, e))
     return out
 
 
-def _inv_expr(expr: Expression) -> Expression:
-    return [(tok, -e) for tok, e in reversed(expr)]
+def _inverse(factors: list[Factor]) -> list[Factor]:
+    return [(kind, params, -e) for kind, params, e in reversed(factors)]
 
 
-def _pow_expr(expr: Expression, e: int) -> Expression:
-    if e == 0:
-        return []
-    base = expr if e > 0 else _inv_expr(expr)
-    return list(base) * abs(e)
-
-
-def _h_sphere(i: int) -> Expression:
+def _h_sphere(i: int) -> list[Factor]:
     if i == 1:
-        return [("h1", 1)]
-    return [("r1", i - 1), ("h1", 1), ("r1", -(i - 1))]
+        return [("h", (1,), 1)]
+    return [("r1", (), i - 1), ("h", (1,), 1), ("r1", (), -(i - 1))]
 
 
-def _tadj_sphere(i: int) -> Expression:
+def _tadj_sphere(i: int) -> list[Factor]:
     if i == 1:
-        return [("t1,2", 1)]
+        return [("t", (1, 2), 1)]
     h = _h_sphere(i - 1)
-    return h + _tadj_sphere(i - 1) + _inv_expr(h)
+    return h + _tadj_sphere(i - 1) + _inverse(h)
 
 
-def _factors_to_expr(factors, h_expr, tadj_expr) -> Expression:
-    out: Expression = []
-    for kind, params, e in factors:
-        base = h_expr(params[0]) if kind == "h" else tadj_expr(params[0])
-        out += _pow_expr(base, e)
+def _t_sphere(i: int, j: int) -> list[Factor]:
+    """``t_{i,j}`` over the sphere basis; nested twists by the chain factorization."""
+    if j == i + 1:
+        return _tadj_sphere(i)
+    out: list[Factor] = []
+    for kind, params, e in t_chain_factors(i, j):
+        base = _h_sphere(params[0]) if kind == "h" else _tadj_sphere(params[0])
+        out += (base if e > 0 else _inverse(base)) * abs(e)
     return out
 
 
-def _h_star(i: int) -> Expression:
+def _h_star(i: int) -> list[Factor]:
     if i <= 2:
-        return [(f"h{i}", 1)]
-    return [("hchain_t", -1)] + _h_star(i - 2) + [("hchain_t", 1)]
+        return [("h", (i,), 1)]
+    return [("hchain_t", (), -1)] + _h_star(i - 2) + [("hchain_t", (), 1)]
 
 
-def express(target: str, basis: str, ctx: Context) -> Expression:
-    """A word over the small generating set equal to the target generator.
+def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]:
+    """``(target token, factor list)`` for each standard generator of ``group``.
 
-    ``basis``: ``"sphere"`` ({h1, t1,2, r1}) or ``"star"`` ({h1, h2,
-    hchain_t} for n >= 2, {h1, t1,2} for n = 1).  Constructions: shifting
-    h's by r1- (sphere) or hchain_t-conjugation (star), adjacent twists by
-    h-conjugation, nested twists by the chain factorization.
+    The factor list is a word over the small generating set (see
+    :func:`_basis_tokens`) equal to the target.  ``lmod_sphere``: h1 ..
+    h_{2n}, every twist t_{i,j} on arcs 1..2n+1 but the boundary-parallel
+    t_{1,2n+1}, and r1; h's are shifted by r1-conjugation, adjacent twists
+    by h-conjugation, nested twists by the chain factorization.
+    ``lmod_star`` and ``lmod_disk``: h1 .. h_{2n-1} and t1,2; h's are
+    shifted by hchain_t-conjugation and ``t1,2 = h1^-1 ... h_{2n-1}^-1
+    hchain_t``.  For n = 1 both targets are basis elements.
     """
     n = ctx.n
-    import re
-
-    mh = re.fullmatch(r"h(\d+)", target)
-    mt = re.fullmatch(r"t(\d+),(\d+)", target)
-    if basis == "sphere":
-        if mh:
-            i = int(mh.group(1))
-            if not 1 <= i <= 2 * n:
-                raise ValueError(f"target {target} out of range")
-            return _coalesce(_h_sphere(i))
-        if mt:
-            i, j = int(mt.group(1)), int(mt.group(2))
-            if j == i + 1:
-                return _coalesce(_tadj_sphere(i))
-            return _coalesce(
-                _factors_to_expr(t_chain_factors(i, j), _h_sphere, _tadj_sphere)
-            )
-        if target == "r1":
-            return [("r1", 1)]
-        raise ValueError(f"unknown sphere target {target!r}")
-    if basis == "star":
-        if n == 1:
-            if target in ("h1", "t1,2"):
-                return [(target, 1)]
-            raise ValueError(f"unknown star target {target!r} for n=1")
-        if mh:
-            i = int(mh.group(1))
-            if not 1 <= i <= 2 * n - 1:
-                raise ValueError(f"target {target} out of range")
-            return _coalesce(_h_star(i))
-        if target == "t1,2":
-            out: Expression = []
-            for i in range(1, 2 * n):
-                out += _inv_expr(_h_star(i))
-            out.append(("hchain_t", 1))
-            return _coalesce(out)
-        raise ValueError(f"unknown star target {target!r}")
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def expr_to_text(expr: Expression) -> str:
-    return " ".join(tok if e == 1 else f"{tok}^{e}" for tok, e in expr)
-
-
-def generation_targets(group: str, ctx: Context) -> list[str]:
-    n = ctx.n
     if group == "lmod_sphere":
-        targets = [f"h{i}" for i in range(1, 2 * n + 1)]
-        for i in range(1, ctx.num_arcs):
-            for j in range(i + 1, ctx.num_arcs + 1):
-                if (i, j) != (1, ctx.num_arcs):
-                    targets.append(f"t{i},{j}")
-        targets.append("r1")
-        return targets
-    if group in ("lmod_star", "lmod_disk"):
+        words = [(f"h{i}", _h_sphere(i)) for i in range(1, 2 * n + 1)]
+        words += [
+            (f"t{i},{j}", _t_sphere(i, j))
+            for i in range(1, ctx.num_arcs)
+            for j in range(i + 1, ctx.num_arcs + 1)
+            if (i, j) != (1, ctx.num_arcs)
+        ]
+        words.append(("r1", [("r1", (), 1)]))
+    elif group in ("lmod_star", "lmod_disk"):
         if n == 1:
-            return ["h1", "t1,2"]
-        return [f"h{i}" for i in range(1, 2 * n)] + ["t1,2"]
-    raise ValueError(f"unknown group {group!r}")
+            return [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
+        words = [(f"h{i}", _h_star(i)) for i in range(1, 2 * n)]
+        t12 = [f for i in range(1, 2 * n) for f in _inverse(_h_star(i))]
+        words.append(("t1,2", t12 + [("hchain_t", (), 1)]))
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    return [(target, _coalesce(word)) for target, word in words]
 
 
 _GROUP_TO_ORACLE = {"lmod_sphere": "sphere", "lmod_star": "star", "lmod_disk": "disk"}
 
 
 def _basis_tokens(basis: str, ctx: Context) -> list[str]:
-    """The small generating set of ``basis`` (see :func:`express`) as tokens."""
+    """The small generating set of ``basis`` as tokens: the sphere's or the star's."""
     if basis == "sphere":
         return ["h1", "t1,2", "r1"]
     return ["h1", "t1,2"] if ctx.n == 1 else ["h1", "h2", "hchain_t"]
@@ -492,10 +450,10 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
         {
             "group": oracle_group,
             "lhs": target,
-            "rhs": expr_to_text(express(target, basis, ctx)),
+            "rhs": factors_to_tokens(word),
             "expect": True,
         }
-        for target in generation_targets(group, ctx)
+        for target, word in generation_words(group, ctx)
     ]
     cid = f"generation-{group.replace('_', '-')}"
     note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}:"
@@ -535,20 +493,17 @@ def verify_liftability(ctx: Context) -> list[Claim]:
         return ok, "; ".join(found) + " (exact)"
 
     def curve_lifts():
-        problems = []
-        for k in (3, 4, 5):
-            kctx = Context(n, k)
-            for i in range(1, kctx.num_points):
-                c = liftability.gamma_curve(i, i + 1, kctx)
-                if liftability.curve_monodromy(c, kctx) != 0:
-                    problems.append(f"gamma_{i},{i + 1} k={k}")
-            single = liftability.CurveClass(kctx, (1,))
-            if liftability.curve_monodromy(single, kctx) == 0:
-                problems.append(f"x1 k={k}")
+        problems = [
+            f"gamma_{i},{i + 1}"
+            for i in range(1, ctx.num_points)
+            if liftability.curve_monodromy(liftability.gamma_curve(i, i + 1, ctx), ctx) != 0
+        ]
+        if liftability.curve_monodromy(liftability.CurveClass(ctx, (1,)), ctx) == 0:
+            problems.append("x1")
         return not problems, (
-            "adjacent curves lift, single-puncture loop does not (k = 3, 4, 5)"
+            f"adjacent curves lift, single-puncture loop does not (k = {ctx.k})"
             if not problems
-            else f"failures: {problems}"
+            else f"failures at k = {ctx.k}: {problems}"
         )
 
     return [

@@ -147,6 +147,9 @@ class TestTokenSyntax:
     def test_factor_list_rendering(self):
         factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))
         assert factors_to_tokens(factors) == "h1^-1 t4,5^2 t2,3"
+        factors = (("r1", (), 2), ("hchain_t", (), -1), ("r1", (), 0), ("hchain_t", (), 1))
+        assert factors_to_tokens(factors) == "r1^2 hchain_t^-1 hchain_t"
+        assert factors_to_tokens((("h", (3,), 0),)) == ""
 
 
 class TestOracleBackedIdentities:

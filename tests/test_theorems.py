@@ -6,15 +6,13 @@ from math import factorial
 
 import pytest
 
-from superelliptic import Context, cover, eq_sphere, eq_star, theorems
-from superelliptic.generators import expand_token_text, gen_t
+from superelliptic import Context, cover, eq_sphere, eq_star, liftability, theorems
+from superelliptic.generators import expand_token_text, factors_to_tokens, gen_t
 from superelliptic.theorems import (
     Bounds,
     Report,
     check_instance,
-    express,
-    expr_to_text,
-    generation_targets,
+    generation_words,
     reverify_report,
     run_all,
     verify_chain_pattern,
@@ -28,50 +26,52 @@ from superelliptic.theorems import (
 )
 
 
+def _generation_word(group: str, target: str, ctx: Context) -> list:
+    return dict(generation_words(group, ctx))[target]
+
+
 class TestExpress:
     def test_h3_over_sphere_basis(self):
         ctx = Context(2, 3)
-        expr = express("h3", "sphere", ctx)
-        assert expr == [("r1", 2), ("h1", 1), ("r1", -2)]
+        word = _generation_word("lmod_sphere", "h3", ctx)
+        assert word == [("r1", (), 2), ("h", (1,), 1), ("r1", (), -2)]
         assert eq_sphere(
-            expand_token_text(expr_to_text(expr), ctx),
+            expand_token_text(factors_to_tokens(word), ctx),
             expand_token_text("h3", ctx),
             ctx,
         )
 
     def test_adjacent_twist_over_sphere_basis(self):
         ctx = Context(2, 3)
-        expr = express("t2,3", "sphere", ctx)
-        assert expr == [("h1", 1), ("t1,2", 1), ("h1", -1)]
+        word = _generation_word("lmod_sphere", "t2,3", ctx)
+        assert word == [("h", (1,), 1), ("t", (1, 2), 1), ("h", (1,), -1)]
 
     def test_star_t12_expansion(self):
         ctx = Context(2, 3)
-        expr = express("t1,2", "star", ctx)
-        assert expr[-1][0] == "hchain_t"
+        word = _generation_word("lmod_star", "t1,2", ctx)
+        assert word[-1][0] == "hchain_t"
         assert eq_star(
-            expand_token_text(expr_to_text(expr), ctx),
+            expand_token_text(factors_to_tokens(word), ctx),
             gen_t(1, 2, ctx),
             ctx,
         )
 
     def test_star_basis_n1_is_trivial(self):
-        ctx = Context(1, 3)
-        assert express("h1", "star", ctx) == [("h1", 1)]
-        assert express("t1,2", "star", ctx) == [("t1,2", 1)]
+        words = generation_words("lmod_star", Context(1, 3))
+        assert words == [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
 
-    def test_rejects_unknown_targets(self):
-        ctx = Context(2, 3)
-        for target, basis in [("h9", "sphere"), ("x1", "sphere"), ("h4", "star")]:
-            with pytest.raises(ValueError):
-                express(target, basis, ctx)
+    def test_rejects_unknown_group(self):
+        with pytest.raises(ValueError):
+            generation_words("lmod_torus", Context(2, 3))
 
     def test_target_lists(self):
         ctx = Context(2, 3)
-        sphere = generation_targets("lmod_sphere", ctx)
+        sphere = [target for target, _ in generation_words("lmod_sphere", ctx)]
         assert "h4" in sphere and "r1" in sphere
         assert "t1,5" not in sphere  # boundary-parallel twist is excluded
         assert "t1,4" in sphere
-        assert generation_targets("lmod_star", Context(1, 3)) == ["h1", "t1,2"]
+        star = [target for target, _ in generation_words("lmod_star", Context(1, 3))]
+        assert star == ["h1", "t1,2"]
 
 
 class TestVerifiers:
@@ -101,8 +101,24 @@ class TestVerifiers:
         assert claim.passed, claim.detail
         # one confirmed witness word per standard generator
         instances = claim.witness["instances"]
-        assert [i["lhs"] for i in instances] == generation_targets(group, ctx)
+        targets = [target for target, _ in generation_words(group, ctx)]
+        assert [i["lhs"] for i in instances] == targets
         assert all(i["expect"] for i in instances)
+
+    def test_curve_lifts_checks_the_reports_k(self, monkeypatch):
+        seen = set()
+        real = liftability.curve_monodromy
+
+        def spy(curve, ctx):
+            seen.add(ctx.k)
+            return real(curve, ctx)
+
+        monkeypatch.setattr(liftability, "curve_monodromy", spy)
+        claims = verify_liftability(Context(1, 7))
+        claim = next(c for c in claims if c.id == "liftability-curve-lifts")
+        assert claim.passed, claim.detail
+        assert "(k = 7)" in claim.detail
+        assert seen == {7}
 
     def test_smod_homology_labels(self):
         for claim in verify_smod_homology(Context(1, 3)):
