@@ -53,7 +53,6 @@ from .liftability import (
 )
 from .cover import (
     CoverSurface,
-    LiftedCurve,
     build_cover,
     check_normalizes_deck,
     lift_cycle,

@@ -47,8 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--budget-letters", type=int, default=None,
                         help="letter budget: the longest word the coordinate oracle "
-                        "acts on, after the sphere rewrite and the full-twist factor; "
-                        "a positive integer (default 10^7; env "
+                        "acts on, after the sphere rewrite and the full-twist factor, "
+                        "and the most letters word text expands to before free "
+                        "reduction; a positive integer (default 10^7; env "
                         "SUPERELLIPTIC_BUDGET_LETTERS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,9 +104,10 @@ def _budget(args) -> int:
 
 def _cmd_eq(args) -> int:
     ctx = Context(args.n, args.k)
-    u = expand_token_text(args.u, ctx)
-    v = expand_token_text(args.v, ctx)
-    verdict = oracle._EQ[args.group](u, v, ctx, budget=_budget(args))
+    budget = _budget(args)
+    u = expand_token_text(args.u, ctx, budget)
+    v = expand_token_text(args.v, ctx, budget)
+    verdict = oracle._EQ[args.group](u, v, ctx, budget=budget)
     lines = ["true" if verdict else "false"]
     if args.group == "sphere":
         lines += [f"psi(u) = {psi(u, ctx).to_text()}", f"psi(v) = {psi(v, ctx).to_text()}"]
@@ -122,7 +124,7 @@ def _cmd_liftable(args) -> int:
             file=sys.stderr,
         )
     if args.kind == "word":
-        w = expand_token_text(args.input, ctx)
+        w = expand_token_text(args.input, ctx, _budget(args))
         cls = parity(psi(w, ctx), ctx)
         liftable = cls is not liftability.ParityClass.NEITHER
         _emit("liftable" if liftable else "not liftable", f"parity: {cls.value}")

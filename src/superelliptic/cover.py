@@ -15,6 +15,9 @@ vectors over the remaining ``(2n+1)(k-1)`` loops, faces give the relation
 lattice, and the pairing of two loop classes is the chord-crossing sign of
 their four ends in the cyclic order of the vertex link.
 
+A lifted curve is its homology class vector: :func:`lift_cycle` returns the
+``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
+half-rotation, as the rows of an int64 array with ``2g`` columns.
 Twists act by transvections ``x -> x + <x, c> c``; the deck rotation and
 the half-turn act through their edge maps directly.  The homology
 representation is a necessary-condition shadow only (it is not faithful);
@@ -36,7 +39,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -146,30 +149,6 @@ class CoverSurface:
             "euler_characteristic": self.euler_characteristic,
             "h1_rank": self.h1_rank,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedCurve:
-    base: CurveClass
-    label: int
-    crossings: tuple[tuple[int, int, int], ...]  # (arc, edge label, direction)
-    class_vector: np.ndarray = field(repr=False)  # 2g, int64
-
-    def edge_chain(self, surface: "CoverSurface") -> dict:
-        """The class as an integer chain over all edges (tree edges included)."""
-        x = mul(surface.basis, self.class_vector)
-        chain: dict = {}
-        k = surface.ctx.k
-        for i in range(1, surface.ctx.num_arcs + 1):
-            tree = 0
-            for l in range(2, k + 1):
-                coeff = int(x[surface.loop_index[(i, l)]])
-                if coeff:
-                    chain[(i, l)] = coeff
-                tree -= coeff
-            if tree:
-                chain[(i, 1)] = tree
-        return chain
 
 
 def _norm(l: int, k: int) -> int:
@@ -334,8 +313,13 @@ def _round_sequence(ctx: Context, i: int) -> list[tuple[int, int]]:
 
 def lift_cycle(
     surface: CoverSurface, base: CurveClass, _sequence: list[tuple[int, int]] | None = None
-) -> list[LiftedCurve]:
-    """The ``k`` lifts of a liftable curve, labeled by their start sheet."""
+) -> np.ndarray:
+    """The ``k`` lifts of a liftable curve as a ``k x 2g`` int64 array.
+
+    Row ``l - 1`` is the class vector of the lift that starts on sheet ``l``.
+    A crossing of a tree edge (label 1) counts minus one on every other lift
+    of its arc; all ``k`` loop-coordinate cycles map in one product.
+    """
     ctx = surface.ctx
     mono = curve_monodromy(base, ctx)
     if mono != 0:
@@ -344,57 +328,36 @@ def lift_cycle(
         )
     seq = _crossing_sequence(base) if _sequence is None else _sequence
     k = ctx.k
-    curves = []
+    cycles = []
     for label in range(1, k + 1):
         s = label
-        crossings = []
+        cycle = [0] * len(surface.loops)
         for arc, d in seq:
             lab = _norm(s + _c(arc), k) if d > 0 else s
-            crossings.append((arc, lab, d))
-            s = _norm(s + d * _c(arc), k)
-        if s != label:
-            raise AssertionError("zero-monodromy lift failed to close")
-        cycle = [0] * len(surface.loops)
-        for arc, lab, d in crossings:
             if lab >= 2:
                 cycle[surface.loop_index[(arc, lab)]] += d
             else:
                 for l in range(2, k + 1):
                     cycle[surface.loop_index[(arc, l)]] -= d
-        beta = mul(surface.Jinv, mul(cycle, surface.basis))
-        curves.append(
-            LiftedCurve(
-                base=base, label=label, crossings=tuple(crossings), class_vector=beta
-            )
-        )
-    return curves
+            s = _norm(s + d * _c(arc), k)
+        if s != label:
+            raise AssertionError("zero-monodromy lift failed to close")
+        cycles.append(cycle)
+    return mul(cycles, surface.basis, surface.Jinv.T)
 
 
-def pairing(surface: CoverSurface, a, b) -> int:
-    """Algebraic intersection number of two homology classes."""
-    va = _class_vector(surface, a)
-    vb = _class_vector(surface, b)
-    return int(mul(va, surface.J, vb))
-
-
-def _class_vector(surface: CoverSurface, c) -> np.ndarray:
-    if isinstance(c, LiftedCurve):
-        return c.class_vector
-    v = _as_int64(c)
-    if v.shape == (surface.h1_rank,):
-        return v
-    if v.shape == (len(surface.loops),):
-        return mul(surface.proj, v)
-    raise ValueError("expected a LiftedCurve, a basis vector, or a loop-coordinate vector")
+def pairing(surface: CoverSurface, a: np.ndarray, b: np.ndarray) -> int:
+    """Algebraic intersection number ``a^T J b`` of two class vectors."""
+    return int(mul(a, surface.J, b))
 
 
 def identity(surface: CoverSurface) -> np.ndarray:
     return np.eye(surface.h1_rank, dtype=np.int64)
 
 
-def twist_matrix(surface: CoverSurface, c) -> np.ndarray:
-    """Transvection of the right twist about ``c``: ``x -> x + <x, c> c``."""
-    v = _class_vector(surface, c)
+def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
+    """Transvection of the right twist about class ``c``: ``x -> x + <x, c> c``."""
+    v = _as_int64(c)
     # the outer product v (J v)^T as a checked product with inner dimension 1
     return identity(surface) + mul(v[:, None], mul(surface.J, v)[None, :])
 
@@ -462,28 +425,29 @@ def _half_turn_cycle_map(surface: CoverSurface) -> np.ndarray:
 _LIFT_CACHE: dict = {}
 
 
-def _gamma_lifts(surface: CoverSurface, i: int) -> list[LiftedCurve]:
+def _gamma_lifts(surface: CoverSurface, i: int) -> np.ndarray:
+    """The ``k x 2g`` lifts of ``gamma_i`` (:func:`lift_cycle`), cached read-only."""
     key = (surface.ctx, "gamma", i)
     if key not in _LIFT_CACHE:
         ctx = surface.ctx
-        _LIFT_CACHE[key] = lift_cycle(
-            surface, gamma_curve(i, i + 1, ctx), _round_sequence(ctx, i)
-        )
+        lifts = lift_cycle(surface, gamma_curve(i, i + 1, ctx), _round_sequence(ctx, i))
+        lifts.flags.writeable = False
+        _LIFT_CACHE[key] = lifts
     return _LIFT_CACHE[key]
 
 
-def h_chain(surface: CoverSurface, i: int) -> list[LiftedCurve]:
+def h_chain(surface: CoverSurface, i: int) -> np.ndarray:
     """The (2k-1)-chain of lifted curves whose twists make the lift of ``h_i``.
 
-    Lifts of ``gamma_i`` and ``gamma_{i+1}`` alternate by label, ascending
-    for odd ``i`` and descending for even ``i``, and the chain closes with a
-    lift of ``gamma_i``.
+    Rows of a ``(2k-1) x 2g`` array: lifts of ``gamma_i`` and ``gamma_{i+1}``
+    alternate by label, ascending for odd ``i`` and descending for even
+    ``i``, and the chain closes with a lift of ``gamma_i``.
     """
     k = surface.ctx.k
     low, high = _gamma_lifts(surface, i), _gamma_lifts(surface, i + 1)
     labels = range(1, k) if i % 2 == 1 else range(k, 1, -1)
     chain = [c for l in labels for c in (low[l - 1], high[l - 1])]
-    return chain + [low[k - 1] if i % 2 == 1 else low[0]]
+    return np.array(chain + [low[k - 1] if i % 2 == 1 else low[0]])
 
 
 def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.ndarray:
@@ -504,17 +468,14 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
         M = _induced_matrix(surface, _deck_cycle_map(surface))
     elif kind == "r":
         M = _induced_matrix(surface, _half_turn_cycle_map(surface))
-    elif kind == "t":
-        if not (index and 1 <= index <= ctx.num_arcs):
-            raise ValueError(f"t-lift index {index} out of range 1..{ctx.num_arcs}")
+    elif kind in ("t", "h"):
+        top = ctx.num_arcs if kind == "t" else 2 * n
+        if not (index and 1 <= index <= top):
+            raise ValueError(f"{kind}-lift index {index} out of range 1..{top}")
+        # the product of the twists about the lifted curves, in row order
+        curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
         M = identity(surface)
-        for c in _gamma_lifts(surface, index):
-            M = mul(M, twist_matrix(surface, c))
-    elif kind == "h":
-        if not (index and 1 <= index <= 2 * n):
-            raise ValueError(f"h-lift index {index} out of range 1..{2 * n}")
-        M = identity(surface)
-        for c in h_chain(surface, index):
+        for c in curves:
             M = mul(M, twist_matrix(surface, c))
     elif kind == "r1":
         from .generators import F_factors

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import WordSyntaxError
+from . import oracle
+from .errors import BudgetError, WordSyntaxError
 from .words import Context, Permutation, Word, psi
 
 # A product of named generators is a sequence of factors (kind, params,
@@ -176,11 +177,13 @@ def _eval_linexpr(text: str, ctx: Context) -> int:
     return total
 
 
-def _token_letters(tok: str, ctx: Context) -> tuple[int, ...]:
+def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> tuple[int, ...]:
     """The letters of one token, not reduced across the exponent.
 
-    ``s<i>`` letters are range-checked later, with the whole text, by
-    :meth:`Word.from_letters`.
+    ``letters`` holds the letters of the tokens before it.  Only an exponent
+    other than +-1 multiplies letters, so only such a token checks that it
+    keeps the total within ``budget``.  ``s<i>`` letters are range-checked
+    later, with the whole text, by :meth:`Word.from_letters`.
     """
     name_part, caret, exp_part = tok.partition("^")
     m = _NAME_RE.match(name_part)
@@ -203,22 +206,31 @@ def _token_letters(tok: str, ctx: Context) -> tuple[int, ...]:
             e = int(exp_part)
         except ValueError:
             raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
+    if e not in (1, -1):
+        size = len(letters) + len(base) * (abs(e) or 2)
+        if size > budget:
+            raise BudgetError(
+                f"token {tok!r} takes word text to {size} letters, over budget {budget}"
+            )
     inverse = tuple(-a for a in reversed(base))
     if e == 0:  # keep the letters so that they are range-checked; they cancel
         return base + inverse
     return (base if e > 0 else inverse) * abs(e)
 
 
-def expand_token_text(text: str, ctx: Context) -> Word:
+def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Word:
     """Expand generator tokens (``h3 t1,2^-1 r1^(2n+2)`` ...) to a word.
 
     The one reader of word text: CLI arguments, report certificates and
     :meth:`Word.to_text` output.  Every letter is range-checked before free
-    reduction, so ``s0 s0`` or ``s4 s4^-1`` at ``n = 1`` raises.
+    reduction, so ``s0 s0`` or ``s4 s4^-1`` at ``n = 1`` raises.  The letter
+    budget (:func:`oracle.resolve_budget`) bounds the unreduced letters: a
+    token that would pass it raises :class:`BudgetError` before it expands.
     """
+    budget = oracle.resolve_budget(budget)
     letters: list[int] = []
     for tok in text.split():
-        letters.extend(_token_letters(tok, ctx))
+        letters.extend(_token_letters(tok, ctx, letters, budget))
     return Word.from_letters(ctx, letters)
 
 
@@ -229,8 +241,6 @@ def validate_named_generators(ctx: Context, budget: int | None = None) -> list[t
     the rotation conjugations of ``r1`` and ``r``, torsion orders, and the
     ``r1 = r F`` factorization.
     """
-    from . import oracle  # deferred: oracle depends on words only
-
     n = ctx.n
     checks: list[tuple[str, bool]] = []
     empty = Word.identity(ctx)

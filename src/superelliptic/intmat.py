@@ -80,22 +80,17 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                q = D[i, t] // D[t, t]
-                add_row(i, t, -q)
-                if D[i, t] != 0:
-                    swap_rows(t, i)
-                    done = False
-            for j in range(t + 1, n):
-                q = D[t, j] // D[t, t]
-                add_col(j, t, -q)
-                if D[t, j] != 0:
-                    swap_cols(t, j)
-                    done = False
-            if done:
-                break
+        # A nonzero remainder is smaller than the pivot: search again, so
+        # that column operations run only once column t is clear below the
+        # pivot and cannot grow the trailing block.
+        for i in range(t + 1, m):
+            add_row(i, t, -(D[i, t] // D[t, t]))
+        if any(D[t + 1:, t]):
+            continue
+        for j in range(t + 1, n):
+            add_col(j, t, -(D[t, j] // D[t, t]))
+        if any(D[t, t + 1:]):
+            continue
         if D[t, t] < 0:
             negate_row(t)
         # enforce divisibility d_t | D[i, j]

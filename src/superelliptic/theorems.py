@@ -231,8 +231,8 @@ _EQ_BY_GROUP = oracle._EQ
 def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
     """Re-verify one stored witness instance against the oracle."""
     eq = _EQ_BY_GROUP[inst["group"]]
-    lhs = expand_token_text(inst["lhs"], ctx)
-    rhs = expand_token_text(inst["rhs"], ctx)
+    lhs = expand_token_text(inst["lhs"], ctx, budget)
+    rhs = expand_token_text(inst["rhs"], ctx, budget)
     return eq(lhs, rhs, ctx, budget=budget) == inst["expect"]
 
 
@@ -540,10 +540,10 @@ def verify_cover(ctx: Context) -> list[Claim]:
     surf = cover.build_cover(ctx)
 
     def homology():
+        # an integer P with P^T J P = J0 gives det(P)^2 det J = 1, so det J = 1
         ok = (
             surf.h1_rank == 2 * ctx.genus
             and np.array_equal(surf.J, -surf.J.T)
-            and intmat.det_exact(surf.J) == 1
             and np.array_equal(
                 cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
             )
@@ -554,14 +554,19 @@ def verify_cover(ctx: Context) -> list[Claim]:
         Mz = cover.lift_rep(surf, "zeta")
         ident = cover.identity(surf)
         power = ident
+        total = ident.astype(object)  # sum of Mz^j, 0 <= j < k, in Python ints
         ok = True
         for _ in range(1, ctx.k):
             power = cover.mul(power, Mz)
+            total = total + power
             ok = ok and not np.array_equal(power, ident)
+        # Given Mz^k = I, the sum vanishes iff rank(Mz - I) = 2g:
+        # (Mz - I) sum = Mz^k - I = 0, so a full-rank Mz - I forces sum = 0;
+        # and a fixed vector v has sum v = k v, so sum = 0 leaves none.
         ok = (
             ok
             and np.array_equal(cover.mul(power, Mz), ident)
-            and intmat.rank_rational(Mz - ident) == 2 * ctx.genus
+            and not np.count_nonzero(total)
         )
         return ok, (
             f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
@@ -650,44 +655,29 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     ]
 
 
-def _gamma_gram(surf: cover.CoverSurface) -> tuple[dict, np.ndarray]:
-    """Every lift of every ``gamma_i`` and their pairings, in one product.
-
-    Returns ``(column, G)``: ``column`` maps each lifted curve of
-    ``gamma_1 .. gamma_{2n+1}`` (in that order, ``k`` labels each) to its
-    index, and ``G = V^T J V`` over the stacked class vectors ``V``, so
-    ``G[column[a], column[b]]`` is ``cover.pairing(surf, a, b)``.
-    """
-    lifts = [
-        c for i in range(1, surf.ctx.num_points) for c in cover._gamma_lifts(surf, i)
-    ]
-    V = np.stack([c.class_vector for c in lifts], axis=1)
-    return {c: t for t, c in enumerate(lifts)}, cover.mul(V.T, surf.J, V)
-
-
 def verify_chain_pattern(ctx: Context) -> Claim:
     """Intersection pattern of the lifted curve families.
 
     The alternating family used by the half-rotation lifts
     (:func:`cover.h_chain`) must be a (2k-1)-chain: consecutive curves meet
     once (pairing +-1), all other pairs are disjoint (pairing 0).  Lifts of
-    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  Every
-    pairing is read from one Gram matrix (:func:`_gamma_gram`).
+    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  A
+    chain's pairings are read from ``C J C^T`` over its rows ``C``, the
+    far pairs from blocks of one Gram matrix of every lift of every
+    ``gamma_i``.
     """
     n, k = ctx.n, ctx.k
 
     def check():
         surf = cover.build_cover(ctx)
-        column, G = _gamma_gram(surf)
         bad = []
         for i in range(1, 2 * n + 1):
-            chain = [column[c] for c in cover.h_chain(surf, i)]
-            for a in range(len(chain)):
-                for b in range(a + 1, len(chain)):
-                    got = abs(int(G[chain[a], chain[b]]))
-                    want = 1 if b == a + 1 else 0
-                    if got != want:
-                        bad.append((i, a, b, got))
+            C = cover.h_chain(surf, i)
+            got = np.abs(np.triu(cover.mul(C, surf.J, C.T), 1))
+            wrong = got != np.eye(len(C), k=1, dtype=np.int64)  # only neighbours meet
+            bad += [(i, int(a), int(b), int(got[a, b])) for a, b in zip(*np.nonzero(wrong))]
+        V = np.concatenate([cover._gamma_lifts(surf, i) for i in range(1, 2 * n + 2)])
+        G = cover.mul(V, surf.J, V.T)
         for i in range(1, 2 * n + 2):
             for j in range(i + 2, 2 * n + 2):
                 block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
@@ -709,8 +699,9 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
 
     A claim whose ``n`` or ``k`` differs from the header's (where the header
     states them; a bundle of certificates may leave them out), a claim that
-    ran (not skipped) on witness instances but stores none, and a
-    witness-bearing claim that the header's ``n`` calls for but is missing, fail.
+    ran (not skipped) on witness instances but stores none, and a claim of
+    ``_BASE_CLAIMS`` or ``_HOMOLOGY_CLAIMS`` that the header's ``n`` calls
+    for but is missing, fail.
     """
     if isinstance(report, Report):
         report = report.to_dict()
@@ -735,8 +726,8 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
         present = {cdict["id"] for cdict in report["claims"]}
         results += [
             (cid, False)
-            for cid, _ in _claim_ids(_BASE_CLAIMS, header["n"])
-            if cid in _WITNESS_CLAIMS and cid not in present
+            for cid, _ in _claim_ids(_BASE_CLAIMS + _HOMOLOGY_CLAIMS, header["n"])
+            if cid not in present
         ]
     return results
 

@@ -226,6 +226,48 @@ class TestElimination:
                 nonzero += det != 0
         assert deficient >= 10 and nonzero >= 20
 
+    @staticmethod
+    def _check_smith(A):
+        A = intmat.as_object_matrix(A)
+        m, n = A.shape
+        D, U, Uinv, V, r = intmat.smith_normal_form(A)
+        assert np.array_equal(U @ A @ V, D), A
+        assert np.array_equal(U @ Uinv, intmat.identity_object(m)), A
+        diag = [D[i, i] for i in range(min(m, n))]
+        assert np.count_nonzero(D) == np.count_nonzero(diag), A
+        assert all(d >= 0 for d in diag), A
+        for a, b in zip(diag, diag[1:]):
+            assert (b % a == 0) if a else b == 0, A
+        assert r == intmat.rank_rational(A) == np.count_nonzero(diag), A
+        assert abs(intmat.det_exact(U)) == abs(intmat.det_exact(V)) == 1, A
+        return diag
+
+    @pytest.mark.parametrize(
+        "A,diag",
+        [
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[0, 6], [4, 0]], [2, 12]),
+            ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+            ([[-3]], [3]),
+            ([[1, 2], [2, 4], [3, 6]], [1, 0]),
+            ([[0, 0, 0], [0, 0, 0]], [0, 0]),
+        ],
+    )
+    def test_smith_normal_form_invariant_factors(self, A, diag):
+        assert self._check_smith(A) == diag
+
+    def test_smith_normal_form_on_seeded_matrices(self):
+        rng = random.Random(11)
+        torsion = 0
+        for A in self._seeded_matrices():
+            self._check_smith(A)
+        for _ in range(300):  # small entries with common factors give torsion
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+            A = [[rng.choice([0, 0, 2, -2, 3, 4, -6, 9]) for _ in range(cols)]
+                 for _ in range(rows)]
+            torsion += any(d > 1 for d in self._check_smith(A))
+        assert torsion >= 100
+
     def test_empty_and_non_square(self):
         assert intmat.det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
         assert intmat.rank_rational(np.zeros((0, 3), dtype=np.int64)) == 0
@@ -261,7 +303,12 @@ class TestLiftCycle:
         ctx = Context(2, 3)
         S = build_cover(ctx)
         lifts = lift_cycle(S, gamma_curve(1, 4, ctx))
-        assert [c.label for c in lifts] == [1, 2, 3]
+        assert lifts.shape == (3, S.h1_rank) and lifts.dtype == np.int64
+        # row l - 1 is the lift from sheet l: zeta^(l-1) of the sheet-1 lift
+        Mz = lift_rep(S, "zeta")
+        for l in range(1, 4):
+            moved = cover_mod.mul(cover_mod.matrix_power(S, Mz, l - 1), lifts[0])
+            assert np.array_equal(lifts[l - 1], moved)
 
     def test_deck_rotation_permutes_lifts(self):
         ctx = Context(2, 4)
@@ -270,20 +317,7 @@ class TestLiftCycle:
         for i in range(1, ctx.num_points):
             lifts = cover_mod._gamma_lifts(S, i)
             for l in range(ctx.k):
-                assert np.array_equal(
-                    Mz @ lifts[l].class_vector,
-                    lifts[(l + 1) % ctx.k].class_vector,
-                )
-
-    def test_edge_chain_is_a_cycle(self):
-        ctx = Context(2, 3)
-        S = build_cover(ctx)
-        for c in lift_cycle(S, gamma_curve(2, 3, ctx)):
-            boundary = {}
-            for (i, _l), coeff in c.edge_chain(S).items():
-                boundary[i + 1] = boundary.get(i + 1, 0) + coeff
-                boundary[i] = boundary.get(i, 0) - coeff
-            assert all(v == 0 for v in boundary.values())
+                assert np.array_equal(Mz @ lifts[l], lifts[(l + 1) % ctx.k])
 
 
 class TestMonodromyTraceAgreement:
@@ -318,15 +352,16 @@ class TestMonodromyTraceAgreement:
 class TestTwistMatrices:
     def test_null_homologous_gives_identity(self):
         S = build_cover(Context(1, 3))
-        T = twist_matrix(S, S.relations[0])
-        assert np.array_equal(T, identity(S))
+        c = cover_mod.mul(S.proj, S.relations[0])
+        assert not c.any()
+        assert np.array_equal(twist_matrix(S, c), identity(S))
 
     def test_transvection_fixes_orthogonal_vectors(self):
         S = build_cover(Context(1, 3))
         c = cover_mod._gamma_lifts(S, 1)[0]
         T = twist_matrix(S, c)
         for x in np.eye(S.h1_rank, dtype=object):
-            if int(x @ S.J @ c.class_vector) == 0:
+            if int(x @ S.J @ c) == 0:
                 assert np.array_equal(T @ x, x)
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3)])
@@ -396,7 +431,7 @@ class TestLiftReps:
         J = S.J.tolist()
 
         def vectors(curves):
-            return [[int(x) for x in c.class_vector] for c in curves]
+            return [[int(x) for x in c] for c in curves]
 
         for i in range(1, ctx.num_points):
             want = _transvection_product(vectors(cover_mod._gamma_lifts(S, i)), J)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from superelliptic import Context, Word, eq_disk, eq_sphere, psi
-from superelliptic.errors import WordSyntaxError
+from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
     F_factors,
     expand_token_text,
@@ -143,6 +143,20 @@ class TestTokenSyntax:
     def test_rejects_out_of_range_letters_before_they_cancel(self, bad):
         with pytest.raises(ValueError):
             expand_token_text(bad, Context(1, 3))
+
+    def test_exponent_checked_against_budget_before_expansion(self):
+        ctx = Context(1, 3)
+        with pytest.raises(BudgetError):  # would be 10^12 letters
+            expand_token_text("s1^1000000000000", ctx, budget=10**7)
+        assert expand_token_text("s1^5", ctx, budget=5).letters == (1,) * 5
+        with pytest.raises(BudgetError):
+            expand_token_text("s1^5", ctx, budget=4)
+        with pytest.raises(BudgetError):  # the running total counts
+            expand_token_text("s1 s1^-1 s1^4", ctx, budget=5)
+        assert expand_token_text("s1^0", ctx, budget=2).is_identity  # s1 s1^-1
+        with pytest.raises(BudgetError):
+            expand_token_text("s1^0", ctx, budget=1)
+        assert len(expand_token_text("s1 s1 s1", ctx, budget=1)) == 3  # no exponent
 
     def test_factor_list_rendering(self):
         factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))
