@@ -29,7 +29,7 @@ import tempfile
 from . import cover as cover_mod
 from . import liftability, oracle, theorems
 from .errors import BudgetError, SuperellipticError, WordSyntaxError
-from .generators import expand_token_text
+from .generators import _NAME_RE, expand_token_text
 from .liftability import curve_monodromy, curve_parse, parity
 from .words import Context, psi
 
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--k", type=int, default=3)
     p_info.add_argument("--json", action="store_true")
     p_matrix = cover_sub.add_parser("matrix", help="homology matrix of a lift")
-    p_matrix.add_argument("name", help="zeta, zeta_prime, r, r1, h<i>, or t<i>")
+    p_matrix.add_argument("name", help="zeta, zeta_prime, r, r1, h<i>, or t<i>,<i+1> (also t<i>)")
     p_matrix.add_argument("--n", type=int, required=True)
     p_matrix.add_argument("--k", type=int, default=3)
 
@@ -152,10 +152,18 @@ def _cmd_cover(args) -> int:
                   "rightmost letter acts first")
         return EXIT_OK
     name = args.name
+    m = _NAME_RE.match(name)
     if name in ("zeta", "zeta_prime", "r", "r1"):
         M = cover_mod.lift_rep(surface, name)
-    elif name[0] in ("h", "t") and name[1:].isdigit():
-        M = cover_mod.lift_rep(surface, name[0], int(name[1:]))
+    elif m and m.group(3):
+        M = cover_mod.lift_rep(surface, "h", int(m.group(3)))
+    elif m and m.group(4):
+        i, j = int(m.group(4)), int(m.group(5))
+        if j != i + 1:
+            raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {name!r}")
+        M = cover_mod.lift_rep(surface, "t", i)
+    elif name[:1] == "t" and name[1:].isdigit():
+        M = cover_mod.lift_rep(surface, "t", int(name[1:]))
     else:
         raise WordSyntaxError(f"unknown lift name {name!r}")
     _emit(json.dumps(M.tolist()))

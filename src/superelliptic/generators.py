@@ -50,15 +50,18 @@ def gen_t(i: int, j: int, ctx: Context) -> Word:
     ``1..i-1`` on the sphere, so the word avoids ``sigma_{2n+1}`` (and for
     ``i <= 2`` the twist is trivial there).
     """
+    i, j = _twist_chain(i, j, ctx)
+    return Word(ctx, tuple(range(i, j)) * (j - i + 1))
+
+
+def _twist_chain(i: int, j: int, ctx: Context) -> tuple[int, int]:
+    """The pair whose chain word realizes ``t_{i,j}``; ``(1, 1)`` (no letters) if trivial."""
     P = ctx.num_points
     if not (1 <= i < j <= P):
         raise ValueError(f"twist pair ({i},{j}) out of range 1 <= i < j <= {P}")
-    if j == P:
-        if i <= 2:
-            return Word.identity(ctx)
-        return gen_t(1, i - 1, ctx)
-    block = tuple(range(i, j))
-    return Word(ctx, block * (j - i + 1))
+    if j < P:
+        return i, j
+    return (1, i - 1) if i > 2 else (1, 1)
 
 
 def gen_r1(ctx: Context) -> Word:
@@ -177,18 +180,46 @@ def _eval_linexpr(text: str, ctx: Context) -> int:
     return total
 
 
+def _letter_count(m: re.Match, ctx: Context) -> int:
+    """Letters in the word of an ``h``, ``t`` or named token (a ``_NAME_RE`` match), unbuilt."""
+    if m.group(3) is not None:
+        return 3
+    if m.group(4) is not None:
+        i, j = _twist_chain(int(m.group(4)), int(m.group(5)), ctx)
+        return (j - i) * (j - i + 1)
+    n, A = ctx.n, ctx.num_arcs
+    # F_factors(n): n^2 factors h^-1 (3 letters each) and t_{a,a+1}^m, m < n (2m letters)
+    return {"r1": A, "r": A * (A + 1) // 2, "F": 4 * n * n - n, "hchain_t": 6 * n - 1}[m.group(0)]
+
+
+def _check_budget(tok: str, size: int, budget: int) -> None:
+    if size > budget:
+        raise BudgetError(f"token {tok!r} takes word text to {size} letters, over budget {budget}")
+
+
 def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> tuple[int, ...]:
     """The letters of one token, not reduced across the exponent.
 
-    ``letters`` holds the letters of the tokens before it.  Only an exponent
-    other than +-1 multiplies letters, so only such a token checks that it
-    keeps the total within ``budget``.  ``s<i>`` letters are range-checked
-    later, with the whole text, by :meth:`Word.from_letters`.
+    ``letters`` holds the letters of the tokens before it.  Before any
+    letters are built, the token's letter count (from its name and exponent)
+    must keep the total within ``budget``.  ``s<i>`` letters are
+    range-checked later, with the whole text, by :meth:`Word.from_letters`.
     """
     name_part, caret, exp_part = tok.partition("^")
     m = _NAME_RE.match(name_part)
     if not m:
         raise WordSyntaxError(f"unknown generator token {tok!r}")
+    e = 1
+    if caret:
+        if exp_part.startswith("(") and exp_part.endswith(")"):
+            e = _eval_linexpr(exp_part[1:-1], ctx)
+        else:
+            try:
+                e = int(exp_part)
+            except ValueError:
+                raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
+    count = 1 if m.group(2) else _letter_count(m, ctx)
+    _check_budget(tok, len(letters) + count * (abs(e) or 2), budget)
     if m.group(2) is not None:
         base = (int(m.group(2)),)
     elif m.group(3) is not None:
@@ -197,21 +228,8 @@ def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> t
         base = gen_t(int(m.group(4)), int(m.group(5)), ctx).letters
     else:
         base = _WORDS[name_part](ctx).letters
-    if not caret:
+    if e == 1:
         return base
-    if exp_part.startswith("(") and exp_part.endswith(")"):
-        e = _eval_linexpr(exp_part[1:-1], ctx)
-    else:
-        try:
-            e = int(exp_part)
-        except ValueError:
-            raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    if e not in (1, -1):
-        size = len(letters) + len(base) * (abs(e) or 2)
-        if size > budget:
-            raise BudgetError(
-                f"token {tok!r} takes word text to {size} letters, over budget {budget}"
-            )
     inverse = tuple(-a for a in reversed(base))
     if e == 0:  # keep the letters so that they are range-checked; they cancel
         return base + inverse
@@ -224,13 +242,19 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
     The one reader of word text: CLI arguments, report certificates and
     :meth:`Word.to_text` output.  Every letter is range-checked before free
     reduction, so ``s0 s0`` or ``s4 s4^-1`` at ``n = 1`` raises.  The letter
-    budget (:func:`oracle.resolve_budget`) bounds the unreduced letters: a
-    token that would pass it raises :class:`BudgetError` before it expands.
+    budget (:func:`oracle.resolve_budget`) bounds the unreduced letters: every
+    token, its exponent included, is counted before its letters are built, and
+    one that would pass the budget raises :class:`BudgetError`.
     """
     budget = oracle.resolve_budget(budget)
     letters: list[int] = []
+    built: dict[str, tuple[int, ...]] = {}  # each distinct token is read once per text
     for tok in text.split():
-        letters.extend(_token_letters(tok, ctx, letters, budget))
+        if tok in built:
+            _check_budget(tok, len(letters) + len(built[tok]), budget)
+        else:
+            built[tok] = _token_letters(tok, ctx, letters, budget)
+        letters.extend(built[tok])
     return Word.from_letters(ctx, letters)
 
 

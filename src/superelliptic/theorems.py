@@ -7,9 +7,12 @@ stored claim re-verifies from its witness alone — re-expanding the tokens
 and re-running the oracle reproduces the verdict, so reports double as
 certificates.
 
-Generation claims are constructive: for every standard generator of the
-group an explicit word over the small generating set is produced and
-confirmed equal by the appropriate oracle.
+Generation claims are straight-line programs: one step per standard
+generator, in a fixed order, writes it over the small generating set and
+the generators before it, and the group's oracle confirms the step.  The
+claim and :func:`reverify_report` also check that shape from token names
+alone (:func:`_step_problem`), or an oracle-true step such as ``h3 = h3``
+would prove nothing.
 
 Homology-level claims (the lifted conjugations, the deck-rotation
 factorization, deck normalization) are necessary-condition checks only:
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -350,89 +354,53 @@ def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
 # -- constructive generation --------------------------------------------------
 
 
-def _coalesce(factors: list[Factor]) -> list[Factor]:
-    """Merge neighbouring powers of one generator; zero powers drop out."""
-    out: list[Factor] = []
-    for kind, params, e in factors:
-        if e == 0:
-            continue
-        if out and out[-1][:2] == (kind, params):
-            merged = out.pop()[2] + e
-            if merged:
-                out.append((kind, params, merged))
-        else:
-            out.append((kind, params, e))
-    return out
-
-
-def _inverse(factors: list[Factor]) -> list[Factor]:
-    return [(kind, params, -e) for kind, params, e in reversed(factors)]
-
-
-def _h_sphere(i: int) -> list[Factor]:
-    if i == 1:
-        return [("h", (1,), 1)]
-    return [("r1", (), i - 1), ("h", (1,), 1), ("r1", (), -(i - 1))]
-
-
-def _tadj_sphere(i: int) -> list[Factor]:
-    if i == 1:
-        return [("t", (1, 2), 1)]
-    h = _h_sphere(i - 1)
-    return h + _tadj_sphere(i - 1) + _inverse(h)
-
-
-def _t_sphere(i: int, j: int) -> list[Factor]:
-    """``t_{i,j}`` over the sphere basis; nested twists by the chain factorization."""
-    if j == i + 1:
-        return _tadj_sphere(i)
-    out: list[Factor] = []
-    for kind, params, e in t_chain_factors(i, j):
-        base = _h_sphere(params[0]) if kind == "h" else _tadj_sphere(params[0])
-        out += (base if e > 0 else _inverse(base)) * abs(e)
-    return out
-
-
-def _h_star(i: int) -> list[Factor]:
-    if i <= 2:
-        return [("h", (i,), 1)]
-    return [("hchain_t", (), -1)] + _h_star(i - 2) + [("hchain_t", (), 1)]
-
-
 def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]:
-    """``(target token, factor list)`` for each standard generator of ``group``.
+    """``(target token, factor list)``: one straight-line step per standard generator.
 
-    The factor list is a word over the small generating set (see
-    :func:`_basis_tokens`) equal to the target.  ``lmod_sphere``: h1 ..
-    h_{2n}, every twist t_{i,j} on arcs 1..2n+1 but the boundary-parallel
-    t_{1,2n+1}, and r1; h's are shifted by r1-conjugation, adjacent twists
-    by h-conjugation, nested twists by the chain factorization.
-    ``lmod_star`` and ``lmod_disk``: h1 .. h_{2n-1} and t1,2; h's are
-    shifted by hchain_t-conjugation and ``t1,2 = h1^-1 ... h_{2n-1}^-1
-    hchain_t``.  For n = 1 both targets are basis elements.
+    A step writes its target over the basis (:func:`_basis_tokens`) and the
+    targets before it; a basis target is the trivial step ``x = x``.
+    ``lmod_sphere``: ``h_i = r1 h_{i-1} r1^-1``, ``t_{i+1,i+2} = h_i t_{i,i+1}
+    h_i^-1``, then the nested twists on arcs 1..2n+1 but the boundary-parallel
+    ``t_{1,2n+1}`` by :func:`t_chain_factors` (it uses ``t_{a,a+1}`` with
+    ``a > i``, so every adjacent twist comes first), then ``r1``.
+    ``lmod_star`` and ``lmod_disk``: ``h_i = hchain_t^-1 h_{i-2} hchain_t``,
+    then ``t1,2 = h1^-1 ... h_{2n-1}^-1 hchain_t``; at n = 1, ``h1, t1,2``.
     """
     n = ctx.n
+
+    def conj(a: Factor, x: Factor) -> list[Factor]:
+        return [a, x, (a[0], a[1], -a[2])]
+
     if group == "lmod_sphere":
-        words = [(f"h{i}", _h_sphere(i)) for i in range(1, 2 * n + 1)]
+        words = [("h1", [("h", (1,), 1)])]
+        words += [(f"h{i}", conj(("r1", (), 1), ("h", (i - 1,), 1))) for i in range(2, 2 * n + 1)]
+        words.append(("t1,2", [("t", (1, 2), 1)]))
         words += [
-            (f"t{i},{j}", _t_sphere(i, j))
+            (f"t{i + 1},{i + 2}", conj(("h", (i,), 1), ("t", (i, i + 1), 1)))
+            for i in range(1, 2 * n)
+        ]
+        words += [
+            (f"t{i},{j}", list(t_chain_factors(i, j)))
             for i in range(1, ctx.num_arcs)
-            for j in range(i + 1, ctx.num_arcs + 1)
+            for j in range(i + 2, ctx.num_arcs + 1)
             if (i, j) != (1, ctx.num_arcs)
         ]
         words.append(("r1", [("r1", (), 1)]))
     elif group in ("lmod_star", "lmod_disk"):
         if n == 1:
             return [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
-        words = [(f"h{i}", _h_star(i)) for i in range(1, 2 * n)]
-        t12 = [f for i in range(1, 2 * n) for f in _inverse(_h_star(i))]
-        words.append(("t1,2", t12 + [("hchain_t", (), 1)]))
+        words = [(f"h{i}", [("h", (i,), 1)]) for i in (1, 2)]
+        words += [
+            (f"h{i}", conj(("hchain_t", (), -1), ("h", (i - 2,), 1))) for i in range(3, 2 * n)
+        ]
+        words.append(("t1,2", [("h", (i,), -1) for i in range(1, 2 * n)] + [("hchain_t", (), 1)]))
     else:
         raise ValueError(f"unknown group {group!r}")
-    return [(target, _coalesce(word)) for target, word in words]
+    return words
 
 
 _GROUP_TO_ORACLE = {"lmod_sphere": "sphere", "lmod_star": "star", "lmod_disk": "disk"}
+_GENERATION_GROUPS = {f"generation-{g.replace('_', '-')}": g for g in _GROUP_TO_ORACLE}
 
 
 def _basis_tokens(basis: str, ctx: Context) -> list[str]:
@@ -442,22 +410,45 @@ def _basis_tokens(basis: str, ctx: Context) -> list[str]:
     return ["h1", "t1,2"] if ctx.n == 1 else ["h1", "h2", "hchain_t"]
 
 
+def _step_problem(group: str, ctx: Context, instances: list[dict]) -> str | None:
+    """Why ``instances`` is not a straight-line generation certificate, or None.
+
+    The targets and basis come from ``group`` and ``ctx``, not the instances.
+    The instances must state each standard target once, in order, as an
+    equality in the group's oracle, over basis tokens and earlier targets.
+    Only token names are read; no word is expanded.
+    """
+    targets = [target for target, _ in generation_words(group, ctx)]
+    stated = [inst["lhs"] for inst in instances]
+    if stated != targets:
+        got, want = next(p for p in zip_longest(stated, targets, fillvalue="none") if p[0] != p[1])
+        return f"a step states target {got} where the standard list has {want}"
+    known = set(_basis_tokens("sphere" if group == "lmod_sphere" else "star", ctx))
+    for inst in instances:
+        if inst["group"] != _GROUP_TO_ORACLE[group] or inst["expect"] is not True:
+            return f"step {inst['lhs']} is not an equality in the {_GROUP_TO_ORACLE[group]} group"
+        unknown = {tok.partition("^")[0] for tok in inst["rhs"].split()} - known
+        if unknown:
+            return f"step {inst['lhs']} uses {sorted(unknown)}: not in the basis or earlier"
+        known.add(inst["lhs"])
+    return None
+
+
 def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Claim:
     """Constructive generation certificate for one of the three groups."""
     basis = "sphere" if group == "lmod_sphere" else "star"
     oracle_group = _GROUP_TO_ORACLE[group]
     instances = [
-        {
-            "group": oracle_group,
-            "lhs": target,
-            "rhs": factors_to_tokens(word),
-            "expect": True,
-        }
+        {"group": oracle_group, "lhs": target, "rhs": factors_to_tokens(word), "expect": True}
         for target, word in generation_words(group, ctx)
     ]
     cid = f"generation-{group.replace('_', '-')}"
-    note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}:"
-    return _run_instances(cid, oracle_group, ctx, instances, budget, note)
+    note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}, straight-line steps:"
+    claim = _run_instances(cid, oracle_group, ctx, instances, budget, note)
+    problem = _step_problem(group, ctx, instances)
+    if problem:
+        claim.status, claim.detail = "fail", problem
+    return claim
 
 
 # -- liftability --------------------------------------------------------------
@@ -701,7 +692,8 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
     states them; a bundle of certificates may leave them out), a claim that
     ran (not skipped) on witness instances but stores none, and a claim of
     ``_BASE_CLAIMS`` or ``_HOMOLOGY_CLAIMS`` that the header's ``n`` calls
-    for but is missing, fail.
+    for but is missing, fail.  A generation claim's instances must also be
+    straight-line steps (:func:`_step_problem`, at the claim's own ``n``).
     """
     if isinstance(report, Report):
         report = report.to_dict()
@@ -720,7 +712,10 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
                 results.append((cdict["id"], False))
             continue
         ctx = Context(cdict["n"], cdict["k"])
-        ok = all(check_instance(i, ctx, budget) for i in instances)
+        group = _GENERATION_GROUPS.get(cdict["id"])
+        ok = (group is None or _step_problem(group, ctx, instances) is None) and all(
+            check_instance(i, ctx, budget) for i in instances
+        )
         results.append((cdict["id"], ok == (cdict["status"] == "pass")))
     if "n" in header:
         present = {cdict["id"] for cdict in report["claims"]}

@@ -48,6 +48,13 @@ class TestEq:
         )
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("token, n", [("r", "1000"), ("F", "300")])
+    def test_budget_exit_3_on_a_token_without_exponent(self, capsys, token, n):
+        code, out, err = run(
+            capsys, "--budget-letters", "10", "eq", "sphere", token, "", "--n", n,
+        )
+        assert code == 3 and f"token {token!r}" in err and not out
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_exit_2(self, capsys, budget):
         code, out, err = run(
@@ -107,6 +114,13 @@ class TestCover:
         assert len(M) == 4 and all(len(row) == 4 for row in M)
         code, out, _ = run(capsys, "cover", "matrix", "h1", "--n", "1", "--k", "3")
         assert code == 0 and json.loads(out)
+
+    def test_matrix_reads_adjacent_twist_tokens(self, capsys):
+        _, by_index, _ = run(capsys, "cover", "matrix", "t1", "--n", "1")
+        code, out, _ = run(capsys, "cover", "matrix", "t1,2", "--n", "1")
+        assert code == 0 and out == by_index and json.loads(out)
+        code, out, err = run(capsys, "cover", "matrix", "t1,3", "--n", "1")
+        assert code == 2 and not out and "adjacent twists t<i>,<i+1>, not 't1,3'" in err
 
     def test_matrix_unknown_name(self, capsys):
         code, _, err = run(capsys, "cover", "matrix", "q7", "--n", "1", "--k", "3")

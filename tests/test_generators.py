@@ -7,7 +7,10 @@ import pytest
 from superelliptic import Context, Word, eq_disk, eq_sphere, psi
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
+    _NAME_RE,
     F_factors,
+    _letter_count,
+    _token_letters,
     expand_token_text,
     factors_to_tokens,
     gen_F,
@@ -156,7 +159,24 @@ class TestTokenSyntax:
         assert expand_token_text("s1^0", ctx, budget=2).is_identity  # s1 s1^-1
         with pytest.raises(BudgetError):
             expand_token_text("s1^0", ctx, budget=1)
-        assert len(expand_token_text("s1 s1 s1", ctx, budget=1)) == 3  # no exponent
+        with pytest.raises(BudgetError):  # a token without an exponent counts too
+            expand_token_text("s1 s1 s1", ctx, budget=2)
+        assert len(expand_token_text("s1 s1 s1", ctx, budget=3)) == 3
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_letter_counts_match_the_words(self, n):
+        ctx = Context(n, 3)
+        names = ["r", "r1", "F", "hchain_t"] + [f"h{i}" for i in range(1, 2 * n + 1)]
+        names += [f"t{i},{j}" for j in range(2, 2 * n + 3) for i in range(1, j)]
+        for name in names:
+            built = _token_letters(name, ctx, [], 10**7)
+            assert _letter_count(_NAME_RE.match(name), ctx) == len(built), name
+
+    @pytest.mark.parametrize("name, n", [("r", 1000), ("F", 300), ("hchain_t", 10**6),
+                                         ("t1,2000", 1000), ("r1", 10**6)])
+    def test_every_token_checked_against_budget_before_its_letters(self, name, n):
+        with pytest.raises(BudgetError, match=repr(name)):
+            expand_token_text(name, Context(n, 3), budget=10)
 
     def test_factor_list_rendering(self):
         factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))

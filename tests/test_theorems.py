@@ -7,7 +7,12 @@ from math import factorial
 import pytest
 
 from superelliptic import Context, eq_sphere, eq_star, liftability, theorems
-from superelliptic.generators import expand_token_text, factors_to_tokens, gen_t
+from superelliptic.generators import (
+    expand_token_text,
+    factors_to_tokens,
+    gen_t,
+    t_chain_factors,
+)
 from superelliptic.theorems import (
     Bounds,
     Report,
@@ -34,7 +39,7 @@ class TestExpress:
     def test_h3_over_sphere_basis(self):
         ctx = Context(2, 3)
         word = _generation_word("lmod_sphere", "h3", ctx)
-        assert word == [("r1", (), 2), ("h", (1,), 1), ("r1", (), -2)]
+        assert word == [("r1", (), 1), ("h", (2,), 1), ("r1", (), -1)]
         assert eq_sphere(
             expand_token_text(factors_to_tokens(word), ctx),
             expand_token_text("h3", ctx),
@@ -43,18 +48,30 @@ class TestExpress:
 
     def test_adjacent_twist_over_sphere_basis(self):
         ctx = Context(2, 3)
-        word = _generation_word("lmod_sphere", "t2,3", ctx)
-        assert word == [("h", (1,), 1), ("t", (1, 2), 1), ("h", (1,), -1)]
+        assert _generation_word("lmod_sphere", "t2,3", ctx) == [
+            ("h", (1,), 1), ("t", (1, 2), 1), ("h", (1,), -1)
+        ]
+        assert _generation_word("lmod_sphere", "t4,5", ctx) == [
+            ("h", (3,), 1), ("t", (3, 4), 1), ("h", (3,), -1)
+        ]
+
+    def test_nested_twist_is_the_chain_factorization(self):
+        ctx = Context(3, 3)
+        assert _generation_word("lmod_sphere", "t1,5", ctx) == list(t_chain_factors(1, 5))
 
     def test_star_t12_expansion(self):
         ctx = Context(2, 3)
         word = _generation_word("lmod_star", "t1,2", ctx)
-        assert word[-1][0] == "hchain_t"
+        assert word == [("h", (1,), -1), ("h", (2,), -1), ("h", (3,), -1), ("hchain_t", (), 1)]
         assert eq_star(
             expand_token_text(factors_to_tokens(word), ctx),
             gen_t(1, 2, ctx),
             ctx,
         )
+
+    def test_star_h_shift(self):
+        word = _generation_word("lmod_disk", "h5", Context(3, 3))
+        assert word == [("hchain_t", (), -1), ("h", (3,), 1), ("hchain_t", (), 1)]
 
     def test_star_basis_n1_is_trivial(self):
         words = generation_words("lmod_star", Context(1, 3))
@@ -67,11 +84,13 @@ class TestExpress:
     def test_target_lists(self):
         ctx = Context(2, 3)
         sphere = [target for target, _ in generation_words("lmod_sphere", ctx)]
-        assert "h4" in sphere and "r1" in sphere
+        assert sphere == ["h1", "h2", "h3", "h4", "t1,2", "t2,3", "t3,4", "t4,5",
+                          "t1,3", "t1,4", "t2,4", "t2,5", "t3,5", "r1"]
         assert "t1,5" not in sphere  # boundary-parallel twist is excluded
-        assert "t1,4" in sphere
         star = [target for target, _ in generation_words("lmod_star", Context(1, 3))]
         assert star == ["h1", "t1,2"]
+        disk = [target for target, _ in generation_words("lmod_disk", ctx)]
+        assert disk == ["h1", "h2", "h3", "t1,2"]
 
 
 class TestVerifiers:
@@ -93,7 +112,7 @@ class TestVerifiers:
     def test_factorization(self, n):
         assert verify_factorization_r1(Context(n, 3)).passed
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("group", ["lmod_sphere", "lmod_star", "lmod_disk"])
     def test_generation(self, n, group):
         ctx = Context(n, 3)
@@ -200,6 +219,80 @@ class TestCertificates:
         results = reverify_report(cut)
         assert len(results) == len(cut["claims"])
         assert not any(ok for _, ok in results)
+
+    @staticmethod
+    def _reverify_edited(report, cid, edit):
+        """Re-verify ``report`` with ``edit`` applied to claim ``cid``'s instances."""
+        cut = json.loads(json.dumps(report))
+        claim = next(c for c in cut["claims"] if c["id"] == cid)
+        claim["witness"]["instances"] = edit(claim["witness"]["instances"])
+        return dict(reverify_report(cut))
+
+    @pytest.mark.parametrize(
+        "cid", ["generation-lmod-sphere", "generation-lmod-star", "generation-lmod-disk"]
+    )
+    def test_rhs_equal_to_lhs_fails(self, report_2_3, cid):
+        def tautologies(instances):
+            return [dict(i, rhs=i["lhs"]) for i in instances]
+
+        results = self._reverify_edited(report_2_3, cid, tautologies)
+        assert results.pop(cid) is False
+        assert all(results.values())
+
+    def test_step_using_a_later_target_fails(self, report_2_3):
+        later = {"group": "sphere", "lhs": "h2", "rhs": "r1^-1 h3 r1", "expect": True}
+        assert check_instance(later, Context(2, 3))  # true, but h3 is not yet generated
+
+        def edit(instances):
+            return [later if i["lhs"] == "h2" else i for i in instances]
+
+        results = self._reverify_edited(report_2_3, "generation-lmod-sphere", edit)
+        assert results["generation-lmod-sphere"] is False
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda insts: insts[:3] + insts[2:], id="repeated"),
+            pytest.param(lambda insts: insts[:-1], id="missing-last"),
+            pytest.param(lambda insts: insts[:5] + insts[6:], id="missing-middle"),
+        ],
+    )
+    def test_repeated_or_missing_target_fails(self, report_2_3, edit):
+        results = self._reverify_edited(report_2_3, "generation-lmod-sphere", edit)
+        assert results["generation-lmod-sphere"] is False
+
+    @pytest.mark.parametrize("a, b", [("t1,3", "t1,4"), ("h2", "h3"), ("h3", "t1,2")])
+    def test_swapped_steps_fail(self, report_2_3, a, b):
+        def swap(instances):
+            pos = {i["lhs"]: n for n, i in enumerate(instances)}
+            out = list(instances)
+            out[pos[a]], out[pos[b]] = out[pos[b]], out[pos[a]]
+            return out
+
+        results = self._reverify_edited(report_2_3, "generation-lmod-sphere", swap)
+        assert results["generation-lmod-sphere"] is False
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda i: dict(i, group="sphere"), id="sphere-group"),
+            pytest.param(lambda i: dict(i, rhs="h1", expect=False) if i["lhs"] == "h3" else i,
+                         id="inequality"),
+        ],
+    )
+    def test_step_must_be_an_equality_in_the_claims_group(self, report_2_3, edit):
+        def edit_all(instances):
+            return [edit(i) for i in instances]
+
+        results = self._reverify_edited(report_2_3, "generation-lmod-star", edit_all)
+        assert results["generation-lmod-star"] is False
+
+    def test_claim_checks_its_own_steps(self, monkeypatch):
+        # every nested twist stated as itself: each step is true, none is a proof
+        monkeypatch.setattr(theorems, "t_chain_factors", lambda i, j: (("t", (i, j), 1),))
+        claim = verify_generation("lmod_sphere", Context(2, 3))
+        assert claim.status == "fail"
+        assert claim.detail == "step t1,3 uses ['t1,3']: not in the basis or earlier"
 
     def test_tampered_witness_is_caught(self):
         ctx = Context(1, 3)
