@@ -26,7 +26,6 @@ from .generators import (
     gen_r1,
     gen_sigma,
     gen_t,
-    validate_named_generators,
 )
 from .oracle import (
     FreeAutomorphism,

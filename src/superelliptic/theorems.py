@@ -37,7 +37,6 @@ from .generators import (
     expand_token_text,
     factors_to_tokens,
     t_chain_factors,
-    validate_named_generators,
 )
 from .words import Context, psi
 
@@ -102,14 +101,14 @@ class Bounds:
                 raise ValueError(f"bound {name} must be an integer >= 0, got {value!r}")
 
 
-# The claims run_all reports beyond the liftability and cover claims, in
-# report order: (id, group, least n, greatest n or None, witness).  The run
-# path takes its n-conditions from these rows and the skip path lists them,
-# so a run and a skip at the same n report the same claim ids.  A claim
-# with ``witness`` True rests on oracle instances stored in the report.
+# The claims run_all reports, in report order: (id, group, least n, greatest
+# n or None, witness).  The run path takes its n-conditions from these rows
+# and the skip path lists them, so a run and a skip at the same n report the
+# same claim ids; reverify_report fails a report that leaves one out.  A
+# claim with ``witness`` True rests on oracle instances stored in the report.
 _BASE_CLAIMS = (
     ("oracle-sphere-presentation", "sphere", 1, None, True),
-    ("generators-validation", "sphere", 1, None, False),
+    ("generators-validation", "sphere", 1, None, True),
     ("relation-twist-conjugation", "disk", 1, None, True),
     ("relation-chain-twist-factorization", "disk", 1, None, True),
     ("relation-h-triple-conjugation", "disk", 2, None, True),
@@ -119,6 +118,16 @@ _BASE_CLAIMS = (
     ("generation-lmod-star", "star", 1, None, True),
     ("generation-lmod-disk", "disk", 1, None, True),
 )
+_LIFTABILITY_CLAIMS = (
+    ("liftability-w-size", "sphere", 1, None, False),
+    ("liftability-w-generation", "sphere", 1, None, False),
+    ("liftability-curve-lifts", "sphere", 1, None, False),
+)
+_COVER_CLAIMS = (
+    ("cover-build", "homology", 1, None, False),
+    ("cover-homology", "homology", 1, None, False),
+    ("cover-deck-rotation", "homology", 1, None, False),
+)
 _HOMOLOGY_CLAIMS = (
     ("smod-conjugation-t", "homology", 1, None, False),
     ("smod-conjugation-h", "homology", 1, None, False),
@@ -127,7 +136,8 @@ _HOMOLOGY_CLAIMS = (
     ("smod-r1-lift-consistency", "homology", 1, 1, False),
     ("smod-chain-pattern", "homology", 1, None, False),
 )
-_WITNESS_CLAIMS = frozenset(row[0] for row in _BASE_CLAIMS if row[4])
+_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
+_WITNESS_CLAIMS = frozenset(row[0] for row in _ALL_CLAIMS if row[4])
 
 
 def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
@@ -136,6 +146,14 @@ def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
         (cid, group)
         for cid, group, lo, hi, _ in rows
         if lo <= n and (hi is None or n <= hi)
+    ]
+
+
+def _skipped(rows, ctx: Context, why: str) -> list[Claim]:
+    """The rows' claims at ``ctx``, each skipped with detail ``why``."""
+    return [
+        Claim(id=cid, group=group, status="skipped", detail=why, n=ctx.n, k=ctx.k)
+        for cid, group in _claim_ids(rows, ctx.n)
     ]
 
 
@@ -285,14 +303,32 @@ def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim
 
 
 def verify_generator_validations(ctx: Context, budget: int | None = None) -> Claim:
-    def check():
-        checks = validate_named_generators(ctx, budget=budget)
-        failed = [name for name, ok in checks if not ok]
-        return not failed, (
-            f"{len(checks)} checks" if not failed else f"failed: {', '.join(failed)}"
-        )
+    """The adopted words of ``h``, ``t``, ``r1``, ``r`` (and ``F`` at n = 1) as instances.
 
-    return _claim("generators-validation", "sphere", ctx, check)
+    Disk: ``h1 = s2 s1 s2``, ``t1,2 = s1^2`` and the locality of
+    ``t2,3`` and ``t2,4``.  Sphere: ``r1^d != 1`` for ``d <= 2n+1`` (with
+    ``r1^(2n+2) = 1`` from ``oracle-sphere-presentation``, ``r1`` has order
+    ``2n+2``), ``r1`` shifts the arcs, and ``r`` is an involution that
+    reverses them.  A true sphere equality forces equal point permutations,
+    so these also pin ``psi(r1)`` and ``psi(r)``.
+    """
+    n, arcs = ctx.n, ctx.num_arcs
+
+    def inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
+        return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect}
+
+    instances = [inst("disk", "h1", "s2 s1 s2"), inst("disk", "t1,2", "s1^2")]
+    for i, j in [(2, 3), (2, 4)] if n >= 2 else []:
+        instances += [
+            inst("disk", f"t{i},{j} s{m}", f"s{m} t{i},{j}") for m in range(j + 1, 2 * n + 1)
+        ]
+    instances += [inst("sphere", f"r1^{d}", "", False) for d in range(1, arcs + 1)]
+    instances += [inst("sphere", f"r1 s{i} r1^-1", f"s{i + 1}") for i in range(1, arcs)]
+    instances.append(inst("sphere", "r^2", ""))
+    instances += [inst("sphere", f"r s{i} r^-1", f"s{arcs + 1 - i}") for i in range(1, arcs + 1)]
+    if n == 1:
+        instances.append(inst("disk", "F", "h1^-1"))
+    return _run_instances("generators-validation", "sphere", ctx, instances, budget)
 
 
 # -- relations ---------------------------------------------------------------
@@ -527,7 +563,7 @@ def verify_cover(ctx: Context) -> list[Claim]:
 
     built = _claim("cover-build", "homology", ctx, build)
     if not built.passed:
-        return [built]
+        return [built] + _skipped(_COVER_CLAIMS[1:], ctx, "cover-build did not pass")
     surf = cover.build_cover(ctx)
 
     def homology():
@@ -685,44 +721,52 @@ def verify_chain_pattern(ctx: Context) -> Claim:
 # -- report assembly -----------------------------------------------------------
 
 
+def _reverify_claim(cdict: dict, header: dict, budget: int) -> bool | None:
+    """Whether one stored claim re-verifies; None if it has nothing to re-check."""
+    n, k = cdict["n"], cdict["k"]
+    if header.get("n", n) != n or header.get("k", k) != k:
+        return False
+    if cdict["status"] == "skipped":
+        return None
+    instances = (cdict.get("witness") or {}).get("instances")
+    if not instances:
+        return False if cdict["id"] in _WITNESS_CLAIMS else None
+    ctx = Context(n, k)
+    group = _GENERATION_GROUPS.get(cdict["id"])
+    ok = (group is None or _step_problem(group, ctx, instances) is None) and all(
+        check_instance(i, ctx, budget) for i in instances
+    )
+    return ok == (cdict["status"] == "pass")
+
+
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
     """Re-check every stored witness instance of a report; certificates only.
 
     A claim whose ``n`` or ``k`` differs from the header's (where the header
     states them; a bundle of certificates may leave them out), a claim that
-    ran (not skipped) on witness instances but stores none, and a claim of
-    ``_BASE_CLAIMS`` or ``_HOMOLOGY_CLAIMS`` that the header's ``n`` calls
-    for but is missing, fail.  A generation claim's instances must also be
+    ran (not skipped) on witness instances but stores none, a malformed
+    claim or instance (a missing field, word text that does not parse), and
+    a claim of the claim table that the header's ``n`` calls for but is
+    missing, fail.  A generation claim's instances must also be
     straight-line steps (:func:`_step_problem`, at the claim's own ``n``).
+    An oracle over its letter budget raises :class:`BudgetError`.
     """
     if isinstance(report, Report):
         report = report.to_dict()
+    budget = oracle.resolve_budget(budget)
     header = report["header"]
     results = []
     for cdict in report["claims"]:
-        if any(key in header and cdict[key] != header[key] for key in ("n", "k")):
-            results.append((cdict["id"], False))
-            continue
-        if cdict["status"] == "skipped":
-            continue
-        witness = cdict.get("witness") or {}
-        instances = witness.get("instances")
-        if not instances:
-            if cdict["id"] in _WITNESS_CLAIMS:
-                results.append((cdict["id"], False))
-            continue
-        ctx = Context(cdict["n"], cdict["k"])
-        group = _GENERATION_GROUPS.get(cdict["id"])
-        ok = (group is None or _step_problem(group, ctx, instances) is None) and all(
-            check_instance(i, ctx, budget) for i in instances
-        )
-        results.append((cdict["id"], ok == (cdict["status"] == "pass")))
+        try:
+            ok = _reverify_claim(cdict, header, budget)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            ok = False
+        if ok is not None:
+            results.append((cdict.get("id"), ok))
     if "n" in header:
-        present = {cdict["id"] for cdict in report["claims"]}
+        present = {cdict.get("id") for cdict in report["claims"]}
         results += [
-            (cid, False)
-            for cid, _ in _claim_ids(_BASE_CLAIMS + _HOMOLOGY_CLAIMS, header["n"])
-            if cid not in present
+            (cid, False) for cid, _ in _claim_ids(_ALL_CLAIMS, header["n"]) if cid not in present
         ]
     return results
 
@@ -740,12 +784,6 @@ def run_all(
     budget = oracle.resolve_budget(budget)
     report = Report(header=convention_header(ctx, budget))
 
-    def skip(rows, why: str) -> list[Claim]:
-        return [
-            Claim(id=cid, group=group, status="skipped", detail=why, n=n, k=k)
-            for cid, group in _claim_ids(rows, n)
-        ]
-
     if n <= bounds.base_n:
         report.claims.append(verify_oracle_presentation(ctx, budget))
         report.claims.append(verify_generator_validations(ctx, budget))
@@ -755,7 +793,7 @@ def run_all(
             report.claims.append(verify_generation(group, ctx, budget))
     else:
         over = f"over desk-scale bound (n <= {bounds.base_n}); raise --bound-base-n"
-        report.claims.extend(skip(_BASE_CLAIMS, over))
+        report.claims.extend(_skipped(_BASE_CLAIMS, ctx, over))
 
     report.claims.extend(verify_liftability(ctx))
     report.claims.extend(verify_cover(ctx))
@@ -767,5 +805,5 @@ def run_all(
         why = (
             f"over homology bounds (n <= {bounds.homology_n}, k <= {bounds.homology_k})"
         )
-        report.claims.extend(skip(_HOMOLOGY_CLAIMS, why))
+        report.claims.extend(_skipped(_HOMOLOGY_CLAIMS, ctx, why))
     return report

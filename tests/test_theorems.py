@@ -6,7 +6,17 @@ from math import factorial
 
 import pytest
 
-from superelliptic import Context, eq_sphere, eq_star, liftability, theorems
+from superelliptic import (
+    Context,
+    Word,
+    cover,
+    eq_sphere,
+    eq_star,
+    generators,
+    liftability,
+    theorems,
+)
+from superelliptic.errors import BudgetError
 from superelliptic.generators import (
     expand_token_text,
     factors_to_tokens,
@@ -21,6 +31,7 @@ from superelliptic.theorems import (
     reverify_report,
     run_all,
     verify_chain_pattern,
+    verify_cover,
     verify_factorization_r1,
     verify_generation,
     verify_generator_validations,
@@ -99,9 +110,24 @@ class TestVerifiers:
         claim = verify_oracle_presentation(Context(n, 3))
         assert claim.passed, claim.detail
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generator_validation_claim(self, n):
-        assert verify_generator_validations(Context(n, 3)).passed
+        claim = verify_generator_validations(Context(n, 3))
+        assert claim.passed, claim.detail
+        assert len(claim.witness["instances"]) == {1: 12, 2: 18, 3: 28}[n]
+
+    @pytest.mark.parametrize(
+        "name, word",
+        [
+            ("r1", lambda ctx: Word(ctx, tuple(range(ctx.num_arcs, 0, -1)))),
+            ("r", lambda ctx: generators.gen_r1(ctx) ** (ctx.n + 1)),
+        ],
+        ids=["r1-reversed", "r-as-half-rotation"],
+    )
+    def test_generator_validation_catches_a_wrong_word(self, monkeypatch, name, word):
+        monkeypatch.setitem(generators._WORDS, name, word)
+        claim = verify_generator_validations(Context(2, 3))
+        assert claim.status == "fail", claim.detail
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_relations(self, n):
@@ -207,11 +233,29 @@ class TestCertificates:
         assert sum(not ok for _, ok in results) == 1
 
     def test_deleted_non_witness_claims_are_caught(self, report_2_3):
-        gone = {"smod-chain-pattern", "generators-validation"}
+        gone = {
+            "smod-chain-pattern",
+            "generators-validation",
+            "cover-homology",
+            "cover-deck-rotation",
+            "liftability-w-generation",
+        }
         cut = json.loads(json.dumps(report_2_3))
         cut["claims"] = [c for c in cut["claims"] if c["id"] not in gone]
         results = reverify_report(cut)
         assert {cid for cid, ok in results if not ok} == gone
+
+    def test_failed_cover_build_skips_the_other_cover_claims(self, monkeypatch):
+        def broken(ctx):
+            raise AssertionError("no surface")
+
+        monkeypatch.setattr(cover, "build_cover", broken)
+        claims = verify_cover(Context(2, 3))
+        assert [(c.id, c.status) for c in claims] == [
+            ("cover-build", "fail"),
+            ("cover-homology", "skipped"),
+            ("cover-deck-rotation", "skipped"),
+        ]
 
     def test_header_claim_mismatch_is_caught(self, report_2_3):
         cut = json.loads(json.dumps(report_2_3))
@@ -227,6 +271,53 @@ class TestCertificates:
         claim = next(c for c in cut["claims"] if c["id"] == cid)
         claim["witness"]["instances"] = edit(claim["witness"]["instances"])
         return dict(reverify_report(cut))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda insts: [dict(i, rhs="s1") if i["lhs"] == "r s1 r^-1" else i for i in insts],
+                id="reversal-rhs",
+            ),
+            pytest.param(lambda insts: insts[:1] + [dict(insts[1], expect=False)] + insts[2:],
+                         id="flipped-expect"),
+            pytest.param(lambda insts: [], id="emptied"),
+        ],
+    )
+    def test_edited_generator_validation_fails_alone(self, report_2_3, edit):
+        results = self._reverify_edited(report_2_3, "generators-validation", edit)
+        assert results.pop("generators-validation") is False
+        assert all(results.values())
+
+    def test_generator_validation_restates_no_other_claim(self, report_2_3):
+        def pairs(claim):
+            return {(i["lhs"], i["rhs"]) for i in (claim["witness"] or {}).get("instances", [])}
+
+        claims = {c["id"]: c for c in report_2_3["claims"]}
+        own = pairs(claims.pop("generators-validation"))
+        assert own and not any(own & pairs(c) for c in claims.values())
+
+    @pytest.mark.parametrize(
+        "cid, edit",
+        [
+            ("generators-validation", lambda c: c["witness"]["instances"][0].update(rhs="t2,3^")),
+            ("relation-twist-conjugation", lambda c: c["witness"]["instances"][0].pop("expect")),
+            ("generation-lmod-star", lambda c: c["witness"]["instances"][1].pop("group")),
+            ("lemma-r1-factorization", lambda c: c.pop("n")),
+            ("cover-build", lambda c: c.pop("n")),
+        ],
+        ids=["rhs-syntax", "no-expect", "no-group", "no-n", "no-n-without-witness"],
+    )
+    def test_malformed_claim_fails_alone(self, report_2_3, cid, edit):
+        cut = json.loads(json.dumps(report_2_3))
+        edit(next(c for c in cut["claims"] if c["id"] == cid))
+        results = dict(reverify_report(cut))
+        assert results.pop(cid) is False
+        assert all(results.values())
+
+    def test_budget_error_still_raises(self, report_2_3):
+        with pytest.raises(BudgetError):
+            reverify_report(report_2_3, budget=5)
 
     @pytest.mark.parametrize(
         "cid", ["generation-lmod-sphere", "generation-lmod-star", "generation-lmod-disk"]
@@ -335,6 +426,8 @@ class TestRunAll:
         skipped = run_all(n, 3, bounds=Bounds(base_n=0, homology_n=0))
         assert [c.id for c in skipped.claims] == [c.id for c in ran.claims]
         assert [c.group for c in skipped.claims] == [c.group for c in ran.claims]
+        table = theorems._claim_ids(theorems._ALL_CLAIMS, n)
+        assert [(c.id, c.group) for c in ran.claims] == table
 
     def test_header_mentions_conventions(self):
         report = run_all(1, 3)

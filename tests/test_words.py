@@ -119,19 +119,25 @@ class TestPsi:
         w = expand_token_text("s2", CTX)
         assert psi(w, CTX) == Permutation.transposition(CTX.num_points, 2, 3)
 
-    def test_h_is_distance_two_transposition(self):
-        for i in range(1, 2 * CTX.n + 1):
-            assert psi(gen_h(i, CTX), CTX) == Permutation.transposition(
-                CTX.num_points, i, i + 2
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_h_is_distance_two_transposition(self, n):
+        ctx = Context(n, 3)
+        for i in range(1, 2 * n + 1):
+            assert psi(gen_h(i, ctx), ctx) == Permutation.transposition(
+                ctx.num_points, i, i + 2
             )
 
-    def test_rotation_is_full_cycle(self):
-        images = psi(gen_r1(CTX), CTX).images
-        assert images == tuple(list(range(2, CTX.num_points + 1)) + [1])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_rotation_is_full_cycle(self, n):
+        ctx = Context(n, 3)
+        images = psi(gen_r1(ctx), ctx).images
+        assert images == tuple(list(range(2, ctx.num_points + 1)) + [1])
 
-    def test_half_turn_reverses(self):
-        images = psi(gen_r(CTX), CTX).images
-        assert images == tuple(CTX.num_points + 1 - x for x in range(1, CTX.num_points + 1))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_half_turn_reverses(self, n):
+        ctx = Context(n, 3)
+        images = psi(gen_r(ctx), ctx).images
+        assert images == tuple(ctx.num_points + 1 - x for x in range(1, ctx.num_points + 1))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_product_of_transpositions(self, n):
