@@ -21,6 +21,7 @@ from superelliptic.generators import (
     gen_t,
     t_chain_factors,
 )
+from superelliptic.theorems import check_instance, verify_generator_validations
 
 CTX = Context(2, 3)
 
@@ -206,3 +207,11 @@ class TestOracleBackedIdentities:
                 assert eq_disk(lhs, gen_t(i + 1, i + 2, CTX), CTX)
             else:
                 assert eq_sphere(lhs, gen_t(i + 1, i + 2, CTX), CTX)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_validation_suite_all_green(self, n):
+        ctx = Context(n, 3)
+        instances = verify_generator_validations(ctx).witness["instances"]
+        failed = [inst for inst in instances if not check_instance(inst, ctx)]
+        assert not failed
+        assert eq_sphere(gen_r1(ctx), gen_r(ctx) * gen_F(ctx), ctx)
