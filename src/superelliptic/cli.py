@@ -6,7 +6,7 @@ Subcommands::
     liftable word WORD                liftability verdict + parity class
     liftable curve CURVE --k K        curve verdict + monodromy residue
     cover info                        cover cell counts, genus, H1 rank
-    cover matrix NAME                 a lift's homology matrix as JSON
+    cover matrix NAME                 homology matrix of lift text as JSON
     verify-all                        run the claim suite, emit the report
 
 Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
@@ -28,8 +28,8 @@ import tempfile
 
 from . import cover as cover_mod
 from . import liftability, oracle, theorems
-from .errors import BudgetError, SuperellipticError, WordSyntaxError
-from .generators import _NAME_RE, expand_token_text
+from .errors import BudgetError, SuperellipticError
+from .generators import expand_token_text
 from .liftability import curve_monodromy, curve_parse, parity
 from .words import Context, psi
 
@@ -49,8 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="letter budget: the longest word the coordinate oracle "
                         "acts on, after the sphere rewrite and the full-twist factor, "
                         "and the most letters word text expands to before free "
-                        "reduction; a positive integer (default 10^7; env "
-                        "SUPERELLIPTIC_BUDGET_LETTERS)")
+                        "reduction; a positive integer (default 10^7)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser("eq", help="decide equality of two words")
@@ -72,8 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--n", type=int, required=True)
     p_info.add_argument("--k", type=int, default=3)
     p_info.add_argument("--json", action="store_true")
-    p_matrix = cover_sub.add_parser("matrix", help="homology matrix of a lift")
-    p_matrix.add_argument("name", help="zeta, zeta_prime, r, r1, h<i>, or t<i>,<i+1> (also t<i>)")
+    p_matrix = cover_sub.add_parser("matrix", help="homology matrix of a lift or a product of lifts")
+    p_matrix.add_argument("name", help="lift text: tokens zeta, zeta_prime, r, r1, h<i> or "
+                          "t<i>,<i+1>, each with an optional integer exponent, multiplied left "
+                          "to right (e.g. 'r1 t1,2 r1^-1'); the sides of a homology certificate "
+                          "instance are lift text")
     p_matrix.add_argument("--n", type=int, required=True)
     p_matrix.add_argument("--k", type=int, default=3)
 
@@ -151,22 +153,7 @@ def _cmd_cover(args) -> int:
                   "conventions: sheets increment across odd arcs; "
                   "rightmost letter acts first")
         return EXIT_OK
-    name = args.name
-    m = _NAME_RE.match(name)
-    if name in ("zeta", "zeta_prime", "r", "r1"):
-        M = cover_mod.lift_rep(surface, name)
-    elif m and m.group(3):
-        M = cover_mod.lift_rep(surface, "h", int(m.group(3)))
-    elif m and m.group(4):
-        i, j = int(m.group(4)), int(m.group(5))
-        if j != i + 1:
-            raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {name!r}")
-        M = cover_mod.lift_rep(surface, "t", i)
-    elif name[:1] == "t" and name[1:].isdigit():
-        M = cover_mod.lift_rep(surface, "t", int(name[1:]))
-    else:
-        raise WordSyntaxError(f"unknown lift name {name!r}")
-    _emit(json.dumps(M.tolist()))
+    _emit(json.dumps(cover_mod.lift_product(surface, args.name).tolist()))
     return EXIT_OK
 
 

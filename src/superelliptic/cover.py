@@ -19,7 +19,9 @@ A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
 half-rotation, as the rows of an int64 array with ``2g`` columns.
 Twists act by transvections ``x -> x + <x, c> c``; the deck rotation and
-the half-turn act through their edge maps directly.  The homology
+the half-turn act through their edge maps directly.  :func:`lift_rep`
+builds and caches one named lift, and :func:`lift_product` reads a product
+of named lifts from text (``r1 t1,2 r1^-1``).  The homology
 representation is a necessary-condition shadow only (it is not faithful);
 every verification built on it is labeled accordingly by the theorem suite.
 
@@ -39,13 +41,15 @@ arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import intmat
-from .errors import DoesNotLiftError
+from .errors import DoesNotLiftError, WordSyntaxError
+from .generators import F_factors, factors_to_tokens, t_chain_factors
 from .liftability import CurveClass, curve_monodromy, gamma_curve
 from .words import Context
 
@@ -380,13 +384,10 @@ def matrix_power(surface: CoverSurface, M: np.ndarray, e: int) -> np.ndarray:
 
 
 def _induced_matrix(surface: CoverSurface, chain_map: np.ndarray) -> np.ndarray:
-    """Push a cycle-space map down to the homology basis, with checks."""
+    """Push a cycle-space map that preserves the relation lattice down to the homology basis."""
     if mul(surface.proj, chain_map, surface.relations.T).any():
         raise AssertionError("cycle map does not preserve the relation lattice")
-    M = mul(surface.proj, chain_map, surface.basis)
-    if not is_symplectic(surface, M):
-        raise AssertionError("induced homology map is not symplectic")
-    return M
+    return mul(surface.proj, chain_map, surface.basis)
 
 
 def _deck_cycle_map(surface: CoverSurface) -> np.ndarray:
@@ -455,8 +456,11 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
 
     Kinds: ``"t"`` (index i: lift of the twist about points i, i+1),
     ``"h"`` (index i: lift of the half-rotation), ``"r"`` (half-turn),
-    ``"r1"`` (rotation lift), ``"zeta"`` (deck rotation), ``"zeta_prime"``
-    (the boundary-twist lift, as its twist factorization).
+    ``"r1"`` (rotation lift, ``r F`` over the lifts of ``F_factors``),
+    ``"zeta"`` (deck rotation), ``"zeta_prime"`` (the boundary-twist lift,
+    as its twist factorization ``t_chain_factors(1, 2n+1)``).  ``r1`` and
+    ``zeta_prime`` are read as lift text by :func:`lift_product`.  Each lift
+    is checked symplectic once, when it is first built.
     """
     ctx = surface.ctx
     key = (ctx, kind, index)
@@ -478,19 +482,9 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
         for c in curves:
             M = mul(M, twist_matrix(surface, c))
     elif kind == "r1":
-        from .generators import F_factors
-
-        M = lift_rep(surface, "r")
-        for fkind, params, e in F_factors(n):
-            base = lift_rep(surface, fkind, params[0])
-            M = mul(M, matrix_power(surface, base, e))
+        M = lift_product(surface, "r " + factors_to_tokens(F_factors(n)))
     elif kind == "zeta_prime":
-        from .generators import t_chain_factors
-
-        M = identity(surface)
-        for fkind, params, e in t_chain_factors(1, ctx.num_arcs):
-            base = lift_rep(surface, fkind, params[0])
-            M = mul(M, matrix_power(surface, base, e))
+        M = lift_product(surface, factors_to_tokens(t_chain_factors(1, ctx.num_arcs)))
     else:
         raise ValueError(f"unknown lift name {kind!r}")
 
@@ -498,6 +492,41 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
         raise AssertionError(f"lift {kind}/{index} is not symplectic")
     _LIFT_CACHE[key] = M
     return M.copy()
+
+
+# a lift token: a named lift, h<i> or t<i>,<j>, then an optional integer exponent
+_LIFT_TOKEN_RE = re.compile(r"(?:(zeta_prime|zeta|r1|r)|h(\d+)|t(\d+),(\d+))(?:\^([+-]?\d+))?")
+
+
+def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
+    """Homology matrix of lift text, e.g. ``r1 t1,2 r1^-1`` or ``zeta h3^2``.
+
+    The one reader of lift names: whitespace-separated tokens ``zeta``,
+    ``zeta_prime``, ``r``, ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the
+    :func:`lift_rep` kinds), each with an optional integer exponent.  The
+    result is the left-to-right product of the cached lift matrices; a
+    power other than 1 goes through :func:`matrix_power`, and empty text is
+    the identity.  An unknown token, a twist ``t<i>,<j>`` with ``j != i+1``
+    or a malformed exponent raises :class:`WordSyntaxError`.
+    """
+    out = None
+    for tok in text.split():
+        m = _LIFT_TOKEN_RE.fullmatch(tok)
+        if not m:
+            raise WordSyntaxError(f"unknown lift token {tok!r}")
+        named, h, i, j, e = m.groups()
+        if named:
+            M = lift_rep(surface, named)
+        elif h:
+            M = lift_rep(surface, "h", int(h))
+        elif int(j) == int(i) + 1:
+            M = lift_rep(surface, "t", int(i))
+        else:
+            raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
+        if e is not None and int(e) != 1:
+            M = matrix_power(surface, M, int(e))
+        out = M if out is None else mul(out, M)
+    return identity(surface) if out is None else out
 
 
 def check_normalizes_deck(M: np.ndarray, surface: CoverSurface) -> int | None:

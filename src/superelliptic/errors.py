@@ -21,7 +21,7 @@ class BudgetError(SuperellipticError, RuntimeError):
     word.
 
     Raised instead of silently truncating; callers may retry with a larger
-    budget (``--budget-letters`` / ``SUPERELLIPTIC_BUDGET_LETTERS``).
+    budget (``--budget-letters``, or the ``budget`` argument in Python).
     """
 
 

@@ -31,7 +31,6 @@ bounds every intermediate free word.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _kernels as K
@@ -42,24 +41,11 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """The letter budget to use for ``budget``.
-
-    ``None`` means ``SUPERELLIPTIC_BUDGET_LETTERS`` if it is set, else
-    ``DEFAULT_BUDGET``.  A budget below 1, or an environment value that is
-    not an integer, raises ``ValueError``.
-    """
-    source = "letter budget"
+    """The letter budget to use: ``DEFAULT_BUDGET`` for ``None``; below 1 raises ``ValueError``."""
     if budget is None:
-        raw = os.environ.get("SUPERELLIPTIC_BUDGET_LETTERS", "").strip()
-        if not raw:
-            return DEFAULT_BUDGET
-        source = "SUPERELLIPTIC_BUDGET_LETTERS"
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError(f"{source} must be a positive integer, got {raw!r}") from None
+        return DEFAULT_BUDGET
     if budget < 1:
-        raise ValueError(f"{source} must be a positive integer, got {budget}")
+        raise ValueError(f"letter budget must be a positive integer, got {budget}")
     return budget
 
 

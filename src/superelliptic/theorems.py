@@ -1,11 +1,12 @@
 """Executable verification of the generating-set and lifting claims.
 
 Every check is packaged as a :class:`Claim` with a stable id, a pass /
-fail / skipped status and, for word-level claims, a witness: a list of
-``{lhs, rhs, group, expect}`` instances in generator-token syntax.  A
-stored claim re-verifies from its witness alone — re-expanding the tokens
-and re-running the oracle reproduces the verdict, so reports double as
-certificates.
+fail / skipped status and, for word-level and lifted-homology claims, a
+witness: a list of ``{lhs, rhs, group, expect}`` instances, in generator-token
+syntax or, for group ``homology``, in lift text (:func:`cover.lift_product`).
+A stored claim re-verifies from its witness alone — re-reading the text and
+re-running the oracle or the lift products reproduces the verdict, so
+reports double as certificates.
 
 Generation claims are straight-line programs: one step per standard
 generator, in a fixed order, writes it over the small generating set and
@@ -129,11 +130,11 @@ _COVER_CLAIMS = (
     ("cover-deck-rotation", "homology", 1, None, False),
 )
 _HOMOLOGY_CLAIMS = (
-    ("smod-conjugation-t", "homology", 1, None, False),
-    ("smod-conjugation-h", "homology", 1, None, False),
-    ("smod-deck-factorization", "homology", 1, None, False),
-    ("smod-deck-normalization", "homology", 1, None, False),
-    ("smod-r1-lift-consistency", "homology", 1, 1, False),
+    ("smod-conjugation-t", "homology", 1, None, True),
+    ("smod-conjugation-h", "homology", 1, None, True),
+    ("smod-deck-factorization", "homology", 1, None, True),
+    ("smod-deck-normalization", "homology", 1, None, True),
+    ("smod-r1-lift-consistency", "homology", 1, 1, True),
     ("smod-chain-pattern", "homology", 1, None, False),
 )
 _ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
@@ -251,7 +252,15 @@ _EQ_BY_GROUP = oracle._EQ
 
 
 def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
-    """Re-verify one stored witness instance against the oracle."""
+    """Re-verify one stored witness instance.
+
+    A ``homology`` instance compares the lift-text products of its sides
+    (:func:`cover.lift_product`); any other group's oracle decides word text.
+    """
+    if inst["group"] == "homology":
+        surface = cover.build_cover(ctx)
+        lhs, rhs = (cover.lift_product(surface, inst[side]) for side in ("lhs", "rhs"))
+        return np.array_equal(lhs, rhs) == inst["expect"]
     eq = _EQ_BY_GROUP[inst["group"]]
     lhs = expand_token_text(inst["lhs"], ctx, budget)
     rhs = expand_token_text(inst["rhs"], ctx, budget)
@@ -607,78 +616,38 @@ def verify_cover(ctx: Context) -> list[Claim]:
     ]
 
 
-_HOMOLOGY_NOTE = "homology-level (necessary condition only): "
-
-
-def _smod_claim(cid: str, ctx: Context, check) -> Claim:
-    """A homology-level claim; its detail says it is a necessary condition."""
-    claim = _claim(cid, "homology", ctx, check)
-    claim.detail = _HOMOLOGY_NOTE + claim.detail
-    return claim
+_HOMOLOGY_NOTE = "homology-level (necessary condition only):"
 
 
 def verify_smod_homology(ctx: Context) -> list[Claim]:
-    """Matrix identities for the lifted generators; necessary conditions only."""
-    n, k = ctx.n, ctx.k
-    surf = cover.build_cover(ctx)
+    """Matrix identities of the lifted generators; necessary conditions only.
 
-    def lift(kind: str, index: int | None = None) -> np.ndarray:
-        return cover.lift_rep(surf, kind, index)
+    Each claim stores ``{group: "homology", lhs, rhs, expect: true}``
+    instances in lift text (:func:`cover.lift_product`): the rotation lift
+    shifts the twist and half-rotation lifts (``r1 t1,2 = t2,3 r1``), the
+    boundary-twist factorization is the deck rotation (``zeta_prime =
+    zeta``), the parity-preserving lifts commute with it and ``r``, ``r1``
+    invert it (``zeta r zeta = r``), and at n = 1 ``r1 h1 = r``.
+    """
+    n = ctx.n
+    twists = [f"t{i},{i + 1}" for i in range(1, ctx.num_arcs + 1)]
+    halves = [f"h{i}" for i in range(1, 2 * n + 1)]
 
-    def rotation_shifts(kind: str, last: int, what: str):
-        def check():
-            Mr1 = lift("r1")
-            Mr1i = cover.symplectic_inverse(surf, Mr1)
-            bad = [
-                i
-                for i in range(1, last + 1)
-                if not np.array_equal(cover.mul(Mr1, lift(kind, i), Mr1i), lift(kind, i + 1))
-            ]
-            return not bad, (
-                f"rotation lift shifts {what}, i = 1..{last}" if not bad else f"failed at {bad}"
-            )
+    def inst(lhs: str, rhs: str) -> dict:
+        return {"group": "homology", "lhs": lhs, "rhs": rhs, "expect": True}
 
-        return check
-
-    def deck_factorization():
-        ok = np.array_equal(lift("zeta_prime"), lift("zeta"))
-        return ok, (
-            "boundary-twist lift factorization reproduces the deck rotation"
-            if ok
-            else "factorization does not equal the deck rotation"
-        )
-
-    def deck_normalization():
-        def exponent(kind: str, index: int | None = None) -> int | None:
-            return cover.check_normalizes_deck(lift(kind, index), surf)
-
-        bad = [f"t{i}" for i in range(1, ctx.num_arcs + 1) if exponent("t", i) != 1]
-        bad += [f"h{i}" for i in range(1, 2 * n + 1) if exponent("h", i) != 1]
-        bad += [kind for kind in ("r", "r1") if exponent(kind) != k - 1]
-        return not bad, (
-            f"parity-preserving lifts commute with the deck rotation (j=1); "
-            f"half-turn and rotation invert it (j={k - 1})"
-            if not bad
-            else f"failed: {bad}"
-        )
-
-    def r1_consistency():
-        rhs = cover.mul(lift("r"), cover.symplectic_inverse(surf, lift("h", 1)))
-        return np.array_equal(lift("r1"), rhs), (
-            "n=1 rotation lift equals half-turn times inverse half-rotation lift"
-        )
-
-    checks = {
-        "smod-conjugation-t": rotation_shifts("t", 2 * n, "twist lifts"),
-        "smod-conjugation-h": rotation_shifts("h", 2 * n - 1, "half-rotation lifts"),
-        "smod-deck-factorization": deck_factorization,
-        "smod-deck-normalization": deck_normalization,
-        "smod-r1-lift-consistency": r1_consistency,
+    instances = {
+        "smod-conjugation-t": [inst(f"r1 {a}", f"{b} r1") for a, b in zip(twists, twists[1:])],
+        "smod-conjugation-h": [inst(f"r1 {a}", f"{b} r1") for a, b in zip(halves, halves[1:])],
+        "smod-deck-factorization": [inst("zeta_prime", "zeta")],
+        "smod-deck-normalization": [inst(f"{a} zeta", f"zeta {a}") for a in twists + halves]
+        + [inst(f"zeta {a} zeta", a) for a in ("r", "r1")],
+        "smod-r1-lift-consistency": [inst("r1 h1", "r")],
     }
     return [
-        _smod_claim(cid, ctx, checks[cid])
+        _run_instances(cid, "homology", ctx, instances[cid], None, _HOMOLOGY_NOTE)
         for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, n)
-        if cid in checks
+        if cid in instances
     ]
 
 
@@ -715,7 +684,9 @@ def verify_chain_pattern(ctx: Context) -> Claim:
             else f"violations: {bad[:4]}"
         )
 
-    return _smod_claim("smod-chain-pattern", ctx, check)
+    claim = _claim("smod-chain-pattern", "homology", ctx, check)
+    claim.detail = f"{_HOMOLOGY_NOTE} {claim.detail}"
+    return claim
 
 
 # -- report assembly -----------------------------------------------------------

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import superelliptic
+from superelliptic import cover as cover_mod
 from superelliptic.cli import _build_parser, main
 from superelliptic.theorems import Bounds
+from superelliptic.words import Context
 
 
 def run(capsys, *argv):
@@ -62,11 +64,6 @@ class TestEq:
         )
         assert code == 2 and "positive integer" in err and not out
 
-    def test_bad_env_budget_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERELLIPTIC_BUDGET_LETTERS", "abc")
-        code, out, err = run(capsys, "eq", "disk", "s1^40", "", "--n", "2")
-        assert code == 2 and "SUPERELLIPTIC_BUDGET_LETTERS" in err and not out
-
 
 class TestLiftable:
     def test_word_liftable(self, capsys):
@@ -116,11 +113,18 @@ class TestCover:
         assert code == 0 and json.loads(out)
 
     def test_matrix_reads_adjacent_twist_tokens(self, capsys):
-        _, by_index, _ = run(capsys, "cover", "matrix", "t1", "--n", "1")
         code, out, _ = run(capsys, "cover", "matrix", "t1,2", "--n", "1")
-        assert code == 0 and out == by_index and json.loads(out)
+        S = cover_mod.build_cover(Context(1, 3))
+        assert code == 0 and json.loads(out) == cover_mod.lift_rep(S, "t", 1).tolist()
         code, out, err = run(capsys, "cover", "matrix", "t1,3", "--n", "1")
         assert code == 2 and not out and "adjacent twists t<i>,<i+1>, not 't1,3'" in err
+        code, out, err = run(capsys, "cover", "matrix", "t1", "--n", "1")
+        assert code == 2 and not out and "unknown lift token 't1'" in err
+
+    def test_matrix_reads_lift_text(self, capsys):
+        code, out, _ = run(capsys, "cover", "matrix", "r1 h1", "--n", "1")
+        _, r, _ = run(capsys, "cover", "matrix", "r", "--n", "1")
+        assert code == 0 and out == r
 
     def test_matrix_unknown_name(self, capsys):
         code, _, err = run(capsys, "cover", "matrix", "q7", "--n", "1", "--k", "3")

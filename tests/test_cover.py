@@ -18,8 +18,9 @@ from superelliptic import (
     twist_matrix,
 )
 from superelliptic import cover as cover_mod
-from superelliptic import intmat
-from superelliptic.errors import DoesNotLiftError
+from superelliptic import generators, intmat
+from superelliptic.cover import lift_product
+from superelliptic.errors import DoesNotLiftError, WordSyntaxError
 
 
 def identity(surface):
@@ -503,3 +504,59 @@ class TestLiftReps:
             lift_rep(S, "w")
         with pytest.raises(ValueError):
             lift_rep(S, "t", 99)
+
+
+class TestLiftProduct:
+    @pytest.fixture(scope="class")
+    def S(self):
+        return build_cover(Context(2, 3))
+
+    def test_single_tokens_are_the_lifts(self, S):
+        for text, kind, index in [("t3,4", "t", 3), ("h4", "h", 4), ("r", "r", None),
+                                  ("r1", "r1", None), ("zeta", "zeta", None),
+                                  ("zeta_prime", "zeta_prime", None), ("h2^1", "h", 2)]:
+            assert np.array_equal(lift_product(S, text), lift_rep(S, kind, index)), text
+
+    def test_product_left_to_right_with_powers(self, S):
+        t, h = lift_rep(S, "t", 1).astype(object), lift_rep(S, "h", 2).astype(object)
+        h_inv = cover_mod.symplectic_inverse(S, lift_rep(S, "h", 2)).astype(object)
+        want = t @ h_inv @ h_inv @ t @ t @ t
+        assert np.array_equal(lift_product(S, "t1,2 h2^-2 t1,2^3"), want)
+        assert np.array_equal(lift_product(S, "zeta^3"), identity(S))  # k = 3
+        assert np.array_equal(lift_product(S, "h2^0"), identity(S))
+        assert np.array_equal(lift_product(S, ""), identity(S))
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 4)])
+    def test_r1_and_zeta_prime_are_their_factor_lists(self, n, k):
+        S = build_cover(Context(n, k))
+
+        def product(factors, start):
+            M = start.astype(object)
+            for kind, params, e in factors:
+                base = lift_rep(S, kind, params[0])
+                base = base if e > 0 else cover_mod.symplectic_inverse(S, base)
+                for _ in range(abs(e)):
+                    M = M @ base.astype(object)
+            return M
+
+        r1 = product(generators.F_factors(n), lift_rep(S, "r"))
+        assert np.array_equal(lift_rep(S, "r1"), r1)
+        zeta_prime = product(generators.t_chain_factors(1, 2 * n + 1), identity(S))
+        assert np.array_equal(lift_rep(S, "zeta_prime"), zeta_prime)
+
+    @pytest.mark.parametrize(
+        "text", ["t1,3", "t1", "t2,1", "q7", "s1", "F", "zeta^x", "h2^", "h2^1.5", "r1,2", "zeta2"]
+    )
+    def test_malformed_tokens_raise(self, S, text):
+        with pytest.raises(WordSyntaxError):
+            lift_product(S, f"zeta {text}")
+
+    @pytest.mark.parametrize("text", ["h5", "t6,7", "h0"])
+    def test_out_of_range_index_raises(self, S, text):
+        with pytest.raises(ValueError, match="out of range"):
+            lift_product(S, text)
+
+    def test_cache_is_not_exposed(self, S):
+        M = lift_product(S, "zeta")
+        M[0, 0] += 1
+        assert not np.array_equal(lift_product(S, "zeta"), M)

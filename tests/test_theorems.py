@@ -170,6 +170,56 @@ class TestVerifiers:
             assert claim.passed, (claim.id, claim.detail)
             assert "necessary condition" in claim.detail
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smod_claims_store_lift_text_instances(self, n):
+        claims = {c.id: c for c in verify_smod_homology(Context(n, 3))}
+
+        def inst(lhs, rhs):
+            return {"group": "homology", "lhs": lhs, "rhs": rhs, "expect": True}
+
+        want = {
+            "smod-conjugation-t": [
+                inst(f"r1 t{i},{i + 1}", f"t{i + 1},{i + 2} r1") for i in range(1, 2 * n + 1)
+            ],
+            "smod-conjugation-h": [inst(f"r1 h{i}", f"h{i + 1} r1") for i in range(1, 2 * n)],
+            "smod-deck-factorization": [inst("zeta_prime", "zeta")],
+        }
+        if n == 1:
+            want["smod-r1-lift-consistency"] = [inst("r1 h1", "r")]
+        assert set(claims) == set(want) | {"smod-deck-normalization"}
+        assert len(claims["smod-deck-normalization"].witness["instances"]) == 4 * n + 3
+        for cid, claim in claims.items():
+            assert claim.passed, (cid, claim.detail)
+            count = len(claim.witness["instances"])
+            assert claim.detail.endswith(f"necessary condition only): {count} instances")
+            if cid in want:
+                assert claim.witness["instances"] == want[cid]
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 4)])
+    def test_deck_normalization_agrees_with_check_normalizes_deck(self, n, k):
+        ctx = Context(n, k)
+        S = cover.build_cover(ctx)
+        claim = next(c for c in verify_smod_homology(ctx) if c.id == "smod-deck-normalization")
+        names = [f"t{i},{i + 1}" for i in range(1, 2 * n + 2)]
+        names += [f"h{i}" for i in range(1, 2 * n + 1)] + ["r", "r1"]
+        want = []
+        for name in names:
+            j = cover.check_normalizes_deck(cover.lift_product(S, name), S)
+            commutes = {"group": "homology", "lhs": f"{name} zeta", "rhs": f"zeta {name}",
+                        "expect": True}
+            inverts = {"group": "homology", "lhs": f"zeta {name} zeta", "rhs": name,
+                       "expect": True}
+            assert check_instance(commutes, ctx) == (j == 1), name
+            assert check_instance(inverts, ctx) == (j == k - 1), name
+            want.append(commutes if name[0] in "th" else inverts)
+        assert claim.passed and claim.witness["instances"] == want
+
+    def test_homology_instance_expect_false(self):
+        ctx = Context(2, 3)
+        inst = {"group": "homology", "lhs": "r1 t1,2", "rhs": "t1,2 r1", "expect": False}
+        assert check_instance(inst, ctx)
+        assert not check_instance(dict(inst, expect=True), ctx)
+
     def test_chain_pattern(self):
         assert verify_chain_pattern(Context(1, 3)).passed
 
@@ -256,6 +306,43 @@ class TestCertificates:
             ("cover-homology", "skipped"),
             ("cover-deck-rotation", "skipped"),
         ]
+
+    def test_tampered_smod_rhs_fails_alone(self, report_2_3):
+        def edit(instances):
+            assert any(i["rhs"] == "t2,3 r1" for i in instances)
+            return [dict(i, rhs="t3,4 r1") if i["rhs"] == "t2,3 r1" else i for i in instances]
+
+        results = self._reverify_edited(report_2_3, "smod-conjugation-t", edit)
+        assert results.pop("smod-conjugation-t") is False
+        assert all(results.values())
+
+    def test_flipped_smod_verdict_fails(self, report_2_3):
+        assert dict(reverify_report(report_2_3))["smod-deck-factorization"] is True
+        cut = json.loads(json.dumps(report_2_3))
+        next(c for c in cut["claims"] if c["id"] == "smod-deck-factorization")["status"] = "fail"
+        results = dict(reverify_report(cut))
+        assert results.pop("smod-deck-factorization") is False
+        assert all(results.values())
+
+    @pytest.mark.parametrize(
+        "cid", ["smod-conjugation-t", "smod-conjugation-h", "smod-deck-factorization",
+                "smod-deck-normalization"]
+    )
+    def test_smod_claim_without_instances_fails(self, report_2_3, cid):
+        cut = json.loads(json.dumps(report_2_3))
+        next(c for c in cut["claims"] if c["id"] == cid)["witness"] = None
+        results = dict(reverify_report(cut))
+        assert results.pop(cid) is False
+        assert all(results.values())
+
+    @pytest.mark.parametrize("bad", ["t1,3", "q7", "zeta^x"])
+    def test_malformed_lift_token_fails_alone(self, report_2_3, bad):
+        def edit(instances):
+            return [dict(instances[0], lhs=f"{bad} zeta")] + instances[1:]
+
+        results = self._reverify_edited(report_2_3, "smod-deck-normalization", edit)
+        assert results.pop("smod-deck-normalization") is False
+        assert all(results.values())
 
     def test_header_claim_mismatch_is_caught(self, report_2_3):
         cut = json.loads(json.dumps(report_2_3))
