@@ -13,7 +13,10 @@ Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
 where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer included), 3 letter budget exceeded.  A reader
+is not a positive integer included) or a homology product that would
+overflow int64 (a lift power such as ``t1,2^1000000000000000000``; lift
+exponents may be any size, since powers are taken by squaring), 3 letter
+budget exceeded.  A reader
 that closes stdout early (``| head -n 1``) ends the output quietly: nothing
 is printed to stderr and the exit code is the one the command computed.
 """
@@ -196,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SuperellipticError, ValueError) as exc:
+    except (SuperellipticError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -121,7 +121,6 @@ class CoverSurface:
     n_faces: int
     loops: tuple[tuple[int, int], ...]
     loop_index: dict
-    face_sides: tuple[tuple[tuple[int, int, int], ...], ...]  # (arc, label, dir)
     relations: np.ndarray  # k x m, int64
     crossing: np.ndarray  # m x m pairing of loop classes, int64
     basis: np.ndarray  # m x 2g, int64
@@ -269,7 +268,6 @@ def build_cover(ctx: Context) -> CoverSurface:
         n_faces=k,
         loops=loops,
         loop_index=loop_index,
-        face_sides=face_sides,
         relations=relations,
         crossing=crossing,
         basis=basis,
@@ -376,11 +374,16 @@ def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
 
 
 def matrix_power(surface: CoverSurface, M: np.ndarray, e: int) -> np.ndarray:
-    out = identity(surface)
+    """``M^e`` as a new array, by squaring: about ``2 log2 |e|`` products."""
     base = M if e >= 0 else symplectic_inverse(surface, M)
-    for _ in range(abs(e)):
-        out = mul(out, base)
-    return out
+    e, out = abs(e), None
+    while e:
+        if e & 1:
+            out = base.copy() if out is None else mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return identity(surface) if out is None else out
 
 
 def _induced_matrix(surface: CoverSurface, chain_map: np.ndarray) -> np.ndarray:
@@ -503,30 +506,38 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
 
     The one reader of lift names: whitespace-separated tokens ``zeta``,
     ``zeta_prime``, ``r``, ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the
-    :func:`lift_rep` kinds), each with an optional integer exponent.  The
-    result is the left-to-right product of the cached lift matrices; a
-    power other than 1 goes through :func:`matrix_power`, and empty text is
-    the identity.  An unknown token, a twist ``t<i>,<j>`` with ``j != i+1``
-    or a malformed exponent raises :class:`WordSyntaxError`.
+    :func:`lift_rep` kinds), each with an optional integer exponent of any
+    size.  The result is the left-to-right product of the cached lift
+    matrices; each distinct token is read once, a power goes through
+    :func:`matrix_power`, and empty text is the identity.  An unknown token,
+    a twist ``t<i>,<j>`` with ``j != i+1`` or a malformed exponent raises
+    :class:`WordSyntaxError`; a power whose entries outgrow int64 raises
+    ``OverflowError`` (:func:`mul`).
     """
     out = None
+    built: dict[str, np.ndarray] = {}  # each distinct token is read once per text
     for tok in text.split():
-        m = _LIFT_TOKEN_RE.fullmatch(tok)
-        if not m:
-            raise WordSyntaxError(f"unknown lift token {tok!r}")
-        named, h, i, j, e = m.groups()
-        if named:
-            M = lift_rep(surface, named)
-        elif h:
-            M = lift_rep(surface, "h", int(h))
-        elif int(j) == int(i) + 1:
-            M = lift_rep(surface, "t", int(i))
-        else:
-            raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
-        if e is not None and int(e) != 1:
-            M = matrix_power(surface, M, int(e))
-        out = M if out is None else mul(out, M)
+        if tok not in built:
+            built[tok] = _lift_token(surface, tok)
+        out = built[tok] if out is None else mul(out, built[tok])
     return identity(surface) if out is None else out
+
+
+def _lift_token(surface: CoverSurface, tok: str) -> np.ndarray:
+    """The homology matrix of one lift token of :func:`lift_product`."""
+    m = _LIFT_TOKEN_RE.fullmatch(tok)
+    if not m:
+        raise WordSyntaxError(f"unknown lift token {tok!r}")
+    named, h, i, j, e = m.groups()
+    if named:
+        M = lift_rep(surface, named)
+    elif h:
+        M = lift_rep(surface, "h", int(h))
+    elif int(j) == int(i) + 1:
+        M = lift_rep(surface, "t", int(i))
+    else:
+        raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
+    return M if e is None else matrix_power(surface, M, int(e))
 
 
 def check_normalizes_deck(M: np.ndarray, surface: CoverSurface) -> int | None:

@@ -4,9 +4,11 @@ Every check is packaged as a :class:`Claim` with a stable id, a pass /
 fail / skipped status and, for word-level and lifted-homology claims, a
 witness: a list of ``{lhs, rhs, group, expect}`` instances, in generator-token
 syntax or, for group ``homology``, in lift text (:func:`cover.lift_product`).
-A stored claim re-verifies from its witness alone — re-reading the text and
-re-running the oracle or the lift products reproduces the verdict, so
-reports double as certificates.
+One function judges such a certificate claim, in the run and in
+:func:`reverify_report` alike (:func:`_certificate_verdict`), so it
+re-verifies from its witness alone and reports double as certificates.  The
+computed claims (``liftability-*``, ``cover-*``, ``smod-chain-pattern``)
+store no witness; :func:`reverify_report` re-runs them at their ``n``, ``k``.
 
 Generation claims are straight-line programs: one step per standard
 generator, in a fixed order, writes it over the small generating set and
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import zip_longest
 from math import factorial
 
@@ -58,29 +61,12 @@ class Claim:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "group": self.group,
-            "status": self.status,
-            "detail": self.detail,
-            "witness": self.witness,
-            "elapsed": round(self.elapsed, 6),
-            "n": self.n,
-            "k": self.k,
-        }
+        return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Claim":
-        return cls(
-            id=d["id"],
-            group=d["group"],
-            status=d["status"],
-            detail=d.get("detail", ""),
-            witness=d.get("witness"),
-            elapsed=d.get("elapsed", 0.0),
-            n=d.get("n", 0),
-            k=d.get("k", 0),
-        )
+        optional = {key: d[key] for key in ("detail", "witness", "elapsed", "n", "k") if key in d}
+        return cls(d["id"], d["group"], d["status"], **optional)
 
 
 @dataclass
@@ -175,9 +161,7 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            header=d["header"], claims=[Claim.from_dict(c) for c in d["claims"]]
-        )
+        return cls(header=d["header"], claims=[Claim.from_dict(c) for c in d["claims"]])
 
     def render_text(self) -> str:
         lines = ["conventions:"]
@@ -236,16 +220,8 @@ def _claim(cid: str, group: str, ctx: Context, check, witness: dict | None = Non
         ok, detail = check()
     except BudgetError as exc:
         ok, detail = None, f"oracle budget exceeded: {exc}"
-    return Claim(
-        id=cid,
-        group=group,
-        status="skipped" if ok is None else "pass" if ok else "fail",
-        detail=detail,
-        witness=witness,
-        elapsed=time.monotonic() - t0,
-        n=ctx.n,
-        k=ctx.k,
-    )
+    status = "skipped" if ok is None else "pass" if ok else "fail"
+    return Claim(cid, group, status, detail, witness, time.monotonic() - t0, ctx.n, ctx.k)
 
 
 _EQ_BY_GROUP = oracle._EQ
@@ -267,17 +243,38 @@ def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
     return eq(lhs, rhs, ctx, budget=budget) == inst["expect"]
 
 
+def _inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
+    """One witness instance: ``lhs`` and ``rhs`` are equal in ``group`` iff ``expect``."""
+    return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect}
+
+
+def _certificate_verdict(
+    cid: str, ctx: Context, instances: list[dict], budget: int | None, note: str = ""
+) -> tuple[bool, str]:
+    """``(ok, detail)`` of a certificate claim: the one verdict path.
+
+    A ``generation-*`` claim's instances must first be straight-line steps
+    (:func:`_step_problem`); then every instance must hold
+    (:func:`check_instance`), and there must be at least one.  ``note``
+    leads a passing detail.
+    """
+    group = _GENERATION_GROUPS.get(cid)
+    problem = group and _step_problem(group, ctx, instances)
+    if problem:
+        return False, problem
+    if not instances:
+        return False, "no instances"
+    bad = [i for i in instances if not check_instance(i, ctx, budget)]
+    if bad:
+        return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
+    return True, f"{note} {len(instances)} instances".strip()
+
+
 def _run_instances(
     cid: str, group: str, ctx: Context, instances: list[dict], budget: int | None, note: str = ""
 ) -> Claim:
-    """The claim that every witness instance holds; ``note`` leads its detail."""
-
-    def check():
-        bad = [i for i in instances if not check_instance(i, ctx, budget)]
-        if bad:
-            return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
-        return True, f"{note} {len(instances)} instances".strip()
-
+    """The claim that the certificate ``instances`` holds (:func:`_certificate_verdict`)."""
+    check = partial(_certificate_verdict, cid, ctx, instances, budget, note)
     return _claim(cid, group, ctx, check, {"instances": instances})
 
 
@@ -287,27 +284,22 @@ def _run_instances(
 def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim:
     """Classical presentation cross-check guarding the sphere oracle."""
     arcs = ctx.num_arcs
-    instances = []
-    for i in range(1, arcs + 1):
-        for j in range(i + 2, arcs + 1):
-            instances.append(
-                {"group": "sphere", "lhs": f"s{i} s{j}", "rhs": f"s{j} s{i}", "expect": True}
-            )
-    for i in range(1, arcs):
-        instances.append(
-            {
-                "group": "sphere",
-                "lhs": f"s{i} s{i + 1} s{i}",
-                "rhs": f"s{i + 1} s{i} s{i + 1}",
-                "expect": True,
-            }
-        )
+    instances = [
+        _inst("sphere", f"s{i} s{j}", f"s{j} s{i}")
+        for i in range(1, arcs + 1)
+        for j in range(i + 2, arcs + 1)
+    ]
+    instances += [
+        _inst("sphere", f"s{i} s{i + 1} s{i}", f"s{i + 1} s{i} s{i + 1}") for i in range(1, arcs)
+    ]
     up = " ".join(f"s{i}" for i in range(1, arcs + 1))
     down = " ".join(f"s{i}" for i in range(arcs, 0, -1))
-    instances.append({"group": "sphere", "lhs": f"{up} {down}", "rhs": "", "expect": True})
-    instances.append({"group": "sphere", "lhs": "r1^(2n+2)", "rhs": "", "expect": True})
-    instances.append({"group": "sphere", "lhs": "s1", "rhs": "", "expect": False})
-    instances.append({"group": "sphere", "lhs": "s1^2", "rhs": "", "expect": False})
+    instances += [
+        _inst("sphere", f"{up} {down}", ""),
+        _inst("sphere", "r1^(2n+2)", ""),
+        _inst("sphere", "s1", "", False),
+        _inst("sphere", "s1^2", "", False),
+    ]
     return _run_instances("oracle-sphere-presentation", "sphere", ctx, instances, budget)
 
 
@@ -322,21 +314,17 @@ def verify_generator_validations(ctx: Context, budget: int | None = None) -> Cla
     so these also pin ``psi(r1)`` and ``psi(r)``.
     """
     n, arcs = ctx.n, ctx.num_arcs
-
-    def inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
-        return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect}
-
-    instances = [inst("disk", "h1", "s2 s1 s2"), inst("disk", "t1,2", "s1^2")]
+    instances = [_inst("disk", "h1", "s2 s1 s2"), _inst("disk", "t1,2", "s1^2")]
     for i, j in [(2, 3), (2, 4)] if n >= 2 else []:
         instances += [
-            inst("disk", f"t{i},{j} s{m}", f"s{m} t{i},{j}") for m in range(j + 1, 2 * n + 1)
+            _inst("disk", f"t{i},{j} s{m}", f"s{m} t{i},{j}") for m in range(j + 1, 2 * n + 1)
         ]
-    instances += [inst("sphere", f"r1^{d}", "", False) for d in range(1, arcs + 1)]
-    instances += [inst("sphere", f"r1 s{i} r1^-1", f"s{i + 1}") for i in range(1, arcs)]
-    instances.append(inst("sphere", "r^2", ""))
-    instances += [inst("sphere", f"r s{i} r^-1", f"s{arcs + 1 - i}") for i in range(1, arcs + 1)]
+    instances += [_inst("sphere", f"r1^{d}", "", False) for d in range(1, arcs + 1)]
+    instances += [_inst("sphere", f"r1 s{i} r1^-1", f"s{i + 1}") for i in range(1, arcs)]
+    instances.append(_inst("sphere", "r^2", ""))
+    instances += [_inst("sphere", f"r s{i} r^-1", f"s{arcs + 1 - i}") for i in range(1, arcs + 1)]
     if n == 1:
-        instances.append(inst("disk", "F", "h1^-1"))
+        instances.append(_inst("disk", "F", "h1^-1"))
     return _run_instances("generators-validation", "sphere", ctx, instances, budget)
 
 
@@ -347,41 +335,28 @@ def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
     n = ctx.n
     instances = {
         "relation-twist-conjugation": [
-            {
-                "group": "disk" if i <= 2 * n - 1 else "sphere",
-                "lhs": f"h{i} t{i},{i + 1} h{i}^-1",
-                "rhs": f"t{i + 1},{i + 2}",
-                "expect": True,
-            }
+            _inst(
+                "disk" if i <= 2 * n - 1 else "sphere",
+                f"h{i} t{i},{i + 1} h{i}^-1",
+                f"t{i + 1},{i + 2}",
+            )
             for i in range(1, 2 * n + 1)
         ],
         "relation-chain-twist-factorization": [
-            {
-                "group": "disk",
-                "lhs": f"t{i},{j}",
-                "rhs": factors_to_tokens(t_chain_factors(i, j)),
-                "expect": True,
-            }
+            _inst("disk", f"t{i},{j}", factors_to_tokens(t_chain_factors(i, j)))
             for i in range(1, ctx.num_arcs)
             for j in range(i + 2, ctx.num_arcs + 1)
         ],
         "relation-h-triple-conjugation": [
-            {
-                "group": "disk",
-                "lhs": f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}",
-                "rhs": f"h{i + 2}",
-                "expect": True,
-            }
+            _inst(
+                "disk",
+                f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}",
+                f"h{i + 2}",
+            )
             for i in range(1, 2 * n - 2)
         ],
         "relation-hchain-shift": [
-            {
-                "group": "disk",
-                "lhs": f"hchain_t^-1 h{i} hchain_t",
-                "rhs": f"h{i + 2}",
-                "expect": True,
-            }
-            for i in range(1, 2 * n - 2)
+            _inst("disk", f"hchain_t^-1 h{i} hchain_t", f"h{i + 2}") for i in range(1, 2 * n - 2)
         ],
     }
     return [
@@ -392,7 +367,7 @@ def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
 
 
 def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
-    instances = [{"group": "sphere", "lhs": "r1", "rhs": "r F", "expect": True}]
+    instances = [_inst("sphere", "r1", "r F")]
     return _run_instances("lemma-r1-factorization", "sphere", ctx, instances, budget)
 
 
@@ -484,16 +459,12 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
     basis = "sphere" if group == "lmod_sphere" else "star"
     oracle_group = _GROUP_TO_ORACLE[group]
     instances = [
-        {"group": oracle_group, "lhs": target, "rhs": factors_to_tokens(word), "expect": True}
+        _inst(oracle_group, target, factors_to_tokens(word))
         for target, word in generation_words(group, ctx)
     ]
     cid = f"generation-{group.replace('_', '-')}"
     note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}, straight-line steps:"
-    claim = _run_instances(cid, oracle_group, ctx, instances, budget, note)
-    problem = _step_problem(group, ctx, instances)
-    if problem:
-        claim.status, claim.detail = "fail", problem
-    return claim
+    return _run_instances(cid, oracle_group, ctx, instances, budget, note)
 
 
 # -- liftability --------------------------------------------------------------
@@ -632,22 +603,20 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     n = ctx.n
     twists = [f"t{i},{i + 1}" for i in range(1, ctx.num_arcs + 1)]
     halves = [f"h{i}" for i in range(1, 2 * n + 1)]
-
-    def inst(lhs: str, rhs: str) -> dict:
-        return {"group": "homology", "lhs": lhs, "rhs": rhs, "expect": True}
-
-    instances = {
-        "smod-conjugation-t": [inst(f"r1 {a}", f"{b} r1") for a, b in zip(twists, twists[1:])],
-        "smod-conjugation-h": [inst(f"r1 {a}", f"{b} r1") for a, b in zip(halves, halves[1:])],
-        "smod-deck-factorization": [inst("zeta_prime", "zeta")],
-        "smod-deck-normalization": [inst(f"{a} zeta", f"zeta {a}") for a in twists + halves]
-        + [inst(f"zeta {a} zeta", a) for a in ("r", "r1")],
-        "smod-r1-lift-consistency": [inst("r1 h1", "r")],
+    sides = {  # (lhs, rhs) of each claim's instances
+        "smod-conjugation-t": [(f"r1 {a}", f"{b} r1") for a, b in zip(twists, twists[1:])],
+        "smod-conjugation-h": [(f"r1 {a}", f"{b} r1") for a, b in zip(halves, halves[1:])],
+        "smod-deck-factorization": [("zeta_prime", "zeta")],
+        "smod-deck-normalization": [(f"{a} zeta", f"zeta {a}") for a in twists + halves]
+        + [(f"zeta {a} zeta", a) for a in ("r", "r1")],
+        "smod-r1-lift-consistency": [("r1 h1", "r")],
     }
     return [
-        _run_instances(cid, "homology", ctx, instances[cid], None, _HOMOLOGY_NOTE)
+        _run_instances(
+            cid, "homology", ctx, [_inst("homology", *p) for p in sides[cid]], None, _HOMOLOGY_NOTE
+        )
         for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, n)
-        if cid in instances
+        if cid in sides
     ]
 
 
@@ -692,45 +661,66 @@ def verify_chain_pattern(ctx: Context) -> Claim:
 # -- report assembly -----------------------------------------------------------
 
 
-def _reverify_claim(cdict: dict, header: dict, budget: int) -> bool | None:
-    """Whether one stored claim re-verifies; None if it has nothing to re-check."""
-    n, k = cdict["n"], cdict["k"]
+# The function that makes each computed claim (a claim-table row without a
+# witness); reverify_report re-runs it at the claim's own (n, k).
+_MAKERS = {
+    row[0]: maker
+    for rows, maker in ((_LIFTABILITY_CLAIMS, verify_liftability), (_COVER_CLAIMS, verify_cover),
+                        (_HOMOLOGY_CLAIMS, verify_chain_pattern))
+    for row in rows
+    if not row[4]
+}
+
+
+def _reverify_claim(cdict: dict, header: dict, budget: int, reruns: dict) -> bool | None:
+    """Whether one stored claim re-verifies; None for a skipped claim.
+
+    ``reruns`` maps each ``(maker, ctx)`` already re-run to its claim statuses.
+    """
+    cid, n, k = cdict["id"], cdict["n"], cdict["k"]
     if header.get("n", n) != n or header.get("k", k) != k:
         return False
     if cdict["status"] == "skipped":
         return None
-    instances = (cdict.get("witness") or {}).get("instances")
-    if not instances:
-        return False if cdict["id"] in _WITNESS_CLAIMS else None
+    if (cid, cdict["group"]) not in _claim_ids(_ALL_CLAIMS, n):
+        return False
     ctx = Context(n, k)
-    group = _GENERATION_GROUPS.get(cdict["id"])
-    ok = (group is None or _step_problem(group, ctx, instances) is None) and all(
-        check_instance(i, ctx, budget) for i in instances
-    )
-    return ok == (cdict["status"] == "pass")
+    if cid in _WITNESS_CLAIMS:
+        instances = (cdict.get("witness") or {}).get("instances") or []
+        ok, _ = _certificate_verdict(cid, ctx, instances, budget)
+        return cdict["status"] == ("pass" if ok else "fail")
+    maker = _MAKERS[cid]
+    if (maker, ctx) not in reruns:
+        claims = maker(ctx)
+        claims = claims if isinstance(claims, list) else [claims]
+        reruns[maker, ctx] = {c.id: c.status for c in claims}
+    return cdict["status"] == reruns[maker, ctx][cid]
 
 
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
-    """Re-check every stored witness instance of a report; certificates only.
+    """``(id, ok)`` for every claim of a report that ran; ok if its status is re-derived.
 
-    A claim whose ``n`` or ``k`` differs from the header's (where the header
-    states them; a bundle of certificates may leave them out), a claim that
-    ran (not skipped) on witness instances but stores none, a malformed
-    claim or instance (a missing field, word text that does not parse), and
-    a claim of the claim table that the header's ``n`` calls for but is
-    missing, fail.  A generation claim's instances must also be
-    straight-line steps (:func:`_step_problem`, at the claim's own ``n``).
+    A certificate claim re-verifies from its stored instances alone, through
+    the run's own verdict path (:func:`_certificate_verdict`).  A computed
+    claim is re-derived by re-running the function that made it at the
+    claim's own ``n`` and ``k``, once per function and ``(n, k)``.  A claim
+    whose ``n`` or ``k`` differs from the header's (where the header states
+    them; a bundle of claims may leave them out), an id and group not in the
+    claim table at that ``n``, a malformed claim or instance (a missing field,
+    text that does not parse, a lift power that overflows), and a table claim
+    that the header's ``n`` calls for but is missing, fail.  Skipped claims
+    are left out: the header does not record the bounds that skipped them.
     An oracle over its letter budget raises :class:`BudgetError`.
     """
     if isinstance(report, Report):
         report = report.to_dict()
     budget = oracle.resolve_budget(budget)
     header = report["header"]
-    results = []
+    results, reruns = [], {}
     for cdict in report["claims"]:
         try:
-            ok = _reverify_claim(cdict, header, budget)
-        except (KeyError, TypeError, ValueError, AttributeError):
+            ok = _reverify_claim(cdict, header, budget, reruns)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
             ok = False
         if ok is not None:
             results.append((cdict.get("id"), ok))

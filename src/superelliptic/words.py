@@ -151,13 +151,6 @@ class Permutation:
             im[y - 1] = x
         return Permutation(tuple(im))
 
-    def __pow__(self, e: int) -> "Permutation":
-        out = Permutation.identity(self.size)
-        base = self if e >= 0 else self.inverse()
-        for _ in range(abs(e)):
-            out = base.compose(out)
-        return out
-
     def to_text(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 

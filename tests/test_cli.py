@@ -130,6 +130,15 @@ class TestCover:
         code, _, err = run(capsys, "cover", "matrix", "q7", "--n", "1", "--k", "3")
         assert code == 2 and "error" in err
 
+    def test_matrix_huge_power(self, capsys, few_products):
+        code, out, _ = run(capsys, "cover", "matrix", "zeta^1000000000", "--n", "1")
+        _, want, _ = run(capsys, "cover", "matrix", "zeta", "--n", "1")  # 10^9 = 1 mod 3
+        assert code == 0 and out == want
+
+    def test_matrix_overflow_exit_2(self, capsys, few_products):
+        code, out, err = run(capsys, "cover", "matrix", "t1,2^1000000000000000000", "--n", "1")
+        assert code == 2 and not out and err.startswith("error: int64 product bound")
+
 
 class TestVerifyAll:
     def test_small_run_exit_0(self, capsys):

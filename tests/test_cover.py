@@ -560,3 +560,33 @@ class TestLiftProduct:
         M = lift_product(S, "zeta")
         M[0, 0] += 1
         assert not np.array_equal(lift_product(S, "zeta"), M)
+
+    @pytest.mark.parametrize("e", range(-7, 8))
+    def test_matrix_power_is_the_repeated_product(self, S, e):
+        for kind, index in [("t", 1), ("h", 2), ("r1", None), ("zeta", None)]:
+            M = lift_rep(S, kind, index)
+            base = M if e >= 0 else cover_mod.symplectic_inverse(S, M)
+            want = identity(S)
+            for _ in range(abs(e)):
+                want = want @ base.astype(object)
+            power = cover_mod.matrix_power(S, M, e)
+            assert np.array_equal(power, want) and power is not M, (kind, e)
+
+    @pytest.mark.parametrize("e", [10**9, -(10**9), 3 * 10**40 + 2])
+    def test_huge_power_takes_few_products(self, S, e, few_products):
+        want = lift_product(S, f"zeta^{e % 3}")  # k = 3
+        assert np.array_equal(lift_product(S, f"zeta^{e}"), want)
+
+    def test_overflowing_power_raises(self, S, few_products):
+        with pytest.raises(OverflowError):
+            lift_product(S, "t1,2^1000000000000000000")
+
+    def test_repeated_tokens_are_read_once(self, S, monkeypatch):
+        read = []
+        real = cover_mod.lift_rep
+        monkeypatch.setattr(cover_mod, "lift_rep", lambda *a: read.append(a) or real(*a))
+        M = lift_product(S, "h1^-1 h1^-1 t1,2 h1^-1 t1,2")
+        assert read == [(S, "h", 1), (S, "t", 1)]
+        h_inv = cover_mod.symplectic_inverse(S, real(S, "h", 1)).astype(object)
+        t = real(S, "t", 1).astype(object)
+        assert np.array_equal(M, h_inv @ h_inv @ t @ h_inv @ t)

@@ -42,6 +42,11 @@ from superelliptic.theorems import (
 )
 
 
+@pytest.fixture(scope="module")
+def report_2_3():
+    return run_all(2, 3).to_dict()
+
+
 def _generation_word(group: str, target: str, ctx: Context) -> list:
     return dict(generation_words(group, ctx))[target]
 
@@ -261,10 +266,6 @@ class TestCertificates:
         results = reverify_report(json.loads(path.read_text()))
         assert results and all(ok for _, ok in results)
 
-    @pytest.fixture(scope="class")
-    def report_2_3(self):
-        return run_all(2, 3).to_dict()
-
     def test_emptied_instances_are_caught(self, report_2_3):
         results = dict(reverify_report(report_2_3))
         assert results["generation-lmod-sphere"] is True
@@ -478,6 +479,78 @@ class TestCertificates:
         broken = dict(claim.witness["instances"][0])
         broken["rhs"] = "h1 h1"
         assert not check_instance(broken, ctx)
+
+
+class TestVerdicts:
+    """reverify_report re-derives every claim that ran, on the run's own verdict path."""
+
+    @pytest.mark.parametrize(
+        "n, k, bounds",
+        [(1, 3, None), (2, 3, None), (6, 6, Bounds(base_n=0))],
+        ids=["1-3", "2-3", "6-6-base-n-0"],
+    )
+    def test_every_flipped_status_fails_that_claim_alone(self, n, k, bounds):
+        report = run_all(n, k, bounds=bounds).to_dict()
+        ran = [c["id"] for c in report["claims"] if c["status"] != "skipped"]
+        assert dict(reverify_report(report)) == dict.fromkeys(ran, True)
+        for cid in ran:
+            cut = json.loads(json.dumps(report))
+            next(c for c in cut["claims"] if c["id"] == cid)["status"] = "fail"
+            results = dict(reverify_report(cut))
+            assert results.pop(cid) is False, cid
+            assert all(results.values()), cid
+
+    def test_all_21_claims_reverify_at_2_3(self, report_2_3):
+        results = reverify_report(report_2_3)
+        assert [cid for cid, _ in results] == [c["id"] for c in report_2_3["claims"]]
+        assert len(results) == 21 and all(ok for _, ok in results)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda c: c.update(id="cover-genus"), id="invented-id"),
+            pytest.param(lambda c: c.update(group="sphere"), id="wrong-group"),
+            pytest.param(lambda c: c.update(id="smod-r1-lift-consistency"), id="id-not-at-this-n"),
+        ],
+    )
+    def test_claim_outside_the_table_fails(self, report_2_3, edit):
+        cut = json.loads(json.dumps(report_2_3))
+        cut["claims"].append(dict(cut["claims"][-1], witness=None))
+        edit(cut["claims"][-1])
+        results = reverify_report(cut)
+        assert results[-1] == (cut["claims"][-1]["id"], False)
+        assert all(ok for _, ok in results[:-1])
+
+    def test_computed_claims_rerun_at_their_own_n_and_k(self):
+        def claim(cid, n, k, bounds=None):
+            return next(c for c in run_all(n, k, bounds=bounds).to_dict()["claims"]
+                        if c["id"] == cid)
+
+        base0 = Bounds(base_n=0)
+        bundle = {"header": {}, "claims": [
+            claim("cover-deck-rotation", 2, 3, base0),
+            claim("cover-deck-rotation", 1, 4, base0),
+            claim("smod-chain-pattern", 1, 5, base0),
+            claim("liftability-curve-lifts", 3, 4, base0),
+            dict(claim("liftability-w-size", 3, 3, base0), n=4),  # skipped at n = 4
+            dict(claim("cover-deck-rotation", 1, 4, base0), status="fail"),
+        ]}
+        assert [ok for _, ok in reverify_report(bundle)] == [True, True, True, True, False, False]
+
+    def test_each_maker_reruns_once_per_n_and_k(self, report_2_3, monkeypatch):
+        calls = []
+        real = liftability.w_size
+        monkeypatch.setattr(liftability, "w_size", lambda ctx: calls.append(ctx) or real(ctx))
+        reverify_report(report_2_3)
+        assert calls == [Context(2, 3)] * 2  # the w-size and w-generation checks of one run
+
+    def test_overflowing_instance_fails_its_claim_alone(self, report_2_3, few_products):
+        cut = json.loads(json.dumps(report_2_3))
+        claim = next(c for c in cut["claims"] if c["id"] == "smod-deck-normalization")
+        claim["witness"]["instances"][0]["lhs"] = "t1,2^1000000000000000000 zeta"
+        results = dict(reverify_report(cut))
+        assert results.pop("smod-deck-normalization") is False
+        assert all(results.values())
 
 
 class TestRunAll:
