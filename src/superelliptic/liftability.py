@@ -16,14 +16,13 @@ and ``-1`` for even ``j``.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 from math import factorial, prod
 
 from . import _kernels as K
 from .errors import WordSyntaxError
-from .words import Context, Permutation, Word, psi
+from .words import Context, Permutation, Word, first_out_of_range, psi
 
 
 class ParityClass(enum.Enum):
@@ -109,12 +108,35 @@ def generated_group(perms, ctx: Context) -> tuple[int, list[frozenset[int]]]:
 
 
 def enumerate_W(ctx: Context):
-    """Exhaustive iterator over the parity subgroup (desk scale: n <= 3)."""
+    """Exhaustive iterator over the parity subgroup (desk scale: n <= 3).
+
+    A depth-first search over ``S_{2n+2}`` assigns ``p(1), p(2), ..`` in
+    turn, trying values in increasing order.  A permutation is in W iff
+    every shift ``p(x) - x`` has the parity of ``p(1) - 1``
+    (:func:`_parity_of`), and every extension of a prefix whose shifts mix
+    parities mixes them too, so the search never extends such a prefix: it
+    builds every member of W and nothing else, in the lexicographic order of
+    ``itertools.permutations``, in ``O(|W| n)`` steps instead of
+    ``(2n+2)!``.
+    """
     if ctx.n > 3:
         raise ValueError("exhaustive enumeration is limited to n <= 3")
-    for images in itertools.permutations(range(1, ctx.num_points + 1)):
-        if _parity_of(images) is not ParityClass.NEITHER:
-            yield Permutation(images)
+    top = ctx.num_points
+    images, used = [0] * top, [False] * (top + 1)
+
+    def extend(x, shift):
+        if x > top:
+            yield Permutation(tuple(images))
+            return
+        # p(1) may be any point; p(x) for x > 1 keeps the parity of p(1) - 1
+        values = range(1, top + 1) if x == 1 else range(2 - (x + shift) % 2, top + 1, 2)
+        for y in values:
+            if not used[y]:
+                used[y], images[x - 1] = True, y
+                yield from extend(x + 1, (y - x) % 2)
+                used[y] = False
+
+    yield from extend(1, 0)
 
 
 _CURVE_TOKEN_RE = re.compile(r"^x(\d+)(\^-1)?$")
@@ -132,9 +154,9 @@ class CurveClass:
 
     def __post_init__(self):
         top = self.ctx.num_points
-        for a in self.letters:
-            if a == 0 or abs(a) > top:
-                raise WordSyntaxError(f"curve letter {a} out of range 1..{top}")
+        bad = first_out_of_range(self.letters, top)
+        if bad is not None:
+            raise WordSyntaxError(f"curve letter {bad} out of range 1..{top}")
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "CurveClass":

@@ -707,19 +707,24 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
     whose ``n`` or ``k`` differs from the header's (where the header states
     them; a bundle of claims may leave them out), an id and group not in the
     claim table at that ``n``, a malformed claim or instance (a missing field,
-    text that does not parse, a lift power that overflows), and a table claim
-    that the header's ``n`` calls for but is missing, fail.  Skipped claims
-    are left out: the header does not record the bounds that skipped them.
+    text that does not parse, a lift power that overflows), each listing of
+    a claim after its first at the same ``n`` and ``k`` (even of a skipped
+    claim), and a table claim that the header's ``n`` calls for but is
+    missing, fail.  Other skipped claims are left out: the header does not
+    record the bounds that skipped them.
     An oracle over its letter budget raises :class:`BudgetError`.
     """
     if isinstance(report, Report):
         report = report.to_dict()
     budget = oracle.resolve_budget(budget)
     header = report["header"]
-    results, reruns = [], {}
+    results, reruns, seen = [], {}, set()
     for cdict in report["claims"]:
         try:
-            ok = _reverify_claim(cdict, header, budget, reruns)
+            key = (cdict["id"], cdict["n"], cdict["k"])
+            repeat = key in seen
+            seen.add(key)
+            ok = False if repeat else _reverify_claim(cdict, header, budget, reruns)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
             ok = False
         if ok is not None:

@@ -15,6 +15,7 @@ reads them back along with every named generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernels as K
 from .errors import ContextMismatchError, WordSyntaxError
@@ -46,6 +47,24 @@ class Context:
         return self.n * (self.k - 1)
 
 
+@lru_cache(maxsize=8)
+def _valid_letters(top: int) -> frozenset[int]:
+    return frozenset(range(-top, top + 1)) - {0}
+
+
+def first_out_of_range(letters: tuple[int, ...], top: int) -> int | None:
+    """The first letter that is 0 or beyond ``+-top``, or None if there is none.
+
+    One subset test against the valid letters (a C loop that hashes each
+    letter once) clears a good tuple; the per-letter loop runs only when it
+    fails.  On CPython 3.11 this beats scanning with ``in``, ``max`` and
+    ``min``, three rich-comparison passes that are slower than the loop.
+    """
+    if _valid_letters(top).issuperset(letters):
+        return None
+    return next((a for a in letters if a == 0 or abs(a) > top), None)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over ``sigma_1 .. sigma_{2n+1}``."""
@@ -55,9 +74,9 @@ class Word:
 
     def __post_init__(self):
         top = self.ctx.num_arcs
-        for a in self.letters:
-            if a == 0 or abs(a) > top:
-                raise WordSyntaxError(f"letter {a} out of range 1..{top}")
+        bad = first_out_of_range(self.letters, top)
+        if bad is not None:
+            raise WordSyntaxError(f"letter {bad} out of range 1..{top}")
 
     # -- construction ------------------------------------------------------
 

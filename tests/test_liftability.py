@@ -24,7 +24,8 @@ from superelliptic import (
 )
 from superelliptic.errors import WordSyntaxError
 from superelliptic.generators import gen_F, gen_h, gen_hchain_t, gen_r, gen_r1, gen_t
-from superelliptic.liftability import enumerate_W, generated_group
+from superelliptic.liftability import _parity_of, enumerate_W, generated_group
+from superelliptic.theorems import verify_liftability
 
 CTX = Context(2, 3)
 
@@ -119,6 +120,33 @@ class TestWSize:
                 for i in range(1, 2 * n + 1)
             ]
             assert _brute_force_group(gens, ctx.num_points) == kernel
+
+
+class TestEnumerateW:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_filtered_permutations(self, n):
+        ctx = Context(n, 3)
+        referee = [
+            images
+            for images in itertools.permutations(range(1, ctx.num_points + 1))
+            if _parity_of(images) is not ParityClass.NEITHER
+        ]
+        assert [p.images for p in enumerate_W(ctx)] == referee
+
+    def test_limited_to_n_at_most_3(self):
+        with pytest.raises(ValueError, match="limited to n <= 3"):
+            next(enumerate_W(Context(4, 3)))
+
+    @pytest.mark.parametrize(
+        "n, status, detail",
+        [
+            (3, "pass", "|W| = 1152 == 2((n+1)!)^2 = 1152 (exhaustive)"),
+            (4, "skipped", "exhaustive check limited to n <= 3; formula gives 28800"),
+        ],
+    )
+    def test_w_size_claim(self, n, status, detail):
+        claim = next(c for c in verify_liftability(Context(n, 3)) if c.id == "liftability-w-size")
+        assert (claim.status, claim.detail) == (status, detail)
 
 
 class TestGeneratedGroup:

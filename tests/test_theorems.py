@@ -521,6 +521,17 @@ class TestVerdicts:
         assert results[-1] == (cut["claims"][-1]["id"], False)
         assert all(ok for _, ok in results[:-1])
 
+    @pytest.mark.parametrize(
+        "cid", ["oracle-sphere-presentation", "liftability-w-size", "cover-deck-rotation"]
+    )
+    def test_claim_listed_twice_fails_each_repeat(self, report_2_3, cid):
+        cut = json.loads(json.dumps(report_2_3))
+        claim = next(c for c in cut["claims"] if c["id"] == cid)
+        cut["claims"] += [claim, claim]
+        results = reverify_report(cut)
+        assert results[-2:] == [(cid, False), (cid, False)]
+        assert len(results) == 23 and all(ok for _, ok in results[:-2])
+
     def test_computed_claims_rerun_at_their_own_n_and_k(self):
         def claim(cid, n, k, bounds=None):
             return next(c for c in run_all(n, k, bounds=bounds).to_dict()["claims"]

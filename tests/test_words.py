@@ -66,6 +66,23 @@ def test_from_letters_checks_letters_before_reducing(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "cls, letters, message",
+    [
+        (Word, (1, 5, 0, -9), "letter 5 out of range 1..3"),
+        (Word, (2, 0, 5), "letter 0 out of range 1..3"),
+        (Word, (1, 0, -2), "letter 0 out of range 1..3"),
+        (Word, (1, 4, -5), "letter 4 out of range 1..3"),
+        (CurveClass, (1, 4, -5), "curve letter -5 out of range 1..4"),
+        (CurveClass, (4, -4, 0, 9), "curve letter 0 out of range 1..4"),
+    ],
+)
+def test_range_check_names_the_first_bad_letter(cls, letters, message):
+    with pytest.raises(WordSyntaxError) as info:
+        cls(Context(1, 3), letters)
+    assert str(info.value) == message
+
+
 class TestGroupOps:
     def test_invert_reverses_and_flips(self):
         w = expand_token_text("s1 s2", CTX)
