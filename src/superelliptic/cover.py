@@ -18,25 +18,31 @@ their four ends in the cyclic order of the vertex link.
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
 half-rotation, as the rows of an int64 array with ``2g`` columns.
-Twists act by transvections ``x -> x + <x, c> c``; the deck rotation and
-the half-turn act through their edge maps directly.  :func:`lift_rep`
-builds and caches one named lift, and :func:`lift_product` reads a product
-of named lifts from text (``r1 t1,2 r1^-1``).  The homology
-representation is a necessary-condition shadow only (it is not faithful);
-every verification built on it is labeled accordingly by the theorem suite.
+Twists act by transvections ``x -> x + <x, c> c``, applied as rank-one
+updates ``M -> M + (M c)(J c)^T`` by :func:`transvect`, so a lifted twist
+costs no dense product; the deck rotation and the half-turn act through
+their edge maps directly.  :func:`lift_rep` builds and caches one named
+lift, and :func:`lift_product` reads a product of named lifts from text
+(``r1 t1,2 r1^-1``).  The homology representation is a necessary-condition
+shadow only (it is not faithful); every verification built on it is
+labeled accordingly by the theorem suite.
 
-Arithmetic.  :func:`build_cover` derives the relations, the crossing form,
-the homology basis and a symplectic basis ``P`` exactly in Python ints
-through :mod:`intmat` and stores them as ``int64`` (``OverflowError`` if an
-entry does not fit).  Its products (the check that the relations pair to
-zero, ``J = basis^T crossing basis``, the check ``P^T J P = J0`` and
-``J^-1 = -P J0 P^T``) and every later product of homology matrices go
-through :func:`mul`.  ``mul`` bounds every entry and partial sum by
+Arithmetic.  :func:`build_cover` derives the relations and the homology
+basis exactly in Python ints through :mod:`intmat`, computes the crossing
+form from the vertex-link positions in one broadcast, and stores
+everything as ``int64`` (``OverflowError`` if an entry does not fit).  The
+symplectic basis ``P`` is computed in checked int64
+(:func:`intmat.symplectic_change_of_basis`).  The cover's products (the
+check that the relations pair to zero, ``J = basis^T crossing basis``, the
+check ``P^T J P = J0`` and ``J^-1 = -P J0 P^T``) and every later product
+of homology matrices go through :func:`intmat.mul`, imported here as
+``mul``.  It bounds every entry and partial sum by
 ``max|A| * max|B| * inner_dim`` and takes one of two exact paths: below
 ``2**53`` a float64 (BLAS) product, below ``2**62`` an int64 product.  At
-``2**62`` and above it raises ``OverflowError``, so a result is exact or
-the call raises: it never wraps or rounds and never falls back to object
-arithmetic.
+``2**62`` and above it raises ``OverflowError``.  :func:`transvect`
+carries an upper bound on ``max|M|`` from update to update under the same
+``2**62`` limit.  So a result is exact or the call raises: it never wraps
+or rounds and never falls back to object arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import numpy as np
 from . import intmat
 from .errors import DoesNotLiftError, WordSyntaxError
 from .generators import F_factors, factors_to_tokens, t_chain_factors
+from .intmat import _as_int64, _check_bound, _max_abs, mul
 from .liftability import CurveClass, curve_monodromy, gamma_curve
 from .words import Context
 
@@ -57,56 +64,6 @@ from .words import Context
 # that the boundary-twist factorization of the deck rotation reproduces the
 # deck rotation matrix itself (theorem suite / acceptance).
 _ORIENT = 1
-
-
-# A product's entries, and every partial sum of them, are sums of at most
-# ``inner_dim`` terms each at most ``max|A| * max|B|`` in absolute value.
-_FLOAT_BOUND = 2**53
-_PRODUCT_BOUND = 2**62
-
-
-def _as_int64(A) -> np.ndarray:
-    """``A`` as an int64 array; ``OverflowError`` if an entry does not fit."""
-    A = np.asarray(A)
-    if A.dtype.kind not in "biO":
-        raise TypeError(f"expected an integer array, got dtype {A.dtype}")
-    return A.astype(np.int64, copy=False)
-
-
-def _max_abs(A: np.ndarray) -> int:
-    return max(int(A.max()), -int(A.min())) if A.size else 0
-
-
-def mul(*factors) -> np.ndarray:
-    """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
-
-    Factors are matrices or vectors, converted by :func:`_as_int64`.  Before
-    each product, ``bound = max|A| * max|B| * inner_dim`` bounds every entry
-    and every partial sum of the result, in any summation order.
-
-    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS) and is
-      converted back to int64.  Each term and each partial sum is then an
-      integer below ``2**53``, which float64 holds exactly, so neither the
-      summation order nor fused multiply-adds can round.  (An entry at or
-      above ``2**53`` is rounded on conversion, but then the other factor
-      is zero and so is the product.)
-    - ``2**53 <= bound < 2**62``: the product runs as int64 ``@``, the only
-      exact path there; no int64 sum can wrap.
-    - ``bound >= 2**62``: ``OverflowError``.
-    """
-    out = _as_int64(factors[0])
-    for B in factors[1:]:
-        B = _as_int64(B)
-        bound = _max_abs(out) * _max_abs(B) * out.shape[-1]
-        if bound < _FLOAT_BOUND:
-            out = (out.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        elif bound < _PRODUCT_BOUND:
-            out = out @ B
-        else:
-            raise OverflowError(
-                f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
-            )
-    return out
 
 
 def _c(i: int) -> int:
@@ -158,27 +115,9 @@ def _norm(l: int, k: int) -> int:
     return (l - 1) % k + 1
 
 
-def _chord_sign(a_in: int, a_out: int, b_in: int, b_out: int, size: int) -> int:
-    ra = (a_out - a_in) % size
-    rb1 = (b_in - a_in) % size
-    rb2 = (b_out - a_in) % size
-    in1 = 0 < rb1 < ra
-    in2 = 0 < rb2 < ra
-    if in1 == in2:
-        return 0
-    return 1 if in1 else -1
-
-
-@lru_cache(maxsize=None)
-def build_cover(ctx: Context) -> CoverSurface:
-    """Build the cover and its homology apparatus for the given ``(n, k)``."""
-    n, k = ctx.n, ctx.k
-    arcs = ctx.num_arcs
-
-    loops = tuple((i, l) for i in range(1, arcs + 1) for l in range(2, k + 1))
-    loop_index = {e: t for t, e in enumerate(loops)}
-    m = len(loops)
-
+def _face_sides(ctx: Context) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The boundary of each sheet's face as ``(arc, label, direction)`` sides."""
+    k, arcs = ctx.k, ctx.num_arcs
     face_sides = []
     for s in range(1, k + 1):
         sides = []
@@ -190,14 +129,12 @@ def build_cover(ctx: Context) -> CoverSurface:
             for i in range(arcs, 0, -1):
                 sides.append((i, s, -1))
         face_sides.append(tuple(sides))
-    face_sides = tuple(face_sides)
+    return tuple(face_sides)
 
-    relations = np.zeros((k, m), dtype=np.int64)
-    for s, sides in enumerate(face_sides):
-        for (i, lab, d) in sides:
-            relations[s, loop_index[(i, lab)]] += d
 
-    # vertex link of the one-vertex complex: ends 2e (tail), 2e+1 (head)
+def _link_positions(face_sides, loop_index: dict) -> np.ndarray:
+    """Position of each loop end on the vertex link: ends ``2e`` (tail), ``2e+1`` (head)."""
+    m = len(loop_index)
     succ = [-1] * (2 * m)
     for sides in face_sides:
         L = len(sides)
@@ -226,15 +163,48 @@ def build_cover(ctx: Context) -> CoverSurface:
                 break
         if count != 2 * m:
             raise AssertionError("vertex link is not a single circle")
+    return np.array(pos, dtype=np.int64)
 
-    crossing = np.zeros((m, m), dtype=np.int64)
-    for e in range(m):
-        for f in range(e + 1, m):
-            sgn = _chord_sign(
-                pos[2 * e + 1], pos[2 * e], pos[2 * f + 1], pos[2 * f], 2 * m
-            )
-            crossing[e, f] = _ORIENT * sgn
-            crossing[f, e] = -_ORIENT * sgn
+
+def _crossing_form(pos: np.ndarray) -> np.ndarray:
+    """Pairing of the loop classes from the chord-crossing signs of their ends.
+
+    Loop ``e`` is the chord from its head ``pos[2e+1]`` to its tail
+    ``pos[2e]`` on the link circle.  Loop ``f`` crosses it with sign +1
+    (-1) when only its head (tail) lies strictly inside the arc that runs
+    forward from ``e``'s head to ``e``'s tail, and 0 when both or neither
+    do.  Two chords with distinct ends either interlace, and then exactly
+    one end of each lies inside the other's arc, or do not, so the signs
+    form a skew matrix with zero diagonal; all pairs are computed in one
+    broadcast.
+    """
+    size = len(pos)
+    head, tail = pos[1::2], pos[0::2]
+    reach = ((tail - head) % size)[:, None]
+
+    def inside(ends):
+        r = (ends[None, :] - head[:, None]) % size
+        return ((0 < r) & (r < reach)).astype(np.int64)
+
+    return _ORIENT * (inside(head) - inside(tail))
+
+
+@lru_cache(maxsize=None)
+def build_cover(ctx: Context) -> CoverSurface:
+    """Build the cover and its homology apparatus for the given ``(n, k)``."""
+    n, k = ctx.n, ctx.k
+    arcs = ctx.num_arcs
+
+    loops = tuple((i, l) for i in range(1, arcs + 1) for l in range(2, k + 1))
+    loop_index = {e: t for t, e in enumerate(loops)}
+    m = len(loops)
+
+    face_sides = _face_sides(ctx)
+    relations = np.zeros((k, m), dtype=np.int64)
+    for s, sides in enumerate(face_sides):
+        for (i, lab, d) in sides:
+            relations[s, loop_index[(i, lab)]] += d
+    crossing = _crossing_form(_link_positions(face_sides, loop_index))
 
     if mul(relations, crossing).any():
         raise AssertionError("face relations do not pair to zero")
@@ -255,7 +225,6 @@ def build_cover(ctx: Context) -> CoverSurface:
         P = intmat.symplectic_change_of_basis(J)
     except ValueError as exc:
         raise AssertionError(f"intersection form is not unimodular: {exc}") from exc
-    P = _as_int64(P)
     J0 = intmat.standard_symplectic(J.shape[0])
     if not np.array_equal(mul(P.T, J, P), J0):
         raise AssertionError("intersection form is not unimodular")
@@ -357,11 +326,40 @@ def identity(surface: CoverSurface) -> np.ndarray:
     return np.eye(surface.h1_rank, dtype=np.int64)
 
 
+def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """``M T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves``, as a new array.
+
+    ``T_c = I + c (J c)^T`` is the right twist about class ``c``, so each
+    factor is the rank-one update ``M -> M + (M c)(J c)^T``: no dense
+    product.  A lifted curve meets few basis classes, so only the columns
+    of ``M`` in the supports of ``c`` and ``J c`` are read and written.
+    The ``J c`` rows come from one checked product (:func:`mul`).
+    An upper bound on ``max|M|`` is carried from update to update instead of
+    rescanning ``M``: ``bound * |c|_1`` bounds the sums of ``M c``, and the
+    updated ``M`` is bounded by ``bound + max|M c| * max|J c|``.  Either
+    bound at ``2**62`` raises ``OverflowError``, as in :func:`mul`, so the
+    result is exact or the call raises.
+    """
+    C = _as_int64(curves)
+    JC = mul(C, surface.J.T)  # row t is (J c_t)^T
+    M = _as_int64(M).copy()
+    bound = _max_abs(M)
+    c_sums = np.abs(C).sum(axis=1).tolist()  # |c|_1 of each curve
+    Jc_maxes = np.abs(JC).max(axis=1).tolist()
+    for c, Jc, c_sum, Jc_max in zip(C, JC, c_sums, Jc_maxes):
+        _check_bound(bound * c_sum, "transvection")
+        support = np.flatnonzero(c)
+        Mc = M[:, support] @ c[support]
+        bound += _max_abs(Mc) * Jc_max
+        _check_bound(bound, "transvection")
+        support = np.flatnonzero(Jc)
+        M[:, support] += np.outer(Mc, Jc[support])
+    return M
+
+
 def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
     """Transvection of the right twist about class ``c``: ``x -> x + <x, c> c``."""
-    v = _as_int64(c)
-    # the outer product v (J v)^T as a checked product with inner dimension 1
-    return identity(surface) + mul(v[:, None], mul(surface.J, v)[None, :])
+    return transvect(surface, identity(surface), np.asarray(c)[None])
 
 
 def is_symplectic(surface: CoverSurface, M: np.ndarray) -> bool:
@@ -481,9 +479,7 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
             raise ValueError(f"{kind}-lift index {index} out of range 1..{top}")
         # the product of the twists about the lifted curves, in row order
         curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
-        M = identity(surface)
-        for c in curves:
-            M = mul(M, twist_matrix(surface, c))
+        M = transvect(surface, identity(surface), curves)
     elif kind == "r1":
         M = lift_product(surface, "r " + factors_to_tokens(F_factors(n)))
     elif kind == "zeta_prime":

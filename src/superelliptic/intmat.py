@@ -1,17 +1,77 @@
 """Exact integer linear algebra on small dense matrices.
 
-The package's exact arithmetic lives here: these functions work on Python
-ints in numpy ``object`` arrays, so no overflow is possible, and accept
-any integer matrix as input.  The cover derives its homology apparatus
-with them and then stores it as int64 (see :mod:`superelliptic.cover`).
-Sizes stay small (at most a few hundred rows), so the cubic classics are
-plenty: Smith normal form with transforms, one fraction-free (Bareiss)
-elimination for rational rank and determinants, and a symplectic basis
-for a skew unimodular form."""
+Two kinds of exact arithmetic live here.  :func:`smith_normal_form` and the
+Bareiss elimination behind :func:`rank_rational` and :func:`det_exact` work
+on Python ints in numpy ``object`` arrays, so no overflow is possible, and
+accept any integer matrix as input.  :func:`mul` and
+:func:`symplectic_change_of_basis` work in ``int64``: each product or
+update is computed only when a bound on every entry and partial sum is
+below ``2**62``, and raises ``OverflowError`` otherwise, so a result is
+exact or the call raises; it never wraps.  The cover derives its homology
+apparatus with these functions and stores it as int64 (see
+:mod:`superelliptic.cover`).  Sizes stay small (at most a few hundred
+rows), so the cubic classics are plenty: Smith normal form with
+transforms, one fraction-free (Bareiss) elimination for rational rank and
+determinants, and a symplectic basis for a skew unimodular form."""
 
 from __future__ import annotations
 
 import numpy as np
+
+# A product's entries, and every partial sum of them, are sums of at most
+# ``inner_dim`` terms each at most ``max|A| * max|B|`` in absolute value.
+_FLOAT_BOUND = 2**53
+_PRODUCT_BOUND = 2**62
+
+
+def _as_int64(A) -> np.ndarray:
+    """``A`` as an int64 array; ``OverflowError`` if an entry does not fit."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biO":
+        raise TypeError(f"expected an integer array, got dtype {A.dtype}")
+    return A.astype(np.int64, copy=False)
+
+
+def _max_abs(A: np.ndarray) -> int:
+    return max(int(A.max()), -int(A.min())) if A.size else 0
+
+
+def _check_bound(bound: int, what: str) -> None:
+    """``OverflowError`` unless ``bound`` is below ``2**62``."""
+    if bound >= _PRODUCT_BOUND:
+        raise OverflowError(f"int64 {what} bound {bound} >= 2**62")
+
+
+def mul(*factors) -> np.ndarray:
+    """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
+
+    Factors are matrices or vectors, converted by :func:`_as_int64`.  Before
+    each product, ``bound = max|A| * max|B| * inner_dim`` bounds every entry
+    and every partial sum of the result, in any summation order.
+
+    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS) and is
+      converted back to int64.  Each term and each partial sum is then an
+      integer below ``2**53``, which float64 holds exactly, so neither the
+      summation order nor fused multiply-adds can round.  (An entry at or
+      above ``2**53`` is rounded on conversion, but then the other factor
+      is zero and so is the product.)
+    - ``2**53 <= bound < 2**62``: the product runs as int64 ``@``, the only
+      exact path there; no int64 sum can wrap.
+    - ``bound >= 2**62``: ``OverflowError``.
+    """
+    out = _as_int64(factors[0])
+    for B in factors[1:]:
+        B = _as_int64(B)
+        bound = _max_abs(out) * _max_abs(B) * out.shape[-1]
+        if bound < _FLOAT_BOUND:
+            out = (out.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        elif bound < _PRODUCT_BOUND:
+            out = out @ B
+        else:
+            raise OverflowError(
+                f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
+            )
+    return out
 
 
 def as_object_matrix(A) -> np.ndarray:
@@ -158,51 +218,62 @@ def det_exact(A) -> int:
     return _bareiss(A)[1]
 
 
+def _sub_outer(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Checked in-place ``B -= outer(x, y)``."""
+    _check_bound(_max_abs(B) + _max_abs(x) * _max_abs(y), "reduction")
+    B -= np.outer(x, y)
+
+
 def symplectic_change_of_basis(J) -> np.ndarray:
-    """Return unimodular ``P`` with ``P^T J P`` in standard block form.
+    """Return unimodular int64 ``P`` with ``P^T J P`` in standard block form.
 
     The standard form is the direct sum of ``[[0, 1], [-1, 0]]`` blocks,
     ordered as basis pairs ``(a_1, b_1, a_2, b_2, ...)``.  Requires ``J``
-    skew with determinant 1.
-    """
-    J = as_object_matrix(J)
-    m = J.shape[0]
-    basis = [np.array([int(i == t) for i in range(m)], dtype=object) for t in range(m)]
+    skew with determinant 1; a degenerate or non-unimodular form raises
+    ``ValueError``.
 
+    The vectors not yet paired are the rows of one int64 matrix.  Each
+    step takes the first of them as ``u`` and reduces the others' pairings
+    with ``u`` by gcd steps against the first smallest nonzero pairing,
+    then clears the rest's pairing with its partner ``w``; every reduction
+    is one ``np.outer`` update of the whole matrix.  Products go through
+    :func:`mul`, and before each update a bound on its entries
+    (:func:`_sub_outer`) must stay below ``2**62``, or ``OverflowError`` is
+    raised: ``P`` is exact or the call raises, never wrapped.
+    """
+    J = _as_int64(J)
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+        raise ValueError("a symplectic basis needs a square matrix")
+    m = J.shape[0]
+    rest = np.eye(m, dtype=np.int64)
     out: list[np.ndarray] = []
-    while basis:
-        u = basis.pop(0)
-        uJ = u @ J
-        pairs = [int(uJ @ w) for w in basis]  # pairs[i] = u^T J basis[i]
-        if not any(pairs):
+    while len(rest):
+        u, rest = rest[0], rest[1:]
+        pairs = mul(rest, mul(J.T, u))  # pairs[i] = u^T J rest[i]
+        if not pairs.any():
             raise ValueError("form is degenerate on the remaining sublattice")
         # make some pairing equal +-1 by gcd combinations; pairings are
         # linear, so w - q * best pairs to p - q * d
         while True:
-            b = min((i for i, p in enumerate(pairs) if p), key=lambda i: abs(pairs[i]))
-            best, d = basis[b], pairs[b]
-            reduced = False
-            for i, p in enumerate(pairs):
-                if i != b and p:
-                    q = p // d
-                    basis[i] = basis[i] - q * best
-                    pairs[i] = p - q * d
-                    reduced = reduced or pairs[i] != 0
-            if not reduced:  # best is the only vector that pairs with u
+            nonzero = np.flatnonzero(pairs)
+            b = int(nonzero[np.argmin(np.abs(pairs[nonzero]))])
+            best, d = rest[b].copy(), int(pairs[b])
+            q = pairs // d
+            q[b] = 0
+            _sub_outer(rest, q, best)
+            pairs %= d
+            pairs[b] = d
+            if np.count_nonzero(pairs) == 1:  # best is the only vector that pairs with u
                 break
         if abs(d) != 1:
             raise ValueError("could not reach a unimodular pairing; form not unimodular?")
-        del basis[b]
+        rest = np.delete(rest, b, axis=0)
         w = best if d == 1 else -best
         # the rest pair to 0 with u; clear their pairing with w
-        Jw = J @ w
-        basis = [x - int(x @ Jw) * u for x in basis]
+        _sub_outer(rest, mul(rest, mul(J, w)), u)
         out.append(u)
         out.append(w)
-    P = np.zeros((m, m), dtype=object)
-    for col, vec in enumerate(out):
-        P[:, col] = vec
-    return P
+    return np.array(out, dtype=np.int64).reshape(m, m).T
 
 
 def standard_symplectic(m: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .errors import BudgetError
-from .words import Context, Word, exponent_sum, psi
+from .words import Context, Word, exponent_sum, first_out_of_range, psi
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -195,11 +195,11 @@ def is_inner(phi: FreeAutomorphism) -> FreeWord | None:
 
 def _require_disk_letters(w: Word, ctx: Context) -> None:
     top = 2 * ctx.n
-    for a in w.letters:
-        if abs(a) > top:
-            raise ValueError(
-                f"letter sigma_{abs(a)} is outside the disk alphabet sigma_1..sigma_{top}"
-            )
+    bad = first_out_of_range(w.letters, top)
+    if bad is not None:
+        raise ValueError(
+            f"letter sigma_{abs(bad)} is outside the disk alphabet sigma_1..sigma_{top}"
+        )
 
 
 def eq_disk(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> bool:

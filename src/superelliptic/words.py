@@ -65,6 +65,13 @@ def first_out_of_range(letters: tuple[int, ...], top: int) -> int | None:
     return next((a for a in letters if a == 0 or abs(a) > top), None)
 
 
+def _check_letters(ctx: Context, letters: tuple[int, ...]) -> None:
+    top = ctx.num_arcs
+    bad = first_out_of_range(letters, top)
+    if bad is not None:
+        raise WordSyntaxError(f"letter {bad} out of range 1..{top}")
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over ``sigma_1 .. sigma_{2n+1}``."""
@@ -73,10 +80,7 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        top = self.ctx.num_arcs
-        bad = first_out_of_range(self.letters, top)
-        if bad is not None:
-            raise WordSyntaxError(f"letter {bad} out of range 1..{top}")
+        _check_letters(self.ctx, self.letters)
 
     # -- construction ------------------------------------------------------
 
@@ -86,8 +90,18 @@ class Word:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "Word":
-        """The reduced word; every letter is range-checked before reduction."""
-        return cls(ctx, K.reduce_word(cls(ctx, tuple(letters)).letters))
+        """The reduced word; every letter is range-checked once, before reduction."""
+        letters = tuple(letters)
+        _check_letters(ctx, letters)
+        return cls._trusted(ctx, K.reduce_word(letters))
+
+    @classmethod
+    def _trusted(cls, ctx: Context, letters: tuple[int, ...]) -> "Word":
+        """A word over letters already known to be in range, built without a second check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "ctx", ctx)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     # -- views -------------------------------------------------------------
 
@@ -113,10 +127,10 @@ class Word:
             raise ContextMismatchError(
                 f"cannot concatenate words over {self.ctx} and {other.ctx}"
             )
-        return Word(self.ctx, K.concat(self.letters, other.letters))
+        return Word._trusted(self.ctx, K.concat(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word(self.ctx, tuple(-a for a in reversed(self.letters)))
+        return Word._trusted(self.ctx, tuple(-a for a in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "Word":
         base = self if e >= 0 else self.inverse()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import referees
 
 from superelliptic import (
     Context,
@@ -165,6 +166,139 @@ class TestCheckedProduct:
         assert cover_mod.mul(zero, huge).tolist() == [[0, 0], [0, 0]]
         assert cover_mod.mul(huge, zero).tolist() == [[0, 0], [0, 0]]
         assert cover_mod.mul(huge, zero[:, 0]).tolist() == [0, 0]
+
+
+# the sizes on which the int64 and broadcast paths are compared with the referees
+REFEREE_SIZES = [(1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 7), (6, 6), (8, 5)]
+
+
+class TestReferees:
+    @pytest.mark.parametrize("n,k", REFEREE_SIZES)
+    def test_symplectic_basis_matches_object_referee(self, n, k):
+        S = build_cover(Context(n, k))
+        P = intmat.symplectic_change_of_basis(S.J)
+        assert P.dtype == np.int64
+        want = referees.symplectic_change_of_basis(S.J).tolist()
+        assert P.tolist() == want
+        assert S.P.tolist() == want
+
+    @pytest.mark.parametrize("n,k", REFEREE_SIZES)
+    def test_twist_lifts_match_dense_products(self, n, k):
+        S = build_cover(Context(n, k))
+        for i in range(1, 2 * n + 2):
+            want = referees.twist_lift(S.J, cover_mod._gamma_lifts(S, i))
+            assert np.array_equal(lift_rep(S, "t", i), want), ("t", i)
+        for i in range(1, 2 * n + 1):
+            want = referees.twist_lift(S.J, cover_mod.h_chain(S, i))
+            assert np.array_equal(lift_rep(S, "h", i), want), ("h", i)
+
+    @pytest.mark.parametrize("n,k", REFEREE_SIZES)
+    def test_crossing_matches_chord_sign_loop(self, n, k):
+        ctx = Context(n, k)
+        S = build_cover(ctx)
+        pos = cover_mod._link_positions(cover_mod._face_sides(ctx), S.loop_index)
+        assert sorted(pos.tolist()) == list(range(2 * len(S.loops)))
+        assert np.array_equal(S.crossing, referees.crossing_form(pos, cover_mod._ORIENT))
+
+    def test_crossing_matches_chord_sign_loop_on_any_link_order(self):
+        rng = np.random.default_rng(7)
+        for m in (0, 1, 2, 5, 12):
+            pos = rng.permutation(2 * m)
+            assert np.array_equal(cover_mod._crossing_form(pos), referees.crossing_form(pos))
+
+
+class TestInt64Overflow:
+    def test_transvect_raises_instead_of_wrapping(self):
+        S = build_cover(Context(1, 3))
+        c = np.zeros(S.h1_rank, dtype=np.int64)
+        c[int(np.argmax(S.J.max(axis=0)))] = 1  # some entry of J c is +1
+        M = np.full((S.h1_rank, S.h1_rank), 2**61, dtype=np.int64)
+        curves = np.array([c, c, c])
+        exact = M.astype(object)
+        for x in curves.astype(object):
+            exact = exact + np.outer(exact @ x, S.J.astype(object) @ x)
+        assert max(abs(v) for v in exact.flat) >= 2**63  # no int64 result is right
+        with pytest.raises(OverflowError):
+            cover_mod.transvect(S, M, curves)
+        # one update already reaches the bound 2**62
+        with pytest.raises(OverflowError, match="2\\*\\*62"):
+            cover_mod.transvect(S, M, c[None])
+
+    def test_transvect_is_exact_within_the_bound(self):
+        S = build_cover(Context(1, 3))
+        M = np.full((S.h1_rank, S.h1_rank), 2**40, dtype=np.int64)
+        curves = cover_mod._gamma_lifts(S, 1)
+        exact = M.astype(object)
+        for x in curves.astype(object):
+            exact = exact + np.outer(exact @ x, S.J.astype(object) @ x)
+        got = cover_mod.transvect(S, M, curves)
+        assert got.dtype == np.int64
+        assert got.tolist() == exact.tolist()
+        assert M.tolist() == np.full_like(M, 2**40).tolist()  # the input is not changed
+
+    @staticmethod
+    def _fibonacci_form(j: int) -> np.ndarray:
+        """A skew 4 x 4 form of determinant 1 whose entries fit but whose basis does not.
+
+        ``e_1`` pairs with ``e_2`` and ``e_3`` by ``F_{j+1}`` and ``F_j``, and
+        the Pfaffian ``F_{j+1} F_{j-1} - F_j^2`` is 1 for even ``j`` (Cassini).
+        """
+        F = [0, 1]
+        while len(F) <= j + 1:
+            F.append(F[-1] + F[-2])
+        J = np.zeros((4, 4), dtype=np.int64)
+        J[0, 1], J[0, 2], J[1, 3], J[2, 3] = F[j + 1], F[j], F[j], F[j - 1]
+        return J - J.T
+
+    def test_symplectic_basis_raises_when_the_reduction_outgrows_int64(self):
+        J = self._fibonacci_form(60)  # entries below 2**42
+        assert int(np.abs(J).max()) < 2**42
+        P = referees.symplectic_change_of_basis(J)  # exists, with entries too big for int64
+        assert (P.T @ J.astype(object) @ P).tolist() == intmat.standard_symplectic(4).tolist()
+        assert max(abs(v) for v in P.flat) * int(np.abs(J).max()) >= 2**62
+        with pytest.raises(OverflowError):
+            intmat.symplectic_change_of_basis(J)
+
+    def test_basis_update_raises_before_it_would_wrap(self):
+        B = np.array([[2**61, 1]], dtype=np.int64)
+        x, y = np.array([-(2**30)]), np.array([2**31, 0])  # 2**61 + 2**61 = 2**62
+        with pytest.raises(OverflowError, match="2\\*\\*62"):
+            intmat._sub_outer(B, x, y)
+        assert B.tolist() == [[2**61, 1]]  # left as it was
+        intmat._sub_outer(B, x // 2, y)
+        assert B.tolist() == [[2**61 + 2**60, 1]]
+
+    @pytest.mark.parametrize("form", ["fibonacci", "tie"])
+    def test_symplectic_basis_matches_referee_on_crafted_forms(self, form):
+        if form == "fibonacci":
+            J = self._fibonacci_form(10)
+        else:  # e_1 pairs with e_2 and e_3 by 1: the first smallest pairing is e_2's
+            J = np.zeros((4, 4), dtype=np.int64)
+            J[0, 1], J[0, 2], J[2, 3] = 1, 1, 1
+            J = J - J.T
+        P = intmat.symplectic_change_of_basis(J)
+        assert P.tolist() == referees.symplectic_change_of_basis(J).tolist()
+        assert (P.T @ J @ P).tolist() == intmat.standard_symplectic(4).tolist()
+
+    @pytest.mark.parametrize(
+        "J",
+        [
+            np.zeros((2, 2), dtype=np.int64),
+            np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+            np.array([[0, 1, 2, 0], [-1, 0, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 0]]),
+        ],
+        ids=["zero", "odd", "rank-two"],
+    )
+    def test_degenerate_form_raises_value_error(self, J):
+        for fn in (intmat.symplectic_change_of_basis, referees.symplectic_change_of_basis):
+            with pytest.raises(ValueError, match="degenerate"):
+                fn(J)
+
+    def test_non_unimodular_form_raises_value_error(self):
+        J = 2 * intmat.standard_symplectic(4).astype(np.int64)
+        for fn in (intmat.symplectic_change_of_basis, referees.symplectic_change_of_basis):
+            with pytest.raises(ValueError, match="not unimodular"):
+                fn(J)
 
 
 def _fraction_echelon(A):

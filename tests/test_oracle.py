@@ -218,6 +218,20 @@ class TestOrderOf:
             order_of(EMPTY, "annulus", CTX)
 
 
+@pytest.mark.parametrize("eq", [eq_disk, eq_star], ids=["disk", "star"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_disk_groups_name_the_sphere_letter(eq, n):
+    ctx = Context(n, 3)
+    top = 2 * n
+    inside = expand_token_text(f"s1 s{top}", ctx)
+    outside = expand_token_text(f"s1 s{top + 1}^-1 s2", ctx)
+    message = f"letter sigma_{top + 1} is outside the disk alphabet sigma_1..sigma_{top}"
+    for u, v in ((outside, inside), (inside, outside)):
+        with pytest.raises(ValueError) as info:
+            eq(u, v, ctx)
+        assert str(info.value) == message
+
+
 def test_sphere_action_budget_error():
     from superelliptic.errors import BudgetError
 

@@ -66,6 +66,28 @@ def test_from_letters_checks_letters_before_reducing(build):
         build()
 
 
+@pytest.mark.parametrize("text", ["s0 s0", "s4 s4^-1"])
+def test_cancelling_out_of_range_tokens_raise(text):
+    with pytest.raises(WordSyntaxError):
+        expand_token_text(text, Context(1, 3))
+
+
+def test_from_letters_checks_the_letters_once(monkeypatch):
+    from superelliptic import words
+
+    real, seen = words._check_letters, []
+
+    def counted(ctx, letters):
+        seen.append(letters)
+        return real(ctx, letters)
+
+    monkeypatch.setattr(words, "_check_letters", counted)
+    w = Word.from_letters(CTX, [1, 2, -2, 3])
+    assert w.letters == (1, 3)
+    assert seen == [(1, 2, -2, 3)]  # before reduction, and not again after it
+    assert (w * w.inverse()).is_identity and len(seen) == 1
+
+
 @pytest.mark.parametrize(
     "cls, letters, message",
     [
