@@ -6,7 +6,10 @@ return reduced output.
 
 Two braid actions live here.  :func:`act_dynnikov` acts a braid word on
 integer Dynnikov coordinates at O(1) integer operations per letter; it is
-the production path of the word problem.  :func:`act_word` applies braid
+the production path of the word problem.  It keeps the ``a`` and ``b``
+coordinates in two lists that each letter indexes directly, so a letter
+reads and writes four list entries and builds no slice or tuple.
+:func:`act_word` applies braid
 letters to the generator images of a free-group automorphism, with
 immediate stack reduction; it is the independent reference.
 
@@ -55,11 +58,20 @@ def act_dynnikov(letters: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int
     with ``c = a1 - b1- - a2 + b2+``, and ``sigma_i^-1`` maps it to
     ``(a1 - b1+ - (b2+ + d)+, b2 + d-, a2 - b2- - (b1- - d)-, b1 - d-)``
     with ``d = a1 + b1- - a2 - b2+``.
+
+    The ``a`` and ``b`` coordinates run in two lists, indexed directly by
+    the letter (``a[i-1], a[i]`` for ``sigma_i``), and are interleaved
+    again only for the result.
     """
-    v = list(coords)
+    a = list(coords[0::2])
+    b = list(coords[1::2])
     for x in letters:
-        j = 2 * x - 2 if x > 0 else -2 * x - 2
-        a1, b1, a2, b2 = v[j : j + 4]
+        j = x if x > 0 else -x
+        i = j - 1
+        a1 = a[i]
+        b1 = b[i]
+        a2 = a[j]
+        b2 = b[j]
         b1p = b1 if b1 > 0 else 0
         b1m = b1 - b1p
         b2p = b2 if b2 > 0 else 0
@@ -69,23 +81,22 @@ def act_dynnikov(letters: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int
             cp = c if c > 0 else 0
             s = b2p - c
             t = b1m + c
-            v[j : j + 4] = (
-                a1 + b1p + (s if s > 0 else 0),
-                b2 - cp,
-                a2 + b2m + (t if t < 0 else 0),
-                b1 + cp,
-            )
+            a[i] = a1 + b1p + (s if s > 0 else 0)
+            b[i] = b2 - cp
+            a[j] = a2 + b2m + (t if t < 0 else 0)
+            b[j] = b1 + cp
         else:
             d = a1 + b1m - a2 - b2p
             dm = d if d < 0 else 0
             s = b2p + d
             t = b1m - d
-            v[j : j + 4] = (
-                a1 - b1p - (s if s > 0 else 0),
-                b2 + dm,
-                a2 - b2m - (t if t < 0 else 0),
-                b1 - dm,
-            )
+            a[i] = a1 - b1p - (s if s > 0 else 0)
+            b[i] = b2 + dm
+            a[j] = a2 - b2m - (t if t < 0 else 0)
+            b[j] = b1 - dm
+    v = list(coords)
+    v[0::2] = a
+    v[1::2] = b
     return tuple(v)
 
 

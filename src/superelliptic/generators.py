@@ -23,6 +23,8 @@ exactly ``2n+2`` shifting the arcs, ``r`` an involution reversing them, and
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from operator import neg
 
 from . import oracle
 from .errors import BudgetError, WordSyntaxError
@@ -200,13 +202,14 @@ def _check_budget(tok: str, size: int, budget: int) -> None:
         raise BudgetError(f"token {tok!r} takes word text to {size} letters, over budget {budget}")
 
 
-def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> tuple[int, ...]:
-    """The letters of one token, not reduced across the exponent.
+def _parse_token(tok: str, ctx: Context, size: int, budget: int) -> tuple[int, tuple[int, ...], int]:
+    """One token as ``(letter count, unit letters, repeats)``; its letters are
+    ``unit * repeats``, not reduced across the exponent.
 
-    ``letters`` holds the letters of the tokens before it.  Before any
-    letters are built, the token's letter count (from its name and exponent)
-    must keep the total within ``budget``.  ``s<i>`` letters are
-    range-checked later, with the whole text, by :meth:`Word.from_letters`.
+    ``size`` letters come before it.  Before any letters are built, the
+    token's letter count (from its name and exponent) must keep the total
+    within ``budget``.  ``s<i>`` letters are range-checked later, with the
+    whole text, by :meth:`Word.from_letters`.
     """
     name_part, caret, exp_part = tok.partition("^")
     m = _NAME_RE.match(name_part)
@@ -221,8 +224,8 @@ def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> t
                 e = int(exp_part)
             except ValueError:
                 raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    count = 1 if m.group(2) else _letter_count(m, ctx)
-    _check_budget(tok, len(letters) + count * (abs(e) or 2), budget)
+    count = (1 if m.group(2) else _letter_count(m, ctx)) * (abs(e) or 2)
+    _check_budget(tok, size + count, budget)
     if m.group(2) is not None:
         base = (int(m.group(2)),)
     elif m.group(3) is not None:
@@ -232,11 +235,24 @@ def _token_letters(tok: str, ctx: Context, letters: list[int], budget: int) -> t
     else:
         base = _WORDS[name_part](ctx).letters
     if e == 1:
-        return base
-    inverse = tuple(-a for a in reversed(base))
+        return count, base, 1
+    inverse = tuple(map(neg, reversed(base)))
     if e == 0:  # keep the letters so that they are range-checked; they cancel
-        return base + inverse
-    return (base if e > 0 else inverse) * abs(e)
+        return count, base + inverse, 1
+    return count, base if e > 0 else inverse, abs(e)
+
+
+# The memo bounds: parsing costs most, relative to the letters, for short
+# tokens, and a long unit (t1,j at large n) is cheap to rebuild.  At most
+# 16 contexts x 4096 tokens x 64 unit letters are held.
+_MEMO_TOKENS = 4096
+_MEMO_UNIT_LETTERS = 64
+
+
+@lru_cache(maxsize=16)
+def _token_memo(ctx: Context) -> dict[str, tuple[int, tuple[int, ...], int]]:
+    """The token memo of one context value, shared by every caller with an equal context."""
+    return {}
 
 
 def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Word:
@@ -248,14 +264,31 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
     budget (:func:`oracle.resolve_budget`) bounds the unreduced letters: every
     token, its exponent included, is counted before its letters are built, and
     one that would pass the budget raises :class:`BudgetError`.
+
+    A memo per :class:`Context` maps each ``s``/``h``/``t`` token that was
+    read without error (``s3``, ``s5^-1``, ``t2,4^-3``, ``h1^(2n)``) to
+    ``(letter count, unit letters, repeats)``, which are pure functions of
+    the token, ``n`` and ``k``; a token whose unit is over 64 letters, or
+    past the memo's 4096 tokens, is read as if unmemoized.  A token that
+    raises is never stored, and a named word (``r1``, ``r``, ``F``,
+    ``hchain_t``) is read once per call.
+    The budget check runs on every occurrence of a token, memoized or not,
+    with the same count and before any of its letters are added.
     """
     budget = oracle.resolve_budget(budget)
+    memo = _token_memo(ctx)
+    named: dict[str, tuple[int, tuple[int, ...], int]] = {}
     letters: list[int] = []
-    built: dict[str, tuple[int, ...]] = {}  # each distinct token is read once per text
     for tok in text.split():
-        if tok in built:
-            _check_budget(tok, len(letters) + len(built[tok]), budget)
-        else:
-            built[tok] = _token_letters(tok, ctx, letters, budget)
-        letters.extend(built[tok])
+        entry = memo.get(tok) or named.get(tok)
+        if entry is None:
+            entry = _parse_token(tok, ctx, len(letters), budget)
+            # a named word is not memoized, so a replaced _WORDS entry takes effect at once
+            if tok.partition("^")[0] in _WORDS:
+                named[tok] = entry
+            elif len(memo) < _MEMO_TOKENS and len(entry[1]) <= _MEMO_UNIT_LETTERS:
+                memo[tok] = entry
+        elif len(letters) + entry[0] > budget:  # the call only raises; skip it otherwise
+            _check_budget(tok, len(letters) + entry[0], budget)
+        letters += entry[1] * entry[2]
     return Word.from_letters(ctx, letters)

@@ -19,6 +19,7 @@ import enum
 import re
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import neg
 
 from . import _kernels as K
 from .errors import WordSyntaxError
@@ -160,20 +161,28 @@ class CurveClass:
 
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "CurveClass":
-        """The cyclically reduced class; letters are range-checked first."""
+        """The cyclically reduced class; every letter is range-checked once, first."""
         reduced = K.reduce_word(cls(ctx, tuple(letters)).letters)
         while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
             reduced = reduced[1:-1]
-        return cls(ctx, reduced)
+        return cls._trusted(ctx, reduced)
+
+    @classmethod
+    def _trusted(cls, ctx: Context, letters: tuple[int, ...]) -> "CurveClass":
+        """A class over letters already known to be in range, built without a second check."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "ctx", ctx)
+        object.__setattr__(c, "letters", letters)
+        return c
 
     def inverse(self) -> "CurveClass":
-        return CurveClass(self.ctx, tuple(-a for a in reversed(self.letters)))
+        return CurveClass._trusted(self.ctx, tuple(map(neg, reversed(self.letters))))
 
     def cycled(self, shift: int) -> "CurveClass":
         if not self.letters:
             return self
         s = shift % len(self.letters)
-        return CurveClass(self.ctx, self.letters[s:] + self.letters[:s])
+        return CurveClass._trusted(self.ctx, self.letters[s:] + self.letters[:s])
 
     def to_text(self) -> str:
         return " ".join(f"x{a}" if a > 0 else f"x{-a}^-1" for a in self.letters)

@@ -14,8 +14,9 @@
   identifies the stabilizer of ``N`` with the star group on
   ``sigma_1 .. sigma_2n`` (the capping homomorphism, Farb–Margalit §3.6,
   whose kernel is the boundary twist).  :func:`cap_to_star` rewrites the
-  pure word into that alphabet by Reidemeister–Schreier, and ``eq_star``
-  decides it.
+  pure word into that alphabet by Reidemeister–Schreier, and the star
+  check behind ``eq_star`` decides it; those letters are in range by
+  construction, so only ``eq_disk`` range-checks them.
 
 The letter budget bounds the length of the word the coordinate action
 processes, after the sphere rewrite and the full-twist factor; a longer
@@ -231,13 +232,18 @@ def eq_star(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
     _require_disk_letters(v, ctx)
-    d = u * v.inverse()
+    return _is_central_braid(u * v.inverse(), ctx, budget)
+
+
+def _is_central_braid(d: Word, ctx: Context, budget: int) -> bool:
+    """Whether ``d``, over ``sigma_1 .. sigma_2n`` already, is trivial in the star group."""
     e = exponent_sum(d)
     full = 2 * ctx.n * (2 * ctx.n + 1)  # exponent sum of the full twist
     if e % full:
         return False
     p = e // full
-    return eq_disk(d, _disk_half_twist(ctx) ** (2 * p), ctx, budget=budget)
+    twist = _disk_half_twist(ctx) ** (2 * p) if p else Word.identity(ctx)
+    return eq_disk(d, twist, ctx, budget=budget)
 
 
 def _point_push(q: int, top: int) -> tuple[int, ...]:
@@ -283,7 +289,7 @@ def cap_to_star(w: Word, ctx: Context) -> Word:
             out.append(a - 1 if a > 0 else a + 1)
     if p != top + 2:
         raise ValueError("the word does not fix point 2n+2")
-    return Word.from_letters(ctx, out)
+    return Word._trusted(ctx, K.reduce_word(out))  # in range by construction
 
 
 def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> bool:
@@ -296,7 +302,7 @@ def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> b
     d = u * v.inverse()
     if not psi(d, ctx).is_identity:
         return False
-    return eq_star(cap_to_star(d, ctx), Word.identity(ctx), ctx, budget=budget)
+    return _is_central_braid(cap_to_star(d, ctx), ctx, budget)
 
 
 _EQ = {"disk": eq_disk, "star": eq_star, "sphere": eq_sphere}

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import lt, neg
 
 from . import _kernels as K
 from .errors import ContextMismatchError, WordSyntaxError
@@ -130,15 +132,16 @@ class Word:
         return Word._trusted(self.ctx, K.concat(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word._trusted(self.ctx, tuple(-a for a in reversed(self.letters)))
+        return Word._trusted(self.ctx, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, e: int) -> "Word":
         base = self if e >= 0 else self.inverse()
-        return Word.from_letters(self.ctx, base.letters * abs(e))
+        return Word._trusted(self.ctx, K.reduce_word(base.letters * abs(e)))
 
 
 def exponent_sum(w: Word) -> int:
-    return sum(1 if a > 0 else -1 for a in w.letters)
+    """Positive letters minus negative ones; the negatives are counted in one C loop."""
+    return len(w.letters) - 2 * sum(map(lt, w.letters, repeat(0)))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,19 @@
 
 Each function here computes what a package function computes, by the
 direct method the package used before it was made fast: Python ints in
-``object`` arrays, dense products and per-pair loops.  Tests compare the
+``object`` arrays, dense products, per-pair loops, one coordinate slice per
+braid letter and token text parsed with no memo.  Tests compare the
 package's results with these entry for entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from superelliptic import generators as G
+from superelliptic.errors import WordSyntaxError
+from superelliptic.oracle import resolve_budget
+from superelliptic.words import Word
 
 
 def symplectic_change_of_basis(J) -> np.ndarray:
@@ -94,3 +100,91 @@ def crossing_form(pos, orient: int = 1) -> np.ndarray:
             crossing[e, f] = orient * sgn
             crossing[f, e] = -orient * sgn
     return crossing
+
+
+def act_dynnikov(letters, coords) -> tuple[int, ...]:
+    """Dynnikov coordinates after ``letters``, one slice of four per letter.
+
+    The formulas of :func:`superelliptic._kernels.act_dynnikov` on one
+    interleaved list ``(a_1, b_1, ..., a_m, b_m)``: each letter unpacks
+    ``v[j:j+4]`` and assigns the four new values back to that slice.
+    """
+    v = list(coords)
+    for x in letters:
+        j = 2 * x - 2 if x > 0 else -2 * x - 2
+        a1, b1, a2, b2 = v[j : j + 4]
+        b1p = b1 if b1 > 0 else 0
+        b1m = b1 - b1p
+        b2p = b2 if b2 > 0 else 0
+        b2m = b2 - b2p
+        if x > 0:
+            c = a1 - b1m - a2 + b2p
+            cp = c if c > 0 else 0
+            s = b2p - c
+            t = b1m + c
+            v[j : j + 4] = (
+                a1 + b1p + (s if s > 0 else 0),
+                b2 - cp,
+                a2 + b2m + (t if t < 0 else 0),
+                b1 + cp,
+            )
+        else:
+            d = a1 + b1m - a2 - b2p
+            dm = d if d < 0 else 0
+            s = b2p + d
+            t = b1m - d
+            v[j : j + 4] = (
+                a1 - b1p - (s if s > 0 else 0),
+                b2 + dm,
+                a2 - b2m - (t if t < 0 else 0),
+                b1 - dm,
+            )
+    return tuple(v)
+
+
+def _token_letters(tok: str, ctx, letters: list[int], budget: int) -> tuple[int, ...]:
+    """The letters of one token, parsed from its text, after the budget check."""
+    name_part, caret, exp_part = tok.partition("^")
+    m = G._NAME_RE.match(name_part)
+    if not m:
+        raise WordSyntaxError(f"unknown generator token {tok!r}")
+    e = 1
+    if caret:
+        if exp_part.startswith("(") and exp_part.endswith(")"):
+            e = G._eval_linexpr(exp_part[1:-1], ctx)
+        else:
+            try:
+                e = int(exp_part)
+            except ValueError:
+                raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
+    count = 1 if m.group(2) else G._letter_count(m, ctx)
+    G._check_budget(tok, len(letters) + count * (abs(e) or 2), budget)
+    if m.group(2) is not None:
+        base = (int(m.group(2)),)
+    elif m.group(3) is not None:
+        base = G.gen_h(int(m.group(3)), ctx).letters
+    elif m.group(4) is not None:
+        base = G.gen_t(int(m.group(4)), int(m.group(5)), ctx).letters
+    else:
+        base = G._WORDS[name_part](ctx).letters
+    if e == 1:
+        return base
+    inverse = tuple(-a for a in reversed(base))
+    if e == 0:
+        return base + inverse
+    return (base if e > 0 else inverse) * abs(e)
+
+
+def expand_token_text(text: str, ctx, budget: int | None = None):
+    """Token text to a ``Word`` with no memo: each distinct token of the text
+    is parsed once, and every occurrence is counted against the budget."""
+    budget = resolve_budget(budget)
+    letters: list[int] = []
+    built: dict[str, tuple[int, ...]] = {}
+    for tok in text.split():
+        if tok in built:
+            G._check_budget(tok, len(letters) + len(built[tok]), budget)
+        else:
+            built[tok] = _token_letters(tok, ctx, letters, budget)
+        letters.extend(built[tok])
+    return Word.from_letters(ctx, letters)

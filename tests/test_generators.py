@@ -3,14 +3,15 @@
 import random
 
 import pytest
+import referees
 
-from superelliptic import Context, Word, eq_disk, eq_sphere, psi
+from superelliptic import Context, Word, eq_disk, eq_sphere, generators, psi
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
     _NAME_RE,
     F_factors,
     _letter_count,
-    _token_letters,
+    _parse_token,
     expand_token_text,
     factors_to_tokens,
     gen_F,
@@ -171,8 +172,9 @@ class TestTokenSyntax:
         names = ["r", "r1", "F", "hchain_t"] + [f"h{i}" for i in range(1, 2 * n + 1)]
         names += [f"t{i},{j}" for j in range(2, 2 * n + 3) for i in range(1, j)]
         for name in names:
-            built = _token_letters(name, ctx, [], 10**7)
-            assert _letter_count(_NAME_RE.match(name), ctx) == len(built), name
+            count, unit, repeats = _parse_token(name, ctx, 0, 10**7)
+            built = unit * repeats
+            assert _letter_count(_NAME_RE.match(name), ctx) == len(built) == count, name
 
     @pytest.mark.parametrize("name, n", [("r", 1000), ("F", 300), ("hchain_t", 10**6),
                                          ("t1,2000", 1000), ("r1", 10**6)])
@@ -186,6 +188,84 @@ class TestTokenSyntax:
         factors = (("r1", (), 2), ("hchain_t", (), -1), ("r1", (), 0), ("hchain_t", (), 1))
         assert factors_to_tokens(factors) == "r1^2 hchain_t^-1 hchain_t"
         assert factors_to_tokens((("h", (3,), 0),)) == ""
+
+
+_EXPONENTS = ("", "", "", "^1", "^-1", "^2", "^-3", "^0", "^(2n+2)", "^(k-2)", "^(-n+1)", "^(n-k)")
+_BAD_TOKENS = ("q1", "h", "t1", "s-1", "s1^", "s1^x", "h1^()", "h1^(2m)", "r2", "s1^1000000000000")
+
+
+def _random_token(rng: random.Random, ctx: Context) -> str:
+    """A token that is mostly valid: now and then an index just out of range,
+    a named word, or a token that cannot parse."""
+    top, P = ctx.num_arcs, ctx.num_points
+    edge = rng.random() < 0.08
+    kind = rng.choice("ssssshhttnx")
+    if kind == "s":
+        name = f"s{rng.choice((0, top + 1)) if edge else rng.randint(1, top)}"
+    elif kind == "h":
+        name = f"h{rng.choice((0, 2 * ctx.n + 1)) if edge else rng.randint(1, 2 * ctx.n)}"
+    elif kind == "t":
+        i = rng.randint(1, P - 1)
+        name = f"t{i},{rng.choice((i, P + 1)) if edge else rng.randint(i + 1, P)}"
+    elif kind == "n":
+        name = rng.choice(("r1", "r", "F", "hchain_t"))
+    else:
+        return rng.choice(_BAD_TOKENS)
+    return name + rng.choice(_EXPONENTS)
+
+
+def _outcome(expand, text, ctx, budget):
+    try:
+        return expand(text, ctx, budget)
+    except Exception as exc:  # the type and the message must match too
+        return type(exc), str(exc)
+
+
+class TestTokenMemo:
+    """``expand_token_text`` against the referee that parses every token."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_referee_cold_then_warm(self, seed):
+        rng = random.Random(seed)
+        ctx = Context(1 + seed % 4, 3 + seed % 3)
+        cases = []
+        for _ in range(60):
+            pool = [_random_token(rng, ctx) for _ in range(rng.randint(1, 4))]
+            text = " ".join(rng.choices(pool, k=rng.randint(0, 10)))
+            budgets = [None, rng.randint(1, 40)]
+            if not isinstance(_outcome(referees.expand_token_text, text, ctx, None), tuple):
+                # the letters before reduction: every budget from this one up passes
+                total = sum(len(referees._token_letters(t, ctx, [], 10**7)) for t in text.split())
+                budgets += [b for b in (total - 1, total, total + 1) if b >= 1]
+            cases += [(text, b) for b in budgets]
+        for text, budget in cases:
+            want = _outcome(referees.expand_token_text, text, ctx, budget)
+            generators._token_memo.cache_clear()
+            assert _outcome(expand_token_text, text, ctx, budget) == want, (text, budget)  # cold
+            assert _outcome(expand_token_text, text, ctx, budget) == want, (text, budget)  # warm
+        for text, budget in cases:  # warmed by every text before it
+            want = _outcome(referees.expand_token_text, text, ctx, budget)
+            assert _outcome(expand_token_text, text, ctx, budget) == want, (text, budget)
+        # only tokens that parsed are kept, and no named word
+        for tok in generators._token_memo(ctx):
+            assert tok.partition("^")[0] not in generators._WORDS
+            referees._token_letters(tok, ctx, [], 10**7)
+
+    def test_memo_is_per_context(self):
+        # t1,4 is trivial at n = 1 only, and h1^(k) depends on k: no two share a memo
+        text, contexts = "t1,4 h1^(k)", [Context(1, 3), Context(2, 4), Context(1, 4)] * 2
+        words = [expand_token_text(text, ctx) for ctx in contexts]
+        assert words == [referees.expand_token_text(text, ctx) for ctx in contexts]
+        assert [len(w) for w in words] == [9, 24, 12] * 2
+
+    def test_budget_counts_every_occurrence_of_a_memoized_token(self):
+        ctx = Context(1, 3)
+        expand_token_text("h1^2", ctx)  # memoized: 6 letters
+        assert len(expand_token_text("h1^2 h1^2", ctx, budget=12)) == 12
+        with pytest.raises(BudgetError, match="'h1\\^2' takes word text to 12 letters"):
+            expand_token_text("h1^2 h1^2", ctx, budget=11)
+        with pytest.raises(BudgetError):  # a huge exponent is counted, never built
+            expand_token_text("s1 s1^1000000000000", ctx)
 
 
 class TestOracleBackedIdentities:

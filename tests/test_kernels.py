@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import referees
 from hypothesis import given, settings, strategies as st
 
 from superelliptic import _kernels as K
@@ -153,3 +154,24 @@ def test_act_dynnikov_sees_the_full_twist(m):
     start = (0, 1) * m
     full_twist = tuple(range(1, m)) * m
     assert K.act_dynnikov(full_twist, start) != start
+
+
+@pytest.mark.parametrize("m", range(3, 18))
+def test_act_dynnikov_matches_the_slice_referee(m):
+    # reduced and unreduced random words, from the start vector and from
+    # random coordinates; the pseudo-Anosov power (sigma_1 sigma_2^-1)^100
+    # takes some coordinate past 2**63, so Python ints must carry it exactly
+    rng = random.Random(4000 + m)
+    start = (0, 1) * m
+    for trial in range(12):
+        letters = [rng.choice((1, -1)) * rng.randint(1, m - 1)
+                   for _ in range(rng.choice((0, 1, 9, 80, 600)))]
+        if trial % 4 == 3:
+            cut = rng.randint(0, len(letters))
+            letters[cut:cut] = [1, -2] * 100
+        word = tuple(letters) if trial % 2 else K.reduce_word(letters)
+        coords = start if trial % 3 else tuple(rng.randint(-50, 50) for _ in range(2 * m))
+        want = referees.act_dynnikov(word, coords)
+        assert K.act_dynnikov(word, coords) == want
+        if trial % 4 == 3:
+            assert max(map(abs, want)) > 2**63

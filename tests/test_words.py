@@ -88,6 +88,24 @@ def test_from_letters_checks_the_letters_once(monkeypatch):
     assert (w * w.inverse()).is_identity and len(seen) == 1
 
 
+def test_curve_from_letters_checks_the_letters_once(monkeypatch):
+    from superelliptic import liftability
+
+    real, seen = liftability.first_out_of_range, []
+
+    def counted(letters, top):
+        seen.append(letters)
+        return real(letters, top)
+
+    monkeypatch.setattr(liftability, "first_out_of_range", counted)
+    c = CurveClass.from_letters(CTX, [1, 2, -2, 3, -1])
+    assert c.letters == (3,)
+    assert seen == [(1, 2, -2, 3, -1)]  # before reduction, and not again after it
+    d = CurveClass.from_letters(CTX, [1, 2, 3])
+    assert d.inverse().letters == (-3, -2, -1) and d.cycled(1).letters == (2, 3, 1)
+    assert len(seen) == 2
+
+
 @pytest.mark.parametrize(
     "cls, letters, message",
     [
