@@ -242,17 +242,24 @@ def _parse_token(tok: str, ctx: Context, size: int, budget: int) -> tuple[int, t
     return count, base if e > 0 else inverse, abs(e)
 
 
-# The memo bounds: parsing costs most, relative to the letters, for short
-# tokens, and a long unit (t1,j at large n) is cheap to rebuild.  At most
-# 16 contexts x 4096 tokens x 64 unit letters are held.
-_MEMO_TOKENS = 4096
-_MEMO_UNIT_LETTERS = 64
+class _TokenMemo(dict):
+    """Token -> ``(letter count, unit letters, repeats)`` for one context value."""
+
+    size = 0  # one per token plus one per unit letter; bounded by _MEMO_SIZE
 
 
-@lru_cache(maxsize=16)
-def _token_memo(ctx: Context) -> dict[str, tuple[int, tuple[int, ...], int]]:
+# Memory bounds only, set above the largest traffic measured: a pass of the
+# oracle-queries benchmark uses 6 contexts, and verify-all at (8,3) fills one
+# memo to size 8683 (312 tokens).  A full memo of 1-letter tokens holds about
+# 3.4 MB, so at most about 27 MB are held over 8 contexts.
+_MEMO_CONTEXTS = 8
+_MEMO_SIZE = 16384
+
+
+@lru_cache(maxsize=_MEMO_CONTEXTS)
+def _token_memo(ctx: Context) -> _TokenMemo:
     """The token memo of one context value, shared by every caller with an equal context."""
-    return {}
+    return _TokenMemo()
 
 
 def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Word:
@@ -268,26 +275,28 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
     A memo per :class:`Context` maps each ``s``/``h``/``t`` token that was
     read without error (``s3``, ``s5^-1``, ``t2,4^-3``, ``h1^(2n)``) to
     ``(letter count, unit letters, repeats)``, which are pure functions of
-    the token, ``n`` and ``k``; a token whose unit is over 64 letters, or
-    past the memo's 4096 tokens, is read as if unmemoized.  A token that
-    raises is never stored, and a named word (``r1``, ``r``, ``F``,
-    ``hchain_t``) is read once per call.
+    the token, ``n`` and ``k``.  A token that raises is never stored.  A
+    named word (``r1``, ``r``, ``F``, ``hchain_t``), or a token that no
+    longer fits in the memo (:data:`_MEMO_SIZE`), is kept for the rest of the
+    call only, so it is read once per call.
     The budget check runs on every occurrence of a token, memoized or not,
     with the same count and before any of its letters are added.
     """
     budget = oracle.resolve_budget(budget)
     memo = _token_memo(ctx)
-    named: dict[str, tuple[int, tuple[int, ...], int]] = {}
+    local: dict[str, tuple[int, tuple[int, ...], int]] = {}
     letters: list[int] = []
     for tok in text.split():
-        entry = memo.get(tok) or named.get(tok)
+        entry = memo.get(tok) or local.get(tok)
         if entry is None:
             entry = _parse_token(tok, ctx, len(letters), budget)
+            size = memo.size + 1 + len(entry[1])
             # a named word is not memoized, so a replaced _WORDS entry takes effect at once
-            if tok.partition("^")[0] in _WORDS:
-                named[tok] = entry
-            elif len(memo) < _MEMO_TOKENS and len(entry[1]) <= _MEMO_UNIT_LETTERS:
+            if size <= _MEMO_SIZE and tok.partition("^")[0] not in _WORDS:
                 memo[tok] = entry
+                memo.size = size
+            else:
+                local[tok] = entry
         elif len(letters) + entry[0] > budget:  # the call only raises; skip it otherwise
             _check_budget(tok, len(letters) + entry[0], budget)
         letters += entry[1] * entry[2]

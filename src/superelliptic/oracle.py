@@ -242,8 +242,7 @@ def _is_central_braid(d: Word, ctx: Context, budget: int) -> bool:
     if e % full:
         return False
     p = e // full
-    twist = _disk_half_twist(ctx) ** (2 * p) if p else Word.identity(ctx)
-    return eq_disk(d, twist, ctx, budget=budget)
+    return eq_disk(d, _disk_half_twist(ctx) ** (2 * p), ctx, budget=budget)
 
 
 def _point_push(q: int, top: int) -> tuple[int, ...]:

@@ -267,6 +267,49 @@ class TestTokenMemo:
         with pytest.raises(BudgetError):  # a huge exponent is counted, never built
             expand_token_text("s1 s1^1000000000000", ctx)
 
+    def test_a_full_memo_keeps_its_entries_and_reads_the_rest_per_call(self, monkeypatch):
+        # 1-letter tokens s1, s2, ... each take size 2, so the last one no longer fits
+        cap = generators._MEMO_SIZE
+        ctx = Context(cap // 4 + 1, 3)  # cap // 2 + 3 arcs
+        toks = [f"s{i}" for i in range(1, cap // 2 + 2)]
+        generators._token_memo.cache_clear()
+        assert expand_token_text(" ".join(toks), ctx).letters == tuple(range(1, cap // 2 + 2))
+        memo = generators._token_memo(ctx)
+        assert (len(memo), memo.size) == (cap // 2, cap)
+        assert toks[-1] not in memo
+        parsed = []
+
+        def parse(tok, *args):
+            parsed.append(tok)
+            return _parse_token(tok, *args)
+
+        monkeypatch.setattr(generators, "_parse_token", parse)
+        text = f"{toks[0]} {toks[-1]} {toks[-1]}^-1 {toks[-1]}"
+        for _ in range(2):
+            assert expand_token_text(text, ctx) == referees.expand_token_text(text, ctx)
+        assert parsed == [toks[-1], f"{toks[-1]}^-1"] * 2
+        assert (len(memo), memo.size) == (cap // 2, cap)
+        generators._token_memo.cache_clear()  # free the large memo
+
+    @pytest.mark.parametrize("memo_size", [0, generators._MEMO_SIZE])
+    def test_a_token_is_built_once_per_call_or_once_per_memo(self, monkeypatch, memo_size):
+        # t1,9 at n = 4 is 72 letters; r1 is a named word and never memoized
+        ctx, text = Context(4, 3), "t1,9 r1 t1,9 r1 t1,9^-1 t1,9"
+        want = referees.expand_token_text(text, ctx)  # the referee builds through the same names
+        monkeypatch.setattr(generators, "_MEMO_SIZE", memo_size)
+        built = {"t": 0, "r1": 0}
+
+        def count(key, fn):
+            return lambda *a: built.__setitem__(key, built[key] + 1) or fn(*a)
+
+        monkeypatch.setattr(generators, "gen_t", count("t", gen_t))
+        monkeypatch.setitem(generators._WORDS, "r1", count("r1", gen_r1))
+        generators._token_memo.cache_clear()
+        for _ in range(3):
+            assert expand_token_text(text, ctx) == want
+        # the two t1,9 tokens are built once per call without a memo, once in all with one
+        assert built == {"t": 2 * 3 if memo_size == 0 else 2, "r1": 3}
+
 
 class TestOracleBackedIdentities:
     def test_h1_braid_partner(self):
