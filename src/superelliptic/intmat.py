@@ -277,8 +277,8 @@ def symplectic_change_of_basis(J) -> np.ndarray:
 
 
 def standard_symplectic(m: int) -> np.ndarray:
-    """Block-diagonal ``[[0,1],[-1,0]]`` form on ``m`` (even) coordinates."""
-    J = np.zeros((m, m), dtype=object)
+    """Block-diagonal ``[[0,1],[-1,0]]`` form on ``m`` (even) coordinates, as int64."""
+    J = np.zeros((m, m), dtype=np.int64)
     for t in range(0, m, 2):
         J[t, t + 1] = 1
         J[t + 1, t] = -1

@@ -10,11 +10,16 @@ re-verifies from its witness alone and reports double as certificates.  The
 computed claims (``liftability-*``, ``cover-*``, ``smod-chain-pattern``)
 store no witness; :func:`reverify_report` re-runs them at their ``n``, ``k``.
 
+What a certificate claim states is a function of its context in the claim
+table.  The run stores that statement as the witness, and the verdict first
+requires the instances to equal the statement, in order, in ``group``,
+``lhs``, ``rhs`` and ``expect``, reading token names alone: a file with fewer
+instances, a weaker group or a dropped inequality does not re-verify.
 Generation claims are straight-line programs: one step per standard
-generator, in a fixed order, writes it over the small generating set and
-the generators before it, and the group's oracle confirms the step.  The
-claim and :func:`reverify_report` also check that shape from token names
-alone (:func:`_step_problem`), or an oracle-true step such as ``h3 = h3``
+generator, in a fixed order, writes it over the small generating set and the
+generators before it, and the group's oracle confirms the step.  A step's
+``rhs`` is its proof, so it may differ from the run's, but it may use only
+basis tokens and earlier targets, or an oracle-true step such as ``h3 = h3``
 would prove nothing.
 
 Homology-level claims (the lifted conjugations, the deck-rotation
@@ -28,8 +33,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,45 +91,6 @@ class Bounds:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"bound {name} must be an integer >= 0, got {value!r}")
-
-
-# The claims run_all reports, in report order: (id, group, least n, greatest
-# n or None, witness).  The run path takes its n-conditions from these rows
-# and the skip path lists them, so a run and a skip at the same n report the
-# same claim ids; reverify_report fails a report that leaves one out.  A
-# claim with ``witness`` True rests on oracle instances stored in the report.
-_BASE_CLAIMS = (
-    ("oracle-sphere-presentation", "sphere", 1, None, True),
-    ("generators-validation", "sphere", 1, None, True),
-    ("relation-twist-conjugation", "disk", 1, None, True),
-    ("relation-chain-twist-factorization", "disk", 1, None, True),
-    ("relation-h-triple-conjugation", "disk", 2, None, True),
-    ("relation-hchain-shift", "disk", 2, None, True),
-    ("lemma-r1-factorization", "sphere", 1, None, True),
-    ("generation-lmod-sphere", "sphere", 1, None, True),
-    ("generation-lmod-star", "star", 1, None, True),
-    ("generation-lmod-disk", "disk", 1, None, True),
-)
-_LIFTABILITY_CLAIMS = (
-    ("liftability-w-size", "sphere", 1, None, False),
-    ("liftability-w-generation", "sphere", 1, None, False),
-    ("liftability-curve-lifts", "sphere", 1, None, False),
-)
-_COVER_CLAIMS = (
-    ("cover-build", "homology", 1, None, False),
-    ("cover-homology", "homology", 1, None, False),
-    ("cover-deck-rotation", "homology", 1, None, False),
-)
-_HOMOLOGY_CLAIMS = (
-    ("smod-conjugation-t", "homology", 1, None, True),
-    ("smod-conjugation-h", "homology", 1, None, True),
-    ("smod-deck-factorization", "homology", 1, None, True),
-    ("smod-deck-normalization", "homology", 1, None, True),
-    ("smod-r1-lift-consistency", "homology", 1, 1, True),
-    ("smod-chain-pattern", "homology", 1, None, False),
-)
-_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
-_WITNESS_CLAIMS = frozenset(row[0] for row in _ALL_CLAIMS if row[4])
 
 
 def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
@@ -249,39 +215,45 @@ def _inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
 
 
 def _certificate_verdict(
-    cid: str, ctx: Context, instances: list[dict], budget: int | None, note: str = ""
+    cid: str, ctx: Context, instances: list, statement: list, budget: int | None, note: str = ""
 ) -> tuple[bool, str]:
     """``(ok, detail)`` of a certificate claim: the one verdict path.
 
-    A ``generation-*`` claim's instances must first be straight-line steps
-    (:func:`_step_problem`); then every instance must hold
-    (:func:`check_instance`), and there must be at least one.  ``note``
-    leads a passing detail.
+    The instances must state the claim: equal its ``statement`` in order, in
+    ``group``, ``lhs``, ``rhs`` and ``expect``.  A ``generation-*`` step's
+    ``rhs`` is its proof instead, and may use only basis tokens and earlier
+    targets.  These checks read token names alone.  Then every instance must
+    hold (:func:`check_instance`).  ``note`` leads a passing detail.
     """
-    group = _GENERATION_GROUPS.get(cid)
-    problem = group and _step_problem(group, ctx, instances)
-    if problem:
-        return False, problem
-    if not instances:
-        return False, "no instances"
+    proofs = cid.startswith("generation-")
+    key = itemgetter(*(("group", "lhs", "expect") if proofs else ("group", "lhs", "rhs", "expect")))
+    if list(map(key, instances)) != list(map(key, statement)):
+        return False, f"the {len(instances)} instances do not state the claim's {len(statement)}"
+    known = set(_generation_basis(cid, ctx)) if proofs else None
+    for inst in (instances if proofs else ()):
+        unknown = {tok.partition("^")[0] for tok in inst["rhs"].split()} - known
+        if unknown:
+            return False, f"step {inst['lhs']} uses {sorted(unknown)}: not in the basis or earlier"
+        known.add(inst["lhs"])
     bad = [i for i in instances if not check_instance(i, ctx, budget)]
     if bad:
         return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
     return True, f"{note} {len(instances)} instances".strip()
 
 
-def _run_instances(
-    cid: str, group: str, ctx: Context, instances: list[dict], budget: int | None, note: str = ""
-) -> Claim:
-    """The claim that the certificate ``instances`` holds (:func:`_certificate_verdict`)."""
-    check = partial(_certificate_verdict, cid, ctx, instances, budget, note)
+def _certify(cid: str, ctx: Context, budget: int | None, note: str = "") -> Claim:
+    """Run certificate claim ``cid``: its statement at ``ctx`` is its witness and must hold."""
+    group, statement = _WITNESS_CLAIMS[cid]
+    instances = statement(ctx)
+    check = partial(_certificate_verdict, cid, ctx, instances, instances, budget, note)
     return _claim(cid, group, ctx, check, {"instances": instances})
 
 
-# -- oracle cross-check -------------------------------------------------------
+# -- statements ----------------------------------------------------------------
+# What each certificate claim states at ``ctx``: its instances, in order.
 
 
-def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim:
+def _presentation(ctx: Context) -> list[dict]:
     """Classical presentation cross-check guarding the sphere oracle."""
     arcs = ctx.num_arcs
     instances = [
@@ -294,17 +266,16 @@ def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim
     ]
     up = " ".join(f"s{i}" for i in range(1, arcs + 1))
     down = " ".join(f"s{i}" for i in range(arcs, 0, -1))
-    instances += [
+    return instances + [
         _inst("sphere", f"{up} {down}", ""),
         _inst("sphere", "r1^(2n+2)", ""),
         _inst("sphere", "s1", "", False),
         _inst("sphere", "s1^2", "", False),
     ]
-    return _run_instances("oracle-sphere-presentation", "sphere", ctx, instances, budget)
 
 
-def verify_generator_validations(ctx: Context, budget: int | None = None) -> Claim:
-    """The adopted words of ``h``, ``t``, ``r1``, ``r`` (and ``F`` at n = 1) as instances.
+def _generator_validations(ctx: Context) -> list[dict]:
+    """The adopted words of ``h``, ``t``, ``r1``, ``r`` (and ``F`` at n = 1).
 
     Disk: ``h1 = s2 s1 s2``, ``t1,2 = s1^2`` and the locality of
     ``t2,3`` and ``t2,4``.  Sphere: ``r1^d != 1`` for ``d <= 2n+1`` (with
@@ -325,53 +296,36 @@ def verify_generator_validations(ctx: Context, budget: int | None = None) -> Cla
     instances += [_inst("sphere", f"r s{i} r^-1", f"s{arcs + 1 - i}") for i in range(1, arcs + 1)]
     if n == 1:
         instances.append(_inst("disk", "F", "h1^-1"))
-    return _run_instances("generators-validation", "sphere", ctx, instances, budget)
+    return instances
 
 
-# -- relations ---------------------------------------------------------------
-
-
-def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
+def _twist_conjugation(ctx: Context) -> list[dict]:
     n = ctx.n
-    instances = {
-        "relation-twist-conjugation": [
-            _inst(
-                "disk" if i <= 2 * n - 1 else "sphere",
-                f"h{i} t{i},{i + 1} h{i}^-1",
-                f"t{i + 1},{i + 2}",
-            )
-            for i in range(1, 2 * n + 1)
-        ],
-        "relation-chain-twist-factorization": [
-            _inst("disk", f"t{i},{j}", factors_to_tokens(t_chain_factors(i, j)))
-            for i in range(1, ctx.num_arcs)
-            for j in range(i + 2, ctx.num_arcs + 1)
-        ],
-        "relation-h-triple-conjugation": [
-            _inst(
-                "disk",
-                f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}",
-                f"h{i + 2}",
-            )
-            for i in range(1, 2 * n - 2)
-        ],
-        "relation-hchain-shift": [
-            _inst("disk", f"hchain_t^-1 h{i} hchain_t", f"h{i + 2}") for i in range(1, 2 * n - 2)
-        ],
-    }
     return [
-        _run_instances(cid, group, ctx, instances[cid], budget)
-        for cid, group in _claim_ids(_BASE_CLAIMS, n)
-        if cid in instances
+        _inst("disk" if i < 2 * n else "sphere", f"h{i} t{i},{i + 1} h{i}^-1", f"t{i + 1},{i + 2}")
+        for i in range(1, 2 * n + 1)
     ]
 
 
-def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
-    instances = [_inst("sphere", "r1", "r F")]
-    return _run_instances("lemma-r1-factorization", "sphere", ctx, instances, budget)
+def _chain_twist_factorization(ctx: Context) -> list[dict]:
+    return [
+        _inst("disk", f"t{i},{j}", factors_to_tokens(t_chain_factors(i, j)))
+        for i in range(1, ctx.num_arcs)
+        for j in range(i + 2, ctx.num_arcs + 1)
+    ]
 
 
-# -- constructive generation --------------------------------------------------
+def _h_triple_conjugation(ctx: Context) -> list[dict]:
+    return [
+        _inst("disk", f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}", f"h{i + 2}")
+        for i in range(1, 2 * ctx.n - 2)
+    ]
+
+
+def _hchain_shift(ctx: Context) -> list[dict]:
+    return [
+        _inst("disk", f"hchain_t^-1 h{i} hchain_t", f"h{i + 2}") for i in range(1, 2 * ctx.n - 2)
+    ]
 
 
 def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]:
@@ -419,10 +373,6 @@ def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]
     return words
 
 
-_GROUP_TO_ORACLE = {"lmod_sphere": "sphere", "lmod_star": "star", "lmod_disk": "disk"}
-_GENERATION_GROUPS = {f"generation-{g.replace('_', '-')}": g for g in _GROUP_TO_ORACLE}
-
-
 def _basis_tokens(basis: str, ctx: Context) -> list[str]:
     """The small generating set of ``basis`` as tokens: the sphere's or the star's."""
     if basis == "sphere":
@@ -430,41 +380,113 @@ def _basis_tokens(basis: str, ctx: Context) -> list[str]:
     return ["h1", "t1,2"] if ctx.n == 1 else ["h1", "h2", "hchain_t"]
 
 
-def _step_problem(group: str, ctx: Context, instances: list[dict]) -> str | None:
-    """Why ``instances`` is not a straight-line generation certificate, or None.
+def _generation_basis(cid: str, ctx: Context) -> list[str]:
+    """The basis tokens that the steps of generation claim ``cid`` start from."""
+    return _basis_tokens("sphere" if cid == "generation-lmod-sphere" else "star", ctx)
 
-    The targets and basis come from ``group`` and ``ctx``, not the instances.
-    The instances must state each standard target once, in order, as an
-    equality in the group's oracle, over basis tokens and earlier targets.
-    Only token names are read; no word is expanded.
-    """
-    targets = [target for target, _ in generation_words(group, ctx)]
-    stated = [inst["lhs"] for inst in instances]
-    if stated != targets:
-        got, want = next(p for p in zip_longest(stated, targets, fillvalue="none") if p[0] != p[1])
-        return f"a step states target {got} where the standard list has {want}"
-    known = set(_basis_tokens("sphere" if group == "lmod_sphere" else "star", ctx))
-    for inst in instances:
-        if inst["group"] != _GROUP_TO_ORACLE[group] or inst["expect"] is not True:
-            return f"step {inst['lhs']} is not an equality in the {_GROUP_TO_ORACLE[group]} group"
-        unknown = {tok.partition("^")[0] for tok in inst["rhs"].split()} - known
-        if unknown:
-            return f"step {inst['lhs']} uses {sorted(unknown)}: not in the basis or earlier"
-        known.add(inst["lhs"])
-    return None
+
+def _generation(group: str, ctx: Context) -> list[dict]:
+    """One step per standard generator (:func:`generation_words`) in the group's oracle."""
+    return [
+        _inst(group.removeprefix("lmod_"), target, factors_to_tokens(word))
+        for target, word in generation_words(group, ctx)
+    ]
+
+
+def _single(group: str, lhs: str, rhs: str):
+    """The statement of a claim with one instance, ``lhs = rhs`` in ``group`` at every context."""
+    return lambda ctx: [_inst(group, lhs, rhs)]
+
+
+def _twists(ctx: Context) -> list[str]:
+    return [f"t{i},{i + 1}" for i in range(1, ctx.num_arcs + 1)]
+
+
+def _halves(ctx: Context) -> list[str]:
+    return [f"h{i}" for i in range(1, 2 * ctx.n + 1)]
+
+
+def _lift_conjugation(family, ctx: Context) -> list[dict]:
+    """The rotation lift shifts each lift of ``family(ctx)`` to the next: ``r1 a = b r1``."""
+    names = family(ctx)
+    return [_inst("homology", f"r1 {a}", f"{b} r1") for a, b in zip(names, names[1:])]
+
+
+def _deck_normalization(ctx: Context) -> list[dict]:
+    """The parity-preserving lifts commute with ``zeta``; ``r`` and ``r1`` invert it."""
+    commute = [_inst("homology", f"{a} zeta", f"zeta {a}") for a in _twists(ctx) + _halves(ctx)]
+    return commute + [_inst("homology", f"zeta {a} zeta", a) for a in ("r", "r1")]
+
+
+# The claims run_all reports, in report order: (id, group, least n, greatest
+# n or None, statement).  The run path takes its n-conditions from these rows
+# and the skip path lists them, so a run and a skip at the same n report the
+# same claim ids; reverify_report fails a report that leaves one out.  A
+# certificate claim's statement maps a context to the instances it states,
+# which the run stores as its witness; a computed claim has None.
+_BASE_CLAIMS = (
+    ("oracle-sphere-presentation", "sphere", 1, None, _presentation),
+    ("generators-validation", "sphere", 1, None, _generator_validations),
+    ("relation-twist-conjugation", "disk", 1, None, _twist_conjugation),
+    ("relation-chain-twist-factorization", "disk", 1, None, _chain_twist_factorization),
+    ("relation-h-triple-conjugation", "disk", 2, None, _h_triple_conjugation),
+    ("relation-hchain-shift", "disk", 2, None, _hchain_shift),
+    ("lemma-r1-factorization", "sphere", 1, None, _single("sphere", "r1", "r F")),
+    ("generation-lmod-sphere", "sphere", 1, None, partial(_generation, "lmod_sphere")),
+    ("generation-lmod-star", "star", 1, None, partial(_generation, "lmod_star")),
+    ("generation-lmod-disk", "disk", 1, None, partial(_generation, "lmod_disk")),
+)
+_LIFTABILITY_CLAIMS = (
+    ("liftability-w-size", "sphere", 1, None, None),
+    ("liftability-w-generation", "sphere", 1, None, None),
+    ("liftability-curve-lifts", "sphere", 1, None, None),
+)
+_COVER_CLAIMS = (
+    ("cover-build", "homology", 1, None, None),
+    ("cover-homology", "homology", 1, None, None),
+    ("cover-deck-rotation", "homology", 1, None, None),
+)
+_HOMOLOGY_CLAIMS = (
+    ("smod-conjugation-t", "homology", 1, None, partial(_lift_conjugation, _twists)),
+    ("smod-conjugation-h", "homology", 1, None, partial(_lift_conjugation, _halves)),
+    ("smod-deck-factorization", "homology", 1, None, _single("homology", "zeta_prime", "zeta")),
+    ("smod-deck-normalization", "homology", 1, None, _deck_normalization),
+    ("smod-r1-lift-consistency", "homology", 1, 1, _single("homology", "r1 h1", "r")),
+    ("smod-chain-pattern", "homology", 1, None, None),
+)
+_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
+# Each certificate claim's (group, statement), by id.
+_WITNESS_CLAIMS = {cid: (group, stmt) for cid, group, _, _, stmt in _ALL_CLAIMS if stmt}
+
+
+# -- certificate claims --------------------------------------------------------
+
+
+def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim:
+    """Classical presentation cross-check guarding the sphere oracle."""
+    return _certify("oracle-sphere-presentation", ctx, budget)
+
+
+def verify_generator_validations(ctx: Context, budget: int | None = None) -> Claim:
+    """The adopted generator words as instances (:func:`_generator_validations`)."""
+    return _certify("generators-validation", ctx, budget)
+
+
+def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
+    """The ``relation-*`` claims that exist at ``ctx.n``."""
+    ids = [cid for cid, _ in _claim_ids(_BASE_CLAIMS, ctx.n) if cid.startswith("relation-")]
+    return [_certify(cid, ctx, budget) for cid in ids]
+
+
+def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
+    return _certify("lemma-r1-factorization", ctx, budget)
 
 
 def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Claim:
     """Constructive generation certificate for one of the three groups."""
-    basis = "sphere" if group == "lmod_sphere" else "star"
-    oracle_group = _GROUP_TO_ORACLE[group]
-    instances = [
-        _inst(oracle_group, target, factors_to_tokens(word))
-        for target, word in generation_words(group, ctx)
-    ]
     cid = f"generation-{group.replace('_', '-')}"
-    note = f"basis {{{', '.join(_basis_tokens(basis, ctx))}}}, straight-line steps:"
-    return _run_instances(cid, oracle_group, ctx, instances, budget, note)
+    note = f"basis {{{', '.join(_generation_basis(cid, ctx))}}}, straight-line steps:"
+    return _certify(cid, ctx, budget, note)
 
 
 # -- liftability --------------------------------------------------------------
@@ -600,24 +622,8 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     zeta``), the parity-preserving lifts commute with it and ``r``, ``r1``
     invert it (``zeta r zeta = r``), and at n = 1 ``r1 h1 = r``.
     """
-    n = ctx.n
-    twists = [f"t{i},{i + 1}" for i in range(1, ctx.num_arcs + 1)]
-    halves = [f"h{i}" for i in range(1, 2 * n + 1)]
-    sides = {  # (lhs, rhs) of each claim's instances
-        "smod-conjugation-t": [(f"r1 {a}", f"{b} r1") for a, b in zip(twists, twists[1:])],
-        "smod-conjugation-h": [(f"r1 {a}", f"{b} r1") for a, b in zip(halves, halves[1:])],
-        "smod-deck-factorization": [("zeta_prime", "zeta")],
-        "smod-deck-normalization": [(f"{a} zeta", f"zeta {a}") for a in twists + halves]
-        + [(f"zeta {a} zeta", a) for a in ("r", "r1")],
-        "smod-r1-lift-consistency": [("r1 h1", "r")],
-    }
-    return [
-        _run_instances(
-            cid, "homology", ctx, [_inst("homology", *p) for p in sides[cid]], None, _HOMOLOGY_NOTE
-        )
-        for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, n)
-        if cid in sides
-    ]
+    ids = [cid for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, ctx.n) if cid in _WITNESS_CLAIMS]
+    return [_certify(cid, ctx, None, _HOMOLOGY_NOTE) for cid in ids]
 
 
 def verify_chain_pattern(ctx: Context) -> Claim:
@@ -662,7 +668,7 @@ def verify_chain_pattern(ctx: Context) -> Claim:
 
 
 # The function that makes each computed claim (a claim-table row without a
-# witness); reverify_report re-runs it at the claim's own (n, k).
+# statement); reverify_report re-runs it at the claim's own (n, k).
 _MAKERS = {
     row[0]: maker
     for rows, maker in ((_LIFTABILITY_CLAIMS, verify_liftability), (_COVER_CLAIMS, verify_cover),
@@ -687,7 +693,7 @@ def _reverify_claim(cdict: dict, header: dict, budget: int, reruns: dict) -> boo
     ctx = Context(n, k)
     if cid in _WITNESS_CLAIMS:
         instances = (cdict.get("witness") or {}).get("instances") or []
-        ok, _ = _certificate_verdict(cid, ctx, instances, budget)
+        ok, _ = _certificate_verdict(cid, ctx, instances, _WITNESS_CLAIMS[cid][1](ctx), budget)
         return cdict["status"] == ("pass" if ok else "fail")
     maker = _MAKERS[cid]
     if (maker, ctx) not in reruns:
@@ -700,9 +706,9 @@ def _reverify_claim(cdict: dict, header: dict, budget: int, reruns: dict) -> boo
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
     """``(id, ok)`` for every claim of a report that ran; ok if its status is re-derived.
 
-    A certificate claim re-verifies from its stored instances alone, through
-    the run's own verdict path (:func:`_certificate_verdict`).  A computed
-    claim is re-derived by re-running the function that made it at the
+    A certificate claim re-verifies from its stored instances alone, which
+    must state it, on the run's own verdict path (:func:`_certificate_verdict`).  A
+    computed claim is re-derived by re-running the function that made it at the
     claim's own ``n`` and ``k``, once per function and ``(n, k)``.  A claim
     whose ``n`` or ``k`` differs from the header's (where the header states
     them; a bundle of claims may leave them out), an id and group not in the

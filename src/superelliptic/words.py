@@ -190,13 +190,6 @@ class Permutation:
     def to_text(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise WordSyntaxError(f"malformed permutation {text!r}")
-        return cls(tuple(int(p) for p in body[1:-1].split(",")))
-
 
 def psi(w: Word, ctx: Context) -> Permutation:
     """The marked-point permutation of a word: ``sigma_i`` maps to ``(i i+1)``.

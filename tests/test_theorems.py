@@ -1,6 +1,7 @@
 """Claims, certificates, and report round-trips."""
 
 import json
+from collections import Counter
 from functools import partial
 from math import factorial
 
@@ -403,6 +404,54 @@ class TestCertificates:
         assert results.pop(cid) is False
         assert all(results.values())
 
+    @pytest.mark.parametrize(
+        "cid, edit",
+        [
+            ("relation-chain-twist-factorization",
+             lambda insts: [dict(i, group="sphere") for i in insts]),
+            ("relation-twist-conjugation", lambda insts: insts[:1]),
+            ("smod-conjugation-t", lambda insts: insts[:1]),
+            ("oracle-sphere-presentation", lambda insts: [i for i in insts if i["expect"]]),
+            ("relation-chain-twist-factorization",
+             lambda insts: [dict(i, rhs=i["lhs"]) for i in insts]),
+            ("oracle-sphere-presentation", lambda insts: insts[::-1]),
+        ],
+        ids=["weaker-group", "cut-relation", "cut-smod", "no-inequalities", "tautologies",
+             "reordered"],
+    )
+    def test_weakened_certificate_fails_alone(self, report_2_3, cid, edit):
+        # every edited instance still holds: only the claim's statement refutes it
+        claim = next(c for c in report_2_3["claims"] if c["id"] == cid)
+        edited = edit(claim["witness"]["instances"])
+        assert edited != claim["witness"]["instances"]
+        assert all(check_instance(i, Context(2, 3)) for i in edited)
+        results = self._reverify_edited(report_2_3, cid, edit)
+        assert results.pop(cid) is False
+        assert all(results.values())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_statement_is_non_empty(self, n):
+        ctx = Context(n, 3)
+        stated = [cid for cid, _ in theorems._claim_ids(theorems._ALL_CLAIMS, n)
+                  if cid in theorems._WITNESS_CLAIMS]
+        assert len(stated) == (13 if n == 1 else 14)
+        for cid in stated:
+            assert theorems._WITNESS_CLAIMS[cid][1](ctx), cid
+
+    def test_the_run_and_reverify_build_each_statement_once(self, monkeypatch):
+        calls = Counter()
+        for cid, (group, statement) in list(theorems._WITNESS_CLAIMS.items()):
+            def counted(ctx, cid=cid, statement=statement):
+                calls[cid] += 1
+                return statement(ctx)
+
+            monkeypatch.setitem(theorems._WITNESS_CLAIMS, cid, (group, counted))
+        report = run_all(1, 3)
+        certified = Counter(c.id for c in report.claims if c.witness)
+        assert len(certified) == 13 and calls == certified
+        assert all(ok for _, ok in reverify_report(report))
+        assert calls == certified + certified
+
     def test_budget_error_still_raises(self, report_2_3):
         with pytest.raises(BudgetError):
             reverify_report(report_2_3, budget=5)
@@ -417,6 +466,16 @@ class TestCertificates:
         results = self._reverify_edited(report_2_3, cid, tautologies)
         assert results.pop(cid) is False
         assert all(results.values())
+
+    def test_step_rewritten_to_another_proof_reverifies(self, report_2_3):
+        other = {"group": "sphere", "lhs": "h2", "rhs": "r1 h1 r1^-1 r1 r1^-1", "expect": True}
+
+        def edit(instances):
+            assert next(i for i in instances if i["lhs"] == "h2")["rhs"] != other["rhs"]
+            return [other if i["lhs"] == "h2" else i for i in instances]
+
+        results = self._reverify_edited(report_2_3, "generation-lmod-sphere", edit)
+        assert len(results) == 21 and all(results.values())
 
     def test_step_using_a_later_target_fails(self, report_2_3):
         later = {"group": "sphere", "lhs": "h2", "rhs": "r1^-1 h3 r1", "expect": True}
