@@ -65,7 +65,7 @@ from .theorems import (
     Report,
     reverify_report,
     run_all,
-    verify_factorization_r1,
+    verify,
     verify_generation,
     verify_relations,
     verify_smod_homology,

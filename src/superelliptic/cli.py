@@ -13,7 +13,8 @@ Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
 where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer included) or a homology product that would
+is not a positive integer included), a report that ``--out`` cannot write
+(nothing is printed then) or a homology product that would
 overflow int64 (a lift power such as ``t1,2^1000000000000000000``; lift
 exponents may be any size, since powers are taken by squaring), 3 letter
 budget exceeded.  A reader
@@ -170,15 +171,19 @@ def _cmd_verify_all(args) -> int:
     text = report.to_json() if args.json else report.render_text()
     if args.out:
         directory = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, args.out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text + "\n")
+                os.replace(tmp, args.out)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     _emit(text)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 

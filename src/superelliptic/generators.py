@@ -13,7 +13,7 @@
 * ``hchain_t = h_{2n-1} ... h_2 h_1 t_{1,2}``.
 
 The ``t``/``r``/``r1`` word realizations are conventions, not definitions.
-The ``generators-validation`` claim (:func:`theorems.verify_generator_validations`)
+The ``generators-validation`` claim (:func:`theorems._generator_validations`)
 pins them as token-text instances that re-verify from a report file: ``h1``
 and ``t1,2`` against their Artin letters, twist locality, ``r1`` of order
 exactly ``2n+2`` shifting the arcs, ``r`` an involution reversing them, and

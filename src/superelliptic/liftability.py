@@ -108,8 +108,12 @@ def generated_group(perms, ctx: Context) -> tuple[int, list[frozenset[int]]]:
     return len(quotient) * prod(factorial(len(block)) for block in blocks), blocks
 
 
+# The largest n at which enumerate_W runs: |W| = 2((n+1)!)^2 is 1,152 at n = 3.
+ENUMERATE_W_MAX_N = 3
+
+
 def enumerate_W(ctx: Context):
-    """Exhaustive iterator over the parity subgroup (desk scale: n <= 3).
+    """Exhaustive iterator over the parity subgroup (desk scale: ``n <= ENUMERATE_W_MAX_N``).
 
     A depth-first search over ``S_{2n+2}`` assigns ``p(1), p(2), ..`` in
     turn, trying values in increasing order.  A permutation is in W iff
@@ -120,8 +124,8 @@ def enumerate_W(ctx: Context):
     ``itertools.permutations``, in ``O(|W| n)`` steps instead of
     ``(2n+2)!``.
     """
-    if ctx.n > 3:
-        raise ValueError("exhaustive enumeration is limited to n <= 3")
+    if ctx.n > ENUMERATE_W_MAX_N:
+        raise ValueError(f"exhaustive enumeration is limited to n <= {ENUMERATE_W_MAX_N}")
     top = ctx.num_points
     images, used = [0] * top, [False] * (top + 1)
 

@@ -4,18 +4,19 @@ Every check is packaged as a :class:`Claim` with a stable id, a pass /
 fail / skipped status and, for word-level and lifted-homology claims, a
 witness: a list of ``{lhs, rhs, group, expect}`` instances, in generator-token
 syntax or, for group ``homology``, in lift text (:func:`cover.lift_product`).
-One function judges such a certificate claim, in the run and in
-:func:`reverify_report` alike (:func:`_certificate_verdict`), so it
-re-verifies from its witness alone and reports double as certificates.  The
-computed claims (``liftability-*``, ``cover-*``, ``smod-chain-pattern``)
-store no witness; :func:`reverify_report` re-runs them at their ``n``, ``k``.
+:func:`verify` makes every claim from its row of the claim table.  A
+certificate claim's row holds what it states, a function of its context,
+and the run stores that statement as the witness.  One function judges such
+a claim, in the run and in :func:`reverify_report` alike
+(:func:`_certificate_verdict`), so it re-verifies from its witness alone and
+reports double as certificates.  A computed claim's row (``liftability-*``,
+``cover-*``, ``smod-chain-pattern``) holds its check, and the claim stores no
+witness; :func:`reverify_report` runs that check again at its ``n``, ``k``.
 
-What a certificate claim states is a function of its context in the claim
-table.  The run stores that statement as the witness, and the verdict first
-requires the instances to equal the statement, in order, in ``group``,
-``lhs``, ``rhs`` and ``expect``, reading token names alone: a file with fewer
-instances, a weaker group or a dropped inequality does not re-verify.
-Generation claims are straight-line programs: one step per standard
+The verdict first requires the instances to equal the statement, in order,
+in ``group``, ``lhs``, ``rhs`` and ``expect``, reading token names alone: a
+file with fewer instances, a weaker group or a dropped inequality does not
+re-verify.  Generation claims are straight-line programs: one step per standard
 generator, in a fixed order, writes it over the small generating set and the
 generators before it, and the group's oracle confirms the step.  A step's
 ``rhs`` is its proof, so it may differ from the run's, but it may use only
@@ -174,13 +175,32 @@ def convention_header(ctx: Context, budget: int) -> dict:
 # -- claim runner --------------------------------------------------------------
 
 
-def _claim(cid: str, group: str, ctx: Context, check, witness: dict | None = None) -> Claim:
-    """Run one claim: ``check()`` returns ``(ok, detail)``.
+def _computed(check):
+    """Mark ``check``, ``ctx -> (ok, detail)`` with ``ok`` None to skip, as a computed claim's."""
+    check.computed = True
+    return check
 
-    ``ok`` True passes, False fails and None skips.  An oracle that runs
-    over its letter budget skips the claim; a witness is kept either way.
-    ``elapsed`` covers ``check()`` alone.
+
+def verify(cid: str, ctx: Context, budget: int | None = None) -> Claim:
+    """Make claim ``cid`` at ``ctx`` from its row of the claim table.
+
+    A certificate claim stores its statement as the witness, which must hold
+    (:func:`_certificate_verdict`); a computed claim runs its check.  ``ok``
+    True passes, False fails and None skips.  An oracle that runs over its
+    letter budget skips the claim; a witness is kept either way.
+    ``elapsed`` covers the verdict or the check alone.
     """
+    if cid in _WITNESS_CLAIMS:
+        group, statement = _WITNESS_CLAIMS[cid]
+        instances = statement(ctx)
+        note = _HOMOLOGY_NOTE if group == "homology" else ""
+        if cid.startswith("generation-"):
+            note = f"basis {{{', '.join(_generation_basis(cid, ctx))}}}, straight-line steps:"
+        check = partial(_certificate_verdict, cid, ctx, instances, instances, budget, note)
+        witness = {"instances": instances}
+    else:
+        group, check = _COMPUTED_CLAIMS[cid]
+        check, witness = partial(check, ctx), None
     t0 = time.monotonic()
     try:
         ok, detail = check()
@@ -239,14 +259,6 @@ def _certificate_verdict(
     if bad:
         return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
     return True, f"{note} {len(instances)} instances".strip()
-
-
-def _certify(cid: str, ctx: Context, budget: int | None, note: str = "") -> Claim:
-    """Run certificate claim ``cid``: its statement at ``ctx`` is its witness and must hold."""
-    group, statement = _WITNESS_CLAIMS[cid]
-    instances = statement(ctx)
-    check = partial(_certificate_verdict, cid, ctx, instances, instances, budget, note)
-    return _claim(cid, group, ctx, check, {"instances": instances})
 
 
 # -- statements ----------------------------------------------------------------
@@ -333,33 +345,37 @@ def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]
 
     A step writes its target over the basis (:func:`_basis_tokens`) and the
     targets before it; a basis target is the trivial step ``x = x``.
-    ``lmod_sphere``: ``h_i = r1 h_{i-1} r1^-1``, ``t_{i+1,i+2} = h_i t_{i,i+1}
-    h_i^-1``, then the nested twists on arcs 1..2n+1 but the boundary-parallel
-    ``t_{1,2n+1}`` by :func:`t_chain_factors` (it uses ``t_{a,a+1}`` with
-    ``a > i``, so every adjacent twist comes first), then ``r1``.
+    ``lmod_sphere``: ``h_i = r1 h_{i-1} r1^-1``, then the adjacent twists
+    ``t_{i,i+1}`` and then the nested twists ``t_{i,j}`` on arcs 1..2n+1 but
+    the boundary-parallel ``t_{1,2n+1}``, each with ``i >= 2`` shifted from
+    the earlier target by ``t_{i,j} = r1 t_{i-1,j-1} r1^-1``, then ``r1``.
+    A nested ``t_{1,j}`` is :func:`t_chain_factors` (it uses ``h``'s and
+    ``t_{a,a+1}`` with ``a > 1``, so every adjacent twist comes first); these
+    2n-2 steps are the only ones that restate a ``relation-*`` instance.
     ``lmod_star`` and ``lmod_disk``: ``h_i = hchain_t^-1 h_{i-2} hchain_t``,
     then ``t1,2 = h1^-1 ... h_{2n-1}^-1 hchain_t``; at n = 1, ``h1, t1,2``.
     """
-    n = ctx.n
+    n, arcs = ctx.n, ctx.num_arcs
 
     def conj(a: Factor, x: Factor) -> list[Factor]:
         return [a, x, (a[0], a[1], -a[2])]
 
     if group == "lmod_sphere":
+        r1 = ("r1", (), 1)
+
+        def twist(i: int, j: int) -> list[Factor]:
+            if i > 1:
+                return conj(r1, ("t", (i - 1, j - 1), 1))
+            return [("t", (1, 2), 1)] if j == 2 else list(t_chain_factors(1, j))
+
+        twists = [(i, i + 1) for i in range(1, arcs)]
+        twists += [
+            (i, j) for i in range(1, arcs) for j in range(i + 2, arcs + 1) if (i, j) != (1, arcs)
+        ]
         words = [("h1", [("h", (1,), 1)])]
-        words += [(f"h{i}", conj(("r1", (), 1), ("h", (i - 1,), 1))) for i in range(2, 2 * n + 1)]
-        words.append(("t1,2", [("t", (1, 2), 1)]))
-        words += [
-            (f"t{i + 1},{i + 2}", conj(("h", (i,), 1), ("t", (i, i + 1), 1)))
-            for i in range(1, 2 * n)
-        ]
-        words += [
-            (f"t{i},{j}", list(t_chain_factors(i, j)))
-            for i in range(1, ctx.num_arcs)
-            for j in range(i + 2, ctx.num_arcs + 1)
-            if (i, j) != (1, ctx.num_arcs)
-        ]
-        words.append(("r1", [("r1", (), 1)]))
+        words += [(f"h{i}", conj(r1, ("h", (i - 1,), 1))) for i in range(2, 2 * n + 1)]
+        words += [(f"t{i},{j}", twist(i, j)) for i, j in twists]
+        words.append(("r1", [r1]))
     elif group in ("lmod_star", "lmod_disk"):
         if n == 1:
             return [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
@@ -418,195 +434,142 @@ def _deck_normalization(ctx: Context) -> list[dict]:
     return commute + [_inst("homology", f"zeta {a} zeta", a) for a in ("r", "r1")]
 
 
-# The claims run_all reports, in report order: (id, group, least n, greatest
-# n or None, statement).  The run path takes its n-conditions from these rows
-# and the skip path lists them, so a run and a skip at the same n report the
-# same claim ids; reverify_report fails a report that leaves one out.  A
-# certificate claim's statement maps a context to the instances it states,
-# which the run stores as its witness; a computed claim has None.
-_BASE_CLAIMS = (
-    ("oracle-sphere-presentation", "sphere", 1, None, _presentation),
-    ("generators-validation", "sphere", 1, None, _generator_validations),
-    ("relation-twist-conjugation", "disk", 1, None, _twist_conjugation),
-    ("relation-chain-twist-factorization", "disk", 1, None, _chain_twist_factorization),
-    ("relation-h-triple-conjugation", "disk", 2, None, _h_triple_conjugation),
-    ("relation-hchain-shift", "disk", 2, None, _hchain_shift),
-    ("lemma-r1-factorization", "sphere", 1, None, _single("sphere", "r1", "r F")),
-    ("generation-lmod-sphere", "sphere", 1, None, partial(_generation, "lmod_sphere")),
-    ("generation-lmod-star", "star", 1, None, partial(_generation, "lmod_star")),
-    ("generation-lmod-disk", "disk", 1, None, partial(_generation, "lmod_disk")),
-)
-_LIFTABILITY_CLAIMS = (
-    ("liftability-w-size", "sphere", 1, None, None),
-    ("liftability-w-generation", "sphere", 1, None, None),
-    ("liftability-curve-lifts", "sphere", 1, None, None),
-)
-_COVER_CLAIMS = (
-    ("cover-build", "homology", 1, None, None),
-    ("cover-homology", "homology", 1, None, None),
-    ("cover-deck-rotation", "homology", 1, None, None),
-)
-_HOMOLOGY_CLAIMS = (
-    ("smod-conjugation-t", "homology", 1, None, partial(_lift_conjugation, _twists)),
-    ("smod-conjugation-h", "homology", 1, None, partial(_lift_conjugation, _halves)),
-    ("smod-deck-factorization", "homology", 1, None, _single("homology", "zeta_prime", "zeta")),
-    ("smod-deck-normalization", "homology", 1, None, _deck_normalization),
-    ("smod-r1-lift-consistency", "homology", 1, 1, _single("homology", "r1 h1", "r")),
-    ("smod-chain-pattern", "homology", 1, None, None),
-)
-_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
-# Each certificate claim's (group, statement), by id.
-_WITNESS_CLAIMS = {cid: (group, stmt) for cid, group, _, _, stmt in _ALL_CLAIMS if stmt}
-
-
 # -- certificate claims --------------------------------------------------------
-
-
-def verify_oracle_presentation(ctx: Context, budget: int | None = None) -> Claim:
-    """Classical presentation cross-check guarding the sphere oracle."""
-    return _certify("oracle-sphere-presentation", ctx, budget)
-
-
-def verify_generator_validations(ctx: Context, budget: int | None = None) -> Claim:
-    """The adopted generator words as instances (:func:`_generator_validations`)."""
-    return _certify("generators-validation", ctx, budget)
 
 
 def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
     """The ``relation-*`` claims that exist at ``ctx.n``."""
     ids = [cid for cid, _ in _claim_ids(_BASE_CLAIMS, ctx.n) if cid.startswith("relation-")]
-    return [_certify(cid, ctx, budget) for cid in ids]
-
-
-def verify_factorization_r1(ctx: Context, budget: int | None = None) -> Claim:
-    return _certify("lemma-r1-factorization", ctx, budget)
+    return [verify(cid, ctx, budget) for cid in ids]
 
 
 def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Claim:
     """Constructive generation certificate for one of the three groups."""
-    cid = f"generation-{group.replace('_', '-')}"
-    note = f"basis {{{', '.join(_generation_basis(cid, ctx))}}}, straight-line steps:"
-    return _certify(cid, ctx, budget, note)
+    return verify(f"generation-{group.replace('_', '-')}", ctx, budget)
 
 
 # -- liftability --------------------------------------------------------------
 
 
-def verify_liftability(ctx: Context) -> list[Claim]:
-    n = ctx.n
+@_computed
+def _w_size(ctx: Context) -> tuple[bool | None, str]:
+    expected = liftability.w_size(ctx)
+    if ctx.n > liftability.ENUMERATE_W_MAX_N:
+        limit = liftability.ENUMERATE_W_MAX_N
+        return None, f"exhaustive check limited to n <= {limit}; formula gives {expected}"
+    count = sum(1 for _ in liftability.enumerate_W(ctx))
+    return count == expected, f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
 
-    def w_size():
-        expected = liftability.w_size(ctx)
-        if n > 3:
-            return None, f"exhaustive check limited to n <= 3; formula gives {expected}"
-        count = sum(1 for _ in liftability.enumerate_W(ctx))
-        return count == expected, f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
 
-    def w_generation():
-        # The generated group permutes its blocks.  Blocks odd | even and order
-        # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
-        # and order (n+1)! n! make psi(star basis) the stabilizer of 2n+2 in W.
-        top = ctx.num_points
-        odds, evens = frozenset(range(1, top, 2)), frozenset(range(2, top, 2))
-        ok, found = True, []
-        for basis, name, want in (
-            ("sphere", "W", (liftability.w_size(ctx), [odds, evens | {top}])),
-            ("star", "Stab_W(2n+2)", (factorial(n + 1) * factorial(n), [odds, evens, {top}])),
-        ):
-            tokens = _basis_tokens(basis, ctx)
-            perms = [psi(expand_token_text(t, ctx), ctx) for t in tokens]
-            got = liftability.generated_group(perms, ctx)
-            ok = ok and got == want
-            found.append(f"psi{{{', '.join(tokens)}}} {'=' if got == want else '!='} "
-                         f"{name}: order {got[0]}, {len(got[1])} blocks")
-        return ok, "; ".join(found) + " (exact)"
+@_computed
+def _w_generation(ctx: Context) -> tuple[bool, str]:
+    # The generated group permutes its blocks.  Blocks odd | even and order
+    # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
+    # and order (n+1)! n! make psi(star basis) the stabilizer of 2n+2 in W.
+    n, top = ctx.n, ctx.num_points
+    odds, evens = frozenset(range(1, top, 2)), frozenset(range(2, top, 2))
+    ok, found = True, []
+    for basis, name, want in (
+        ("sphere", "W", (liftability.w_size(ctx), [odds, evens | {top}])),
+        ("star", "Stab_W(2n+2)", (factorial(n + 1) * factorial(n), [odds, evens, {top}])),
+    ):
+        tokens = _basis_tokens(basis, ctx)
+        perms = [psi(expand_token_text(t, ctx), ctx) for t in tokens]
+        got = liftability.generated_group(perms, ctx)
+        ok = ok and got == want
+        found.append(f"psi{{{', '.join(tokens)}}} {'=' if got == want else '!='} "
+                     f"{name}: order {got[0]}, {len(got[1])} blocks")
+    return ok, "; ".join(found) + " (exact)"
 
-    def curve_lifts():
-        problems = [
-            f"gamma_{i},{i + 1}"
-            for i in range(1, ctx.num_points)
-            if liftability.curve_monodromy(liftability.gamma_curve(i, i + 1, ctx), ctx) != 0
-        ]
-        if liftability.curve_monodromy(liftability.CurveClass(ctx, (1,)), ctx) == 0:
-            problems.append("x1")
-        return not problems, (
-            f"adjacent curves lift, single-puncture loop does not (k = {ctx.k})"
-            if not problems
-            else f"failures at k = {ctx.k}: {problems}"
-        )
 
-    return [
-        _claim("liftability-w-size", "sphere", ctx, w_size),
-        _claim("liftability-w-generation", "sphere", ctx, w_generation),
-        _claim("liftability-curve-lifts", "sphere", ctx, curve_lifts),
+@_computed
+def _curve_lifts(ctx: Context) -> tuple[bool, str]:
+    problems = [
+        f"gamma_{i},{i + 1}"
+        for i in range(1, ctx.num_points)
+        if liftability.curve_monodromy(liftability.gamma_curve(i, i + 1, ctx), ctx) != 0
     ]
+    if liftability.curve_monodromy(liftability.CurveClass(ctx, (1,)), ctx) == 0:
+        problems.append("x1")
+    return not problems, (
+        f"adjacent curves lift, single-puncture loop does not (k = {ctx.k})"
+        if not problems
+        else f"failures at k = {ctx.k}: {problems}"
+    )
+
+
+def verify_liftability(ctx: Context) -> list[Claim]:
+    return [verify(cid, ctx) for cid, _ in _claim_ids(_LIFTABILITY_CLAIMS, ctx.n)]
 
 
 # -- cover and homology --------------------------------------------------------
 
 
-def verify_cover(ctx: Context) -> list[Claim]:
-    def build():
-        try:
-            surf = cover.build_cover(ctx)
-        except AssertionError as exc:
-            return False, str(exc)
-        chi = surf.euler_characteristic
-        ok = (
-            chi == 2 - 2 * ctx.genus
-            and surf.n_vertices == ctx.num_points
-            and surf.n_edges == ctx.k * ctx.num_arcs
-            and surf.n_faces == ctx.k
-        )
-        return ok, (
-            f"V={surf.n_vertices} E={surf.n_edges} F={surf.n_faces} chi={chi} "
-            f"= 2-2g (g={ctx.genus})"
-        )
+@_computed
+def _cover_build(ctx: Context) -> tuple[bool, str]:
+    try:
+        surf = cover.build_cover(ctx)
+    except AssertionError as exc:
+        return False, str(exc)
+    chi = surf.euler_characteristic
+    ok = (
+        chi == 2 - 2 * ctx.genus
+        and surf.n_vertices == ctx.num_points
+        and surf.n_edges == ctx.k * ctx.num_arcs
+        and surf.n_faces == ctx.k
+    )
+    return ok, (
+        f"V={surf.n_vertices} E={surf.n_edges} F={surf.n_faces} chi={chi} "
+        f"= 2-2g (g={ctx.genus})"
+    )
 
-    built = _claim("cover-build", "homology", ctx, build)
-    if not built.passed:
-        return [built] + _skipped(_COVER_CLAIMS[1:], ctx, "cover-build did not pass")
+
+@_computed
+def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
+    if not _cover_build(ctx)[0]:
+        return None, "cover-build did not pass"
     surf = cover.build_cover(ctx)
-
-    def homology():
-        # an integer P with P^T J P = J0 gives det(P)^2 det J = 1, so det J = 1
-        ok = (
-            surf.h1_rank == 2 * ctx.genus
-            and np.array_equal(surf.J, -surf.J.T)
-            and np.array_equal(
-                cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
-            )
+    # an integer P with P^T J P = J0 gives det(P)^2 det J = 1, so det J = 1
+    ok = (
+        surf.h1_rank == 2 * ctx.genus
+        and np.array_equal(surf.J, -surf.J.T)
+        and np.array_equal(
+            cover.mul(surf.P.T, surf.J, surf.P), intmat.standard_symplectic(surf.h1_rank)
         )
-        return ok, f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
+    )
+    return ok, f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
 
-    def deck_rotation():
-        Mz = cover.lift_rep(surf, "zeta")
-        ident = cover.identity(surf)
-        power = ident
-        total = ident.astype(object)  # sum of Mz^j, 0 <= j < k, in Python ints
-        ok = True
-        for _ in range(1, ctx.k):
-            power = cover.mul(power, Mz)
-            total = total + power
-            ok = ok and not np.array_equal(power, ident)
-        # Given Mz^k = I, the sum vanishes iff rank(Mz - I) = 2g:
-        # (Mz - I) sum = Mz^k - I = 0, so a full-rank Mz - I forces sum = 0;
-        # and a fixed vector v has sum v = k v, so sum = 0 leaves none.
-        ok = (
-            ok
-            and np.array_equal(cover.mul(power, Mz), ident)
-            and not np.count_nonzero(total)
-        )
-        return ok, (
-            f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
-            "(no invariant homology)"
-        )
 
-    return [
-        built,
-        _claim("cover-homology", "homology", ctx, homology),
-        _claim("cover-deck-rotation", "homology", ctx, deck_rotation),
-    ]
+@_computed
+def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
+    if not _cover_build(ctx)[0]:
+        return None, "cover-build did not pass"
+    surf = cover.build_cover(ctx)
+    Mz = cover.lift_rep(surf, "zeta")
+    ident = cover.identity(surf)
+    power = ident
+    total = ident.astype(object)  # sum of Mz^j, 0 <= j < k, in Python ints
+    ok = True
+    for _ in range(1, ctx.k):
+        power = cover.mul(power, Mz)
+        total = total + power
+        ok = ok and not np.array_equal(power, ident)
+    # Given Mz^k = I, the sum vanishes iff rank(Mz - I) = 2g:
+    # (Mz - I) sum = Mz^k - I = 0, so a full-rank Mz - I forces sum = 0;
+    # and a fixed vector v has sum v = k v, so sum = 0 leaves none.
+    ok = (
+        ok
+        and np.array_equal(cover.mul(power, Mz), ident)
+        and not np.count_nonzero(total)
+    )
+    return ok, (
+        f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
+        "(no invariant homology)"
+    )
+
+
+def verify_cover(ctx: Context) -> list[Claim]:
+    return [verify(cid, ctx) for cid, _ in _claim_ids(_COVER_CLAIMS, ctx.n)]
 
 
 _HOMOLOGY_NOTE = "homology-level (necessary condition only):"
@@ -623,10 +586,11 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     invert it (``zeta r zeta = r``), and at n = 1 ``r1 h1 = r``.
     """
     ids = [cid for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, ctx.n) if cid in _WITNESS_CLAIMS]
-    return [_certify(cid, ctx, None, _HOMOLOGY_NOTE) for cid in ids]
+    return [verify(cid, ctx) for cid in ids]
 
 
-def verify_chain_pattern(ctx: Context) -> Claim:
+@_computed
+def _chain_pattern(ctx: Context) -> tuple[bool, str]:
     """Intersection pattern of the lifted curve families.
 
     The alternating family used by the half-rotation lifts
@@ -638,51 +602,78 @@ def verify_chain_pattern(ctx: Context) -> Claim:
     ``gamma_i``.
     """
     n, k = ctx.n, ctx.k
+    surf = cover.build_cover(ctx)
+    bad = []
+    for i in range(1, 2 * n + 1):
+        C = cover.h_chain(surf, i)
+        got = np.abs(np.triu(cover.mul(C, surf.J, C.T), 1))
+        wrong = got != np.eye(len(C), k=1, dtype=np.int64)  # only neighbours meet
+        bad += [(i, int(a), int(b), int(got[a, b])) for a, b in zip(*np.nonzero(wrong))]
+    V = np.concatenate([cover._gamma_lifts(surf, i) for i in range(1, 2 * n + 2)])
+    G = cover.mul(V, surf.J, V.T)
+    for i in range(1, 2 * n + 2):
+        for j in range(i + 2, 2 * n + 2):
+            block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
+            bad += [(i, j, int(la) + 1, int(lb) + 1) for la, lb in zip(*np.nonzero(block))]
+    detail = f"violations: {bad[:4]}" if bad else (
+        f"alternating lifted families are (2k-1)-chains (k={k})"
+    )
+    return not bad, f"{_HOMOLOGY_NOTE} {detail}"
 
-    def check():
-        surf = cover.build_cover(ctx)
-        bad = []
-        for i in range(1, 2 * n + 1):
-            C = cover.h_chain(surf, i)
-            got = np.abs(np.triu(cover.mul(C, surf.J, C.T), 1))
-            wrong = got != np.eye(len(C), k=1, dtype=np.int64)  # only neighbours meet
-            bad += [(i, int(a), int(b), int(got[a, b])) for a, b in zip(*np.nonzero(wrong))]
-        V = np.concatenate([cover._gamma_lifts(surf, i) for i in range(1, 2 * n + 2)])
-        G = cover.mul(V, surf.J, V.T)
-        for i in range(1, 2 * n + 2):
-            for j in range(i + 2, 2 * n + 2):
-                block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
-                bad += [(i, j, int(la) + 1, int(lb) + 1) for la, lb in zip(*np.nonzero(block))]
-        return not bad, (
-            f"alternating lifted families are (2k-1)-chains (k={k})"
-            if not bad
-            else f"violations: {bad[:4]}"
-        )
 
-    claim = _claim("smod-chain-pattern", "homology", ctx, check)
-    claim.detail = f"{_HOMOLOGY_NOTE} {claim.detail}"
-    return claim
+def verify_chain_pattern(ctx: Context) -> Claim:
+    """Intersection pattern of the lifted curve families (:func:`_chain_pattern`)."""
+    return verify("smod-chain-pattern", ctx)
+
+
+# The claims run_all reports, in report order: (id, group, least n, greatest
+# n or None, statement or check).  The run path takes its n-conditions from
+# these rows and the skip path lists them, so a run and a skip at the same n
+# report the same claim ids; reverify_report fails a report that leaves one
+# out.  A certificate claim's statement maps a context to the instances it
+# states, which the run stores as its witness; a computed claim's check maps
+# a context to ``(ok, detail)``.
+_BASE_CLAIMS = (
+    ("oracle-sphere-presentation", "sphere", 1, None, _presentation),
+    ("generators-validation", "sphere", 1, None, _generator_validations),
+    ("relation-twist-conjugation", "disk", 1, None, _twist_conjugation),
+    ("relation-chain-twist-factorization", "disk", 1, None, _chain_twist_factorization),
+    ("relation-h-triple-conjugation", "disk", 2, None, _h_triple_conjugation),
+    ("relation-hchain-shift", "disk", 2, None, _hchain_shift),
+    ("lemma-r1-factorization", "sphere", 1, None, _single("sphere", "r1", "r F")),
+    ("generation-lmod-sphere", "sphere", 1, None, partial(_generation, "lmod_sphere")),
+    ("generation-lmod-star", "star", 1, None, partial(_generation, "lmod_star")),
+    ("generation-lmod-disk", "disk", 1, None, partial(_generation, "lmod_disk")),
+)
+_LIFTABILITY_CLAIMS = (
+    ("liftability-w-size", "sphere", 1, None, _w_size),
+    ("liftability-w-generation", "sphere", 1, None, _w_generation),
+    ("liftability-curve-lifts", "sphere", 1, None, _curve_lifts),
+)
+_COVER_CLAIMS = (
+    ("cover-build", "homology", 1, None, _cover_build),
+    ("cover-homology", "homology", 1, None, _cover_homology),
+    ("cover-deck-rotation", "homology", 1, None, _deck_rotation),
+)
+_HOMOLOGY_CLAIMS = (
+    ("smod-conjugation-t", "homology", 1, None, partial(_lift_conjugation, _twists)),
+    ("smod-conjugation-h", "homology", 1, None, partial(_lift_conjugation, _halves)),
+    ("smod-deck-factorization", "homology", 1, None, _single("homology", "zeta_prime", "zeta")),
+    ("smod-deck-normalization", "homology", 1, None, _deck_normalization),
+    ("smod-r1-lift-consistency", "homology", 1, 1, _single("homology", "r1 h1", "r")),
+    ("smod-chain-pattern", "homology", 1, None, _chain_pattern),
+)
+_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
+# Each claim's (group, statement) or (group, check), by id.
+_WITNESS_CLAIMS = {cid: (g, fn) for cid, g, _, _, fn in _ALL_CLAIMS if not hasattr(fn, "computed")}
+_COMPUTED_CLAIMS = {cid: (g, fn) for cid, g, _, _, fn in _ALL_CLAIMS if hasattr(fn, "computed")}
 
 
 # -- report assembly -----------------------------------------------------------
 
 
-# The function that makes each computed claim (a claim-table row without a
-# statement); reverify_report re-runs it at the claim's own (n, k).
-_MAKERS = {
-    row[0]: maker
-    for rows, maker in ((_LIFTABILITY_CLAIMS, verify_liftability), (_COVER_CLAIMS, verify_cover),
-                        (_HOMOLOGY_CLAIMS, verify_chain_pattern))
-    for row in rows
-    if not row[4]
-}
-
-
-def _reverify_claim(cdict: dict, header: dict, budget: int, reruns: dict) -> bool | None:
-    """Whether one stored claim re-verifies; None for a skipped claim.
-
-    ``reruns`` maps each ``(maker, ctx)`` already re-run to its claim statuses.
-    """
+def _reverify_claim(cdict: dict, header: dict, budget: int) -> bool | None:
+    """Whether one stored claim re-verifies; None for a skipped claim."""
     cid, n, k = cdict["id"], cdict["n"], cdict["k"]
     if header.get("n", n) != n or header.get("k", k) != k:
         return False
@@ -695,48 +686,50 @@ def _reverify_claim(cdict: dict, header: dict, budget: int, reruns: dict) -> boo
         instances = (cdict.get("witness") or {}).get("instances") or []
         ok, _ = _certificate_verdict(cid, ctx, instances, _WITNESS_CLAIMS[cid][1](ctx), budget)
         return cdict["status"] == ("pass" if ok else "fail")
-    maker = _MAKERS[cid]
-    if (maker, ctx) not in reruns:
-        claims = maker(ctx)
-        claims = claims if isinstance(claims, list) else [claims]
-        reruns[maker, ctx] = {c.id: c.status for c in claims}
-    return cdict["status"] == reruns[maker, ctx][cid]
+    return cdict["status"] == verify(cid, ctx, budget).status
 
 
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
     """``(id, ok)`` for every claim of a report that ran; ok if its status is re-derived.
 
     A certificate claim re-verifies from its stored instances alone, which
-    must state it, on the run's own verdict path (:func:`_certificate_verdict`).  A
-    computed claim is re-derived by re-running the function that made it at the
-    claim's own ``n`` and ``k``, once per function and ``(n, k)``.  A claim
-    whose ``n`` or ``k`` differs from the header's (where the header states
-    them; a bundle of claims may leave them out), an id and group not in the
-    claim table at that ``n``, a malformed claim or instance (a missing field,
-    text that does not parse, a lift power that overflows), each listing of
-    a claim after its first at the same ``n`` and ``k`` (even of a skipped
-    claim), and a table claim that the header's ``n`` calls for but is
-    missing, fail.  Other skipped claims are left out: the header does not
-    record the bounds that skipped them.
+    must state it, on the run's own verdict path (:func:`_certificate_verdict`).
+    A computed claim is re-derived by running its own check (:func:`verify`)
+    at the claim's own ``n`` and ``k``.  A claim whose ``n`` or ``k`` differs
+    from the header's (where the header states them; a bundle of claims may
+    leave them out), an id and group not in the claim table at that ``n``, a
+    malformed claim or instance (not an object, a missing field, text that
+    does not parse, a lift power that overflows), each listing of a claim
+    after its first at the same ``n`` and ``k`` (even of a skipped claim), and
+    a table claim that the header's ``n`` calls for but is missing, fail; a
+    claim without an id is listed as None.  A report that is not an object,
+    whose header is not an object or states an ``n`` or ``k`` that is not an
+    integer, or whose claims are not a list, gives ``[(None, False)]``.  Other skipped claims are left
+    out: the header does not record the bounds that skipped them.
     An oracle over its letter budget raises :class:`BudgetError`.
     """
     if isinstance(report, Report):
         report = report.to_dict()
     budget = oracle.resolve_budget(budget)
-    header = report["header"]
-    results, reruns, seen = [], {}, set()
-    for cdict in report["claims"]:
+    report = report if isinstance(report, dict) else {}
+    header, claims = report.get("header"), report.get("claims")
+    if not (isinstance(header, dict) and isinstance(claims, list)
+            and all(type(header.get(key, 0)) is int for key in ("n", "k"))):
+        return [(None, False)]
+    claims = [cdict if isinstance(cdict, dict) else {} for cdict in claims]
+    results, seen = [], set()
+    for cdict in claims:
         try:
             key = (cdict["id"], cdict["n"], cdict["k"])
             repeat = key in seen
             seen.add(key)
-            ok = False if repeat else _reverify_claim(cdict, header, budget, reruns)
+            ok = False if repeat else _reverify_claim(cdict, header, budget)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
             ok = False
         if ok is not None:
             results.append((cdict.get("id"), ok))
     if "n" in header:
-        present = {cdict.get("id") for cdict in report["claims"]}
+        present = {cdict.get("id") for cdict in claims}
         results += [
             (cid, False) for cid, _ in _claim_ids(_ALL_CLAIMS, header["n"]) if cid not in present
         ]
@@ -757,10 +750,10 @@ def run_all(
     report = Report(header=convention_header(ctx, budget))
 
     if n <= bounds.base_n:
-        report.claims.append(verify_oracle_presentation(ctx, budget))
-        report.claims.append(verify_generator_validations(ctx, budget))
+        for cid in ("oracle-sphere-presentation", "generators-validation"):
+            report.claims.append(verify(cid, ctx, budget))
         report.claims.extend(verify_relations(ctx, budget))
-        report.claims.append(verify_factorization_r1(ctx, budget))
+        report.claims.append(verify("lemma-r1-factorization", ctx, budget))
         for group in ("lmod_sphere", "lmod_star", "lmod_disk"):
             report.claims.append(verify_generation(group, ctx, budget))
     else:

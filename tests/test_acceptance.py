@@ -30,9 +30,9 @@ from superelliptic.liftability import curve_monodromy, enumerate_W, w_size
 from superelliptic.theorems import (
     reverify_report,
     run_all,
+    verify,
     verify_chain_pattern,
     verify_generation,
-    verify_oracle_presentation,
     verify_relations,
     verify_smod_homology,
 )
@@ -45,7 +45,7 @@ def announce(cid: str, detail: str) -> None:
 def test_01_oracle_presentation_cross_check():
     t0 = time.monotonic()
     for n in (1, 2, 3, 4):
-        claim = verify_oracle_presentation(Context(n, 3))
+        claim = verify("oracle-sphere-presentation", Context(n, 3))
         assert claim.passed, f"n={n}: {claim.detail}"
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"presentation suite took {elapsed:.1f}s (budget 60s)"

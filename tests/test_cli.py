@@ -164,6 +164,13 @@ class TestVerifyAll:
         assert data["claims"]
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_out_into_a_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "verify-all", "--n", "1", "--json", "--out", str(target))
+        assert code == 2 and not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     def test_over_bound_claims_skipped(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--n", "9", "--k", "3", "--json")
         assert code == 0

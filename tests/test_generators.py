@@ -22,7 +22,7 @@ from superelliptic.generators import (
     gen_t,
     t_chain_factors,
 )
-from superelliptic.theorems import check_instance, verify_generator_validations
+from superelliptic.theorems import check_instance, verify
 
 CTX = Context(2, 3)
 
@@ -334,7 +334,7 @@ class TestOracleBackedIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_validation_suite_all_green(self, n):
         ctx = Context(n, 3)
-        instances = verify_generator_validations(ctx).witness["instances"]
+        instances = verify("generators-validation", ctx).witness["instances"]
         failed = [inst for inst in instances if not check_instance(inst, ctx)]
         assert not failed
         assert eq_sphere(gen_r1(ctx), gen_r(ctx) * gen_F(ctx), ctx)

@@ -2,7 +2,6 @@
 
 import json
 from collections import Counter
-from functools import partial
 from math import factorial
 
 import pytest
@@ -31,13 +30,11 @@ from superelliptic.theorems import (
     generation_words,
     reverify_report,
     run_all,
+    verify,
     verify_chain_pattern,
     verify_cover,
-    verify_factorization_r1,
     verify_generation,
-    verify_generator_validations,
     verify_liftability,
-    verify_oracle_presentation,
     verify_relations,
     verify_smod_homology,
 )
@@ -66,15 +63,41 @@ class TestExpress:
     def test_adjacent_twist_over_sphere_basis(self):
         ctx = Context(2, 3)
         assert _generation_word("lmod_sphere", "t2,3", ctx) == [
-            ("h", (1,), 1), ("t", (1, 2), 1), ("h", (1,), -1)
+            ("r1", (), 1), ("t", (1, 2), 1), ("r1", (), -1)
         ]
         assert _generation_word("lmod_sphere", "t4,5", ctx) == [
-            ("h", (3,), 1), ("t", (3, 4), 1), ("h", (3,), -1)
+            ("r1", (), 1), ("t", (3, 4), 1), ("r1", (), -1)
         ]
 
     def test_nested_twist_is_the_chain_factorization(self):
         ctx = Context(3, 3)
         assert _generation_word("lmod_sphere", "t1,5", ctx) == list(t_chain_factors(1, 5))
+        assert _generation_word("lmod_sphere", "t3,7", ctx) == [
+            ("r1", (), 1), ("t", (2, 6), 1), ("r1", (), -1)
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("group", ["lmod_sphere", "lmod_star", "lmod_disk"])
+    def test_steps_use_only_the_basis_and_earlier_targets(self, group, n):
+        ctx = Context(n, 3)
+        known = set(theorems._basis_tokens("sphere" if group == "lmod_sphere" else "star", ctx))
+        for target, word in generation_words(group, ctx):
+            used = {tok.partition("^")[0] for tok in factors_to_tokens(word).split()}
+            assert used <= known, (target, used - known)
+            known.add(target)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sphere_steps_restate_only_the_chain_factorization_of_t1_j(self, n):
+        ctx = Context(n, 3)
+        stated = {
+            frozenset((i["lhs"], i["rhs"]))
+            for cid, (_, statement) in theorems._WITNESS_CLAIMS.items()
+            if cid.startswith("relation-")
+            for i in statement(ctx)
+        }
+        steps = theorems._WITNESS_CLAIMS["generation-lmod-sphere"][1](ctx)
+        restated = [i["lhs"] for i in steps if frozenset((i["lhs"], i["rhs"])) in stated]
+        assert restated == [f"t1,{j}" for j in range(3, 2 * n + 1)]
 
     def test_star_t12_expansion(self):
         ctx = Context(2, 3)
@@ -113,12 +136,12 @@ class TestExpress:
 class TestVerifiers:
     @pytest.mark.parametrize("n", [1, 2])
     def test_presentation_suite(self, n):
-        claim = verify_oracle_presentation(Context(n, 3))
+        claim = verify("oracle-sphere-presentation", Context(n, 3))
         assert claim.passed, claim.detail
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generator_validation_claim(self, n):
-        claim = verify_generator_validations(Context(n, 3))
+        claim = verify("generators-validation", Context(n, 3))
         assert claim.passed, claim.detail
         assert len(claim.witness["instances"]) == {1: 12, 2: 18, 3: 28}[n]
 
@@ -132,7 +155,7 @@ class TestVerifiers:
     )
     def test_generator_validation_catches_a_wrong_word(self, monkeypatch, name, word):
         monkeypatch.setitem(generators._WORDS, name, word)
-        claim = verify_generator_validations(Context(2, 3))
+        claim = verify("generators-validation", Context(2, 3))
         assert claim.status == "fail", claim.detail
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -142,7 +165,7 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_factorization(self, n):
-        assert verify_factorization_r1(Context(n, 3)).passed
+        assert verify("lemma-r1-factorization", Context(n, 3)).passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("group", ["lmod_sphere", "lmod_star", "lmod_disk"])
@@ -229,25 +252,12 @@ class TestVerifiers:
     def test_chain_pattern(self):
         assert verify_chain_pattern(Context(1, 3)).passed
 
-    @pytest.mark.parametrize(
-        "verify",
-        [
-            verify_factorization_r1,
-            verify_generator_validations,
-            verify_oracle_presentation,
-            verify_relations,
-            pytest.param(partial(verify_generation, "lmod_sphere"), id="verify_generation"),
-        ],
-    )
-    def test_budget_exhaustion_marks_skipped(self, verify):
-        claims = verify(Context(3, 3), budget=5)
-        claims = claims if isinstance(claims, list) else [claims]
-        assert claims
-        for claim in claims:
-            assert claim.status == "skipped", (claim.id, claim.detail)
-            assert claim.detail.startswith("oracle budget exceeded: ")
-            if claim.id in theorems._WITNESS_CLAIMS:
-                assert claim.witness["instances"], claim.id
+    @pytest.mark.parametrize("cid", [row[0] for row in theorems._BASE_CLAIMS])
+    def test_budget_exhaustion_marks_skipped(self, cid):
+        claim = verify(cid, Context(3, 3), budget=5)
+        assert claim.status == "skipped", claim.detail
+        assert claim.detail.startswith("oracle budget exceeded: ")
+        assert claim.witness["instances"]
 
 
 class TestCertificates:
@@ -477,6 +487,22 @@ class TestCertificates:
         results = self._reverify_edited(report_2_3, "generation-lmod-sphere", edit)
         assert len(results) == 21 and all(results.values())
 
+    def test_steps_with_the_chain_and_conjugation_proofs_reverify(self, report_2_3):
+        # each nested twist by its chain factorization, each adjacent one by h-conjugation
+        def proof(lhs):
+            i, j = map(int, lhs[1:].split(","))
+            if j - i >= 2:
+                return factors_to_tokens(t_chain_factors(i, j))
+            return f"h{i - 1} t{i - 1},{i} h{i - 1}^-1" if i > 1 else lhs
+
+        def edit(instances):
+            return [dict(i, rhs=proof(i["lhs"])) if i["lhs"][0] == "t" else i for i in instances]
+
+        claim = next(c for c in report_2_3["claims"] if c["id"] == "generation-lmod-sphere")
+        assert edit(claim["witness"]["instances"]) != claim["witness"]["instances"]
+        results = self._reverify_edited(report_2_3, "generation-lmod-sphere", edit)
+        assert len(results) == 21 and all(results.values())
+
     def test_step_using_a_later_target_fails(self, report_2_3):
         later = {"group": "sphere", "lhs": "h2", "rhs": "r1^-1 h3 r1", "expect": True}
         assert check_instance(later, Context(2, 3))  # true, but h3 is not yet generated
@@ -607,12 +633,36 @@ class TestVerdicts:
         ]}
         assert [ok for _, ok in reverify_report(bundle)] == [True, True, True, True, False, False]
 
-    def test_each_maker_reruns_once_per_n_and_k(self, report_2_3, monkeypatch):
-        calls = []
-        real = liftability.w_size
-        monkeypatch.setattr(liftability, "w_size", lambda ctx: calls.append(ctx) or real(ctx))
-        reverify_report(report_2_3)
-        assert calls == [Context(2, 3)] * 2  # the w-size and w-generation checks of one run
+    def test_reverify_runs_each_computed_check_once(self, report_2_3, monkeypatch):
+        calls = Counter()
+        for cid, (group, check) in list(theorems._COMPUTED_CLAIMS.items()):
+            def counted(ctx, cid=cid, check=check):
+                calls[cid] += 1
+                return check(ctx)
+
+            monkeypatch.setitem(theorems._COMPUTED_CLAIMS, cid, (group, counted))
+        assert all(ok for _, ok in reverify_report(report_2_3))
+        assert len(calls) == 7 and calls == Counter(list(theorems._COMPUTED_CLAIMS))
+        calls.clear()
+        build = next(c for c in report_2_3["claims"] if c["id"] == "cover-build")
+        assert reverify_report({"header": {}, "claims": [build]}) == [("cover-build", True)]
+        assert calls == Counter(["cover-build"])
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"header": {}, "claims": ["x"]},
+            {"header": {"n": 1}, "claims": [None]},
+            {"claims": []},
+            {"header": {"n": "x"}, "claims": []},
+            {"header": {}, "claims": 5},
+            [],
+        ],
+        ids=["claim-text", "claim-null", "no-header", "header-n-text", "claims-not-a-list",
+             "report-not-an-object"],
+    )
+    def test_malformed_report_fails(self, report):
+        assert (None, False) in reverify_report(report)
 
     def test_overflowing_instance_fails_its_claim_alone(self, report_2_3, few_products):
         cut = json.loads(json.dumps(report_2_3))
