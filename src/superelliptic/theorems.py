@@ -4,14 +4,16 @@ Every check is packaged as a :class:`Claim` with a stable id, a pass /
 fail / skipped status and, for word-level and lifted-homology claims, a
 witness: a list of ``{lhs, rhs, group, expect}`` instances, in generator-token
 syntax or, for group ``homology``, in lift text (:func:`cover.lift_product`).
-:func:`verify` makes every claim from its row of the claim table.  A
-certificate claim's row holds what it states, a function of its context,
-and the run stores that statement as the witness.  One function judges such
-a claim, in the run and in :func:`reverify_report` alike
-(:func:`_certificate_verdict`), so it re-verifies from its witness alone and
-reports double as certificates.  A computed claim's row (``liftability-*``,
-``cover-*``, ``smod-chain-pattern``) holds its check, and the claim stores no
-witness; :func:`reverify_report` runs that check again at its ``n``, ``k``.
+Every claim is one row of the claim table (:data:`_TABLE`), and
+:func:`verify` makes it from that row; :func:`run_all` makes the rows in
+table order.  A certificate claim's row holds what it states, a function of
+its context, and the run stores that statement as the witness.  One
+function judges such a claim, in the run and in :func:`reverify_report`
+alike (:func:`_certificate_verdict`), so it re-verifies from its witness
+alone and reports double as certificates.  A computed claim's row
+(``liftability-*``, ``cover-*``, ``smod-chain-pattern``) holds its check, and
+the claim stores no witness; :func:`reverify_report` runs that check again
+at its ``n``, ``k``.
 
 The verdict first requires the instances to equal the statement, in order,
 in ``group``, ``lhs``, ``rhs`` and ``expect``, reading token names alone: a
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,22 +96,45 @@ class Bounds:
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"bound {name} must be an integer >= 0, got {value!r}")
 
+    def skip(self, section: str, ctx: Context) -> str | None:
+        """Why the claims of table ``section`` are skipped at ``ctx``; None runs them."""
+        if section == "base" and ctx.n > self.base_n:
+            return f"over desk-scale bound (n <= {self.base_n}); raise --bound-base-n"
+        if section == "homology" and (ctx.n > self.homology_n or ctx.k > self.homology_k):
+            return f"over homology bounds (n <= {self.homology_n}, k <= {self.homology_k})"
+        return None
 
-def _claim_ids(rows, n: int) -> list[tuple[str, str]]:
-    """``(id, group)`` of the rows whose claim exists at this ``n``."""
-    return [
-        (cid, group)
-        for cid, group, lo, hi, _ in rows
-        if lo <= n and (hi is None or n <= hi)
-    ]
 
+class _Row(NamedTuple):
+    """One claim of the claim table, which exists for ``lo <= n`` (and ``n <= hi``).
 
-def _skipped(rows, ctx: Context, why: str) -> list[Claim]:
-    """The rows' claims at ``ctx``, each skipped with detail ``why``."""
-    return [
-        Claim(id=cid, group=group, status="skipped", detail=why, n=ctx.n, k=ctx.k)
-        for cid, group in _claim_ids(rows, ctx.n)
-    ]
+    ``section`` names the bound that skips it (:meth:`Bounds.skip`).  A
+    ``certificate`` or ``relation`` states the instances ``make(ctx)``; a
+    ``generation`` claim states the steps of ``generation_words(program)``
+    over ``_basis_tokens(basis)``; a ``computed`` claim runs ``make(ctx)``.
+    """
+
+    id: str
+    group: str  # disk | star | sphere | homology
+    section: str  # base | liftability | cover | homology
+    kind: str  # certificate | relation | generation | computed
+    make: Callable | None = None
+    lo: int = 1
+    hi: int | None = None
+    basis: str | None = None
+    program: str | None = None
+
+    def exists(self, n: int) -> bool:
+        return self.lo <= n and (self.hi is None or n <= self.hi)
+
+    def statement(self, ctx: Context) -> list[dict]:
+        """The instances that a certificate claim states at ``ctx``, in order."""
+        if self.kind == "generation":
+            return [
+                _inst(self.group, target, factors_to_tokens(word))
+                for target, word in generation_words(self.program, ctx)
+            ]
+        return self.make(ctx)
 
 
 @dataclass
@@ -175,39 +201,46 @@ def convention_header(ctx: Context, budget: int) -> dict:
 # -- claim runner --------------------------------------------------------------
 
 
-def _computed(check):
-    """Mark ``check``, ``ctx -> (ok, detail)`` with ``ok`` None to skip, as a computed claim's."""
-    check.computed = True
-    return check
+def _rows(n: int, **match) -> list[_Row]:
+    """The table rows that exist at ``n`` and whose fields equal ``match``, in table order."""
+    return [
+        row for row in _TABLE.values()
+        if row.exists(n) and all(getattr(row, key) == value for key, value in match.items())
+    ]
 
 
 def verify(cid: str, ctx: Context, budget: int | None = None) -> Claim:
     """Make claim ``cid`` at ``ctx`` from its row of the claim table.
 
-    A certificate claim stores its statement as the witness, which must hold
-    (:func:`_certificate_verdict`); a computed claim runs its check.  ``ok``
-    True passes, False fails and None skips.  An oracle that runs over its
-    letter budget skips the claim; a witness is kept either way.
-    ``elapsed`` covers the verdict or the check alone.
+    ``cid`` must be a row that exists at ``ctx.n`` (``ValueError`` naming its
+    n-range otherwise).  A certificate claim stores its statement as the
+    witness, which must hold (:func:`_certificate_verdict`); a computed claim
+    runs its check.  ``ok`` True passes, False fails and None skips.  An
+    oracle that runs over its letter budget skips the claim; a witness is
+    kept either way.  ``elapsed`` covers the verdict or the check alone.
     """
-    if cid in _WITNESS_CLAIMS:
-        group, statement = _WITNESS_CLAIMS[cid]
-        instances = statement(ctx)
-        note = _HOMOLOGY_NOTE if group == "homology" else ""
-        if cid.startswith("generation-"):
-            note = f"basis {{{', '.join(_generation_basis(cid, ctx))}}}, straight-line steps:"
-        check = partial(_certificate_verdict, cid, ctx, instances, instances, budget, note)
-        witness = {"instances": instances}
+    row = _TABLE.get(cid)
+    if row is None:
+        raise ValueError(f"claim {cid!r} is not in the claim table")
+    if not row.exists(ctx.n):
+        span = f"n >= {row.lo}" if row.hi is None else f"{row.lo} <= n <= {row.hi}"
+        raise ValueError(f"claim {cid!r} exists for {span}, not n = {ctx.n}")
+    if row.kind == "computed":
+        check, witness = partial(row.make, ctx), None
     else:
-        group, check = _COMPUTED_CLAIMS[cid]
-        check, witness = partial(check, ctx), None
+        instances = row.statement(ctx)
+        note = _HOMOLOGY_NOTE if row.group == "homology" else ""
+        if row.kind == "generation":
+            note = f"basis {{{', '.join(_basis_tokens(row.basis, ctx))}}}, straight-line steps:"
+        check = partial(_certificate_verdict, row, ctx, instances, instances, budget, note)
+        witness = {"instances": instances}
     t0 = time.monotonic()
     try:
         ok, detail = check()
     except BudgetError as exc:
         ok, detail = None, f"oracle budget exceeded: {exc}"
     status = "skipped" if ok is None else "pass" if ok else "fail"
-    return Claim(cid, group, status, detail, witness, time.monotonic() - t0, ctx.n, ctx.k)
+    return Claim(cid, row.group, status, detail, witness, time.monotonic() - t0, ctx.n, ctx.k)
 
 
 _EQ_BY_GROUP = oracle._EQ
@@ -235,21 +268,21 @@ def _inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
 
 
 def _certificate_verdict(
-    cid: str, ctx: Context, instances: list, statement: list, budget: int | None, note: str = ""
+    row: _Row, ctx: Context, instances: list, statement: list, budget: int | None, note: str = ""
 ) -> tuple[bool, str]:
     """``(ok, detail)`` of a certificate claim: the one verdict path.
 
     The instances must state the claim: equal its ``statement`` in order, in
-    ``group``, ``lhs``, ``rhs`` and ``expect``.  A ``generation-*`` step's
+    ``group``, ``lhs``, ``rhs`` and ``expect``.  A generation claim's step
     ``rhs`` is its proof instead, and may use only basis tokens and earlier
     targets.  These checks read token names alone.  Then every instance must
     hold (:func:`check_instance`).  ``note`` leads a passing detail.
     """
-    proofs = cid.startswith("generation-")
+    proofs = row.kind == "generation"
     key = itemgetter(*(("group", "lhs", "expect") if proofs else ("group", "lhs", "rhs", "expect")))
     if list(map(key, instances)) != list(map(key, statement)):
         return False, f"the {len(instances)} instances do not state the claim's {len(statement)}"
-    known = set(_generation_basis(cid, ctx)) if proofs else None
+    known = set(_basis_tokens(row.basis, ctx)) if proofs else None
     for inst in (instances if proofs else ()):
         unknown = {tok.partition("^")[0] for tok in inst["rhs"].split()} - known
         if unknown:
@@ -396,19 +429,6 @@ def _basis_tokens(basis: str, ctx: Context) -> list[str]:
     return ["h1", "t1,2"] if ctx.n == 1 else ["h1", "h2", "hchain_t"]
 
 
-def _generation_basis(cid: str, ctx: Context) -> list[str]:
-    """The basis tokens that the steps of generation claim ``cid`` start from."""
-    return _basis_tokens("sphere" if cid == "generation-lmod-sphere" else "star", ctx)
-
-
-def _generation(group: str, ctx: Context) -> list[dict]:
-    """One step per standard generator (:func:`generation_words`) in the group's oracle."""
-    return [
-        _inst(group.removeprefix("lmod_"), target, factors_to_tokens(word))
-        for target, word in generation_words(group, ctx)
-    ]
-
-
 def _single(group: str, lhs: str, rhs: str):
     """The statement of a claim with one instance, ``lhs = rhs`` in ``group`` at every context."""
     return lambda ctx: [_inst(group, lhs, rhs)]
@@ -438,20 +458,21 @@ def _deck_normalization(ctx: Context) -> list[dict]:
 
 
 def verify_relations(ctx: Context, budget: int | None = None) -> list[Claim]:
-    """The ``relation-*`` claims that exist at ``ctx.n``."""
-    ids = [cid for cid, _ in _claim_ids(_BASE_CLAIMS, ctx.n) if cid.startswith("relation-")]
-    return [verify(cid, ctx, budget) for cid in ids]
+    """The relation claims that exist at ``ctx.n``."""
+    return [verify(row.id, ctx, budget) for row in _rows(ctx.n, kind="relation")]
 
 
 def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Claim:
-    """Constructive generation certificate for one of the three groups."""
-    return verify(f"generation-{group.replace('_', '-')}", ctx, budget)
+    """Constructive generation certificate for group ``group`` of :func:`generation_words`."""
+    row = next((row for row in _TABLE.values() if row.program == group), None)
+    if row is None:
+        raise ValueError(f"no generation claim for group {group!r} in the claim table")
+    return verify(row.id, ctx, budget)
 
 
 # -- liftability --------------------------------------------------------------
 
 
-@_computed
 def _w_size(ctx: Context) -> tuple[bool | None, str]:
     expected = liftability.w_size(ctx)
     if ctx.n > liftability.ENUMERATE_W_MAX_N:
@@ -461,7 +482,6 @@ def _w_size(ctx: Context) -> tuple[bool | None, str]:
     return count == expected, f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
 
 
-@_computed
 def _w_generation(ctx: Context) -> tuple[bool, str]:
     # The generated group permutes its blocks.  Blocks odd | even and order
     # |W| make psi(sphere basis) all of W; blocks odd | even < 2n+2 | {2n+2}
@@ -482,7 +502,6 @@ def _w_generation(ctx: Context) -> tuple[bool, str]:
     return ok, "; ".join(found) + " (exact)"
 
 
-@_computed
 def _curve_lifts(ctx: Context) -> tuple[bool, str]:
     problems = [
         f"gamma_{i},{i + 1}"
@@ -499,13 +518,12 @@ def _curve_lifts(ctx: Context) -> tuple[bool, str]:
 
 
 def verify_liftability(ctx: Context) -> list[Claim]:
-    return [verify(cid, ctx) for cid, _ in _claim_ids(_LIFTABILITY_CLAIMS, ctx.n)]
+    return [verify(row.id, ctx) for row in _rows(ctx.n, section="liftability")]
 
 
 # -- cover and homology --------------------------------------------------------
 
 
-@_computed
 def _cover_build(ctx: Context) -> tuple[bool, str]:
     try:
         surf = cover.build_cover(ctx)
@@ -524,7 +542,6 @@ def _cover_build(ctx: Context) -> tuple[bool, str]:
     )
 
 
-@_computed
 def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
     if not _cover_build(ctx)[0]:
         return None, "cover-build did not pass"
@@ -540,7 +557,6 @@ def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
     return ok, f"rank {surf.h1_rank} = 2g; J skew, det 1, standardizable"
 
 
-@_computed
 def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
     if not _cover_build(ctx)[0]:
         return None, "cover-build did not pass"
@@ -569,7 +585,7 @@ def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
 
 
 def verify_cover(ctx: Context) -> list[Claim]:
-    return [verify(cid, ctx) for cid, _ in _claim_ids(_COVER_CLAIMS, ctx.n)]
+    return [verify(row.id, ctx) for row in _rows(ctx.n, section="cover")]
 
 
 _HOMOLOGY_NOTE = "homology-level (necessary condition only):"
@@ -585,11 +601,9 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
     zeta``), the parity-preserving lifts commute with it and ``r``, ``r1``
     invert it (``zeta r zeta = r``), and at n = 1 ``r1 h1 = r``.
     """
-    ids = [cid for cid, _ in _claim_ids(_HOMOLOGY_CLAIMS, ctx.n) if cid in _WITNESS_CLAIMS]
-    return [verify(cid, ctx) for cid in ids]
+    return [verify(row.id, ctx) for row in _rows(ctx.n, section="homology", kind="certificate")]
 
 
-@_computed
 def _chain_pattern(ctx: Context) -> tuple[bool, str]:
     """Intersection pattern of the lifted curve families.
 
@@ -623,50 +637,44 @@ def _chain_pattern(ctx: Context) -> tuple[bool, str]:
 
 def verify_chain_pattern(ctx: Context) -> Claim:
     """Intersection pattern of the lifted curve families (:func:`_chain_pattern`)."""
-    return verify("smod-chain-pattern", ctx)
+    (row,) = _rows(ctx.n, make=_chain_pattern)
+    return verify(row.id, ctx)
 
 
-# The claims run_all reports, in report order: (id, group, least n, greatest
-# n or None, statement or check).  The run path takes its n-conditions from
-# these rows and the skip path lists them, so a run and a skip at the same n
-# report the same claim ids; reverify_report fails a report that leaves one
-# out.  A certificate claim's statement maps a context to the instances it
-# states, which the run stores as its witness; a computed claim's check maps
-# a context to ``(ok, detail)``.
-_BASE_CLAIMS = (
-    ("oracle-sphere-presentation", "sphere", 1, None, _presentation),
-    ("generators-validation", "sphere", 1, None, _generator_validations),
-    ("relation-twist-conjugation", "disk", 1, None, _twist_conjugation),
-    ("relation-chain-twist-factorization", "disk", 1, None, _chain_twist_factorization),
-    ("relation-h-triple-conjugation", "disk", 2, None, _h_triple_conjugation),
-    ("relation-hchain-shift", "disk", 2, None, _hchain_shift),
-    ("lemma-r1-factorization", "sphere", 1, None, _single("sphere", "r1", "r F")),
-    ("generation-lmod-sphere", "sphere", 1, None, partial(_generation, "lmod_sphere")),
-    ("generation-lmod-star", "star", 1, None, partial(_generation, "lmod_star")),
-    ("generation-lmod-disk", "disk", 1, None, partial(_generation, "lmod_disk")),
-)
-_LIFTABILITY_CLAIMS = (
-    ("liftability-w-size", "sphere", 1, None, _w_size),
-    ("liftability-w-generation", "sphere", 1, None, _w_generation),
-    ("liftability-curve-lifts", "sphere", 1, None, _curve_lifts),
-)
-_COVER_CLAIMS = (
-    ("cover-build", "homology", 1, None, _cover_build),
-    ("cover-homology", "homology", 1, None, _cover_homology),
-    ("cover-deck-rotation", "homology", 1, None, _deck_rotation),
-)
-_HOMOLOGY_CLAIMS = (
-    ("smod-conjugation-t", "homology", 1, None, partial(_lift_conjugation, _twists)),
-    ("smod-conjugation-h", "homology", 1, None, partial(_lift_conjugation, _halves)),
-    ("smod-deck-factorization", "homology", 1, None, _single("homology", "zeta_prime", "zeta")),
-    ("smod-deck-normalization", "homology", 1, None, _deck_normalization),
-    ("smod-r1-lift-consistency", "homology", 1, 1, _single("homology", "r1 h1", "r")),
-    ("smod-chain-pattern", "homology", 1, None, _chain_pattern),
-)
-_ALL_CLAIMS = _BASE_CLAIMS + _LIFTABILITY_CLAIMS + _COVER_CLAIMS + _HOMOLOGY_CLAIMS
-# Each claim's (group, statement) or (group, check), by id.
-_WITNESS_CLAIMS = {cid: (g, fn) for cid, g, _, _, fn in _ALL_CLAIMS if not hasattr(fn, "computed")}
-_COMPUTED_CLAIMS = {cid: (g, fn) for cid, g, _, _, fn in _ALL_CLAIMS if hasattr(fn, "computed")}
+# The claim table: every claim, in report order.  A claim exists at an n by
+# its row's range, runs unless its section's bound skips it, and is judged by
+# its kind (:class:`_Row`).  run_all, verify, the verify_* slices and
+# reverify_report read these rows alone, so a new claim is one row here.
+_TABLE = {row.id: row for row in (
+    _Row("oracle-sphere-presentation", "sphere", "base", "certificate", _presentation),
+    _Row("generators-validation", "sphere", "base", "certificate", _generator_validations),
+    _Row("relation-twist-conjugation", "disk", "base", "relation", _twist_conjugation),
+    _Row("relation-chain-twist-factorization", "disk", "base", "relation",
+         _chain_twist_factorization),
+    _Row("relation-h-triple-conjugation", "disk", "base", "relation", _h_triple_conjugation, 2),
+    _Row("relation-hchain-shift", "disk", "base", "relation", _hchain_shift, 2),
+    _Row("lemma-r1-factorization", "sphere", "base", "certificate", _single("sphere", "r1", "r F")),
+    _Row("generation-lmod-sphere", "sphere", "base", "generation",
+         basis="sphere", program="lmod_sphere"),
+    _Row("generation-lmod-star", "star", "base", "generation", basis="star", program="lmod_star"),
+    _Row("generation-lmod-disk", "disk", "base", "generation", basis="star", program="lmod_disk"),
+    _Row("liftability-w-size", "sphere", "liftability", "computed", _w_size),
+    _Row("liftability-w-generation", "sphere", "liftability", "computed", _w_generation),
+    _Row("liftability-curve-lifts", "sphere", "liftability", "computed", _curve_lifts),
+    _Row("cover-build", "homology", "cover", "computed", _cover_build),
+    _Row("cover-homology", "homology", "cover", "computed", _cover_homology),
+    _Row("cover-deck-rotation", "homology", "cover", "computed", _deck_rotation),
+    _Row("smod-conjugation-t", "homology", "homology", "certificate",
+         partial(_lift_conjugation, _twists)),
+    _Row("smod-conjugation-h", "homology", "homology", "certificate",
+         partial(_lift_conjugation, _halves)),
+    _Row("smod-deck-factorization", "homology", "homology", "certificate",
+         _single("homology", "zeta_prime", "zeta")),
+    _Row("smod-deck-normalization", "homology", "homology", "certificate", _deck_normalization),
+    _Row("smod-r1-lift-consistency", "homology", "homology", "certificate",
+         _single("homology", "r1 h1", "r"), 1, 1),
+    _Row("smod-chain-pattern", "homology", "homology", "computed", _chain_pattern),
+)}
 
 
 # -- report assembly -----------------------------------------------------------
@@ -679,14 +687,15 @@ def _reverify_claim(cdict: dict, header: dict, budget: int) -> bool | None:
         return False
     if cdict["status"] == "skipped":
         return None
-    if (cid, cdict["group"]) not in _claim_ids(_ALL_CLAIMS, n):
+    row = _TABLE.get(cid)
+    if row is None or row.group != cdict["group"] or not row.exists(n):
         return False
     ctx = Context(n, k)
-    if cid in _WITNESS_CLAIMS:
-        instances = (cdict.get("witness") or {}).get("instances") or []
-        ok, _ = _certificate_verdict(cid, ctx, instances, _WITNESS_CLAIMS[cid][1](ctx), budget)
-        return cdict["status"] == ("pass" if ok else "fail")
-    return cdict["status"] == verify(cid, ctx, budget).status
+    if row.kind == "computed":
+        return cdict["status"] == verify(cid, ctx, budget).status
+    instances = (cdict.get("witness") or {}).get("instances") or []
+    ok, _ = _certificate_verdict(row, ctx, instances, row.statement(ctx), budget)
+    return cdict["status"] == ("pass" if ok else "fail")
 
 
 def reverify_report(report: dict | Report, budget: int | None = None) -> list[tuple[str, bool]]:
@@ -730,9 +739,7 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
             results.append((cdict.get("id"), ok))
     if "n" in header:
         present = {cdict.get("id") for cdict in claims}
-        results += [
-            (cid, False) for cid, _ in _claim_ids(_ALL_CLAIMS, header["n"]) if cid not in present
-        ]
+        results += [(row.id, False) for row in _rows(header["n"]) if row.id not in present]
     return results
 
 
@@ -743,32 +750,20 @@ def run_all(
     budget: int | None = None,
     bounds: Bounds | None = None,
 ) -> Report:
-    """Assemble the full claim table for one ``(n, k)``."""
+    """Make every claim of the table that exists at ``n``, in table order.
+
+    A claim whose section is over its bound (:meth:`Bounds.skip`) is listed
+    as skipped, with the bound in its detail; the others are made by
+    :func:`verify`.
+    """
     bounds = bounds or Bounds()
     ctx = Context(n, k)
     budget = oracle.resolve_budget(budget)
     report = Report(header=convention_header(ctx, budget))
-
-    if n <= bounds.base_n:
-        for cid in ("oracle-sphere-presentation", "generators-validation"):
-            report.claims.append(verify(cid, ctx, budget))
-        report.claims.extend(verify_relations(ctx, budget))
-        report.claims.append(verify("lemma-r1-factorization", ctx, budget))
-        for group in ("lmod_sphere", "lmod_star", "lmod_disk"):
-            report.claims.append(verify_generation(group, ctx, budget))
-    else:
-        over = f"over desk-scale bound (n <= {bounds.base_n}); raise --bound-base-n"
-        report.claims.extend(_skipped(_BASE_CLAIMS, ctx, over))
-
-    report.claims.extend(verify_liftability(ctx))
-    report.claims.extend(verify_cover(ctx))
-
-    if n <= bounds.homology_n and k <= bounds.homology_k:
-        report.claims.extend(verify_smod_homology(ctx))
-        report.claims.append(verify_chain_pattern(ctx))
-    else:
-        why = (
-            f"over homology bounds (n <= {bounds.homology_n}, k <= {bounds.homology_k})"
-        )
-        report.claims.extend(_skipped(_HOMOLOGY_CLAIMS, ctx, why))
+    for row in _rows(n):
+        why = bounds.skip(row.section, ctx)
+        if why:
+            report.claims.append(Claim(row.id, row.group, "skipped", why, n=n, k=k))
+        else:
+            report.claims.append(verify(row.id, ctx, budget))
     return report

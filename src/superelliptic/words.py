@@ -31,10 +31,10 @@ class Context:
     k: int = 3
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.k, int) and self.k >= 2):
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        for name, least in (("n", 1), ("k", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @property
     def num_points(self) -> int:

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,14 @@ from superelliptic.theorems import (
 @pytest.fixture(scope="module")
 def report_2_3():
     return run_all(2, 3).to_dict()
+
+
+def _claims_with_n_true() -> dict:
+    """A (1, 3) report whose claims state ``"n": true`` and whose header states no ``n``."""
+    report = run_all(1, 3).to_dict()
+    del report["header"]["n"]
+    report["claims"] = [dict(c, n=True) for c in report["claims"]]
+    return report
 
 
 def _generation_word(group: str, target: str, ctx: Context) -> list:
@@ -91,11 +100,10 @@ class TestExpress:
         ctx = Context(n, 3)
         stated = {
             frozenset((i["lhs"], i["rhs"]))
-            for cid, (_, statement) in theorems._WITNESS_CLAIMS.items()
-            if cid.startswith("relation-")
-            for i in statement(ctx)
+            for row in theorems._rows(n, kind="relation")
+            for i in row.statement(ctx)
         }
-        steps = theorems._WITNESS_CLAIMS["generation-lmod-sphere"][1](ctx)
+        steps = theorems._TABLE["generation-lmod-sphere"].statement(ctx)
         restated = [i["lhs"] for i in steps if frozenset((i["lhs"], i["rhs"])) in stated]
         assert restated == [f"t1,{j}" for j in range(3, 2 * n + 1)]
 
@@ -134,6 +142,23 @@ class TestExpress:
 
 
 class TestVerifiers:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: verify("relation-h-triple-conjugation", Context(1, 3)),
+             "'relation-h-triple-conjugation' exists for n >= 2, not n = 1"),
+            (lambda: verify("smod-r1-lift-consistency", Context(2, 3)),
+             "'smod-r1-lift-consistency' exists for 1 <= n <= 1, not n = 2"),
+            (lambda: verify("nope", Context(1, 3)), "'nope' is not in the claim table"),
+            (lambda: verify_generation("lmod_torus", Context(1, 3)),
+             "no generation claim for group 'lmod_torus'"),
+        ],
+        ids=["below-its-range", "above-its-range", "unknown-id", "unknown-generation-group"],
+    )
+    def test_verify_refuses_an_id_outside_the_table_or_its_n_range(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_presentation_suite(self, n):
         claim = verify("oracle-sphere-presentation", Context(n, 3))
@@ -252,7 +277,7 @@ class TestVerifiers:
     def test_chain_pattern(self):
         assert verify_chain_pattern(Context(1, 3)).passed
 
-    @pytest.mark.parametrize("cid", [row[0] for row in theorems._BASE_CLAIMS])
+    @pytest.mark.parametrize("cid", [row.id for row in theorems._rows(3, section="base")])
     def test_budget_exhaustion_marks_skipped(self, cid):
         claim = verify(cid, Context(3, 3), budget=5)
         assert claim.status == "skipped", claim.detail
@@ -266,6 +291,13 @@ class TestCertificates:
         claim = verify_generation("lmod_sphere", ctx)
         for inst in claim.witness["instances"]:
             assert check_instance(inst, ctx)
+
+    def test_pinned_report_reverifies(self):
+        # The certificate format, pinned: `verify-all --n 2 --k 3 --json`.
+        # A change to a claim's statement must regenerate this file.
+        path = Path(__file__).parent / "data" / "verify_all_n2_k3.json"
+        results = reverify_report(json.loads(path.read_text()))
+        assert len(results) == 21 and all(ok for _, ok in results)
 
     def test_report_roundtrip_and_reverify(self, tmp_path):
         report = run_all(1, 3)
@@ -442,20 +474,20 @@ class TestCertificates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_statement_is_non_empty(self, n):
         ctx = Context(n, 3)
-        stated = [cid for cid, _ in theorems._claim_ids(theorems._ALL_CLAIMS, n)
-                  if cid in theorems._WITNESS_CLAIMS]
+        stated = [row for row in theorems._rows(n) if row.kind != "computed"]
         assert len(stated) == (13 if n == 1 else 14)
-        for cid in stated:
-            assert theorems._WITNESS_CLAIMS[cid][1](ctx), cid
+        for row in stated:
+            assert row.statement(ctx), row.id
 
     def test_the_run_and_reverify_build_each_statement_once(self, monkeypatch):
         calls = Counter()
-        for cid, (group, statement) in list(theorems._WITNESS_CLAIMS.items()):
-            def counted(ctx, cid=cid, statement=statement):
-                calls[cid] += 1
-                return statement(ctx)
+        statement = theorems._Row.statement
 
-            monkeypatch.setitem(theorems._WITNESS_CLAIMS, cid, (group, counted))
+        def counted(row, ctx):
+            calls[row.id] += 1
+            return statement(row, ctx)
+
+        monkeypatch.setattr(theorems._Row, "statement", counted)
         report = run_all(1, 3)
         certified = Counter(c.id for c in report.claims if c.witness)
         assert len(certified) == 13 and calls == certified
@@ -635,34 +667,38 @@ class TestVerdicts:
 
     def test_reverify_runs_each_computed_check_once(self, report_2_3, monkeypatch):
         calls = Counter()
-        for cid, (group, check) in list(theorems._COMPUTED_CLAIMS.items()):
-            def counted(ctx, cid=cid, check=check):
+        computed = [row for row in theorems._TABLE.values() if row.kind == "computed"]
+        for row in computed:
+            def counted(ctx, cid=row.id, check=row.make):
                 calls[cid] += 1
                 return check(ctx)
 
-            monkeypatch.setitem(theorems._COMPUTED_CLAIMS, cid, (group, counted))
+            monkeypatch.setitem(theorems._TABLE, row.id, row._replace(make=counted))
         assert all(ok for _, ok in reverify_report(report_2_3))
-        assert len(calls) == 7 and calls == Counter(list(theorems._COMPUTED_CLAIMS))
+        assert len(calls) == 7 and calls == Counter(row.id for row in computed)
         calls.clear()
         build = next(c for c in report_2_3["claims"] if c["id"] == "cover-build")
         assert reverify_report({"header": {}, "claims": [build]}) == [("cover-build", True)]
         assert calls == Counter(["cover-build"])
 
     @pytest.mark.parametrize(
-        "report",
+        "report, failing",
         [
-            {"header": {}, "claims": ["x"]},
-            {"header": {"n": 1}, "claims": [None]},
-            {"claims": []},
-            {"header": {"n": "x"}, "claims": []},
-            {"header": {}, "claims": 5},
-            [],
+            ({"header": {}, "claims": ["x"]}, None),
+            ({"header": {"n": 1}, "claims": [None]}, None),
+            ({"claims": []}, None),
+            ({"header": {"n": "x"}, "claims": []}, None),
+            ({"header": {}, "claims": 5}, None),
+            ([], None),
+            (_claims_with_n_true, "oracle-sphere-presentation"),
         ],
         ids=["claim-text", "claim-null", "no-header", "header-n-text", "claims-not-a-list",
-             "report-not-an-object"],
+             "report-not-an-object", "claim-n-true"],
     )
-    def test_malformed_report_fails(self, report):
-        assert (None, False) in reverify_report(report)
+    def test_malformed_report_fails(self, report, failing):
+        results = reverify_report(report() if callable(report) else report)
+        assert (failing, False) in results
+        assert not any(ok for _, ok in results)
 
     def test_overflowing_instance_fails_its_claim_alone(self, report_2_3, few_products):
         cut = json.loads(json.dumps(report_2_3))
@@ -706,8 +742,37 @@ class TestRunAll:
         skipped = run_all(n, 3, bounds=Bounds(base_n=0, homology_n=0))
         assert [c.id for c in skipped.claims] == [c.id for c in ran.claims]
         assert [c.group for c in skipped.claims] == [c.group for c in ran.claims]
-        table = theorems._claim_ids(theorems._ALL_CLAIMS, n)
+        table = [(row.id, row.group) for row in theorems._rows(n)]
         assert [(c.id, c.group) for c in ran.claims] == table
+
+    def test_a_new_row_in_each_section_runs_skips_and_reverifies(self, monkeypatch):
+        rows = list(theorems._TABLE.values())
+        for section in ("base", "liftability", "cover", "homology"):
+            end = max(i for i, row in enumerate(rows) if row.section == section) + 1
+            rows[end:end] = [
+                theorems._Row(f"new-{section}-certificate", "disk", section, "certificate",
+                              theorems._single("disk", "h1", "s2 s1 s2")),
+                theorems._Row(f"new-{section}-computed", "sphere", section, "computed",
+                              lambda ctx: (True, f"checked at n = {ctx.n}")),
+            ]
+        monkeypatch.setattr(theorems, "_TABLE", {row.id: row for row in rows})
+        added = {row.id for row in rows if row.id.startswith("new-")}
+        assert len(added) == 8
+        ran = run_all(2, 3)
+        table = [row.id for row in rows if row.exists(2)]
+        assert [c.id for c in ran.claims] == table
+        assert all(c.passed for c in ran.claims if c.id in added)
+        results = reverify_report(ran)
+        assert len(results) == 29 and all(ok for _, ok in results)
+        skipped = run_all(2, 3, bounds=Bounds(base_n=0, homology_n=0))
+        over = {c.id for c in skipped.claims if c.status == "skipped"}
+        bounded = {row.id for row in rows if row.section in ("base", "homology")}
+        assert over == bounded & set(table)
+        assert [c.id for c in skipped.claims] == table
+        assert all(ok for _, ok in reverify_report(skipped))
+        missing = dict(ran.to_dict(), claims=[c.to_dict() for c in ran.claims
+                                              if c.id != "new-homology-computed"])
+        assert ("new-homology-computed", False) in reverify_report(missing)
 
     def test_header_mentions_conventions(self):
         report = run_all(1, 3)

@@ -66,6 +66,12 @@ def test_from_letters_checks_letters_before_reducing(build):
         build()
 
 
+@pytest.mark.parametrize("n, k", [(True, 3), (1, True), (0, 3), (1, 1), (1.0, 3), (1, "3")])
+def test_context_rejects_a_bool_a_non_integer_or_a_small_size(n, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Context(n, k)
+
+
 @pytest.mark.parametrize("text", ["s0 s0", "s4 s4^-1"])
 def test_cancelling_out_of_range_tokens_raise(text):
     with pytest.raises(WordSyntaxError):
