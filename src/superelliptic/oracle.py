@@ -7,8 +7,9 @@
   integer operations per letter (:func:`_kernels.act_dynnikov`).
 * ``eq_star``: the disk group modulo its center (the full twist); the
   quotient of the disk group obtained by capping the boundary with a
-  marked disk.  The exponent sum fixes the only full-twist power that
-  ``u v^{-1}`` can be, and ``eq_disk`` checks it.
+  marked disk.  The exponent sum fixes the only full-twist power
+  ``Delta^{2p}`` that ``u v^{-1}`` can be, and the coordinate action checks
+  it (through ``eq_disk`` when ``p = 0``).
 * ``eq_sphere``: the marked-sphere group.  A word is trivial only if its
   point permutation is; a pure word fixes point ``N = 2n+2``, and capping
   identifies the stabilizer of ``N`` with the star group on
@@ -16,11 +17,15 @@
   whose kernel is the boundary twist).  :func:`cap_to_star` rewrites the
   pure word into that alphabet by Reidemeister–Schreier, and the star
   check behind ``eq_star`` decides it; those letters are in range by
-  construction, so only ``eq_disk`` range-checks them.
+  construction, and only a check that goes through ``eq_disk`` range-checks
+  them.
 
-The letter budget bounds the length of the word the coordinate action
-processes, after the sphere rewrite and the full-twist factor; a longer
-word raises :class:`BudgetError`.
+The letter budget counts the letters of the reduced ``d Delta^{-2p}``,
+where ``d = u v^{-1}`` (after the sphere rewrite) and ``p = 0`` in the disk
+group; a longer word raises :class:`BudgetError`.  The coordinate action
+itself runs on the cyclic core of ``d`` only and is compared with the
+image of ``Delta^{2p}``, which is cached per ``(n, p)``, so no letter of the
+full twist is built or acted on per query.
 
 The free-group action stays as the independent reference: ``artin_action``
 (``sigma_i`` maps ``x_i -> x_i x_{i+1} x_i^{-1}``, ``x_{i+1} -> x_i``),
@@ -33,6 +38,8 @@ bounds every intermediate free word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import cycle, islice
 
 from . import _kernels as K
 from .errors import BudgetError
@@ -42,11 +49,12 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """The letter budget to use: ``DEFAULT_BUDGET`` for ``None``; below 1 raises ``ValueError``."""
+    """The letter budget to use: ``DEFAULT_BUDGET`` for ``None``; anything but
+    an integer >= 1 (a bool or a float too) raises ``ValueError``."""
     if budget is None:
         return DEFAULT_BUDGET
-    if budget < 1:
-        raise ValueError(f"letter budget must be a positive integer, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"letter budget must be a positive integer, got {budget!r}")
     return budget
 
 
@@ -208,26 +216,17 @@ def eq_disk(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
     _require_disk_letters(v, ctx)
-    d = u * v.inverse()
-    if len(d) > budget:
-        raise BudgetError(f"word of {len(d)} letters exceeds budget {budget}")
-    start = (0, 1) * ctx.num_arcs
-    return K.act_dynnikov(d.letters, start) == start
-
-
-def _disk_half_twist(ctx: Context) -> Word:
-    letters = []
-    for a in range(1, 2 * ctx.n + 1):
-        letters.extend(range(a, 0, -1))
-    return Word(ctx, tuple(letters))
+    return _is_twist_power((u * v.inverse()).letters, 0, ctx.n, budget)
 
 
 def eq_star(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> bool:
     """Equality in the disk group modulo its center (capped boundary).
 
-    ``u = v`` iff ``u v^{-1}`` is a power of the full twist: the exponent
-    sum forces the only candidate power, which is then checked with
-    ``eq_disk``.
+    ``u = v`` iff ``d = u v^{-1}`` is a power ``Delta^{2p}`` of the full
+    twist: the exponent sum forces the only candidate ``p``.  The letter
+    budget counts the reduced ``d Delta^{-2p}``; the coordinate action then
+    runs on the cyclic core of ``d`` only, against the cached image of
+    ``Delta^{2p}`` (see :func:`_is_twist_power`).
     """
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
@@ -242,7 +241,65 @@ def _is_central_braid(d: Word, ctx: Context, budget: int) -> bool:
     if e % full:
         return False
     p = e // full
-    return eq_disk(d, _disk_half_twist(ctx) ** (2 * p), ctx, budget=budget)
+    if p == 0:
+        return eq_disk(d, Word.identity(ctx), ctx, budget=budget)
+    return _is_twist_power(d.letters, p, ctx.n, budget)
+
+
+def _twist_tail(n: int, p: int):
+    """The letters of ``Delta^{2p}``, spelled ``(half twist)^{2p}``, read back
+    from its last letter, one at a time and repeating for ever; none is stored
+    beyond one period."""
+    if p > 0:  # the half twist reversed
+        period = (x for top in range(2 * n, 0, -1) for x in range(1, top + 1))
+    else:  # the inverse half twist reversed
+        period = (-x for top in range(1, 2 * n + 1) for x in range(top, 0, -1))
+    return cycle(period)
+
+
+@lru_cache(maxsize=64)
+def _twist_image(n: int, p: int) -> tuple[int, ...]:
+    """The image of ``(0, 1, ..., 0, 1)`` under ``Delta^{2p}`` on ``2n+1`` strands.
+
+    Computed once per ``(n, p)`` by acting on the letters of
+    ``(Delta^{+-2})^{|p|}``, with the half twist ``Delta`` spelled
+    ``(1)(2 1)(3 2 1) ... (2n .. 1)``; only the ``2(2n+1)`` coordinates are
+    kept.
+    """
+    half = tuple(x for top in range(1, 2 * n + 1) for x in range(top, 0, -1))
+    square = half * 2 if p > 0 else tuple(-x for x in reversed(half)) * 2
+    image = (0, 1) * (2 * n + 1)
+    for _ in range(abs(p)):
+        image = K.act_dynnikov(square, image)
+    return image
+
+
+def _is_twist_power(d: tuple[int, ...], p: int, n: int, budget: int) -> bool:
+    """Whether the reduced disk word ``d`` equals ``Delta^{2p}`` in the disk group.
+
+    The budget counts the letters of the reduced ``d Delta^{-2p}``:
+    ``len(d) + |p| 2n(2n+1) - 2c``, where ``c`` is how far the tail of ``d``
+    matches the tail of ``Delta^{2p}`` (the cancellation at the junction).
+    No letter of ``Delta^{2p}`` is built for the check itself: the action is
+    a right action, so ``d Delta^{-2p} = 1`` iff ``x d = x Delta^{2p}`` for
+    ``x = (0, 1, ..., 0, 1)``, and ``Delta^{2p}`` is central, so ``d`` may be
+    replaced by its cyclic core (``d`` stripped of the pairs ``a .. a^-1``
+    at its two ends), which drops a prefix that ``u`` and ``v`` share.
+    """
+    limit = abs(p) * 2 * n * (2 * n + 1)
+    c = 0
+    for a, b in zip(reversed(d), islice(_twist_tail(n, p), limit)):
+        if a != b:
+            break
+        c += 1
+    size = len(d) + limit - 2 * c
+    if size > budget:
+        raise BudgetError(f"word of {size} letters exceeds budget {budget}")
+    i, j = 0, len(d) - 1
+    while i < j and d[i] == -d[j]:
+        i += 1
+        j -= 1
+    return K.act_dynnikov(d[i : j + 1], (0, 1) * (2 * n + 1)) == _twist_image(n, p)
 
 
 def _point_push(q: int, top: int) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Each function here computes what a package function computes, by the
 direct method the package used before it was made fast: Python ints in
 ``object`` arrays, dense products, per-pair loops, one coordinate slice per
-braid letter and token text parsed with no memo.  Tests compare the
+braid letter, token text parsed with no memo and the star check run on the
+full-twist power spelled out letter by letter.  Tests compare the
 package's results with these entry for entry.
 """
 
@@ -12,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from superelliptic import generators as G
-from superelliptic.errors import WordSyntaxError
-from superelliptic.oracle import resolve_budget
-from superelliptic.words import Word
+from superelliptic.errors import BudgetError, WordSyntaxError
+from superelliptic.oracle import cap_to_star, resolve_budget
+from superelliptic.words import Word, exponent_sum, psi
 
 
 def symplectic_change_of_basis(J) -> np.ndarray:
@@ -140,6 +141,54 @@ def act_dynnikov(letters, coords) -> tuple[int, ...]:
                 b1 - dm,
             )
     return tuple(v)
+
+
+def half_twist(ctx) -> Word:
+    """The half twist on ``sigma_1 .. sigma_2n`` as ``(1)(2 1)(3 2 1) ... (2n .. 1)``."""
+    letters = []
+    for a in range(1, 2 * ctx.n + 1):
+        letters.extend(range(a, 0, -1))
+    return Word(ctx, tuple(letters))
+
+
+def checked_word(group: str, u: Word, v: Word, ctx) -> Word | None:
+    """The word whose coordinate action decides ``u = v`` in ``group``, or
+    None when the point permutation or the exponent sum decides it first.
+
+    Disk: ``d = u v^{-1}``.  Star: the reduced ``d Delta^{-2p}``, with
+    ``Delta^{2p} = (half twist)^{2p}`` built letter by letter for the one
+    ``p`` that the exponent sum allows.  Sphere: the same, after
+    :func:`superelliptic.oracle.cap_to_star` when ``d`` is pure.  The letter
+    budget counts this word.
+    """
+    d = u * v.inverse()
+    if group == "disk":
+        return d
+    if group == "sphere":
+        if not psi(d, ctx).is_identity:
+            return None
+        d = cap_to_star(d, ctx)
+    full = 2 * ctx.n * (2 * ctx.n + 1)  # exponent sum of the full twist
+    e = exponent_sum(d)
+    if e % full:
+        return None
+    return d * (half_twist(ctx) ** (2 * (e // full))).inverse()
+
+
+def eq(group: str, u: Word, v: Word, ctx, budget: int | None = None) -> bool:
+    """``u = v`` in ``group``, by acting on every letter of :func:`checked_word`.
+
+    Letters are not range-checked: the inputs must lie in the group's
+    alphabet already.
+    """
+    budget = resolve_budget(budget)
+    w = checked_word(group, u, v, ctx)
+    if w is None:
+        return False
+    if len(w) > budget:
+        raise BudgetError(f"word of {len(w)} letters exceeds budget {budget}")
+    start = (0, 1) * ctx.num_arcs
+    return act_dynnikov(w.letters, start) == start
 
 
 def _token_letters(tok: str, ctx, letters: list[int], budget: int) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
 """The word-problem backends: action examples, equality, innerness, orders."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import referees
+from superelliptic import _kernels as K
+from superelliptic import oracle
 from superelliptic import (
     Context,
     FreeWord,
@@ -19,6 +23,7 @@ from superelliptic import (
     psi,
     sphere_action,
 )
+from superelliptic.errors import BudgetError
 from superelliptic.generators import gen_h, gen_r, gen_r1, gen_sigma, gen_t
 from superelliptic.oracle import (
     FreeAutomorphism,
@@ -233,16 +238,12 @@ def test_disk_groups_name_the_sphere_letter(eq, n):
 
 
 def test_sphere_action_budget_error():
-    from superelliptic.errors import BudgetError
-
     growing = Word.from_letters(CTX, [1] * 200)  # x_2's image grows linearly
     with pytest.raises(BudgetError):
         sphere_action(growing, CTX, budget=10)
 
 
 def test_cached_word_still_raises_under_small_budget():
-    from superelliptic.errors import BudgetError
-
     ctx = Context(2, 3)
     growing = expand_token_text(" ".join(["s1"] * 40), ctx)
     assert not eq_disk(growing, EMPTY, ctx, budget=10**6)
@@ -254,6 +255,20 @@ def test_cached_word_still_raises_under_small_budget():
 def test_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="positive integer"):
         eq_disk(EMPTY, EMPTY, CTX, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, 3.0])
+def test_budget_must_be_an_int(budget):
+    from superelliptic.oracle import resolve_budget
+
+    message = f"letter budget must be a positive integer, got {budget!r}"
+    with pytest.raises(ValueError) as info:
+        resolve_budget(budget)
+    assert str(info.value) == message
+    for eq in (eq_disk, eq_star, eq_sphere):
+        with pytest.raises(ValueError) as info:
+            eq(EMPTY, EMPTY, CTX, budget=budget)
+        assert str(info.value) == message
 
 
 def test_budget_none_is_the_default(monkeypatch):
@@ -422,8 +437,6 @@ def test_cap_to_star_preserves_pure_words(n):
 
 
 def test_sphere_rewrite_over_budget_raises():
-    from superelliptic.errors import BudgetError
-
     # r1^8 at n = 3 is 56 letters; capped and divided by the full twist it
     # is a disk word of 168 letters, which is what the budget bounds
     ctx = Context(3, 3)
@@ -432,3 +445,140 @@ def test_sphere_rewrite_over_budget_raises():
     with pytest.raises(BudgetError):
         eq_sphere(rotation, Word.identity(ctx), ctx, budget=100)
     assert eq_sphere(rotation, Word.identity(ctx), ctx, budget=168)
+
+
+# -- the star check against the spelled-out full twist ------------------------
+#
+# ``referees.eq`` builds Delta^{2p} letter by letter, reduces d Delta^{-2p},
+# counts the budget on it and acts on all of it.  The oracle acts on the
+# cyclic core of d against a cached image of Delta^{2p}, and must give the
+# same verdict and raise the same BudgetError at every budget.
+
+
+def _outcome(eq, u, v, ctx, budget):
+    try:
+        return eq(u, v, ctx, budget=budget)
+    except (BudgetError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _twist_letters(ctx, q):
+    return list((referees.half_twist(ctx) ** (2 * q)).letters)
+
+
+def _budgets(size):
+    return list(range(size - 2, size + 2)) + [None]
+
+
+@pytest.mark.parametrize("group", ["disk", "star", "sphere"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_star_check_matches_spelled_out_twist(group, n):
+    ctx = Context(n, 3)
+    top = _top(group, ctx)
+    rng = random.Random(f"twist-{group}-{n}")
+    verdicts, raised = [], 0
+    for _ in range(60):
+        prefix = _random_letters(rng, top, rng.randint(0, 30))
+        base = _random_letters(rng, top, rng.randint(0, 10))
+        other = list(base)
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            if roll < 0.6:
+                other = _insert(rng, other, _relator(rng, group, ctx))
+            elif roll < 0.8:
+                other = _insert(rng, other, _perturbation(rng, group, ctx))
+            else:
+                other = _insert(rng, other, _random_letters(rng, top, 2))
+        twist = _twist_letters(ctx, rng.randint(-3, 3) if group != "disk" else 0)
+        if rng.random() < 0.5:
+            other = _insert(rng, other, twist)
+        else:  # at the end, so that it meets the junction with Delta^{-2p}
+            other = other + twist
+        lhs, rhs = prefix + other, prefix + base
+        if rng.random() < 0.25:
+            lhs, rhs = lhs + [-a for a in reversed(rhs)], []
+        u, v = Word.from_letters(ctx, lhs), Word.from_letters(ctx, rhs)
+        checked = referees.checked_word(group, u, v, ctx)
+        for budget in _budgets(len(checked)) if checked is not None else [1, None]:
+            want = _outcome(partial(referees.eq, group), u, v, ctx, budget)
+            assert _outcome(EQ[group], u, v, ctx, budget) == want, (u, v, budget)
+            raised += isinstance(want, tuple)
+        verdicts.append(want)  # at budget None
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert raised
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_twist_image_is_the_action_of_the_spelled_out_twist(n):
+    ctx = Context(n, 3)
+    start = (0, 1) * ctx.num_arcs
+    for p in range(-4, 5):
+        twist = referees.half_twist(ctx) ** (2 * p)
+        image = oracle._twist_image(n, p)
+        assert len(image) == 2 * (2 * n + 1)
+        assert image == K.act_dynnikov(twist.letters, start)
+        assert image == referees.act_dynnikov(twist.letters, start)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [-3, -2, -1, 1, 2, 3])
+def test_twist_image_closed_form(n, p):
+    s, m = (1 if p > 0 else -1), abs(p)
+    a = [2 * n * s] + [s * (2 * n + 1 - i) for i in range(2, 2 * n + 1)] + [0]
+    b = [-2 * n * (2 * m - 1)] + [0] * (2 * n - 1) + [4 * n * m + 1]
+    image = oracle._twist_image(n, p)
+    assert list(image[0::2]) == a and list(image[1::2]) == b
+
+
+def test_budget_error_is_the_same_before_and_after_the_image_is_cached():
+    ctx = Context(3, 3)
+    u = Word.from_letters(ctx, [1, -2] + _twist_letters(ctx, 2))
+    v = Word.from_letters(ctx, [1, -2])
+    size = len(referees.checked_word("star", u, v, ctx))
+    oracle._twist_image.cache_clear()
+    with pytest.raises(BudgetError) as before:
+        eq_star(u, v, ctx, budget=size - 1)
+    assert oracle._twist_image.cache_info().currsize == 0
+    assert eq_star(u, v, ctx, budget=size)
+    assert oracle._twist_image.cache_info().currsize == 1
+    with pytest.raises(BudgetError) as after:
+        eq_star(u, v, ctx, budget=size - 1)
+    message = f"word of {size} letters exceeds budget {size - 1}"
+    assert str(before.value) == str(after.value) == message
+
+
+def _cyclic_core(letters):
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i : j + 1]
+
+
+@pytest.mark.parametrize("group", ["disk", "star", "sphere"])
+def test_common_prefix_does_not_change_the_verdict(group):
+    ctx = Context(3, 3)
+    top = _top(group, ctx)
+    rng = random.Random(f"prefix-{group}")
+    for expect in (True, False) * 10:
+        base = _random_letters(rng, top, rng.randint(0, 8))
+        piece = _relator(rng, group, ctx) if expect else _perturbation(rng, group, ctx)
+        other = _insert(rng, base, piece)
+        if group != "disk" and rng.random() < 0.5:
+            other = _insert(rng, other, _twist_letters(ctx, rng.choice((-1, 1))))
+        prefix = _random_letters(rng, top, 200)
+        u, v = Word.from_letters(ctx, other), Word.from_letters(ctx, base)
+        assert EQ[group](u, v, ctx) is expect
+        u, v = Word.from_letters(ctx, prefix + other), Word.from_letters(ctx, prefix + base)
+        assert EQ[group](u, v, ctx) is expect
+        checked = referees.checked_word(group, u, v, ctx)
+        if checked is None:  # decided by the point permutation or exponent sum
+            assert not expect
+            continue
+        acted = cap_to_star(u * v.inverse(), ctx) if group == "sphere" else u * v.inverse()
+        if not checked.letters:  # the sphere rewrite cancelled to nothing
+            assert expect and group == "sphere" and acted.is_identity
+            continue
+        assert len(_cyclic_core(acted.letters)) < len(checked) - 1
+        with pytest.raises(BudgetError, match=f"word of {len(checked)} letters"):
+            EQ[group](u, v, ctx, budget=len(checked) - 1)
