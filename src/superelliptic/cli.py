@@ -51,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--budget-letters", type=int, default=None,
                         help="letter budget: the longest word the coordinate oracle "
-                        "acts on, after the sphere rewrite and the full-twist factor, "
-                        "and the most letters word text expands to before free "
-                        "reduction; a positive integer (default 10^7)")
+                        "acts on (the budget counts the cyclic core of u v^-1 after "
+                        "the sphere rewrite), and the most letters word text expands "
+                        "to before free reduction; a positive integer (default 10^7)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser("eq", help="decide equality of two words")

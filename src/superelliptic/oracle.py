@@ -20,12 +20,12 @@
   construction, and only a check that goes through ``eq_disk`` range-checks
   them.
 
-The letter budget counts the letters of the reduced ``d Delta^{-2p}``,
-where ``d = u v^{-1}`` (after the sphere rewrite) and ``p = 0`` in the disk
-group; a longer word raises :class:`BudgetError`.  The coordinate action
-itself runs on the cyclic core of ``d`` only and is compared with the
-image of ``Delta^{2p}``, which is cached per ``(n, p)``, so no letter of the
-full twist is built or acted on per query.
+The coordinate action runs on the cyclic core of ``d = u v^{-1}`` only and
+is compared with the image of ``Delta^{2p}`` (``p = 0`` in the disk group),
+which is cached per ``(n, p)``, so no letter of the full twist is built or
+acted on per query.  The letter budget counts exactly the letters acted
+on: the budget counts the cyclic core of ``u v^{-1}`` after the sphere
+rewrite, and a longer core raises :class:`BudgetError`.
 
 The free-group action stays as the independent reference: ``artin_action``
 (``sigma_i`` maps ``x_i -> x_i x_{i+1} x_i^{-1}``, ``x_{i+1} -> x_i``),
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice
 
 from . import _kernels as K
 from .errors import BudgetError
@@ -223,10 +222,10 @@ def eq_star(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
     """Equality in the disk group modulo its center (capped boundary).
 
     ``u = v`` iff ``d = u v^{-1}`` is a power ``Delta^{2p}`` of the full
-    twist: the exponent sum forces the only candidate ``p``.  The letter
-    budget counts the reduced ``d Delta^{-2p}``; the coordinate action then
-    runs on the cyclic core of ``d`` only, against the cached image of
-    ``Delta^{2p}`` (see :func:`_is_twist_power`).
+    twist: the exponent sum forces the only candidate ``p``.  The coordinate
+    action runs on the cyclic core of ``d`` only, against the cached image
+    of ``Delta^{2p}`` (see :func:`_is_twist_power`), and the budget counts
+    the cyclic core of ``u v^{-1}`` after the sphere rewrite.
     """
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
@@ -244,17 +243,6 @@ def _is_central_braid(d: Word, ctx: Context, budget: int) -> bool:
     if p == 0:
         return eq_disk(d, Word.identity(ctx), ctx, budget=budget)
     return _is_twist_power(d.letters, p, ctx.n, budget)
-
-
-def _twist_tail(n: int, p: int):
-    """The letters of ``Delta^{2p}``, spelled ``(half twist)^{2p}``, read back
-    from its last letter, one at a time and repeating for ever; none is stored
-    beyond one period."""
-    if p > 0:  # the half twist reversed
-        period = (x for top in range(2 * n, 0, -1) for x in range(1, top + 1))
-    else:  # the inverse half twist reversed
-        period = (-x for top in range(1, 2 * n + 1) for x in range(top, 0, -1))
-    return cycle(period)
 
 
 @lru_cache(maxsize=64)
@@ -277,29 +265,23 @@ def _twist_image(n: int, p: int) -> tuple[int, ...]:
 def _is_twist_power(d: tuple[int, ...], p: int, n: int, budget: int) -> bool:
     """Whether the reduced disk word ``d`` equals ``Delta^{2p}`` in the disk group.
 
-    The budget counts the letters of the reduced ``d Delta^{-2p}``:
-    ``len(d) + |p| 2n(2n+1) - 2c``, where ``c`` is how far the tail of ``d``
-    matches the tail of ``Delta^{2p}`` (the cancellation at the junction).
-    No letter of ``Delta^{2p}`` is built for the check itself: the action is
-    a right action, so ``d Delta^{-2p} = 1`` iff ``x d = x Delta^{2p}`` for
-    ``x = (0, 1, ..., 0, 1)``, and ``Delta^{2p}`` is central, so ``d`` may be
-    replaced by its cyclic core (``d`` stripped of the pairs ``a .. a^-1``
-    at its two ends), which drops a prefix that ``u`` and ``v`` share.
+    ``Delta^{2p}`` is central, so ``d`` may be replaced by its cyclic core
+    (``d`` stripped of the pairs ``a .. a^-1`` at its two ends), which drops
+    a prefix that ``u`` and ``v`` share; the budget counts that core.  The
+    action is a right action, so ``d Delta^{-2p} = 1`` iff ``x d = x
+    Delta^{2p}`` for ``x = (0, 1, ..., 0, 1)``, and no letter of
+    ``Delta^{2p}`` is built per query.  Filling its cached image acts on
+    ``|p| 2n(2n+1)`` letters, the exponent sum of the core, so the budget
+    check bounds that too.
     """
-    limit = abs(p) * 2 * n * (2 * n + 1)
-    c = 0
-    for a, b in zip(reversed(d), islice(_twist_tail(n, p), limit)):
-        if a != b:
-            break
-        c += 1
-    size = len(d) + limit - 2 * c
-    if size > budget:
-        raise BudgetError(f"word of {size} letters exceeds budget {budget}")
     i, j = 0, len(d) - 1
     while i < j and d[i] == -d[j]:
         i += 1
         j -= 1
-    return K.act_dynnikov(d[i : j + 1], (0, 1) * (2 * n + 1)) == _twist_image(n, p)
+    core = d[i : j + 1]
+    if len(core) > budget:
+        raise BudgetError(f"word of {len(core)} letters exceeds budget {budget}")
+    return K.act_dynnikov(core, (0, 1) * (2 * n + 1)) == _twist_image(n, p)
 
 
 def _point_push(q: int, top: int) -> tuple[int, ...]:

@@ -151,19 +151,14 @@ def half_twist(ctx) -> Word:
     return Word(ctx, tuple(letters))
 
 
-def checked_word(group: str, u: Word, v: Word, ctx) -> Word | None:
-    """The word whose coordinate action decides ``u = v`` in ``group``, or
-    None when the point permutation or the exponent sum decides it first.
-
-    Disk: ``d = u v^{-1}``.  Star: the reduced ``d Delta^{-2p}``, with
-    ``Delta^{2p} = (half twist)^{2p}`` built letter by letter for the one
-    ``p`` that the exponent sum allows.  Sphere: the same, after
-    :func:`superelliptic.oracle.cap_to_star` when ``d`` is pure.  The letter
-    budget counts this word.
-    """
+def _star_quotient(group: str, u: Word, v: Word, ctx) -> tuple[Word, int] | None:
+    """``(d, p)``: ``d = u v^{-1}``, after :func:`superelliptic.oracle.cap_to_star`
+    in the sphere group, and the one full-twist power ``Delta^{2p}`` that its
+    exponent sum allows (``p = 0`` in the disk group); None when the point
+    permutation or the exponent sum decides ``u = v`` first."""
     d = u * v.inverse()
     if group == "disk":
-        return d
+        return d, 0
     if group == "sphere":
         if not psi(d, ctx).is_identity:
             return None
@@ -172,21 +167,40 @@ def checked_word(group: str, u: Word, v: Word, ctx) -> Word | None:
     e = exponent_sum(d)
     if e % full:
         return None
-    return d * (half_twist(ctx) ** (2 * (e // full))).inverse()
+    return d, e // full
+
+
+def budget_count(group: str, u: Word, v: Word, ctx) -> int | None:
+    """The letters the budget counts for ``u = v`` in ``group``, or None as in
+    :func:`_star_quotient`: the cyclic core of ``d`` (after the sphere
+    rewrite, before any letter of the full twist), found by dropping the
+    first and last letters while they are inverse to each other."""
+    quotient = _star_quotient(group, u, v, ctx)
+    if quotient is None:
+        return None
+    core = list(quotient[0].letters)
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    return len(core)
 
 
 def eq(group: str, u: Word, v: Word, ctx, budget: int | None = None) -> bool:
-    """``u = v`` in ``group``, by acting on every letter of :func:`checked_word`.
+    """``u = v`` in ``group`` once :func:`budget_count` is within the budget,
+    by acting on every letter of the reduced ``d Delta^{-2p}`` of
+    :func:`_star_quotient`, with ``Delta^{2p} = (half twist)^{2p}`` built
+    letter by letter.
 
     Letters are not range-checked: the inputs must lie in the group's
     alphabet already.
     """
     budget = resolve_budget(budget)
-    w = checked_word(group, u, v, ctx)
-    if w is None:
+    size = budget_count(group, u, v, ctx)
+    if size is None:
         return False
-    if len(w) > budget:
-        raise BudgetError(f"word of {len(w)} letters exceeds budget {budget}")
+    if size > budget:
+        raise BudgetError(f"word of {size} letters exceeds budget {budget}")
+    d, p = _star_quotient(group, u, v, ctx)
+    w = d * (half_twist(ctx) ** (2 * p)).inverse()
     start = (0, 1) * ctx.num_arcs
     return act_dynnikov(w.letters, start) == start
 

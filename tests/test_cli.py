@@ -57,6 +57,18 @@ class TestEq:
         )
         assert code == 3 and f"token {token!r}" in err and not out
 
+    def test_budget_counts_the_core_the_oracle_acts_on(self, capsys):
+        # the full twist at n = 1 is six letters; split over u and v, its
+        # text fits a budget of 5 and the oracle's count of 6 does not
+        twist = "s1 s2 s1 s2 s1 s2"
+        code, out, _ = run(capsys, "--budget-letters", "6", "eq", "star", twist, "", "--n", "1")
+        assert code == 0 and out.startswith("true")
+        code, out, err = run(
+            capsys, "--budget-letters", "5", "eq", "star",
+            "s1 s2 s1", "s2^-1 s1^-1 s2^-1", "--n", "1",
+        )
+        assert code == 3 and "word of 6 letters exceeds budget 5" in err and not out
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_exit_2(self, capsys, budget):
         code, out, err = run(

@@ -437,22 +437,27 @@ def test_cap_to_star_preserves_pure_words(n):
 
 
 def test_sphere_rewrite_over_budget_raises():
-    # r1^8 at n = 3 is 56 letters; capped and divided by the full twist it
-    # is a disk word of 168 letters, which is what the budget bounds
+    # r1^8 at n = 3 is 56 letters; capped it is a disk word of 126 letters
+    # (Delta^{-2}), which is what the budget bounds, and no twist image is
+    # filled before the budget check passes
     ctx = Context(3, 3)
     rotation = gen_r1(ctx) ** ctx.num_points
     assert len(rotation) == 56
-    with pytest.raises(BudgetError):
-        eq_sphere(rotation, Word.identity(ctx), ctx, budget=100)
-    assert eq_sphere(rotation, Word.identity(ctx), ctx, budget=168)
+    assert len(cap_to_star(rotation, ctx)) == 126
+    oracle._twist_image.cache_clear()
+    with pytest.raises(BudgetError, match="^word of 126 letters exceeds budget 125$"):
+        eq_sphere(rotation, Word.identity(ctx), ctx, budget=125)
+    assert oracle._twist_image.cache_info().currsize == 0
+    assert eq_sphere(rotation, Word.identity(ctx), ctx, budget=126)
 
 
 # -- the star check against the spelled-out full twist ------------------------
 #
-# ``referees.eq`` builds Delta^{2p} letter by letter, reduces d Delta^{-2p},
-# counts the budget on it and acts on all of it.  The oracle acts on the
-# cyclic core of d against a cached image of Delta^{2p}, and must give the
-# same verdict and raise the same BudgetError at every budget.
+# ``referees.eq`` counts the budget on the cyclic core of d (after the sphere
+# rewrite), then builds Delta^{2p} letter by letter, reduces d Delta^{-2p}
+# and acts on all of it.  The oracle acts on the cyclic core of d against a
+# cached image of Delta^{2p}, and must give the same verdict and raise the
+# same BudgetError at every budget.
 
 
 def _outcome(eq, u, v, ctx, budget):
@@ -498,11 +503,14 @@ def test_star_check_matches_spelled_out_twist(group, n):
         if rng.random() < 0.25:
             lhs, rhs = lhs + [-a for a in reversed(rhs)], []
         u, v = Word.from_letters(ctx, lhs), Word.from_letters(ctx, rhs)
-        checked = referees.checked_word(group, u, v, ctx)
-        for budget in _budgets(len(checked)) if checked is not None else [1, None]:
+        size = referees.budget_count(group, u, v, ctx)
+        for budget in _budgets(size) if size is not None else [1, None]:
             want = _outcome(partial(referees.eq, group), u, v, ctx, budget)
             assert _outcome(EQ[group], u, v, ctx, budget) == want, (u, v, budget)
-            raised += isinstance(want, tuple)
+            over = size is not None and budget is not None and 0 < budget < size
+            message = f"word of {size} letters exceeds budget {budget}"
+            assert (want == ("BudgetError", message)) is over, (u, v, budget)
+            raised += over
         verdicts.append(want)  # at budget None
     assert 0 < sum(verdicts) < len(verdicts)
     assert raised
@@ -534,7 +542,8 @@ def test_budget_error_is_the_same_before_and_after_the_image_is_cached():
     ctx = Context(3, 3)
     u = Word.from_letters(ctx, [1, -2] + _twist_letters(ctx, 2))
     v = Word.from_letters(ctx, [1, -2])
-    size = len(referees.checked_word("star", u, v, ctx))
+    size = referees.budget_count("star", u, v, ctx)
+    assert size == len(_twist_letters(ctx, 2))  # the core is Delta^4 alone
     oracle._twist_image.cache_clear()
     with pytest.raises(BudgetError) as before:
         eq_star(u, v, ctx, budget=size - 1)
@@ -547,16 +556,10 @@ def test_budget_error_is_the_same_before_and_after_the_image_is_cached():
     assert str(before.value) == str(after.value) == message
 
 
-def _cyclic_core(letters):
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    return letters[i : j + 1]
-
-
 @pytest.mark.parametrize("group", ["disk", "star", "sphere"])
 def test_common_prefix_does_not_change_the_verdict(group):
+    # a prefix that u and v share costs nothing: the budget counts the
+    # cyclic core of u v^-1, which the prefix does not lengthen
     ctx = Context(3, 3)
     top = _top(group, ctx)
     rng = random.Random(f"prefix-{group}")
@@ -569,16 +572,31 @@ def test_common_prefix_does_not_change_the_verdict(group):
         prefix = _random_letters(rng, top, 200)
         u, v = Word.from_letters(ctx, other), Word.from_letters(ctx, base)
         assert EQ[group](u, v, ctx) is expect
+        unprefixed = referees.budget_count(group, u, v, ctx)
         u, v = Word.from_letters(ctx, prefix + other), Word.from_letters(ctx, prefix + base)
         assert EQ[group](u, v, ctx) is expect
-        checked = referees.checked_word(group, u, v, ctx)
-        if checked is None:  # decided by the point permutation or exponent sum
+        size = referees.budget_count(group, u, v, ctx)
+        if group != "sphere":  # the sphere rewrite reads the prefix too
+            assert size == unprefixed
+        if size is None:  # decided by the point permutation or exponent sum
             assert not expect
             continue
-        acted = cap_to_star(u * v.inverse(), ctx) if group == "sphere" else u * v.inverse()
-        if not checked.letters:  # the sphere rewrite cancelled to nothing
-            assert expect and group == "sphere" and acted.is_identity
+        assert size < 200
+        if size == 0:  # u v^-1 cancelled to nothing
+            assert expect
             continue
-        assert len(_cyclic_core(acted.letters)) < len(checked) - 1
-        with pytest.raises(BudgetError, match=f"word of {len(checked)} letters"):
-            EQ[group](u, v, ctx, budget=len(checked) - 1)
+        assert EQ[group](u, v, ctx, budget=size) is expect
+        with pytest.raises(BudgetError, match=f"^word of {size} letters exceeds budget {size - 1}$"):
+            EQ[group](u, v, ctx, budget=size - 1)
+
+
+def test_full_twist_costs_only_its_own_letters():
+    # (s1 s2)^3 and (s1 s2 s1)^2 both spell the full twist on three strands:
+    # the budget counts their six letters either way, not the letters of a
+    # reduced d Delta^{-2} (12 and 0 with Delta spelled s1 s2 s1)
+    ctx = Context(1, 3)
+    half = Word.from_letters(ctx, [1, 2, 1])
+    for u, v in [(Word.from_letters(ctx, [1, 2] * 3), Word.identity(ctx)), (half, half.inverse())]:
+        assert eq_star(u, v, ctx, budget=6)
+        with pytest.raises(BudgetError, match="^word of 6 letters exceeds budget 5$"):
+            eq_star(u, v, ctx, budget=5)
