@@ -45,6 +45,15 @@ def concat(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a[:i] + b[j:]
 
 
+def cyclic_core(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced word ``w`` stripped of the pairs ``a .. a^-1`` at its two ends."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
+
+
 def act_dynnikov(letters: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
     """Dynnikov coordinates ``(a_1, b_1, ..., a_m, b_m)`` after ``letters``.
 

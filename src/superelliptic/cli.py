@@ -50,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "balanced superelliptic cover",
     )
     parser.add_argument("--budget-letters", type=int, default=None,
-                        help="letter budget: the longest word the coordinate oracle "
-                        "acts on (the budget counts the cyclic core of u v^-1 after "
-                        "the sphere rewrite), and the most letters word text expands "
+                        help="letter budget: the longest word the coordinate oracle acts "
+                        "on (the cyclic core of u v^-1, or in the sphere group that of the "
+                        "rewrite of that core), and the most letters word text expands "
                         "to before free reduction; a positive integer (default 10^7)")
     sub = parser.add_subparsers(dest="command", required=True)
 

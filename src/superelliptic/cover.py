@@ -30,8 +30,8 @@ labeled accordingly by the theorem suite.
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
 form from the vertex-link positions in one broadcast, and stores
-everything as ``int64`` (``OverflowError`` if an entry does not fit).  The
-symplectic basis ``P`` is computed in checked int64
+everything as ``int64`` (``OverflowError`` if an entry does not fit); the
+symplectic basis ``P`` is reduced on sparse rows of Python ints
 (:func:`intmat.symplectic_change_of_basis`).  The cover's products (the
 check that the relations pair to zero, ``J = basis^T crossing basis``, the
 check ``P^T J P = J0`` and ``J^-1 = -P J0 P^T``) and every later product

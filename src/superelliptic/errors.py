@@ -16,9 +16,9 @@ class ContextMismatchError(SuperellipticError, ValueError):
 class BudgetError(SuperellipticError, RuntimeError):
     """A word to act on exceeded the configured letter budget.
 
-    For the coordinate oracle that is the word after the sphere rewrite and
-    the full-twist factor; for the free-group action, any intermediate free
-    word.
+    For the coordinate oracle that is the cyclic core it acts on (in the
+    sphere group, of the rewrite of the cyclic core of ``u v^-1``); for the
+    free-group action, any intermediate free word.
 
     Raised instead of silently truncating; callers may retry with a larger
     budget (``--budget-letters``, or the ``budget`` argument in Python).

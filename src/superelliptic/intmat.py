@@ -1,18 +1,16 @@
 """Exact integer linear algebra on small dense matrices.
 
-Two kinds of exact arithmetic live here.  :func:`smith_normal_form` and the
-Bareiss elimination behind :func:`rank_rational` and :func:`det_exact` work
-on Python ints in numpy ``object`` arrays, so no overflow is possible, and
-accept any integer matrix as input.  :func:`mul` and
-:func:`symplectic_change_of_basis` work in ``int64``: each product or
-update is computed only when a bound on every entry and partial sum is
-below ``2**62``, and raises ``OverflowError`` otherwise, so a result is
-exact or the call raises; it never wraps.  The cover derives its homology
-apparatus with these functions and stores it as int64 (see
+:func:`smith_normal_form` and the Bareiss elimination behind
+:func:`rank_rational` and :func:`det_exact` work on Python ints in numpy
+``object`` arrays, and :func:`symplectic_change_of_basis` on sparse rows
+of Python ints, so none of them can overflow.  :func:`mul` works in
+``int64``: each product is computed only when a bound on every entry and
+partial sum is below ``2**62``, and raises ``OverflowError`` otherwise, so
+a result is exact or the call raises; it never wraps.  The cover derives
+its homology apparatus with these functions and stores it as int64 (see
 :mod:`superelliptic.cover`).  Sizes stay small (at most a few hundred
-rows), so the cubic classics are plenty: Smith normal form with
-transforms, one fraction-free (Bareiss) elimination for rational rank and
-determinants, and a symplectic basis for a skew unimodular form."""
+rows), so the cubic classics are plenty: Smith form with transforms,
+fraction-free elimination, a symplectic basis for a skew unimodular form."""
 
 from __future__ import annotations
 
@@ -218,62 +216,63 @@ def det_exact(A) -> int:
     return _bareiss(A)[1]
 
 
-def _sub_outer(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """Checked in-place ``B -= outer(x, y)``."""
-    _check_bound(_max_abs(B) + _max_abs(x) * _max_abs(y), "reduction")
-    B -= np.outer(x, y)
-
-
 def symplectic_change_of_basis(J) -> np.ndarray:
     """Return unimodular int64 ``P`` with ``P^T J P`` in standard block form.
 
     The standard form is the direct sum of ``[[0, 1], [-1, 0]]`` blocks,
-    ordered as basis pairs ``(a_1, b_1, a_2, b_2, ...)``.  Requires ``J``
-    skew with determinant 1; a degenerate or non-unimodular form raises
-    ``ValueError``.
+    ordered as basis pairs ``(a_1, b_1, a_2, b_2, ...)``.  ``J`` must be
+    skew with determinant 1, or ``ValueError`` is raised.
 
-    The vectors not yet paired are the rows of one int64 matrix.  Each
-    step takes the first of them as ``u`` and reduces the others' pairings
-    with ``u`` by gcd steps against the first smallest nonzero pairing,
-    then clears the rest's pairing with its partner ``w``; every reduction
-    is one ``np.outer`` update of the whole matrix.  Products go through
-    :func:`mul`, and before each update a bound on its entries
-    (:func:`_sub_outer`) must stay below ``2**62``, or ``OverflowError`` is
-    raised: ``P`` is exact or the call raises, never wrapped.
+    Each unpaired vector is a sparse row of Python ints kept with its
+    nonzero pairings with the others.  A step takes the first unpaired
+    ``u``, gcd-reduces the others' pairings with ``u`` against the first
+    smallest one, and clears the rest against that vector ``w`` (negated if
+    it pairs to -1).  ``P`` is int64 only if ``max|P| * max|J| * 2g <
+    2**62``, so its products in :func:`mul` are exact; else ``OverflowError``.
     """
     J = _as_int64(J)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError("a symplectic basis needs a square matrix")
+    if J.ndim != 2 or not np.array_equal(J, -J.T):
+        raise ValueError("a symplectic basis needs a square skew matrix")
     m = J.shape[0]
-    rest = np.eye(m, dtype=np.int64)
-    out: list[np.ndarray] = []
-    while len(rest):
-        u, rest = rest[0], rest[1:]
-        pairs = mul(rest, mul(J.T, u))  # pairs[i] = u^T J rest[i]
-        if not pairs.any():
+    vec = [{i: 1} for i in range(m)]  # vec[i][coordinate] = entry of v_i
+    gram: list[dict] = [{} for _ in range(m)]  # gram[i][j] = <v_i, v_j>
+    for i, j in np.argwhere(J).tolist():
+        gram[i][j] = int(J[i, j])
+
+    def add(i: int, q: int, b: int) -> None:  # v_i += q v_b; <v_b, v_b> = 0
+        for c, val in vec[b].items():
+            if new := vec[i].pop(c, 0) + q * val:
+                vec[i][c] = new
+        for x, g in gram[b].items():
+            if x != i:
+                gram[x].pop(i, None)
+                if new := gram[i].pop(x, 0) + q * g:
+                    gram[i][x], gram[x][i] = new, -new
+
+    unpaired, out = list(range(m)), []
+    while unpaired:
+        pairs = gram[u := unpaired.pop(0)]
+        if not pairs:
             raise ValueError("form is degenerate on the remaining sublattice")
-        # make some pairing equal +-1 by gcd combinations; pairings are
-        # linear, so w - q * best pairs to p - q * d
-        while True:
-            nonzero = np.flatnonzero(pairs)
-            b = int(nonzero[np.argmin(np.abs(pairs[nonzero]))])
-            best, d = rest[b].copy(), int(pairs[b])
-            q = pairs // d
-            q[b] = 0
-            _sub_outer(rest, q, best)
-            pairs %= d
-            pairs[b] = d
-            if np.count_nonzero(pairs) == 1:  # best is the only vector that pairs with u
-                break
+        while len(pairs) > 1:  # v_i - q v_b pairs to p - q pairs[b] with u
+            b = min(pairs, key=lambda i: (abs(pairs[i]), i))
+            for i, p in list(pairs.items()):
+                if i != b:
+                    add(i, -(p // pairs[b]), b)
+        [(b, d)] = pairs.items()  # v_b is the only vector that pairs with u
         if abs(d) != 1:
             raise ValueError("could not reach a unimodular pairing; form not unimodular?")
-        rest = np.delete(rest, b, axis=0)
-        w = best if d == 1 else -best
-        # the rest pair to 0 with u; clear their pairing with w
-        _sub_outer(rest, mul(rest, mul(J, w)), u)
-        out.append(u)
-        out.append(w)
-    return np.array(out, dtype=np.int64).reshape(m, m).T
+        for x, g in list(gram[b].items()):  # x - <x, w> u pairs to 0 with w = d v_b
+            if x != u:
+                add(x, d * g, u)
+        unpaired.remove(b)
+        out += [vec[u], {c: d * val for c, val in vec[b].items()}]
+    top = max((abs(x) for v in out for x in v.values()), default=0)
+    _check_bound(top * _max_abs(J) * m, "basis")
+    P = np.zeros((m, m), dtype=np.int64)
+    for col, v in enumerate(out):
+        P[list(v), col] = list(v.values())
+    return P
 
 
 def standard_symplectic(m: int) -> np.ndarray:

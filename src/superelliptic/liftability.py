@@ -166,10 +166,7 @@ class CurveClass:
     @classmethod
     def from_letters(cls, ctx: Context, letters) -> "CurveClass":
         """The cyclically reduced class; every letter is range-checked once, first."""
-        reduced = K.reduce_word(cls(ctx, tuple(letters)).letters)
-        while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
-            reduced = reduced[1:-1]
-        return cls._trusted(ctx, reduced)
+        return cls._trusted(ctx, K.cyclic_core(K.reduce_word(cls(ctx, tuple(letters)).letters)))
 
     @classmethod
     def _trusted(cls, ctx: Context, letters: tuple[int, ...]) -> "CurveClass":

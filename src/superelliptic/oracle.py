@@ -24,8 +24,8 @@ The coordinate action runs on the cyclic core of ``d = u v^{-1}`` only and
 is compared with the image of ``Delta^{2p}`` (``p = 0`` in the disk group),
 which is cached per ``(n, p)``, so no letter of the full twist is built or
 acted on per query.  The letter budget counts exactly the letters acted
-on: the budget counts the cyclic core of ``u v^{-1}`` after the sphere
-rewrite, and a longer core raises :class:`BudgetError`.
+on: the cyclic core of ``u v^{-1}`` (in the sphere group, that of the
+rewrite of that core), and a longer core raises :class:`BudgetError`.
 
 The free-group action stays as the independent reference: ``artin_action``
 (``sigma_i`` maps ``x_i -> x_i x_{i+1} x_i^{-1}``, ``x_{i+1} -> x_i``),
@@ -96,12 +96,9 @@ class FreeWord:
 
     def cyclic_split(self) -> tuple["FreeWord", "FreeWord"]:
         """Return ``(u, core)`` with ``self = u core u^{-1}``, core cyclically reduced."""
-        w = self.letters
-        i, j = 0, len(w) - 1
-        while i < j and w[i] == -w[j]:
-            i += 1
-            j -= 1
-        return FreeWord(self.rank, w[:i]), FreeWord(self.rank, w[i : j + 1])
+        core = K.cyclic_core(self.letters)
+        i = (len(self.letters) - len(core)) // 2
+        return FreeWord(self.rank, self.letters[:i]), FreeWord(self.rank, core)
 
     @property
     def is_identity(self) -> bool:
@@ -223,9 +220,8 @@ def eq_star(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
 
     ``u = v`` iff ``d = u v^{-1}`` is a power ``Delta^{2p}`` of the full
     twist: the exponent sum forces the only candidate ``p``.  The coordinate
-    action runs on the cyclic core of ``d`` only, against the cached image
-    of ``Delta^{2p}`` (see :func:`_is_twist_power`), and the budget counts
-    the cyclic core of ``u v^{-1}`` after the sphere rewrite.
+    action runs on the cyclic core of ``d`` only, which the budget counts,
+    against the cached image of ``Delta^{2p}`` (see :func:`_is_twist_power`).
     """
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
@@ -265,20 +261,15 @@ def _twist_image(n: int, p: int) -> tuple[int, ...]:
 def _is_twist_power(d: tuple[int, ...], p: int, n: int, budget: int) -> bool:
     """Whether the reduced disk word ``d`` equals ``Delta^{2p}`` in the disk group.
 
-    ``Delta^{2p}`` is central, so ``d`` may be replaced by its cyclic core
-    (``d`` stripped of the pairs ``a .. a^-1`` at its two ends), which drops
-    a prefix that ``u`` and ``v`` share; the budget counts that core.  The
-    action is a right action, so ``d Delta^{-2p} = 1`` iff ``x d = x
-    Delta^{2p}`` for ``x = (0, 1, ..., 0, 1)``, and no letter of
+    ``Delta^{2p}`` is central, so ``d`` may be replaced by its cyclic core,
+    which drops a prefix that ``u`` and ``v`` share; the budget counts that
+    core.  The action is a right action, so ``d Delta^{-2p} = 1`` iff ``x d
+    = x Delta^{2p}`` for ``x = (0, 1, ..., 0, 1)``, and no letter of
     ``Delta^{2p}`` is built per query.  Filling its cached image acts on
     ``|p| 2n(2n+1)`` letters, the exponent sum of the core, so the budget
     check bounds that too.
     """
-    i, j = 0, len(d) - 1
-    while i < j and d[i] == -d[j]:
-        i += 1
-        j -= 1
-    core = d[i : j + 1]
+    core = K.cyclic_core(d)
     if len(core) > budget:
         raise BudgetError(f"word of {len(core)} letters exceeds budget {budget}")
     return K.act_dynnikov(core, (0, 1) * (2 * n + 1)) == _twist_image(n, p)
@@ -333,11 +324,12 @@ def cap_to_star(w: Word, ctx: Context) -> Word:
 def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> bool:
     """Equality in the marked-sphere group.
 
-    ``u v^{-1}`` must have trivial point permutation; it then fixes point
-    ``2n+2`` and is decided in the star group after :func:`cap_to_star`.
+    The cyclic core of ``u v^{-1}``, a conjugate, must have trivial point
+    permutation; it then fixes point ``2n+2`` and is decided in the star
+    group after :func:`cap_to_star`.
     """
     budget = resolve_budget(budget)
-    d = u * v.inverse()
+    d = Word._trusted(ctx, K.cyclic_core((u * v.inverse()).letters))
     if not psi(d, ctx).is_identity:
         return False
     return _is_central_braid(cap_to_star(d, ctx), ctx, budget)

@@ -191,7 +191,7 @@ def convention_header(ctx: Context, budget: int) -> dict:
         "homology claims are necessary conditions only (the representation is not faithful)",
         "oracle": "disk and star: Dynnikov coordinates of (0,1,...,0,1); "
         "sphere: pure words capped to the star group; "
-        "the budget counts the cyclic core of u v^-1 after the sphere rewrite",
+        "the budget counts the cyclic core of u v^-1 (sphere: of the rewrite of that core)",
         "budget_letters": budget,
         "numpy": np.__version__,
         "n": ctx.n,

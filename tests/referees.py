@@ -152,14 +152,16 @@ def half_twist(ctx) -> Word:
 
 
 def _star_quotient(group: str, u: Word, v: Word, ctx) -> tuple[Word, int] | None:
-    """``(d, p)``: ``d = u v^{-1}``, after :func:`superelliptic.oracle.cap_to_star`
-    in the sphere group, and the one full-twist power ``Delta^{2p}`` that its
-    exponent sum allows (``p = 0`` in the disk group); None when the point
-    permutation or the exponent sum decides ``u = v`` first."""
+    """``(d, p)``: ``d = u v^{-1}`` (in the sphere group, its cyclic core
+    rewritten by :func:`superelliptic.oracle.cap_to_star`) and the one full-twist power
+    ``Delta^{2p}`` that its exponent sum allows (``p = 0`` in the disk
+    group); None when the point permutation or the exponent sum decides
+    ``u = v`` first."""
     d = u * v.inverse()
     if group == "disk":
         return d, 0
     if group == "sphere":
+        d = Word.from_letters(ctx, _core(d.letters))
         if not psi(d, ctx).is_identity:
             return None
         d = cap_to_star(d, ctx)
@@ -172,16 +174,19 @@ def _star_quotient(group: str, u: Word, v: Word, ctx) -> tuple[Word, int] | None
 
 def budget_count(group: str, u: Word, v: Word, ctx) -> int | None:
     """The letters the budget counts for ``u = v`` in ``group``, or None as in
-    :func:`_star_quotient`: the cyclic core of ``d`` (after the sphere
-    rewrite, before any letter of the full twist), found by dropping the
-    first and last letters while they are inverse to each other."""
+    :func:`_star_quotient`: the cyclic core of its ``d``, before any letter
+    of the full twist."""
     quotient = _star_quotient(group, u, v, ctx)
-    if quotient is None:
-        return None
-    core = list(quotient[0].letters)
+    return None if quotient is None else len(_core(quotient[0].letters))
+
+
+def _core(letters) -> list[int]:
+    """The cyclic core of a reduced word: its first and last letters dropped
+    while they are inverse to each other."""
+    core = list(letters)
     while len(core) > 1 and core[0] == -core[-1]:
         core = core[1:-1]
-    return len(core)
+    return core
 
 
 def eq(group: str, u: Word, v: Word, ctx, budget: int | None = None) -> bool:

@@ -259,15 +259,6 @@ class TestInt64Overflow:
         with pytest.raises(OverflowError):
             intmat.symplectic_change_of_basis(J)
 
-    def test_basis_update_raises_before_it_would_wrap(self):
-        B = np.array([[2**61, 1]], dtype=np.int64)
-        x, y = np.array([-(2**30)]), np.array([2**31, 0])  # 2**61 + 2**61 = 2**62
-        with pytest.raises(OverflowError, match="2\\*\\*62"):
-            intmat._sub_outer(B, x, y)
-        assert B.tolist() == [[2**61, 1]]  # left as it was
-        intmat._sub_outer(B, x // 2, y)
-        assert B.tolist() == [[2**61 + 2**60, 1]]
-
     @pytest.mark.parametrize("form", ["fibonacci", "tie"])
     def test_symplectic_basis_matches_referee_on_crafted_forms(self, form):
         if form == "fibonacci":
@@ -279,6 +270,31 @@ class TestInt64Overflow:
         P = intmat.symplectic_change_of_basis(J)
         assert P.tolist() == referees.symplectic_change_of_basis(J).tolist()
         assert (P.T @ J @ P).tolist() == intmat.standard_symplectic(4).tolist()
+
+    def test_symplectic_basis_matches_referee_on_dense_forms(self):
+        # J0 congruenced by random elementary integer matrices: dense
+        # unimodular skew forms with 2g = 2 .. 24, unlike the cover's sparse ones
+        rng = np.random.default_rng(23)
+        rounds = minus = 0
+        for m in range(2, 25, 2):
+            for _ in range(8):
+                E = np.eye(m, dtype=object)
+                for _ in range(m):
+                    i, j = rng.choice(m, size=2, replace=False)
+                    E[i] += int(rng.choice([-2, -1, 1, 2])) * E[j]
+                E = E[rng.permutation(m)]
+                J0 = intmat.standard_symplectic(m)
+                J = (E @ J0.astype(object) @ E.T).astype(np.int64)
+                P = intmat.symplectic_change_of_basis(J)
+                assert P.dtype == np.int64
+                assert P.tolist() == referees.symplectic_change_of_basis(J).tolist()
+                assert (P.T @ J @ P).tolist() == J0.tolist()
+                # the first step's pivot: the first smallest nonzero pairing of e_1
+                first = J[0, 1:][J[0, 1:] != 0]
+                pivot = int(first[np.argmin(np.abs(first))])
+                rounds += abs(pivot) > 1  # no pairing of e_1 is +-1: several gcd rounds
+                minus += pivot == -1
+        assert rounds >= 3 and minus >= 10
 
     @pytest.mark.parametrize(
         "J",
@@ -293,6 +309,11 @@ class TestInt64Overflow:
         for fn in (intmat.symplectic_change_of_basis, referees.symplectic_change_of_basis):
             with pytest.raises(ValueError, match="degenerate"):
                 fn(J)
+
+    @pytest.mark.parametrize("J", [[[0, 1], [1, 0]], [[0, 1, 0], [-1, 0, 0]], [0, 0]])
+    def test_form_that_is_not_square_and_skew_raises_value_error(self, J):
+        with pytest.raises(ValueError, match="square skew"):
+            intmat.symplectic_change_of_basis(np.array(J))
 
     def test_non_unimodular_form_raises_value_error(self):
         J = 2 * intmat.standard_symplectic(4).astype(np.int64)
