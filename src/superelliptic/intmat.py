@@ -224,11 +224,10 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     skew with determinant 1, or ``ValueError`` is raised.
 
     Each unpaired vector is a sparse row of Python ints kept with its
-    nonzero pairings with the others.  A step takes the first unpaired
-    ``u``, gcd-reduces the others' pairings with ``u`` against the first
-    smallest one, and clears the rest against that vector ``w`` (negated if
-    it pairs to -1).  ``P`` is int64 only if ``max|P| * max|J| * 2g <
-    2**62``, so its products in :func:`mul` are exact; else ``OverflowError``.
+    nonzero pairings with the others.  A step gcd-reduces the pairings of
+    the first unpaired ``u`` against the first smallest one and clears the
+    rest against that vector ``w`` (negated if it pairs to -1).  ``P`` is
+    int64 only if ``max|P| * max|J| * 2g < 2**62``, else ``OverflowError``.
     """
     J = _as_int64(J)
     if J.ndim != 2 or not np.array_equal(J, -J.T):
@@ -268,7 +267,7 @@ def symplectic_change_of_basis(J) -> np.ndarray:
         unpaired.remove(b)
         out += [vec[u], {c: d * val for c, val in vec[b].items()}]
     top = max((abs(x) for v in out for x in v.values()), default=0)
-    _check_bound(top * _max_abs(J) * m, "basis")
+    _check_bound(top * _max_abs(J) * m, "basis")  # the bound of P^T J in mul(P.T, J, P)
     P = np.zeros((m, m), dtype=np.int64)
     for col, v in enumerate(out):
         P[list(v), col] = list(v.values())
