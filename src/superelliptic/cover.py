@@ -18,14 +18,17 @@ their four ends in the cyclic order of the vertex link.
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
 half-rotation, as the rows of an int64 array with ``2g`` columns.
-Twists act by transvections ``x -> x + <x, c> c``, applied as rank-one
-updates ``M -> M + (M c)(J c)^T`` by :func:`transvect`, so a lifted twist
-costs no dense product; the deck rotation and the half-turn act through
-their edge maps directly.  :func:`lift_rep` builds and caches one named
-lift, and :func:`lift_product` reads a product of named lifts from text
-(``r1 t1,2 r1^-1``).  The homology representation is a necessary-condition
-shadow only (it is not faithful); every verification built on it is
-labeled accordingly by the theorem suite.
+Twists act by transvections ``x -> x + <x, c> c``.  :func:`transvect`
+applies a run of ``r`` of them in the compact-WY form of a product of
+rank-one updates, ``M -> M + (M C^T) X JC`` with the curves ``c`` as the
+rows of ``C``, the ``(J c)^T`` as the rows of ``JC`` and ``X`` a unit upper
+triangular ``r x r`` matrix, so a lifted twist costs no ``2g x 2g``
+product; the deck rotation and the half-turn act through their edge maps
+directly.  :func:`lift_rep` builds and caches one named lift, and
+:func:`lift_product` reads a product of named lifts from text
+(``r1 t1,2 r1^-1``) as one chained product.  The homology representation
+is a necessary-condition shadow only (it is not faithful); every
+verification built on it is labeled accordingly by the theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
@@ -39,10 +42,12 @@ of homology matrices go through :func:`intmat.mul`, imported here as
 ``mul``.  It bounds every entry and partial sum by
 ``max|A| * max|B| * inner_dim`` and takes one of two exact paths: below
 ``2**53`` a float64 (BLAS) product, below ``2**62`` an int64 product.  At
-``2**62`` and above it raises ``OverflowError``.  :func:`transvect`
-carries an upper bound on ``max|M|`` from update to update under the same
-``2**62`` limit.  So a result is exact or the call raises: it never wraps
-or rounds and never falls back to object arithmetic.
+``2**62`` and above it raises ``OverflowError``.  Over a chain of factors
+it carries ``max|A|`` as the previous step's bound and rescans the running
+product only when that bound reaches ``2**53``.  :func:`transvect` adds
+its update to ``M`` only when ``max|M| + max|update| < 2**62``.  So a
+result is exact or the call raises: it never wraps or rounds and never
+falls back to object arithmetic.
 """
 
 from __future__ import annotations
@@ -329,31 +334,44 @@ def identity(surface: CoverSurface) -> np.ndarray:
 def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.ndarray:
     """``M T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves``, as a new array.
 
-    ``T_c = I + c (J c)^T`` is the right twist about class ``c``, so each
-    factor is the rank-one update ``M -> M + (M c)(J c)^T``: no dense
-    product.  A lifted curve meets few basis classes, so only the columns
-    of ``M`` in the supports of ``c`` and ``J c`` are read and written.
-    The ``J c`` rows come from one checked product (:func:`mul`).
-    An upper bound on ``max|M|`` is carried from update to update instead of
-    rescanning ``M``: ``bound * |c|_1`` bounds the sums of ``M c``, and the
-    updated ``M`` is bounded by ``bound + max|M c| * max|J c|``.  Either
-    bound at ``2**62`` raises ``OverflowError``, as in :func:`mul`, so the
-    result is exact or the call raises.
+    ``T_c = I + c (J c)^T`` is the right twist about class ``c``.  With the
+    curves as the rows of ``C`` and ``JC`` the rows ``(J c_t)^T``, a product
+    of rank-one updates has the compact-WY form (Schreiber & Van Loan,
+    *SIAM J. Sci. Stat. Comput.* 10 (1989))
+
+        T_{c_1} ... T_{c_r} = I + C^T X JC,   X = (I - N)^{-1},
+
+    where ``N`` is the strict upper triangle of ``G = JC C^T``.  So the
+    result is ``M + (M C^T) X JC``: three checked :func:`mul` calls and no
+    loop over the curves.  A lifted curve meets few basis classes, so only
+    the columns of ``M`` in the supports of the ``c`` are read and only
+    those in the supports of the ``J c`` are written.  ``X`` is unit upper
+    triangular and ``r x r`` for ``r`` curves; it is solved by
+    back-substitution in Python ints and raises ``OverflowError`` if an
+    entry does not fit int64.  :func:`mul` checks each product, and the sum
+    is checked by ``max|M| + max|update| < 2**62``, so the result is exact
+    or the call raises.
     """
     C = _as_int64(curves)
-    JC = mul(C, surface.J.T)  # row t is (J c_t)^T
-    M = _as_int64(M).copy()
-    bound = _max_abs(M)
-    c_sums = np.abs(C).sum(axis=1).tolist()  # |c|_1 of each curve
-    Jc_maxes = np.abs(JC).max(axis=1).tolist()
-    for c, Jc, c_sum, Jc_max in zip(C, JC, c_sums, Jc_maxes):
-        _check_bound(bound * c_sum, "transvection")
-        support = np.flatnonzero(c)
-        Mc = M[:, support] @ c[support]
-        bound += _max_abs(Mc) * Jc_max
-        _check_bound(bound, "transvection")
-        support = np.flatnonzero(Jc)
-        M[:, support] += np.outer(Mc, Jc[support])
+    on_c = np.flatnonzero(C.any(axis=0))  # only these columns of C are nonzero
+    C = C[:, on_c]
+    JC = mul(C, surface.J[:, on_c].T)  # row t is (J c_t)^T
+    G = mul(JC[:, on_c], C.T).tolist()  # G[i][j] = (J c_i)^T c_j
+    r = len(G)
+    X = [[0] * r for _ in range(r)]
+    for i in range(r - 1, -1, -1):  # row i of X = I + N X
+        row = X[i]
+        row[i] = 1
+        for l in range(i + 1, r):
+            if q := G[i][l]:
+                for j in range(l, r):
+                    row[j] += q * X[l][j]
+    on_jc = np.flatnonzero(JC.any(axis=0))  # the columns the update writes
+    M = _as_int64(M)
+    update = mul(M[:, on_c], C.T, np.array(X, dtype=object), JC[:, on_jc])
+    _check_bound(_max_abs(M) + _max_abs(update), "transvection")
+    M = M.copy()
+    M[:, on_jc] += update
     return M
 
 
@@ -504,19 +522,18 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
     ``zeta_prime``, ``r``, ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the
     :func:`lift_rep` kinds), each with an optional integer exponent of any
     size.  The result is the left-to-right product of the cached lift
-    matrices; each distinct token is read once, a power goes through
-    :func:`matrix_power`, and empty text is the identity.  An unknown token,
-    a twist ``t<i>,<j>`` with ``j != i+1`` or a malformed exponent raises
-    :class:`WordSyntaxError`; a power whose entries outgrow int64 raises
-    ``OverflowError`` (:func:`mul`).
+    matrices, taken by one chained :func:`mul` call; each distinct token is
+    read once, in text order, a power goes through :func:`matrix_power`, and
+    empty text is the identity.  An unknown token, a twist ``t<i>,<j>`` with
+    ``j != i+1`` or a malformed exponent raises :class:`WordSyntaxError`; a
+    power or product whose entries outgrow int64 raises ``OverflowError``
+    (:func:`mul`).
     """
-    out = None
-    built: dict[str, np.ndarray] = {}  # each distinct token is read once per text
-    for tok in text.split():
-        if tok not in built:
-            built[tok] = _lift_token(surface, tok)
-        out = built[tok] if out is None else mul(out, built[tok])
-    return identity(surface) if out is None else out
+    tokens = text.split()
+    if not tokens:
+        return identity(surface)
+    built = {tok: _lift_token(surface, tok) for tok in dict.fromkeys(tokens)}
+    return mul(*(built[tok] for tok in tokens))  # one token: its own fresh array
 
 
 def _lift_token(surface: CoverSurface, tok: str) -> np.ndarray:

@@ -4,13 +4,14 @@
 :func:`rank_rational` and :func:`det_exact` work on Python ints in numpy
 ``object`` arrays, and :func:`symplectic_change_of_basis` on sparse rows
 of Python ints, so none of them can overflow.  :func:`mul` works in
-``int64``: each product is computed only when a bound on every entry and
-partial sum is below ``2**62``, and raises ``OverflowError`` otherwise, so
-a result is exact or the call raises; it never wraps.  The cover derives
-its homology apparatus with these functions and stores it as int64 (see
-:mod:`superelliptic.cover`).  Sizes stay small (at most a few hundred
-rows), so the cubic classics are plenty: Smith form with transforms,
-fraction-free elimination, a symplectic basis for a skew unimodular form."""
+``int64``: each product of a chain is computed only when a bound on every
+entry and partial sum is below ``2**62``, and raises ``OverflowError``
+otherwise, so a result is exact or the call raises; it never wraps.  The
+cover derives its homology apparatus with these functions and stores it as
+int64 (see :mod:`superelliptic.cover`).  Sizes stay small (at most a few
+hundred rows), so the cubic classics are plenty: Smith form with
+transforms, fraction-free elimination, a symplectic basis for a skew
+unimodular form."""
 
 from __future__ import annotations
 
@@ -43,33 +44,53 @@ def _check_bound(bound: int, what: str) -> None:
 def mul(*factors) -> np.ndarray:
     """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
 
-    Factors are matrices or vectors, converted by :func:`_as_int64`.  Before
-    each product, ``bound = max|A| * max|B| * inner_dim`` bounds every entry
-    and every partial sum of the result, in any summation order.
+    Factors are matrices or vectors, converted by :func:`_as_int64`; each
+    distinct factor object is converted and scanned once per call.  Before
+    each product, ``bound = max|out| * max|B| * inner_dim`` bounds every
+    entry and every partial sum of the result, in any summation order.
+    ``max|out|`` is carried from step to step as the previous step's bound;
+    ``out`` is rescanned only when that carried bound reaches ``2**53``, so
+    the int64 path and the ``OverflowError`` are decided on its true maximum.
 
-    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS) and is
-      converted back to int64.  Each term and each partial sum is then an
-      integer below ``2**53``, which float64 holds exactly, so neither the
-      summation order nor fused multiply-adds can round.  (An entry at or
-      above ``2**53`` is rounded on conversion, but then the other factor
-      is zero and so is the product.)
+    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS), and the
+      running product stays float64 for the next step.  Each term and each
+      partial sum is then an integer below ``2**53``, which float64 holds
+      exactly, so neither the summation order nor fused multiply-adds can
+      round.  (An entry at or above ``2**53`` is rounded on conversion, but
+      then the other factor is zero and so is the product.)
     - ``2**53 <= bound < 2**62``: the product runs as int64 ``@``, the only
       exact path there; no int64 sum can wrap.
     - ``bound >= 2**62``: ``OverflowError``.
+
+    The result is int64.
     """
-    out = _as_int64(factors[0])
-    for B in factors[1:]:
-        B = _as_int64(B)
-        bound = _max_abs(out) * _max_abs(B) * out.shape[-1]
+    scanned: dict[int, tuple[np.ndarray, int]] = {}  # id(factor) -> (int64 array, max|.|)
+
+    def scan(f) -> tuple[np.ndarray, int]:
+        if id(f) not in scanned:
+            A = _as_int64(f)
+            scanned[id(f)] = (A, _max_abs(A))
+        return scanned[id(f)]
+
+    out, top = scan(factors[0])  # top >= max|out|; exact while `rescanned`
+    rescanned = True
+    for f in factors[1:]:
+        B, b = scan(f)
+        d = out.shape[-1]
+        bound = top * b * d
+        if bound >= _FLOAT_BOUND and not rescanned:
+            top = _max_abs(out)
+            bound = top * b * d
         if bound < _FLOAT_BOUND:
-            out = (out.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+            out = out.astype(np.float64, copy=False) @ B.astype(np.float64)
         elif bound < _PRODUCT_BOUND:
-            out = out @ B
+            out = out.astype(np.int64, copy=False) @ B
         else:
             raise OverflowError(
                 f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
             )
-    return out
+        top, rescanned = bound, False
+    return out.astype(np.int64, copy=False)
 
 
 def as_object_matrix(A) -> np.ndarray:
@@ -90,7 +111,12 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     """Return ``(D, U, Uinv, V, r)`` with ``U A V = D`` diagonal, U, V unimodular.
 
     ``Uinv`` is maintained alongside ``U`` so callers get the inverse for
-    free; ``r`` is the number of nonzero diagonal entries.
+    free; ``r`` is the number of nonzero diagonal entries.  Each pivot is
+    the first smallest nonzero |entry| of the trailing block in row-major
+    order, and the divisibility pass adds the row of the first entry the
+    pivot does not divide.  Both are found by array expressions over that
+    block, and each elimination step updates its rows (or columns) in one
+    outer product.
     """
     D = as_object_matrix(A).copy()
     m, n = D.shape
@@ -116,12 +142,6 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
             U[i, :] += q * U[j, :]
             Uinv[:, j] -= q * Uinv[:, i]
 
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        if q:
-            D[:, i] += q * D[:, j]
-            V[:, i] += q * V[:, j]
-
     def negate_row(i):
         D[i, :] = -D[i, :]
         U[i, :] = -U[i, :]
@@ -129,39 +149,45 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
     t = 0
     while True:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i, j] != 0 and (pivot is None or abs(D[i, j]) < pivot[2]):
-                    pivot = (i, j, abs(D[i, j]))
-        if pivot is None:
+        block = np.abs(D[t:, t:])
+        nonzero = block != 0
+        if not nonzero.any():
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        # the first smallest nonzero |entry| of the trailing block, in row-major order
+        first = np.flatnonzero(nonzero & (block == block[nonzero].min()))[0]
+        i, j = divmod(int(first), n - t)
+        swap_rows(t, t + i)
+        swap_cols(t, t + j)
         # A nonzero remainder is smaller than the pivot: search again, so
         # that column operations run only once column t is clear below the
         # pivot and cannot grow the trailing block.
-        for i in range(t + 1, m):
-            add_row(i, t, -(D[i, t] // D[t, t]))
-        if any(D[t + 1:, t]):
+        # Each row i > t gets row_i += q_i row_t, and Uinv col_t -= q_i col_i;
+        # the q_i are independent, so all rows update at once.
+        q = -(D[t + 1:, t] // D[t, t])
+        rows = t + 1 + np.flatnonzero(q)
+        if rows.size:
+            q = q[rows - t - 1]
+            D[rows] += np.outer(q, D[t])
+            U[rows] += np.outer(q, U[t])
+            Uinv[:, t] -= Uinv[:, rows] @ q
+        if D[t + 1:, t].any():
             continue
-        for j in range(t + 1, n):
-            add_col(j, t, -(D[t, j] // D[t, t]))
-        if any(D[t, t + 1:]):
+        q = -(D[t, t + 1:] // D[t, t])  # col_j += q_j col_t for each j > t
+        cols = t + 1 + np.flatnonzero(q)
+        if cols.size:
+            q = q[cols - t - 1]
+            D[:, cols] += np.outer(D[:, t], q)
+            V[:, cols] += np.outer(V[:, t], q)
+        if D[t, t + 1:].any():
             continue
         if D[t, t] < 0:
             negate_row(t)
-        # enforce divisibility d_t | D[i, j]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i, j] % D[t, t]:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
+        # enforce divisibility d_t | D[i, j]: add the first row, in row-major
+        # order, with an entry that d_t does not divide
+        rest = np.flatnonzero(D[t + 1:, t + 1:] % D[t, t])
+        if rest.size:
+            add_row(t, t + 1 + int(rest[0]) // (n - t - 1), 1)
+        else:
             t += 1
             if t >= min(m, n):
                 break

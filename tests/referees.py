@@ -2,10 +2,10 @@
 
 Each function here computes what a package function computes, by the
 direct method the package used before it was made fast: Python ints in
-``object`` arrays, dense products, per-pair loops, one coordinate slice per
-braid letter, token text parsed with no memo and the star check run on the
-full-twist power spelled out letter by letter.  Tests compare the
-package's results with these entry for entry.
+``object`` arrays, dense products, per-pair and per-entry loops, one
+coordinate slice per braid letter, token text parsed with no memo and the
+star check run on the full-twist power spelled out letter by letter.
+Tests compare the package's results with these entry for entry.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from superelliptic import generators as G
+from superelliptic import intmat
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.oracle import cap_to_star, resolve_budget
 from superelliptic.words import Word, exponent_sum, psi
@@ -60,6 +61,92 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     for col, vec in enumerate(out):
         P[:, col] = vec
     return P
+
+
+def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(D, U, Uinv, V, r)`` of :func:`superelliptic.intmat.smith_normal_form`,
+    with the pivot search and the divisibility pass run one entry at a time.
+
+    The same rule: the pivot is the first smallest nonzero |entry| of the
+    trailing block in row-major order, and the divisibility pass adds the
+    row of the first entry, in row-major order, that the pivot does not
+    divide.
+    """
+    D = intmat.as_object_matrix(A).copy()
+    m, n = D.shape
+    U = intmat.identity_object(m)
+    Uinv = intmat.identity_object(m)
+    V = intmat.identity_object(n)
+
+    def swap_rows(i, j):
+        if i != j:
+            D[[i, j], :] = D[[j, i], :]
+            U[[i, j], :] = U[[j, i], :]
+            Uinv[:, [i, j]] = Uinv[:, [j, i]]
+
+    def swap_cols(i, j):
+        if i != j:
+            D[:, [i, j]] = D[:, [j, i]]
+            V[:, [i, j]] = V[:, [j, i]]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        if q:
+            D[i, :] += q * D[j, :]
+            U[i, :] += q * U[j, :]
+            Uinv[:, j] -= q * Uinv[:, i]
+
+    def add_col(i, j, q):
+        # col_i += q * col_j
+        if q:
+            D[:, i] += q * D[:, j]
+            V[:, i] += q * V[:, j]
+
+    def negate_row(i):
+        D[i, :] = -D[i, :]
+        U[i, :] = -U[i, :]
+        Uinv[:, i] = -Uinv[:, i]
+
+    t = 0
+    while True:
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i, j] != 0 and (pivot is None or abs(D[i, j]) < pivot[2]):
+                    pivot = (i, j, abs(D[i, j]))
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # A nonzero remainder is smaller than the pivot: search again, so
+        # that column operations run only once column t is clear below the
+        # pivot and cannot grow the trailing block.
+        for i in range(t + 1, m):
+            add_row(i, t, -(D[i, t] // D[t, t]))
+        if any(D[t + 1:, t]):
+            continue
+        for j in range(t + 1, n):
+            add_col(j, t, -(D[t, j] // D[t, t]))
+        if any(D[t, t + 1:]):
+            continue
+        if D[t, t] < 0:
+            negate_row(t)
+        # enforce divisibility d_t | D[i, j]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if D[i, j] % D[t, t]:
+                    add_row(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            t += 1
+            if t >= min(m, n):
+                break
+    r = sum(1 for i in range(min(m, n)) if D[i, i] != 0)
+    return D, U, Uinv, V, r
 
 
 def twist_lift(J: np.ndarray, curves) -> np.ndarray:

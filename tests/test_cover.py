@@ -167,6 +167,56 @@ class TestCheckedProduct:
         assert cover_mod.mul(huge, zero).tolist() == [[0, 0], [0, 0]]
         assert cover_mod.mul(huge, zero[:, 0]).tolist() == [0, 0]
 
+    def test_long_chain_past_the_carried_bound_is_exact(self):
+        # small-entry symplectic lifts whose product of maxima and inner
+        # dimensions passes 2**62, while every partial product stays small:
+        # the carried bound is rescanned, not raised on
+        S = build_cover(Context(2, 3))
+        h, t = lift_rep(S, "h", 1), lift_rep(S, "t", 2)
+        h_inv = cover_mod.symplectic_inverse(S, h)
+        factors = [h, t, h_inv] * 12
+        carried = 1
+        for B in factors[1:]:
+            carried *= int(np.abs(B).max()) * S.h1_rank
+        assert carried * int(np.abs(h).max()) >= 2**62
+        want = identity(S)
+        for B in factors:
+            want = want @ B.astype(object)
+        got = cover_mod.mul(*factors)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_chain_float_int64_float_is_exact(self):
+        # x**2 needs 55 bits, so the middle step must take the int64 path
+        x = 2**27 + 1
+        start = np.array([1, 1], dtype=np.int64)
+        scale = np.array([[x, 0], [0, -x]], dtype=np.int64)  # float: bound 2x
+        fold = np.array([[x, 1], [x - 1, 0]], dtype=np.int64)  # int64: bound 2x**2
+        small = np.array([[3, 0], [1, 2]], dtype=np.int64)  # float again: bound 6x
+        mid = np.array([x, -x], dtype=np.float64) @ fold.astype(np.float64)
+        assert int(mid[0]) != x  # float64 rounds the middle product
+        want = start.astype(object) @ scale.astype(object)
+        for B in (fold, small):
+            want = want @ B.astype(object)
+        assert want.tolist() == [4 * x, 2 * x]
+        got = cover_mod.mul(start, scale, fold, small)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_a_factor_passed_twice(self):
+        rng = np.random.default_rng(5)
+        A = rng.integers(-2**20, 2**20, size=(6, 6))
+        B = rng.integers(-9, 9, size=(6, 6))
+        rows = A.tolist()  # a list factor is converted, once, too
+        a, b = A.astype(object), B.astype(object)
+        assert cover_mod.mul(A, A).tolist() == (a @ a).tolist()
+        assert cover_mod.mul(A, B, A).tolist() == (a @ b @ a).tolist()
+        assert cover_mod.mul(B, B, B, B).tolist() == (b @ b @ b @ b).tolist()
+        assert cover_mod.mul(rows, B, rows).tolist() == (a @ b @ a).tolist()
+        assert cover_mod.mul(A, A.T).tolist() == (a @ a.T).tolist()
+        with pytest.raises(OverflowError):
+            cover_mod.mul(A, A, A, A)  # 2**80 and more: no int64 result
+
 
 # the sizes on which the int64 and broadcast paths are compared with the referees
 REFEREE_SIZES = [(1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 7), (6, 6), (8, 5)]
@@ -191,6 +241,14 @@ class TestReferees:
         for i in range(1, 2 * n + 1):
             want = referees.twist_lift(S.J, cover_mod.h_chain(S, i))
             assert np.array_equal(lift_rep(S, "h", i), want), ("h", i)
+
+    @pytest.mark.parametrize("n,k", REFEREE_SIZES)
+    def test_smith_form_of_the_relations_matches_entry_loop(self, n, k):
+        relations = build_cover(Context(n, k)).relations.T
+        got = intmat.smith_normal_form(relations)
+        want = referees.smith_normal_form(relations)
+        assert [x.tolist() for x in got[:4]] == [x.tolist() for x in want[:4]]
+        assert got[4] == want[4]
 
     @pytest.mark.parametrize("n,k", REFEREE_SIZES)
     def test_crossing_matches_chord_sign_loop(self, n, k):
@@ -424,6 +482,19 @@ class TestElimination:
             torsion += any(d > 1 for d in self._check_smith(A))
         assert torsion >= 100
 
+    def test_smith_normal_form_matches_entry_loop_on_seeded_matrices(self):
+        rng = random.Random(13)
+        matrices = list(self._seeded_matrices())
+        for _ in range(200):  # ties and torsion: many equal small entries
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+            matrices.append([[rng.choice([0, 0, 2, -2, 3, 4, -6, 9]) for _ in range(cols)]
+                             for _ in range(rows)])
+        for A in matrices:
+            got = intmat.smith_normal_form(A)
+            want = referees.smith_normal_form(A)
+            assert [x.tolist() for x in got[:4]] == [x.tolist() for x in want[:4]], A
+            assert got[4] == want[4], A
+
     def test_empty_and_non_square(self):
         assert intmat.det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
         assert intmat.rank_rational(np.zeros((0, 3), dtype=np.int64)) == 0
@@ -577,6 +648,61 @@ def _transvection_product(curves, J):
             x = apply(c, x)
         columns.append(x)
     return [[columns[j][i] for j in range(m)] for i in range(m)]
+
+
+class TestClosedFormTransvect:
+    """``transvect`` in compact-WY form against the Python-int ``_transvection_product``."""
+
+    @staticmethod
+    def _curves(rng, m, r):
+        return [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(m)] for _ in range(r)]
+
+    @staticmethod
+    def _exact(M, curves, J):
+        M = np.array(M, dtype=object)
+        return (M @ np.array(_transvection_product(curves, J), dtype=object)).tolist()
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
+    def test_seeded_curves_with_any_pairings(self, n, k):
+        S = build_cover(Context(n, k))
+        J, m = S.J.tolist(), S.h1_rank
+        rng = random.Random(31 * n + k)
+        nonzero = 0
+        for _ in range(12):
+            curves = self._curves(rng, m, rng.randrange(1, 8))
+            nonzero += sum(pairing(S, np.array(a), np.array(b)) != 0
+                           for a in curves for b in curves)
+            got = cover_mod.transvect(S, cover_mod.identity(S), np.array(curves))
+            assert got.dtype == np.int64
+            assert got.tolist() == _transvection_product(curves, J), curves
+        assert nonzero >= 50
+
+    def test_repeated_curves(self):
+        S = build_cover(Context(2, 3))
+        J, m = S.J.tolist(), S.h1_rank
+        rng = random.Random(2)
+        for _ in range(10):
+            a, b = self._curves(rng, m, 2)
+            for curves in ([a, a], [a, a, a], [a, b, a], [a, b, a, b, b]):
+                got = cover_mod.transvect(S, cover_mod.identity(S), np.array(curves))
+                assert got.tolist() == _transvection_product(curves, J), curves
+
+    def test_non_identity_matrix(self):
+        S = build_cover(Context(2, 3))
+        J, m = S.J.tolist(), S.h1_rank
+        rng = random.Random(3)
+        for _ in range(10):
+            M = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(m)]
+            curves = self._curves(rng, m, rng.randrange(1, 6))
+            before = np.array(M, dtype=np.int64)
+            got = cover_mod.transvect(S, before, np.array(curves))
+            assert got.tolist() == self._exact(M, curves, J), curves
+            assert before.tolist() == M  # the input is not changed
+        lifts = cover_mod.h_chain(S, 2)
+        M = lift_rep(S, "r1")
+        assert cover_mod.transvect(S, M, lifts).tolist() == self._exact(
+            M.tolist(), lifts.tolist(), J
+        )
 
 
 class TestLiftReps:
@@ -735,6 +861,22 @@ class TestLiftProduct:
     def test_overflowing_power_raises(self, S, few_products):
         with pytest.raises(OverflowError):
             lift_product(S, "t1,2^1000000000000000000")
+
+    def test_text_is_one_chained_product(self, S, few_products):
+        text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1"  # no power to take
+        want = lift_product(S, text)  # builds and caches every token
+        few_products.clear()
+        assert np.array_equal(lift_product(S, text), want)
+        assert few_products == [8]  # one cover.mul call with eight factors
+        few_products.clear()
+        lift_product(S, "t3,4")
+        assert few_products == [1]
+
+    def test_one_token_text_is_a_fresh_array(self, S):
+        for text in ("t1,2", "h2^-1", "r1"):
+            M = lift_product(S, text)
+            M[0, 0] += 1
+            assert not np.array_equal(lift_product(S, text), M), text
 
     def test_repeated_tokens_are_read_once(self, S, monkeypatch):
         read = []
