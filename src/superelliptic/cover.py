@@ -479,31 +479,35 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
     ``"zeta"`` (deck rotation), ``"zeta_prime"`` (the boundary-twist lift,
     as its twist factorization ``t_chain_factors(1, 2n+1)``).  ``r1`` and
     ``zeta_prime`` are read as lift text by :func:`lift_product`.  Each lift
-    is checked symplectic once, when it is first built.
+    is checked symplectic once, when it is first built.  A bad kind or
+    index raises ``ValueError`` before the cache is read.
     """
     ctx = surface.ctx
+    n = ctx.n
+    if kind in ("t", "h"):
+        top = ctx.num_arcs if kind == "t" else 2 * n
+        if isinstance(index, bool) or not isinstance(index, int) or not 1 <= index <= top:
+            raise ValueError(f"{kind}-lift index {index!r} out of range 1..{top}")
+    elif kind not in ("zeta", "r", "r1", "zeta_prime"):
+        raise ValueError(f"unknown lift name {kind!r}")
+    elif index is not None:
+        raise ValueError(f"{kind}-lift takes no index, got {index!r}")
     key = (ctx, kind, index)
     if key in _LIFT_CACHE:
         return _LIFT_CACHE[key].copy()
 
-    n = ctx.n
     if kind == "zeta":
         M = _induced_matrix(surface, _deck_cycle_map(surface))
     elif kind == "r":
         M = _induced_matrix(surface, _half_turn_cycle_map(surface))
     elif kind in ("t", "h"):
-        top = ctx.num_arcs if kind == "t" else 2 * n
-        if not (index and 1 <= index <= top):
-            raise ValueError(f"{kind}-lift index {index} out of range 1..{top}")
         # the product of the twists about the lifted curves, in row order
         curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
         M = transvect(surface, identity(surface), curves)
     elif kind == "r1":
         M = lift_product(surface, "r " + factors_to_tokens(F_factors(n)))
-    elif kind == "zeta_prime":
+    else:  # zeta_prime
         M = lift_product(surface, factors_to_tokens(t_chain_factors(1, ctx.num_arcs)))
-    else:
-        raise ValueError(f"unknown lift name {kind!r}")
 
     if not is_symplectic(surface, M):
         raise AssertionError(f"lift {kind}/{index} is not symplectic")

@@ -248,10 +248,11 @@ class _TokenMemo(dict):
     size = 0  # one per token plus one per unit letter; bounded by _MEMO_SIZE
 
 
-# Memory bounds only, set above the largest traffic measured: a pass of the
-# oracle-queries benchmark uses 6 contexts, and verify-all at (8,3) fills one
-# memo to size 8683 (312 tokens).  A full memo of 1-letter tokens holds about
-# 3.4 MB, so at most about 27 MB are held over 8 contexts.
+# Memory bounds: a pass of the oracle-queries benchmark uses 6 contexts, and
+# verify-all at (8,3) fills one memo to size 9850 (338 tokens).  Base-side
+# runs at n = 16 and 32 fill it (389 and 384 tokens); the tokens read after
+# that are parsed at each occurrence.  A full memo of 1-letter tokens holds
+# about 3.4 MB, so at most about 27 MB are held over 8 contexts.
 _MEMO_CONTEXTS = 8
 _MEMO_SIZE = 16384
 
@@ -272,31 +273,25 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
     token, its exponent included, is counted before its letters are built, and
     one that would pass the budget raises :class:`BudgetError`.
 
-    A memo per :class:`Context` maps each ``s``/``h``/``t`` token that was
-    read without error (``s3``, ``s5^-1``, ``t2,4^-3``, ``h1^(2n)``) to
-    ``(letter count, unit letters, repeats)``, which are pure functions of
-    the token, ``n`` and ``k``.  A token that raises is never stored.  A
-    named word (``r1``, ``r``, ``F``, ``hchain_t``), or a token that no
-    longer fits in the memo (:data:`_MEMO_SIZE`), is kept for the rest of the
-    call only, so it is read once per call.
+    A memo per :class:`Context` maps each token that was read without error
+    (``s3``, ``s5^-1``, ``t2,4^-3``, ``h1^(2n)``, ``r1``) to ``(letter count,
+    unit letters, repeats)``, which are pure functions of the token, ``n``
+    and ``k``.  A token that raises, or one that no longer fits in the memo
+    (:data:`_MEMO_SIZE`), is never stored and is parsed at each occurrence.
     The budget check runs on every occurrence of a token, memoized or not,
     with the same count and before any of its letters are added.
     """
     budget = oracle.resolve_budget(budget)
     memo = _token_memo(ctx)
-    local: dict[str, tuple[int, tuple[int, ...], int]] = {}
     letters: list[int] = []
     for tok in text.split():
-        entry = memo.get(tok) or local.get(tok)
+        entry = memo.get(tok)
         if entry is None:
             entry = _parse_token(tok, ctx, len(letters), budget)
             size = memo.size + 1 + len(entry[1])
-            # a named word is not memoized, so a replaced _WORDS entry takes effect at once
-            if size <= _MEMO_SIZE and tok.partition("^")[0] not in _WORDS:
+            if size <= _MEMO_SIZE:
                 memo[tok] = entry
                 memo.size = size
-            else:
-                local[tok] = entry
         elif len(letters) + entry[0] > budget:  # the call only raises; skip it otherwise
             _check_budget(tok, len(letters) + entry[0], budget)
         letters += entry[1] * entry[2]

@@ -786,6 +786,22 @@ class TestLiftReps:
         with pytest.raises(ValueError):
             lift_rep(S, "t", 99)
 
+    def test_a_stray_index_raises_the_same_error_cold_and_warm(self):
+        S = build_cover(Context(1, 3))
+        cover_mod._LIFT_CACHE.clear()
+        errors = []
+        for _ in range(2):  # cold, then with t2, zeta and the gamma_2 lifts cached
+            for kind, index in [("t", 2.0), ("t", True), ("h", 1.0), ("zeta", 7), ("r1", 1),
+                                ("gamma", 2)]:
+                with pytest.raises(ValueError) as exc:
+                    lift_rep(S, kind, index)
+                errors.append(str(exc.value))
+            lift_rep(S, "t", 2), lift_rep(S, "zeta")
+        assert errors[:6] == errors[6:]
+        assert errors[0] == "t-lift index 2.0 out of range 1..3"
+        assert errors[3] == "zeta-lift takes no index, got 7"
+        assert {key[1:] for key in cover_mod._LIFT_CACHE} == {("t", 2), ("gamma", 2), ("zeta", None)}
+
 
 class TestLiftProduct:
     @pytest.fixture(scope="class")

@@ -246,10 +246,10 @@ class TestTokenMemo:
         for text, budget in cases:  # warmed by every text before it
             want = _outcome(referees.expand_token_text, text, ctx, budget)
             assert _outcome(expand_token_text, text, ctx, budget) == want, (text, budget)
-        # only tokens that parsed are kept, and no named word
-        for tok in generators._token_memo(ctx):
-            assert tok.partition("^")[0] not in generators._WORDS
-            referees._token_letters(tok, ctx, [], 10**7)
+        # only tokens that parsed are kept, each with the letters it parses to
+        for tok, (count, unit, repeats) in generators._token_memo(ctx).items():
+            assert unit * repeats == referees._token_letters(tok, ctx, [], 10**7), tok
+            assert count == len(unit * repeats), tok
 
     def test_memo_is_per_context(self):
         # t1,4 is trivial at n = 1 only, and h1^(k) depends on k: no two share a memo
@@ -260,14 +260,22 @@ class TestTokenMemo:
 
     def test_budget_counts_every_occurrence_of_a_memoized_token(self):
         ctx = Context(1, 3)
-        expand_token_text("h1^2", ctx)  # memoized: 6 letters
-        assert len(expand_token_text("h1^2 h1^2", ctx, budget=12)) == 12
-        with pytest.raises(BudgetError, match="'h1\\^2' takes word text to 12 letters"):
-            expand_token_text("h1^2 h1^2", ctx, budget=11)
+        generators._token_memo.cache_clear()
+        for tok, letters in [("h1^2", 6), ("r", 6), ("hchain_t", 5)]:
+            text, over = f"{tok} {tok}", 2 * letters - 1
+            errors = []
+            for _ in range(2):  # cold, then with the token memoized by the first occurrence
+                with pytest.raises(BudgetError) as exc:
+                    expand_token_text(text, ctx, budget=over)
+                errors.append(str(exc.value))
+                assert tok in generators._token_memo(ctx)
+            want = f"token {tok!r} takes word text to {2 * letters} letters, over budget {over}"
+            assert errors == [want] * 2
+            assert expand_token_text(text, ctx, budget=over + 1) == referees.expand_token_text(text, ctx)
         with pytest.raises(BudgetError):  # a huge exponent is counted, never built
             expand_token_text("s1 s1^1000000000000", ctx)
 
-    def test_a_full_memo_keeps_its_entries_and_reads_the_rest_per_call(self, monkeypatch):
+    def test_a_full_memo_keeps_its_entries_and_parses_the_rest_at_each_occurrence(self, monkeypatch):
         # 1-letter tokens s1, s2, ... each take size 2, so the last one no longer fits
         cap = generators._MEMO_SIZE
         ctx = Context(cap // 4 + 1, 3)  # cap // 2 + 3 arcs
@@ -287,13 +295,13 @@ class TestTokenMemo:
         text = f"{toks[0]} {toks[-1]} {toks[-1]}^-1 {toks[-1]}"
         for _ in range(2):
             assert expand_token_text(text, ctx) == referees.expand_token_text(text, ctx)
-        assert parsed == [toks[-1], f"{toks[-1]}^-1"] * 2
-        assert (len(memo), memo.size) == (cap // 2, cap)
+        assert parsed == [toks[-1], f"{toks[-1]}^-1", toks[-1]] * 2
+        assert (len(memo), memo.size) == (cap // 2, cap) and toks[-1] not in memo
         generators._token_memo.cache_clear()  # free the large memo
 
     @pytest.mark.parametrize("memo_size", [0, generators._MEMO_SIZE])
-    def test_a_token_is_built_once_per_call_or_once_per_memo(self, monkeypatch, memo_size):
-        # t1,9 at n = 4 is 72 letters; r1 is a named word and never memoized
+    def test_a_token_is_built_at_each_occurrence_or_once_per_memo(self, monkeypatch, memo_size):
+        # t1,9 at n = 4 is 72 letters; r1 is a named word, memoized as any other token
         ctx, text = Context(4, 3), "t1,9 r1 t1,9 r1 t1,9^-1 t1,9"
         want = referees.expand_token_text(text, ctx)  # the referee builds through the same names
         monkeypatch.setattr(generators, "_MEMO_SIZE", memo_size)
@@ -307,8 +315,18 @@ class TestTokenMemo:
         generators._token_memo.cache_clear()
         for _ in range(3):
             assert expand_token_text(text, ctx) == want
-        # the two t1,9 tokens are built once per call without a memo, once in all with one
-        assert built == {"t": 2 * 3 if memo_size == 0 else 2, "r1": 3}
+        # without a memo every occurrence is built; with one, t1,9, t1,9^-1 and r1 once each
+        assert built == ({"t": 4 * 3, "r1": 2 * 3} if memo_size == 0 else {"t": 2, "r1": 1})
+
+    def test_a_named_word_is_built_once_per_memo(self, monkeypatch):
+        ctx, text = Context(3, 3), "r1 s1 r1"
+        want = referees.expand_token_text(text, ctx)
+        built = []
+        monkeypatch.setitem(generators._WORDS, "r1", lambda c: built.append(c) or gen_r1(c))
+        generators._token_memo.cache_clear()
+        for _ in range(3):
+            assert expand_token_text(text, ctx) == want
+        assert built == [ctx]
 
 
 class TestOracleBackedIdentities:

@@ -180,7 +180,11 @@ class TestVerifiers:
     )
     def test_generator_validation_catches_a_wrong_word(self, monkeypatch, name, word):
         monkeypatch.setitem(generators._WORDS, name, word)
-        claim = verify("generators-validation", Context(2, 3))
+        generators._token_memo.cache_clear()  # drop the words memoized from the right entry
+        try:
+            claim = verify("generators-validation", Context(2, 3))
+        finally:  # and those memoized from the wrong one, before any later test reads them
+            generators._token_memo.cache_clear()
         assert claim.status == "fail", claim.detail
 
     @pytest.mark.parametrize("n", [1, 2, 3])
