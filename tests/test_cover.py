@@ -796,7 +796,8 @@ class TestLiftReps:
                 with pytest.raises(ValueError) as exc:
                     lift_rep(S, kind, index)
                 errors.append(str(exc.value))
-            lift_rep(S, "t", 2), lift_rep(S, "zeta")
+            lift_rep(S, "t", 2)
+            lift_rep(S, "zeta")
         assert errors[:6] == errors[6:]
         assert errors[0] == "t-lift index 2.0 out of range 1..3"
         assert errors[3] == "zeta-lift takes no index, got 7"
