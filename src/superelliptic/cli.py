@@ -13,9 +13,9 @@ Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
 where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer included), a report that ``--out`` cannot write
-(nothing is printed then) or a homology product that would
-overflow int64 (a lift power such as ``t1,2^1000000000000000000``; lift
+is not a positive integer, and ``liftable`` at k = 2, included), a report
+that ``--out`` cannot write (nothing is printed then) or a homology product
+that would overflow int64 (a lift power such as ``t1,2^1000000000000000000``; lift
 exponents may be any size, since powers are taken by squaring), 3 letter
 budget exceeded.  A reader
 that closes stdout early (``| head -n 1``) ends the output quietly: nothing
@@ -123,12 +123,8 @@ def _cmd_eq(args) -> int:
 
 def _cmd_liftable(args) -> int:
     ctx = Context(args.n, args.k)
-    if ctx.k == 2:
-        print(
-            "warning: k = 2 (hyperelliptic): every mapping class lifts; "
-            "the liftable theory here targets k >= 3",
-            file=sys.stderr,
-        )
+    if ctx.k == 2:  # hyperelliptic: every mapping class lifts; the tests below need k >= 3
+        raise ValueError("liftable needs k >= 3; at k = 2 every mapping class lifts")
     if args.kind == "word":
         w = expand_token_text(args.input, ctx, _budget(args))
         cls = parity(psi(w, ctx), ctx)

@@ -18,34 +18,32 @@ their four ends in the cyclic order of the vertex link.
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
 half-rotation, as the rows of an int64 array with ``2g`` columns.
-Twists act by transvections ``x -> x + <x, c> c``.  :func:`transvect`
-applies a run of ``r`` of them in the compact-WY form of a product of
-rank-one updates, ``M -> M + (M C^T) X JC`` with the curves ``c`` as the
-rows of ``C``, the ``(J c)^T`` as the rows of ``JC`` and ``X`` a unit upper
-triangular ``r x r`` matrix, so a lifted twist costs no ``2g x 2g``
-product; the deck rotation and the half-turn act through their edge maps
-directly.  :func:`lift_rep` builds and caches one named lift, and
-:func:`lift_product` reads a product of named lifts from text
-(``r1 t1,2 r1^-1``) as one chained product.  The homology representation
-is a necessary-condition shadow only (it is not faithful); every
-verification built on it is labeled accordingly by the theorem suite.
+Twists act by transvections ``x -> x + <x, c> c``.  A ``t`` or ``h`` lift
+is a product of them, kept as a block ``(U, B)``: the matrix is ``B`` on
+the rows and columns ``U``, the supports of its curves and of their
+``J``-images, and the identity elsewhere (:func:`_twist_block`, in
+compact-WY form).  The deck rotation and the half-turn act through their
+edge maps and are dense.  :func:`lift_product` is the one lift evaluator:
+it reads lift text (``r1 t1,2 r1^-1``) token by token, and a block
+factor rewrites only the columns ``U`` of the running product.
+:func:`lift_rep` returns one named lift as a dense matrix.  The homology
+representation is a necessary-condition shadow only (it is not
+faithful); every verification built on it is labeled accordingly by the
+theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
 form from the vertex-link positions in one broadcast, and stores
 everything as ``int64`` (``OverflowError`` if an entry does not fit); the
 symplectic basis ``P`` is reduced on sparse rows of Python ints
-(:func:`intmat.symplectic_change_of_basis`).  The cover's products (the
-check that the relations pair to zero, ``J = basis^T crossing basis``, the
-check ``P^T J P = J0`` and ``J^-1 = -P J0 P^T``) and every later product
-of homology matrices go through :func:`intmat.mul`, imported here as
-``mul``.  It bounds every entry and partial sum by
-``max|A| * max|B| * inner_dim`` and takes one of two exact paths: below
-``2**53`` a float64 (BLAS) product, below ``2**62`` an int64 product.  At
-``2**62`` and above it raises ``OverflowError``.  Over a chain of factors
-it carries ``max|A|`` as the previous step's bound and rescans the running
-product only when that bound reaches ``2**53``.  :func:`transvect` adds
-its update to ``M`` only when ``max|M| + max|update| < 2**62``.  So a
+(:func:`intmat.symplectic_change_of_basis`).  Every later product of
+homology matrices is a step of an :class:`intmat.Chain`, through
+:func:`intmat.mul` (imported here as ``mul``) or directly.  It bounds each
+step's entries and partial sums by ``max|A| * max|B| * inner_dim`` and
+takes one of two exact paths: below ``2**53`` a float64 (BLAS) product,
+below ``2**62`` an int64 product.  At ``2**62`` and above it raises
+``OverflowError``.  It carries ``max|A|`` as the previous step's bound and
+rescans the running product only when that bound reaches ``2**53``.  So a
 result is exact or the call raises: it never wraps or rounds and never
 falls back to object arithmetic.
 """
@@ -61,7 +59,7 @@ import numpy as np
 from . import intmat
 from .errors import DoesNotLiftError, WordSyntaxError
 from .generators import F_factors, factors_to_tokens, t_chain_factors
-from .intmat import _as_int64, _check_bound, _max_abs, mul
+from .intmat import Chain, _as_int64, _max_abs, mul
 from .liftability import CurveClass, curve_monodromy, gamma_curve
 from .words import Context
 
@@ -331,8 +329,8 @@ def identity(surface: CoverSurface) -> np.ndarray:
     return np.eye(surface.h1_rank, dtype=np.int64)
 
 
-def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.ndarray:
-    """``M T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves``, as a new array.
+def _twist_block(surface: CoverSurface, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves`` as a block ``(U, B)``.
 
     ``T_c = I + c (J c)^T`` is the right twist about class ``c``.  With the
     curves as the rows of ``C`` and ``JC`` the rows ``(J c_t)^T``, a product
@@ -341,22 +339,22 @@ def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.nd
 
         T_{c_1} ... T_{c_r} = I + C^T X JC,   X = (I - N)^{-1},
 
-    where ``N`` is the strict upper triangle of ``G = JC C^T``.  So the
-    result is ``M + (M C^T) X JC``: three checked :func:`mul` calls and no
-    loop over the curves.  A lifted curve meets few basis classes, so only
-    the columns of ``M`` in the supports of the ``c`` are read and only
-    those in the supports of the ``J c`` are written.  ``X`` is unit upper
-    triangular and ``r x r`` for ``r`` curves; it is solved by
-    back-substitution in Python ints and raises ``OverflowError`` if an
-    entry does not fit int64.  :func:`mul` checks each product, and the sum
-    is checked by ``max|M| + max|update| < 2**62``, so the result is exact
-    or the call raises.
+    where ``N`` is the strict upper triangle of ``G = JC C^T``.  The update
+    ``C^T X JC`` is zero outside the rows and columns ``U``, the supports of
+    the ``c`` and the ``J c``, so the product is ``B = I + C^T X JC`` on
+    ``U`` and the identity elsewhere.  ``X`` is unit upper triangular and
+    ``r x r`` for ``r`` curves; it is solved by back-substitution in Python
+    ints and raises ``OverflowError`` if an entry does not fit int64.  Every
+    product is a checked :func:`mul`, so ``B`` is exact or the call raises.
     """
     C = _as_int64(curves)
     on_c = np.flatnonzero(C.any(axis=0))  # only these columns of C are nonzero
-    C = C[:, on_c]
-    JC = mul(C, surface.J[:, on_c].T)  # row t is (J c_t)^T
-    G = mul(JC[:, on_c], C.T).tolist()  # G[i][j] = (J c_i)^T c_j
+    JC = mul(C[:, on_c], surface.J[:, on_c].T)  # row t is (J c_t)^T
+    on = JC.any(axis=0)
+    on[on_c] = True
+    U = np.flatnonzero(on)
+    C, JC = C[:, U], JC[:, U]
+    G = mul(JC, C.T).tolist()  # G[i][j] = (J c_i)^T c_j
     r = len(G)
     X = [[0] * r for _ in range(r)]
     for i in range(r - 1, -1, -1):  # row i of X = I + N X
@@ -366,13 +364,22 @@ def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.nd
             if q := G[i][l]:
                 for j in range(l, r):
                     row[j] += q * X[l][j]
-    on_jc = np.flatnonzero(JC.any(axis=0))  # the columns the update writes
-    M = _as_int64(M)
-    update = mul(M[:, on_c], C.T, np.array(X, dtype=object), JC[:, on_jc])
-    _check_bound(_max_abs(M) + _max_abs(update), "transvection")
-    M = M.copy()
-    M[:, on_jc] += update
-    return M
+    B = mul(C.T, np.array(X, dtype=object), JC)
+    B.flat[:: len(U) + 1] += 1
+    return U, B
+
+
+def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """``M T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves``, as a new array.
+
+    The twists are one block ``(U, B)`` (:func:`_twist_block`), so only the
+    columns ``U`` of ``M`` change, to ``M[:, U] B``: one :class:`intmat.Chain`
+    step, exact or ``OverflowError`` by the bound ``max|M| * max|B| * |U|``.
+    """
+    U, B = _twist_block(surface, curves)
+    chain = Chain(_as_int64(M).copy())
+    chain.times(B, _max_abs(B), U)
+    return chain.result()
 
 
 def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
@@ -380,8 +387,19 @@ def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
     return transvect(surface, identity(surface), np.asarray(c)[None])
 
 
-def is_symplectic(surface: CoverSurface, M: np.ndarray) -> bool:
-    return np.array_equal(mul(M.T, surface.J, M), surface.J)
+def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = None) -> bool:
+    """Whether ``M^T J M = J``, or with ``U`` whether the block ``(U, M)`` is symplectic.
+
+    The rows ``U`` of ``T^T J T``, for ``T`` the block's matrix, are ``X =
+    M^T J[U, :]`` with ``X[:, U]`` replaced by ``X[:, U] M``.  The other rows
+    equal those of ``J`` once these do, as ``T^T J T`` is skew.
+    """
+    if U is None:
+        return np.array_equal(mul(M.T, surface.J, M), surface.J)
+    JU = surface.J[U]
+    X = mul(M.T, JU)
+    X[:, U] = mul(X[:, U], M)
+    return np.array_equal(X, JU)
 
 
 def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
@@ -390,7 +408,10 @@ def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
 
 
 def matrix_power(surface: CoverSurface, M: np.ndarray, e: int) -> np.ndarray:
-    """``M^e`` as a new array, by squaring: about ``2 log2 |e|`` products."""
+    """``M^e`` as a new array, by squaring: about ``2 log2 |e|`` products.
+
+    ``M`` is any square matrix when ``e > 0``, and ``2g x 2g`` otherwise.
+    """
     base = M if e >= 0 else symplectic_inverse(surface, M)
     e, out = abs(e), None
     while e:
@@ -470,49 +491,96 @@ def h_chain(surface: CoverSurface, i: int) -> np.ndarray:
     return np.array(chain + [low[k - 1] if i % 2 == 1 else low[0]])
 
 
-def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.ndarray:
-    """Homology matrix of a named lift.
+class _Factor:
+    """One lift token's matrix: ``B`` on the rows and columns ``U`` and the
+    identity elsewhere, or ``B`` itself when ``U`` is None; ``top = max|B|``.
+    ``B`` is read-only."""
 
-    Kinds: ``"t"`` (index i: lift of the twist about points i, i+1),
-    ``"h"`` (index i: lift of the half-rotation), ``"r"`` (half-turn),
-    ``"r1"`` (rotation lift, ``r F`` over the lifts of ``F_factors``),
-    ``"zeta"`` (deck rotation), ``"zeta_prime"`` (the boundary-twist lift,
-    as its twist factorization ``t_chain_factors(1, 2n+1)``).  ``r1`` and
-    ``zeta_prime`` are read as lift text by :func:`lift_product`.  Each lift
-    is checked symplectic once, when it is first built.  A bad kind or
-    index raises ``ValueError`` before the cache is read.
-    """
-    ctx = surface.ctx
-    n = ctx.n
+    __slots__ = ("U", "B", "top")
+
+    def __init__(self, U: np.ndarray | None, B: np.ndarray):
+        B.flags.writeable = False
+        self.U, self.B, self.top = U, B, _max_abs(B)
+
+
+def _check_lift(ctx: Context, kind: str, index) -> None:
+    """``ValueError`` unless ``kind`` and ``index`` name a lift at ``ctx``."""
     if kind in ("t", "h"):
-        top = ctx.num_arcs if kind == "t" else 2 * n
+        top = ctx.num_arcs if kind == "t" else 2 * ctx.n
         if isinstance(index, bool) or not isinstance(index, int) or not 1 <= index <= top:
             raise ValueError(f"{kind}-lift index {index!r} out of range 1..{top}")
     elif kind not in ("zeta", "r", "r1", "zeta_prime"):
         raise ValueError(f"unknown lift name {kind!r}")
     elif index is not None:
         raise ValueError(f"{kind}-lift takes no index, got {index!r}")
-    key = (ctx, kind, index)
-    if key in _LIFT_CACHE:
-        return _LIFT_CACHE[key].copy()
 
-    if kind == "zeta":
-        M = _induced_matrix(surface, _deck_cycle_map(surface))
-    elif kind == "r":
-        M = _induced_matrix(surface, _half_turn_cycle_map(surface))
-    elif kind in ("t", "h"):
+
+def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
+    """The lift ``kind``/``index`` to the power ``e != 0``, built once per context.
+
+    A ``t`` or ``h`` lift is a block (:func:`_twist_block`), the others are
+    dense, and each is checked symplectic once (:func:`is_symplectic`).  An
+    inverse is ``J^-1 T^T J`` in closed form on the block, and a power
+    squares the block or matrix (:func:`matrix_power`).
+    """
+    key = (surface.ctx, kind, index, e)
+    if key not in _LIFT_CACHE:
+        _LIFT_CACHE[key] = _build_lift(surface, kind, index, e)
+    return _LIFT_CACHE[key]
+
+
+def _build_lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
+    if e == -1:  # J^-1 T^T J is I + J^-1[U,U] (B - I)^T J[U,U] on U, I elsewhere
+        f = _lift(surface, kind, index, 1)
+        J, Jinv = surface.J, surface.Jinv
+        if f.U is not None:
+            J, Jinv = J[f.U[:, None], f.U], Jinv[f.U[:, None], f.U]
+        eye = np.eye(len(f.B), dtype=np.int64)
+        return _Factor(f.U, mul(Jinv, (f.B - eye).T, J) + eye)
+    if e != 1:
+        f = _lift(surface, kind, index, 1 if e > 0 else -1)
+        return _Factor(f.U, matrix_power(surface, f.B, abs(e)))
+    ctx = surface.ctx
+    if kind in ("t", "h"):
         # the product of the twists about the lifted curves, in row order
         curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
-        M = transvect(surface, identity(surface), curves)
+        f = _Factor(*_twist_block(surface, curves))
+    elif kind == "zeta":
+        f = _Factor(None, _induced_matrix(surface, _deck_cycle_map(surface)))
+    elif kind == "r":
+        f = _Factor(None, _induced_matrix(surface, _half_turn_cycle_map(surface)))
     elif kind == "r1":
-        M = lift_product(surface, "r " + factors_to_tokens(F_factors(n)))
+        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(ctx.n))))
     else:  # zeta_prime
-        M = lift_product(surface, factors_to_tokens(t_chain_factors(1, ctx.num_arcs)))
-
-    if not is_symplectic(surface, M):
+        text = factors_to_tokens(t_chain_factors(1, ctx.num_arcs))
+        f = _Factor(None, lift_product(surface, text))
+    if not is_symplectic(surface, f.B, f.U):
         raise AssertionError(f"lift {kind}/{index} is not symplectic")
-    _LIFT_CACHE[key] = M
-    return M.copy()
+    return f
+
+
+def _dense(surface: CoverSurface, f: _Factor) -> np.ndarray:
+    """The ``2g x 2g`` matrix of a lift factor, as a new array."""
+    if f.U is None:
+        return f.B.copy()
+    M = identity(surface)
+    M[f.U[:, None], f.U] = f.B
+    return M
+
+
+def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.ndarray:
+    """Homology matrix of a named lift, as a new dense int64 array.
+
+    Kinds: ``"t"`` (index i: lift of the twist about points i, i+1),
+    ``"h"`` (index i: lift of the half-rotation), ``"r"`` (half-turn),
+    ``"r1"`` (rotation lift, ``r F`` over the lifts of ``F_factors``),
+    ``"zeta"`` (deck rotation), ``"zeta_prime"`` (the boundary-twist lift,
+    as its twist factorization ``t_chain_factors(1, 2n+1)``).  ``r1`` and
+    ``zeta_prime`` are read as lift text by :func:`lift_product`.  A bad
+    kind or index raises ``ValueError`` before the cache is read.
+    """
+    _check_lift(surface.ctx, kind, index)
+    return _dense(surface, _lift(surface, kind, index, 1))
 
 
 # a lift token: a named lift, h<i> or t<i>,<j>, then an optional integer exponent
@@ -522,39 +590,55 @@ _LIFT_TOKEN_RE = re.compile(r"(?:(zeta_prime|zeta|r1|r)|h(\d+)|t(\d+),(\d+))(?:\
 def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
     """Homology matrix of lift text, e.g. ``r1 t1,2 r1^-1`` or ``zeta h3^2``.
 
-    The one reader of lift names: whitespace-separated tokens ``zeta``,
-    ``zeta_prime``, ``r``, ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the
-    :func:`lift_rep` kinds), each with an optional integer exponent of any
-    size.  The result is the left-to-right product of the cached lift
-    matrices, taken by one chained :func:`mul` call; each distinct token is
-    read once, in text order, a power goes through :func:`matrix_power`, and
-    empty text is the identity.  An unknown token, a twist ``t<i>,<j>`` with
-    ``j != i+1`` or a malformed exponent raises :class:`WordSyntaxError`; a
-    power or product whose entries outgrow int64 raises ``OverflowError``
-    (:func:`mul`).
+    The one lift evaluator.  Tokens are ``zeta``, ``zeta_prime``, ``r``,
+    ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the :func:`lift_rep` kinds), each
+    with an optional integer exponent of any size; the result is their
+    left-to-right product as a new int64 array, and empty text is the
+    identity.  Each distinct token is read once per call and built once per
+    context (:func:`_lift`): a ``t`` or ``h`` power as a block ``(U, B)``,
+    the others dense.  The running product is one :class:`intmat.Chain`, in
+    which a block rewrites only the columns ``U`` of the product, or, as the
+    first factor, the rows ``U`` of a dense second one.  So the result is
+    exact or the call raises ``OverflowError``.  An unknown token, a twist
+    ``t<i>,<j>`` with ``j != i+1`` or a malformed exponent raises
+    :class:`WordSyntaxError`, and an index out of range ``ValueError``.
     """
     tokens = text.split()
-    if not tokens:
-        return identity(surface)
     built = {tok: _lift_token(surface, tok) for tok in dict.fromkeys(tokens)}
-    return mul(*(built[tok] for tok in tokens))  # one token: its own fresh array
+    factors = [built[tok] for tok in tokens if built[tok] is not None]
+    if not factors:
+        return identity(surface)
+    first, rest = factors[0], factors[1:]
+    if first.U is None:
+        chain = Chain(first.B.copy(), first.top)
+    elif rest and rest[0].U is None:
+        dense = rest.pop(0)
+        chain = Chain(dense.B.copy(), dense.top)
+        chain.times(first.B, first.top, first.U, left=True)
+    else:
+        chain = Chain(_dense(surface, first))
+    for f in rest:
+        chain.times(f.B, f.top, f.U)
+    return chain.result()
 
 
-def _lift_token(surface: CoverSurface, tok: str) -> np.ndarray:
-    """The homology matrix of one lift token of :func:`lift_product`."""
+def _lift_token(surface: CoverSurface, tok: str) -> _Factor | None:
+    """The factor of one lift token of :func:`lift_product`; None for a zeroth power."""
     m = _LIFT_TOKEN_RE.fullmatch(tok)
     if not m:
         raise WordSyntaxError(f"unknown lift token {tok!r}")
     named, h, i, j, e = m.groups()
     if named:
-        M = lift_rep(surface, named)
+        kind, index = named, None
     elif h:
-        M = lift_rep(surface, "h", int(h))
+        kind, index = "h", int(h)
     elif int(j) == int(i) + 1:
-        M = lift_rep(surface, "t", int(i))
+        kind, index = "t", int(i)
     else:
         raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
-    return M if e is None else matrix_power(surface, M, int(e))
+    _check_lift(surface.ctx, kind, index)
+    e = 1 if e is None else int(e)
+    return _lift(surface, kind, index, e) if e else None
 
 
 def check_normalizes_deck(M: np.ndarray, surface: CoverSurface) -> int | None:

@@ -143,7 +143,12 @@ def factors_to_tokens(factors) -> str:
 
 
 def gen_F(ctx: Context) -> Word:
-    return expand_token_text(factors_to_tokens(F_factors(ctx.n)), ctx)
+    """``F`` from its factor list; the caller's budget has counted its letters."""
+    letters: list[int] = []
+    for kind, params, e in F_factors(ctx.n):
+        base = (gen_h if kind == "h" else gen_t)(*params, ctx).letters
+        letters += (base if e > 0 else tuple(map(neg, reversed(base)))) * abs(e)
+    return Word.from_letters(ctx, letters)
 
 
 def gen_hchain_t(ctx: Context) -> Word:

@@ -3,10 +3,11 @@
 :func:`smith_normal_form` and the Bareiss elimination behind
 :func:`rank_rational` and :func:`det_exact` work on Python ints in numpy
 ``object`` arrays, and :func:`symplectic_change_of_basis` on sparse rows
-of Python ints, so none of them can overflow.  :func:`mul` works in
-``int64``: each product of a chain is computed only when a bound on every
-entry and partial sum is below ``2**62``, and raises ``OverflowError``
-otherwise, so a result is exact or the call raises; it never wraps.  The
+of Python ints, so none of them can overflow.  A :class:`Chain` of
+products, and :func:`mul` through it, works in ``int64``: each product is
+computed only when a bound on every entry and partial sum is below
+``2**62``, and raises ``OverflowError`` otherwise, so a result is exact or
+the call raises; it never wraps.  The
 cover derives its homology apparatus with these functions and stores it as
 int64 (see :mod:`superelliptic.cover`).  Sizes stay small (at most a few
 hundred rows), so the cubic classics are plenty: Smith form with
@@ -41,28 +42,88 @@ def _check_bound(bound: int, what: str) -> None:
         raise OverflowError(f"int64 {what} bound {bound} >= 2**62")
 
 
-def mul(*factors) -> np.ndarray:
-    """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
+class Chain:
+    """A running exact int64 product ``A @ B @ ...`` that carries its bound.
 
-    Factors are matrices or vectors, converted by :func:`_as_int64`; each
-    distinct factor object is converted and scanned once per call.  Before
-    each product, ``bound = max|out| * max|B| * inner_dim`` bounds every
-    entry and every partial sum of the result, in any summation order.
-    ``max|out|`` is carried from step to step as the previous step's bound;
-    ``out`` is rescanned only when that carried bound reaches ``2**53``, so
-    the int64 path and the ``OverflowError`` are decided on its true maximum.
+    Before each step, ``bound = top * max|B| * inner_dim`` bounds every entry
+    and every partial sum of the step's product, in any summation order.
+    ``top >= max|out|`` is carried from step to step as the previous step's
+    bound; ``out`` is rescanned only when that carried bound reaches
+    ``2**53``, so the int64 path and the ``OverflowError`` are decided on its
+    true maximum.
 
-    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS), and the
-      running product stays float64 for the next step.  Each term and each
-      partial sum is then an integer below ``2**53``, which float64 holds
-      exactly, so neither the summation order nor fused multiply-adds can
-      round.  (An entry at or above ``2**53`` is rounded on conversion, but
-      then the other factor is zero and so is the product.)
+    - ``bound < 2**53``: the product runs as float64 ``@`` (BLAS).  Each term
+      and each partial sum is then an integer below ``2**53``, which float64
+      holds exactly, so neither the summation order nor fused multiply-adds
+      can round.  (An entry at or above ``2**53`` is rounded on conversion,
+      but then the other factor is zero and so is the product.)
     - ``2**53 <= bound < 2**62``: the product runs as int64 ``@``, the only
       exact path there; no int64 sum can wrap.
     - ``bound >= 2**62``: ``OverflowError``.
 
-    The result is int64.
+    A block step (:meth:`times` with ``U``) rewrites rows or columns of
+    ``out`` in place, so ``out`` must then be the chain's own array.
+    """
+
+    __slots__ = ("out", "top", "exact")
+
+    def __init__(self, A, top: int | None = None):
+        """Start from ``A``; ``top`` is ``max|A|`` when the caller knows it."""
+        self.out = _as_int64(A)
+        self.top = _max_abs(self.out) if top is None else top
+        self.exact = True  # top is max|out| itself, not a carried bound
+
+    def times(self, B: np.ndarray, b: int, U: np.ndarray | None = None, left: bool = False) -> None:
+        """``out @ B``, given ``b >= max|B|``.
+
+        With ``U``, the step is ``out[:, U] @ B`` into the columns ``U``, or
+        with ``left`` ``B @ out[U]`` into the rows ``U``: the product by the
+        matrix that is ``B`` on the rows and columns ``U`` and the identity
+        elsewhere, on the right or on the left.
+        """
+        if U is None:
+            X, Y = self.out, B
+        elif left:
+            X, Y = B, self.out[U]
+        else:
+            X, Y = self.out[:, U], B
+        d = X.shape[-1]
+        bound = self.top * b * d
+        if bound >= _FLOAT_BOUND and not self.exact:
+            self.top = _max_abs(self.out)
+            bound = self.top * b * d
+        if bound < _FLOAT_BOUND:
+            P = X.astype(np.float64, copy=False) @ Y.astype(np.float64, copy=False)
+        elif bound < _PRODUCT_BOUND:
+            P = X.astype(np.int64, copy=False) @ Y.astype(np.int64, copy=False)
+        else:
+            raise OverflowError(
+                f"int64 product bound {bound} >= 2**62 (shapes {X.shape} @ {Y.shape})"
+            )
+        self.exact = False
+        if U is None:
+            self.out, self.top = P, bound
+            return
+        if P.dtype == np.int64:  # keep int64 entries at or above 2**53 exact
+            self.out = self.out.astype(np.int64, copy=False)
+        if left:
+            self.out[U] = P
+        else:
+            self.out[:, U] = P
+        self.top = max(self.top, bound)
+
+    def result(self) -> np.ndarray:
+        return self.out.astype(np.int64, copy=False)
+
+
+def mul(*factors) -> np.ndarray:
+    """Checked exact int64 product ``factors[0] @ factors[1] @ ...``, left to right.
+
+    Factors are matrices or vectors, converted by :func:`_as_int64`; each
+    distinct factor object is converted and scanned once per call.  The
+    product is one :class:`Chain`, which decides each step's path (float64
+    below ``2**53``, int64 below ``2**62``) and raises ``OverflowError`` at
+    ``2**62`` and above.  The result is int64.
     """
     scanned: dict[int, tuple[np.ndarray, int]] = {}  # id(factor) -> (int64 array, max|.|)
 
@@ -72,25 +133,10 @@ def mul(*factors) -> np.ndarray:
             scanned[id(f)] = (A, _max_abs(A))
         return scanned[id(f)]
 
-    out, top = scan(factors[0])  # top >= max|out|; exact while `rescanned`
-    rescanned = True
+    chain = Chain(*scan(factors[0]))
     for f in factors[1:]:
-        B, b = scan(f)
-        d = out.shape[-1]
-        bound = top * b * d
-        if bound >= _FLOAT_BOUND and not rescanned:
-            top = _max_abs(out)
-            bound = top * b * d
-        if bound < _FLOAT_BOUND:
-            out = out.astype(np.float64, copy=False) @ B.astype(np.float64)
-        elif bound < _PRODUCT_BOUND:
-            out = out.astype(np.int64, copy=False) @ B
-        else:
-            raise OverflowError(
-                f"int64 product bound {bound} >= 2**62 (shapes {out.shape} @ {B.shape})"
-            )
-        top, rescanned = bound, False
-    return out.astype(np.int64, copy=False)
+        chain.times(*scan(f))
+    return chain.result()
 
 
 def as_object_matrix(A) -> np.ndarray:

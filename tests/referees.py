@@ -3,8 +3,9 @@
 Each function here computes what a package function computes, by the
 direct method the package used before it was made fast: Python ints in
 ``object`` arrays, dense products, per-pair and per-entry loops, one
-coordinate slice per braid letter, token text parsed with no memo and the
-star check run on the full-twist power spelled out letter by letter.
+coordinate slice per braid letter, token text parsed with no memo, the
+star check run on the full-twist power spelled out letter by letter and
+lift text as one chained product of dense token matrices.
 Tests compare the package's results with these entry for entry.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from superelliptic import cover, intmat
 from superelliptic import generators as G
-from superelliptic import intmat
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.oracle import cap_to_star, resolve_budget
 from superelliptic.words import Word, exponent_sum, psi
@@ -164,6 +165,39 @@ def twist_lift(J: np.ndarray, curves) -> np.ndarray:
         assert int(np.abs(M).max()) * int(np.abs(T).max()) * m < 2**62
         M = M @ T
     return M
+
+
+def lift_token(surface, name: str) -> np.ndarray:
+    """The dense ``2g x 2g`` matrix of one lift name (a token without exponent).
+
+    ``t`` and ``h`` lifts are dense twist products (:func:`twist_lift`),
+    ``r1`` and ``zeta_prime`` their factor texts read by :func:`lift_product`,
+    and ``zeta`` and ``r`` the cover's edge-map matrices.
+    """
+    n = surface.ctx.n
+    if name in ("zeta", "r"):
+        return cover.lift_rep(surface, name)
+    if name == "r1":
+        return lift_product(surface, "r " + G.factors_to_tokens(G.F_factors(n)))
+    if name == "zeta_prime":
+        return lift_product(surface, G.factors_to_tokens(G.t_chain_factors(1, 2 * n + 1)))
+    if name.startswith("h"):
+        return twist_lift(surface.J, cover.h_chain(surface, int(name[1:])))
+    i, j = map(int, name[1:].split(","))
+    assert j == i + 1, name
+    return twist_lift(surface.J, cover._gamma_lifts(surface, i))
+
+
+def lift_product(surface, text: str) -> np.ndarray:
+    """Lift text as the dense chain: each token a ``2g x 2g`` matrix, its power
+    by :func:`cover.matrix_power`, and all of them one chained :func:`intmat.mul`."""
+    factors = []
+    for tok in text.split():
+        name, _, e = tok.partition("^")
+        factors.append(cover.matrix_power(surface, lift_token(surface, name), int(e or 1)))
+    if not factors:
+        return np.eye(surface.h1_rank, dtype=np.int64)
+    return intmat.mul(*factors)
 
 
 def _chord_sign(a_in: int, a_out: int, b_in: int, b_out: int, size: int) -> int:

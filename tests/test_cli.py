@@ -97,9 +97,12 @@ class TestLiftable:
         code, out, _ = run(capsys, "liftable", "curve", "x1", "--n", "2", "--k", "3")
         assert code == 0 and "does not lift" in out
 
-    def test_k2_warns(self, capsys):
-        _, _, err = run(capsys, "liftable", "word", "h1", "--n", "1", "--k", "2")
-        assert "k = 2" in err
+    def test_k2_is_refused(self, capsys):
+        # at k = 2 every mapping class lifts: no verdict, one error line, exit 2
+        for kind, text in [("word", "s1"), ("word", "h1"), ("curve", "x1 x2")]:
+            code, out, err = run(capsys, "liftable", kind, text, "--n", "1", "--k", "2")
+            assert code == 2 and not out, (kind, text)
+            assert err == "error: liftable needs k >= 3; at k = 2 every mapping class lifts\n"
 
 
 class TestCover:

@@ -801,7 +801,10 @@ class TestLiftReps:
         assert errors[:6] == errors[6:]
         assert errors[0] == "t-lift index 2.0 out of range 1..3"
         assert errors[3] == "zeta-lift takes no index, got 7"
-        assert {key[1:] for key in cover_mod._LIFT_CACHE} == {("t", 2), ("gamma", 2), ("zeta", None)}
+        # t2 as its block to the power 1, zeta dense, and the gamma_2 lifts t2 is built from
+        assert {key[1:] for key in cover_mod._LIFT_CACHE} == {
+            ("t", 2, 1), ("gamma", 2), ("zeta", None, 1)
+        }
 
 
 class TestLiftProduct:
@@ -879,15 +882,20 @@ class TestLiftProduct:
         with pytest.raises(OverflowError):
             lift_product(S, "t1,2^1000000000000000000")
 
-    def test_text_is_one_chained_product(self, S, few_products):
-        text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1"  # no power to take
-        want = lift_product(S, text)  # builds and caches every token
-        few_products.clear()
-        assert np.array_equal(lift_product(S, text), want)
-        assert few_products == [8]  # one cover.mul call with eight factors
-        few_products.clear()
-        lift_product(S, "t3,4")
-        assert few_products == [1]
+    def test_each_distinct_token_is_built_once_per_context(self, S, monkeypatch):
+        text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1"  # h2^1 is h2
+        want = referees.lift_product(S, text)
+        built = []
+        real = cover_mod._build_lift
+        monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or real(*a))
+        cover_mod._LIFT_CACHE.clear()
+        for _ in range(3):
+            assert lift_product(S, text).tolist() == want.tolist()
+        assert len(built) == len(set(built))  # r1 builds r and its F tokens, once each
+        assert {("t", 1, 1), ("h", 2, 1), ("r1", None, 1), ("zeta", None, 1)} <= set(built)
+        count = len(built)
+        lift_product(S, "h2^+1 r t1,2 h2^1")
+        assert len(built) == count  # a warm context builds nothing
 
     def test_one_token_text_is_a_fresh_array(self, S):
         for text in ("t1,2", "h2^-1", "r1"):
@@ -896,11 +904,106 @@ class TestLiftProduct:
             assert not np.array_equal(lift_product(S, text), M), text
 
     def test_repeated_tokens_are_read_once(self, S, monkeypatch):
-        read = []
-        real = cover_mod.lift_rep
-        monkeypatch.setattr(cover_mod, "lift_rep", lambda *a: read.append(a) or real(*a))
-        M = lift_product(S, "h1^-1 h1^-1 t1,2 h1^-1 t1,2")
-        assert read == [(S, "h", 1), (S, "t", 1)]
-        h_inv = cover_mod.symplectic_inverse(S, real(S, "h", 1)).astype(object)
-        t = real(S, "t", 1).astype(object)
-        assert np.array_equal(M, h_inv @ h_inv @ t @ h_inv @ t)
+        text = "h1^-1 h1^-1 t1,2 h1^-1 t1,2"
+        want = referees.lift_product(S, text)
+        read, built = [], []
+        token, build = cover_mod._lift_token, cover_mod._build_lift
+        monkeypatch.setattr(cover_mod, "_lift_token", lambda *a: read.append(a[1]) or token(*a))
+        monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or build(*a))
+        cover_mod._LIFT_CACHE.clear()
+        for _ in range(2):
+            assert lift_product(S, text).tolist() == want.tolist()
+        assert read == ["h1^-1", "t1,2"] * 2  # once per distinct token and call
+        # h1^-1 is the closed-form inverse of the checked h1 block; all built once
+        assert built == [("h", 1, -1), ("h", 1, 1), ("t", 1, 1)]
+
+
+class TestLiftEvaluator:
+    """The block evaluator against the dense chain of ``referees.lift_product``."""
+
+    @staticmethod
+    def _texts(n, rng):
+        names = ["zeta", "zeta_prime", "r", "r1"] + [f"h{i}" for i in range(1, 2 * n + 1)]
+        names += [f"t{i},{i + 1}" for i in range(1, 2 * n + 2)]
+        exponents = ["", "", "^1", "^-1", "^2", "^-2", "^3", "^-3", "^0", "^+2", "^5", "^-7"]
+        texts = []
+        for _ in range(10):
+            toks = [rng.choice(names) + rng.choice(exponents) for _ in range(rng.randrange(1, 7))]
+            texts.append(" ".join(toks + [rng.choice(toks)] * rng.randrange(3)))  # repeats
+        return texts + ["h1^-1 h1^-1 t1,2 h1^-1 t1,2", "t2,3 r1", "r1 t1,2 r1^-1", "h1^0", ""]
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (6, 6)])
+    def test_random_texts_match_the_dense_chain_cold_and_warm(self, n, k):
+        S = build_cover(Context(n, k))
+        texts = self._texts(n, random.Random(100 * n + k))
+        want = [referees.lift_product(S, text) for text in texts]
+        cover_mod._LIFT_CACHE.clear()
+        for _ in range(2):  # cold, then with every token built
+            for text, M in zip(texts, want):
+                got = lift_product(S, text)
+                assert got.dtype == np.int64 and got.tolist() == M.tolist(), text
+
+    def test_large_entries_take_the_int64_path_exactly(self):
+        # entries pass 2**53, so the column steps must leave float64 and stay exact
+        S = build_cover(Context(2, 3))
+        # (after r r, a full float64 product, the running product is float64)
+        texts = ["t1,2^100000000 t2,3^100000000", "zeta t1,2^100000000 t2,3^-100000000",
+                 "r r zeta t1,2^100000000 t2,3^-100000000",
+                 "t2,3^3000000 r1 t1,2^3000000 t2,3^-3000000"]
+        for text in texts:
+            assert lift_product(S, text).tolist() == referees.lift_product(S, text).tolist(), text
+        assert int(np.abs(lift_product(S, texts[0])).max()) > 2**53
+
+    def test_overflowing_powers_and_products_raise_the_same_error_cold_and_warm(self):
+        S = build_cover(Context(2, 3))
+        big = 10**18
+        for text in [f"t1,2^{big}", f"t1,2^{-big}", f"r1 t1,2^{big}",
+                     "h1 t1,2^1000000000 t2,3^1000000000", "t1,2^1000000000 t2,3^1000000000 h1"]:
+            cover_mod._LIFT_CACHE.clear()
+            errors = []
+            for _ in range(2):  # cold, then with the tokens that fit built
+                with pytest.raises(OverflowError, match="2\\*\\*62") as exc:
+                    lift_product(S, text)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1], text
+
+    def test_huge_h_powers_end_quickly_and_exactly(self, few_products):
+        # h1 has order 6 on homology at (2, 3): every power is exact, by squaring
+        S = build_cover(Context(2, 3))
+        for e in (1000000000, -(10**18), 10**18 + 1):
+            want = referees.lift_product(S, f"h1^{e % 6}")
+            assert lift_product(S, f"h1^{e}").tolist() == want.tolist(), e
+
+    def test_a_tampered_block_fails_the_block_check(self, monkeypatch):
+        S = build_cover(Context(2, 3))
+        J = S.J
+        cover_mod._LIFT_CACHE.clear()
+        f = cover_mod._lift(S, "h", 1, 1)
+        assert cover_mod.is_symplectic(S, f.B, f.U)
+        for a, b in [(0, 0), (0, 1), (len(f.U) - 1, 0)]:
+            B = f.B.copy()
+            B[a, b] += 1
+            assert not cover_mod.is_symplectic(S, B, f.U), (a, b)
+        # a shear on a pair {u, v} with <u, v> = 1 keeps B^T J[U,U] B = J[U,U], but
+        # moves the pairings with a class outside U, which the columns outside U catch
+        u, v = next((u, v) for u in range(S.h1_rank) for v in range(S.h1_rank)
+                    if J[u, v] == 1 and np.count_nonzero(J[u]) > 1)
+        U, B = np.array(sorted((u, v))), np.array([[1, 1], [0, 1]], dtype=np.int64)
+        assert np.array_equal(B.T @ J[np.ix_(U, U)] @ B, J[np.ix_(U, U)])
+        dense = np.eye(S.h1_rank, dtype=np.int64)
+        dense[np.ix_(U, U)] = B
+        assert not cover_mod.is_symplectic(S, dense)
+        assert not cover_mod.is_symplectic(S, B, U)
+        # and the check runs on every token built
+        real = cover_mod._twist_block
+
+        def tampered(surface, curves):
+            U, B = real(surface, curves)
+            B[0, 0] += 1
+            return U, B
+
+        monkeypatch.setattr(cover_mod, "_twist_block", tampered)
+        cover_mod._LIFT_CACHE.clear()
+        with pytest.raises(AssertionError, match="lift h/1 is not symplectic"):
+            lift_product(S, "h1")
+        cover_mod._LIFT_CACHE.clear()

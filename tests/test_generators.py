@@ -182,6 +182,18 @@ class TestTokenSyntax:
         with pytest.raises(BudgetError, match=repr(name)):
             expand_token_text(name, Context(n, 3), budget=10)
 
+    def test_F_is_read_under_the_callers_budget_alone(self, monkeypatch):
+        # F is 33 letters at n = 3, and under a default budget of 20 its own
+        # text would stop at h5^-1; the caller's budget of 100 is the only one
+        ctx = Context(3, 3)
+        want = expand_token_text(factors_to_tokens(F_factors(3)), ctx)
+        monkeypatch.setattr(generators.oracle, "DEFAULT_BUDGET", 20)
+        generators._token_memo.cache_clear()
+        assert expand_token_text("F", ctx, budget=100) == want and len(want) == 33
+        generators._token_memo.cache_clear()
+        with pytest.raises(BudgetError, match="token 'F' takes word text to 33 letters"):
+            expand_token_text("F", ctx, budget=32)
+
     def test_factor_list_rendering(self):
         factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))
         assert factors_to_tokens(factors) == "h1^-1 t4,5^2 t2,3"
