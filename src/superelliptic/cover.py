@@ -391,15 +391,16 @@ def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = N
     """Whether ``M^T J M = J``, or with ``U`` whether the block ``(U, M)`` is symplectic.
 
     The rows ``U`` of ``T^T J T``, for ``T`` the block's matrix, are ``X =
-    M^T J[U, :]`` with ``X[:, U]`` replaced by ``X[:, U] M``.  The other rows
-    equal those of ``J`` once these do, as ``T^T J T`` is skew.
+    M^T J[U, :]`` with ``X[:, U]`` replaced by ``X[:, U] M``: two steps of
+    one :class:`intmat.Chain`.  The other rows equal those of ``J`` once
+    these do, as ``T^T J T`` is skew.
     """
-    if U is None:
-        return np.array_equal(mul(M.T, surface.J, M), surface.J)
-    JU = surface.J[U]
-    X = mul(M.T, JU)
-    X[:, U] = mul(X[:, U], M)
-    return np.array_equal(X, JU)
+    J = surface.J if U is None else surface.J[U]
+    b = _max_abs(M)
+    chain = Chain(M.T, b)
+    chain.times(J, _max_abs(J))
+    chain.times(M, b, U)
+    return np.array_equal(chain.result(), J)
 
 
 def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
