@@ -24,7 +24,6 @@ from .generators import (
     gen_hchain_t,
     gen_r,
     gen_r1,
-    gen_sigma,
     gen_t,
 )
 from .oracle import (
@@ -35,7 +34,6 @@ from .oracle import (
     eq_sphere,
     eq_star,
     is_inner,
-    order_of,
     sphere_action,
 )
 from .liftability import (
@@ -44,10 +42,8 @@ from .liftability import (
     curve_monodromy,
     curve_parse,
     gamma_curve,
-    in_W,
     is_liftable_word,
     parity,
-    w_parity_map,
     w_size,
 )
 from .cover import (

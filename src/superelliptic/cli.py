@@ -13,13 +13,13 @@ Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
 exponents; parenthesized exponents may be linear in n and k, e.g.
 ``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
 where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer, and ``liftable`` at k = 2, included), a report
-that ``--out`` cannot write (nothing is printed then) or a homology product
-that would overflow int64 (a lift power such as ``t1,2^1000000000000000000``; lift
-exponents may be any size, since powers are taken by squaring), 3 letter
-budget exceeded.  A reader
-that closes stdout early (``| head -n 1``) ends the output quietly: nothing
-is printed to stderr and the exit code is the one the command computed.
+is not a positive integer, and ``liftable`` or ``verify-all`` at k = 2), a
+report that ``--out`` cannot write (nothing is printed then) or a homology
+product that would overflow int64 (a lift power such as
+``t1,2^1000000000000000000``; lift exponents may be any size, since powers
+are taken by squaring), 3 letter budget exceeded.  A reader that closes
+stdout early (``| head -n 1``) ends the output quietly: nothing is printed
+to stderr and the exit code is the one the command computed.
 """
 
 from __future__ import annotations

@@ -369,22 +369,9 @@ def _twist_block(surface: CoverSurface, curves: np.ndarray) -> tuple[np.ndarray,
     return U, B
 
 
-def transvect(surface: CoverSurface, M: np.ndarray, curves: np.ndarray) -> np.ndarray:
-    """``M T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves``, as a new array.
-
-    The twists are one block ``(U, B)`` (:func:`_twist_block`), so only the
-    columns ``U`` of ``M`` change, to ``M[:, U] B``: one :class:`intmat.Chain`
-    step, exact or ``OverflowError`` by the bound ``max|M| * max|B| * |U|``.
-    """
-    U, B = _twist_block(surface, curves)
-    chain = Chain(_as_int64(M).copy())
-    chain.times(B, _max_abs(B), U)
-    return chain.result()
-
-
 def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
     """Transvection of the right twist about class ``c``: ``x -> x + <x, c> c``."""
-    return transvect(surface, identity(surface), np.asarray(c)[None])
+    return _dense(surface, _Factor(*_twist_block(surface, np.asarray(c)[None])))
 
 
 def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = None) -> bool:
@@ -403,25 +390,32 @@ def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = N
     return np.array_equal(chain.result(), J)
 
 
-def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic integer matrix: ``J^{-1} M^T J``."""
-    return mul(surface.Jinv, M.T, surface.J)
+def symplectic_inverse(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
+    """``I + J^-1 (M - I)^T J = J^-1 M^T J``, the inverse of a symplectic ``M``.
 
-
-def matrix_power(surface: CoverSurface, M: np.ndarray, e: int) -> np.ndarray:
-    """``M^e`` as a new array, by squaring: about ``2 log2 |e|`` products.
-
-    ``M`` is any square matrix when ``e > 0``, and ``2g x 2g`` otherwise.
+    With ``U``, ``M`` is the ``B`` of a twist block and ``J``, ``J^-1`` are
+    restricted to ``U x U``, outside which ``J^-1 (B - I)^T J`` is zero (its
+    columns are curves ``c``, its rows ``J c``): the inverse block's ``B``.
     """
-    base = M if e >= 0 else symplectic_inverse(surface, M)
-    e, out = abs(e), None
-    while e:
+    J, Jinv = surface.J, surface.Jinv
+    if U is not None:
+        J, Jinv = J[U[:, None], U], Jinv[U[:, None], U]
+    eye = np.eye(len(M), dtype=np.int64)
+    return mul(Jinv, (M - eye).T, J) + eye
+
+
+def matrix_power(M: np.ndarray, e: int) -> np.ndarray:
+    """``M^e`` for ``e >= 1`` as a new array, by squaring: about ``2 log2 e`` products."""
+    if e < 1:
+        raise ValueError(f"matrix_power needs e >= 1, got {e}")
+    out = None
+    while True:
         if e & 1:
-            out = base.copy() if out is None else mul(out, base)
+            out = M.copy() if out is None else mul(out, M)
         e >>= 1
-        if e:
-            base = mul(base, base)
-    return identity(surface) if out is None else out
+        if not e:
+            return out
+        M = mul(M, M)
 
 
 def _induced_matrix(surface: CoverSurface, chain_map: np.ndarray) -> np.ndarray:
@@ -517,31 +511,24 @@ def _check_lift(ctx: Context, kind: str, index) -> None:
 
 
 def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
-    """The lift ``kind``/``index`` to the power ``e != 0``, built once per context.
+    """The lift ``kind``/``index`` to the power ``e != 0``.
 
-    A ``t`` or ``h`` lift is a block (:func:`_twist_block`), the others are
-    dense, and each is checked symplectic once (:func:`is_symplectic`).  An
-    inverse is ``J^-1 T^T J`` in closed form on the block, and a power
-    squares the block or matrix (:func:`matrix_power`).
-    """
-    key = (surface.ctx, kind, index, e)
+    Its factors to the powers 1 and -1 are built once per context and cached:
+    a ``t`` or ``h`` lift is a block (:func:`_twist_block`), the others are
+    dense, each is checked symplectic once (:func:`is_symplectic`), and its
+    inverse is :func:`symplectic_inverse`.  A larger power is squared from
+    one of them on each call (:func:`matrix_power`) and not cached."""
+    key = (surface.ctx, kind, index, 1 if e > 0 else -1)
     if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = _build_lift(surface, kind, index, e)
-    return _LIFT_CACHE[key]
+        _LIFT_CACHE[key] = _build_lift(surface, kind, index, key[3])
+    f = _LIFT_CACHE[key]
+    return f if abs(e) == 1 else _Factor(f.U, matrix_power(f.B, abs(e)))
 
 
-def _build_lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
-    if e == -1:  # J^-1 T^T J is I + J^-1[U,U] (B - I)^T J[U,U] on U, I elsewhere
+def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> _Factor:
+    if sign < 0:
         f = _lift(surface, kind, index, 1)
-        J, Jinv = surface.J, surface.Jinv
-        if f.U is not None:
-            J, Jinv = J[f.U[:, None], f.U], Jinv[f.U[:, None], f.U]
-        eye = np.eye(len(f.B), dtype=np.int64)
-        return _Factor(f.U, mul(Jinv, (f.B - eye).T, J) + eye)
-    if e != 1:
-        f = _lift(surface, kind, index, 1 if e > 0 else -1)
-        return _Factor(f.U, matrix_power(surface, f.B, abs(e)))
-    ctx = surface.ctx
+        return _Factor(f.U, symplectic_inverse(surface, f.B, f.U))
     if kind in ("t", "h"):
         # the product of the twists about the lifted curves, in row order
         curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
@@ -551,9 +538,9 @@ def _build_lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> 
     elif kind == "r":
         f = _Factor(None, _induced_matrix(surface, _half_turn_cycle_map(surface)))
     elif kind == "r1":
-        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(ctx.n))))
+        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(surface.ctx.n))))
     else:  # zeta_prime
-        text = factors_to_tokens(t_chain_factors(1, ctx.num_arcs))
+        text = factors_to_tokens(t_chain_factors(1, surface.ctx.num_arcs))
         f = _Factor(None, lift_product(surface, text))
     if not is_symplectic(surface, f.B, f.U):
         raise AssertionError(f"lift {kind}/{index} is not symplectic")
@@ -595,14 +582,14 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
     ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the :func:`lift_rep` kinds), each
     with an optional integer exponent of any size; the result is their
     left-to-right product as a new int64 array, and empty text is the
-    identity.  Each distinct token is read once per call and built once per
-    context (:func:`_lift`): a ``t`` or ``h`` power as a block ``(U, B)``,
-    the others dense.  The running product is one :class:`intmat.Chain`, in
-    which a block rewrites only the columns ``U`` of the product, or, as the
-    first factor, the rows ``U`` of a dense second one.  So the result is
-    exact or the call raises ``OverflowError``.  An unknown token, a twist
-    ``t<i>,<j>`` with ``j != i+1`` or a malformed exponent raises
-    :class:`WordSyntaxError`, and an index out of range ``ValueError``.
+    identity.  Each distinct token is read once per call (:func:`_lift`): a
+    ``t`` or ``h`` power as a block ``(U, B)``, the others dense.  The
+    running product is one :class:`intmat.Chain`, in which a block rewrites
+    only the columns ``U`` of the product, or, as the first factor, the rows
+    ``U`` of a dense second one.  So the result is exact or the call raises
+    ``OverflowError``.  An unknown token, a twist ``t<i>,<j>`` with ``j !=
+    i+1`` or a malformed exponent raises :class:`WordSyntaxError`, and an
+    index out of range ``ValueError``.
     """
     tokens = text.split()
     built = {tok: _lift_token(surface, tok) for tok in dict.fromkeys(tokens)}

@@ -38,10 +38,6 @@ from .words import Context, Word, psi  # noqa: F401  unused; perfbench traces ge
 Factor = tuple[str, tuple[int, ...], int]
 
 
-def gen_sigma(i: int, ctx: Context) -> Word:
-    return Word(ctx, (i,))
-
-
 def gen_h(i: int, ctx: Context) -> Word:
     if not (1 <= i <= 2 * ctx.n):
         raise ValueError(f"h index {i} out of range 1..{2 * ctx.n}")

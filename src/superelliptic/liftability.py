@@ -47,20 +47,8 @@ def parity(perm: Permutation, ctx: Context) -> ParityClass:
     return _parity_of([perm(x) for x in range(1, ctx.num_points + 1)])
 
 
-def in_W(perm: Permutation, ctx: Context) -> bool:
-    return parity(perm, ctx) is not ParityClass.NEITHER
-
-
 def is_liftable_word(w: Word, ctx: Context) -> bool:
-    return in_W(psi(w, ctx), ctx)
-
-
-def w_parity_map(perm: Permutation, ctx: Context) -> int:
-    """0 for parity-preserving, 1 for parity-reversing; a mod-2 homomorphism."""
-    cls = parity(perm, ctx)
-    if cls is ParityClass.NEITHER:
-        raise ValueError("permutation is not parity-preserving or -reversing")
-    return 0 if cls is ParityClass.PRESERVING else 1
+    return parity(psi(w, ctx), ctx) is not ParityClass.NEITHER
 
 
 def w_size(ctx: Context) -> int:

@@ -336,34 +336,3 @@ def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> b
 
 
 _EQ = {"disk": eq_disk, "star": eq_star, "sphere": eq_sphere}
-
-
-def order_of(
-    w: Word,
-    group: str,
-    ctx: Context,
-    max_order: int | None = None,
-    *,
-    budget: int | None = None,
-) -> int | None:
-    """Least ``1 <= d <= max_order`` with ``w^d = 1`` in the group, else None."""
-    if group not in _EQ:
-        raise ValueError(f"group must be one of {sorted(_EQ)}, got {group!r}")
-    eq = _EQ[group]
-    if max_order is None:
-        max_order = 2 * ctx.num_points + 2
-    empty = Word.identity(ctx)
-    cur = w
-    for d in range(1, max_order + 1):
-        if eq(cur, empty, ctx, budget=budget):
-            return d
-        if d < max_order:
-            cur = cur * w
-    return None
-
-
-def boundary_word_is_fixed(phi: FreeAutomorphism, budget: int | None = None) -> bool:
-    """Whether the automorphism fixes ``x_1 x_2 ... x_m`` exactly (disk case)."""
-    m = phi.rank
-    boundary = FreeWord(m, tuple(range(1, m + 1)))
-    return phi.apply(boundary, budget) == boundary

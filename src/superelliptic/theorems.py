@@ -210,22 +210,35 @@ def _rows(n: int, **match) -> list[_Row]:
     ]
 
 
-def verify(cid: str, ctx: Context, budget: int | None = None) -> Claim:
-    """Make claim ``cid`` at ``ctx`` from its row of the claim table.
+def _table_row(cid: str, ctx: Context) -> _Row:
+    """The row of claim ``cid`` at ``ctx``; ``ValueError`` unless it exists there.
 
-    ``cid`` must be a row that exists at ``ctx.n`` (``ValueError`` naming its
-    n-range otherwise).  A certificate claim stores its statement as the
-    witness, which must hold (:func:`_certificate_verdict`); a computed claim
-    runs its check.  ``ok`` True passes, False fails and None skips.  An
-    oracle that runs over its letter budget skips the claim; a witness is
-    kept either way.  ``elapsed`` covers the verdict or the check alone.
-    """
+    A base or liftability row needs k >= 3: at k = 2 every mapping class
+    lifts, so the parity group W that those rows are about is not the
+    liftable group."""
     row = _TABLE.get(cid)
     if row is None:
         raise ValueError(f"claim {cid!r} is not in the claim table")
     if not row.exists(ctx.n):
         span = f"n >= {row.lo}" if row.hi is None else f"{row.lo} <= n <= {row.hi}"
         raise ValueError(f"claim {cid!r} exists for {span}, not n = {ctx.n}")
+    if ctx.k == 2 and row.section in ("base", "liftability"):
+        raise ValueError(f"claim {cid!r} needs k >= 3; at k = 2 every mapping class lifts")
+    return row
+
+
+def verify(cid: str, ctx: Context, budget: int | None = None) -> Claim:
+    """Make claim ``cid`` at ``ctx`` from its row of the claim table.
+
+    ``cid`` must be a row that exists at ``ctx.n`` (``ValueError`` naming its
+    n-range otherwise), and a base or liftability row needs ``ctx.k >= 3``
+    (:func:`_table_row`).  A certificate claim stores its statement as the
+    witness, which must hold (:func:`_certificate_verdict`); a computed claim
+    runs its check.  ``ok`` True passes, False fails and None skips.  An
+    oracle that runs over its letter budget skips the claim; a witness is
+    kept either way.  ``elapsed`` covers the verdict or the check alone.
+    """
+    row = _table_row(cid, ctx)
     if row.kind == "computed":
         check, witness = partial(row.make, ctx), None
     else:
@@ -688,10 +701,10 @@ def _reverify_claim(cdict: dict, header: dict, budget: int) -> bool | None:
         return False
     if cdict["status"] == "skipped":
         return None
-    row = _TABLE.get(cid)
-    if row is None or row.group != cdict["group"] or not row.exists(n):
-        return False
     ctx = Context(n, k)
+    row = _table_row(cid, ctx)
+    if row.group != cdict["group"]:
+        return False
     if row.kind == "computed":
         return cdict["status"] == verify(cid, ctx, budget).status
     instances = (cdict.get("witness") or {}).get("instances") or []
@@ -707,7 +720,8 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
     A computed claim is re-derived by running its own check (:func:`verify`)
     at the claim's own ``n`` and ``k``.  A claim whose ``n`` or ``k`` differs
     from the header's (where the header states them; a bundle of claims may
-    leave them out), an id and group not in the claim table at that ``n``, a
+    leave them out), an id and group not in the claim table at that ``n``
+    (or a base or liftability claim at k = 2, :func:`_table_row`), a
     malformed claim or instance (not an object, a missing field, text that
     does not parse, a lift power that overflows), each listing of a claim
     after its first at the same ``n`` and ``k`` (even of a skipped claim), and

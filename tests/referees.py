@@ -189,12 +189,24 @@ def lift_token(surface, name: str) -> np.ndarray:
 
 
 def lift_product(surface, text: str) -> np.ndarray:
-    """Lift text as the dense chain: each token a ``2g x 2g`` matrix, its power
-    by :func:`cover.matrix_power`, and all of them one chained :func:`intmat.mul`."""
+    """Lift text as the dense chain: each token a ``2g x 2g`` matrix, its
+    inverse ``J^-1 M^T J`` and its power by squaring in ``object`` arrays,
+    and all of them one chained :func:`intmat.mul`."""
+    J, Jinv = surface.J.astype(object), surface.Jinv.astype(object)
     factors = []
     for tok in text.split():
         name, _, e = tok.partition("^")
-        factors.append(cover.matrix_power(surface, lift_token(surface, name), int(e or 1)))
+        M, e = lift_token(surface, name).astype(object), int(e or 1)
+        if e < 0:
+            M, e = Jinv @ M.T @ J, -e
+        power = intmat.identity_object(surface.h1_rank)
+        while e:
+            if e & 1:
+                power = power @ M
+            e >>= 1
+            if e:
+                M = M @ M
+        factors.append(power)
     if not factors:
         return np.eye(surface.h1_rank, dtype=np.int64)
     return intmat.mul(*factors)

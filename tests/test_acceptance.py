@@ -19,7 +19,6 @@ from superelliptic import (
     eq_sphere,
     gamma_curve,
     lift_rep,
-    order_of,
     pairing,
     psi,
 )
@@ -65,8 +64,9 @@ def test_02_rotation_factorization():
 def test_03_generator_orders():
     for n in (1, 2, 3, 4):
         ctx = Context(n, 3)
-        assert order_of(gen_r(ctx), "sphere", ctx) == 2, f"n={n}"
-        assert order_of(gen_r1(ctx), "sphere", ctx) == 2 * n + 2, f"n={n}"
+        for w, order in ((gen_r(ctx), 2), (gen_r1(ctx), 2 * n + 2)):
+            trivial = [d for d in range(1, order + 1) if eq_sphere(w**d, Word.identity(ctx), ctx)]
+            assert trivial == [order], f"n={n}"
     announce("3-generator-orders", "r has order 2, r1 has order 2n+2, n=1..4")
 
 

@@ -156,6 +156,14 @@ class TestCover:
 
 
 class TestVerifyAll:
+    def test_verify_all_refuses_k2_and_cover_keeps_it(self, capsys):
+        code, out, err = run(capsys, "verify-all", "--n", "2", "--k", "2")
+        assert code == 2 and not out
+        assert err == ("error: claim 'oracle-sphere-presentation' needs k >= 3; "
+                       "at k = 2 every mapping class lifts\n")
+        code, out, err = run(capsys, "cover", "info", "--n", "2", "--k", "2")
+        assert code == 0 and "genus: 2" in out and not err
+
     def test_small_run_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--n", "1", "--k", "3")
         assert code == 0

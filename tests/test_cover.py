@@ -266,6 +266,14 @@ class TestReferees:
 
 
 class TestInt64Overflow:
+    @staticmethod
+    def _block_step(S, M, curves):
+        """``M T_{c_1} ... T_{c_r}`` as one block step of an :class:`intmat.Chain`."""
+        U, B = cover_mod._twist_block(S, curves)
+        chain = intmat.Chain(M.copy())
+        chain.times(B, int(np.abs(B).max()), U)
+        return chain.result()
+
     def test_transvect_raises_instead_of_wrapping(self):
         S = build_cover(Context(1, 3))
         c = np.zeros(S.h1_rank, dtype=np.int64)
@@ -277,10 +285,10 @@ class TestInt64Overflow:
             exact = exact + np.outer(exact @ x, S.J.astype(object) @ x)
         assert max(abs(v) for v in exact.flat) >= 2**63  # no int64 result is right
         with pytest.raises(OverflowError):
-            cover_mod.transvect(S, M, curves)
+            self._block_step(S, M, curves)
         # one update already reaches the bound 2**62
         with pytest.raises(OverflowError, match="2\\*\\*62"):
-            cover_mod.transvect(S, M, c[None])
+            self._block_step(S, M, c[None])
 
     def test_transvect_is_exact_within_the_bound(self):
         S = build_cover(Context(1, 3))
@@ -289,7 +297,7 @@ class TestInt64Overflow:
         exact = M.astype(object)
         for x in curves.astype(object):
             exact = exact + np.outer(exact @ x, S.J.astype(object) @ x)
-        got = cover_mod.transvect(S, M, curves)
+        got = self._block_step(S, M, curves)
         assert got.dtype == np.int64
         assert got.tolist() == exact.tolist()
         assert M.tolist() == np.full_like(M, 2**40).tolist()  # the input is not changed
@@ -534,7 +542,7 @@ class TestLiftCycle:
         # row l - 1 is the lift from sheet l: zeta^(l-1) of the sheet-1 lift
         Mz = lift_rep(S, "zeta")
         for l in range(1, 4):
-            moved = cover_mod.mul(cover_mod.matrix_power(S, Mz, l - 1), lifts[0])
+            moved = cover_mod.mul(lift_product(S, f"zeta^{l - 1}"), lifts[0])
             assert np.array_equal(lifts[l - 1], moved)
 
     def test_deck_rotation_permutes_lifts(self):
@@ -600,6 +608,48 @@ class TestTwistMatrices:
                 assert cover_mod.is_symplectic(S, twist_matrix(S, c))
 
 
+class TestHyperelliptic:
+    """Known answers at k = 2, where the cover is the hyperelliptic one.
+
+    ``c_i`` is the first lift of ``gamma_i`` and ``T_i`` its twist.  The
+    hyperelliptic involution acts by -1 on homology, a twist about
+    ``gamma_i`` lifts to ``T_i^2``, and the ``T_i`` satisfy the braid
+    relations, the involution relation ``T_1 ... T_{2n+1} T_{2n+1} ... T_1 =
+    zeta`` and the chain relation ``(T_1 ... T_{2n+1})^{2n+2} = I``
+    (Farb-Margalit, *A Primer on Mapping Class Groups*, 2012).
+    """
+
+    @pytest.fixture(params=[1, 2, 3, 5])
+    def twists(self, request):
+        S = build_cover(Context(request.param, 2))
+        arcs = S.ctx.num_arcs
+        return S, [twist_matrix(S, cover_mod._gamma_lifts(S, i)[0]) for i in range(1, arcs + 1)]
+
+    def test_deck_rotation_is_minus_the_identity(self, twists):
+        S, _ = twists
+        assert np.array_equal(lift_rep(S, "zeta"), -identity(S))
+
+    def test_twist_lift_is_the_square_of_one_twist(self, twists):
+        S, T = twists
+        for i, Ti in enumerate(T, start=1):
+            assert np.array_equal(lift_rep(S, "t", i), Ti @ Ti), i
+
+    def test_braid_relations(self, twists):
+        _, T = twists
+        for a in range(len(T)):
+            for b in range(a + 1, len(T)):
+                if b == a + 1:
+                    assert np.array_equal(T[a] @ T[b] @ T[a], T[b] @ T[a] @ T[b]), (a, b)
+                else:
+                    assert np.array_equal(T[a] @ T[b], T[b] @ T[a]), (a, b)
+
+    def test_involution_and_chain_relations(self, twists):
+        S, T = twists
+        chain = cover_mod.mul(*T)
+        assert np.array_equal(cover_mod.mul(*T, *T[::-1]), lift_rep(S, "zeta"))
+        assert np.array_equal(cover_mod.matrix_power(chain, len(T) + 1), identity(S))
+
+
 class TestChainPattern:
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (1, 4), (2, 4)])
     def test_alternating_family_is_chain(self, n, k):
@@ -650,8 +700,16 @@ def _transvection_product(curves, J):
     return [[columns[j][i] for j in range(m)] for i in range(m)]
 
 
+def _twists(S, curves):
+    """``T_{c_1} ... T_{c_r}`` from its compact-WY block (``cover._twist_block``), dense."""
+    U, B = cover_mod._twist_block(S, np.array(curves))
+    M = np.eye(S.h1_rank, dtype=np.int64)
+    M[np.ix_(U, U)] = B
+    return M
+
+
 class TestClosedFormTransvect:
-    """``transvect`` in compact-WY form against the Python-int ``_transvection_product``."""
+    """Twist blocks in compact-WY form against the Python-int ``_transvection_product``."""
 
     @staticmethod
     def _curves(rng, m, r):
@@ -672,7 +730,7 @@ class TestClosedFormTransvect:
             curves = self._curves(rng, m, rng.randrange(1, 8))
             nonzero += sum(pairing(S, np.array(a), np.array(b)) != 0
                            for a in curves for b in curves)
-            got = cover_mod.transvect(S, cover_mod.identity(S), np.array(curves))
+            got = _twists(S, curves)
             assert got.dtype == np.int64
             assert got.tolist() == _transvection_product(curves, J), curves
         assert nonzero >= 50
@@ -683,8 +741,9 @@ class TestClosedFormTransvect:
         rng = random.Random(2)
         for _ in range(10):
             a, b = self._curves(rng, m, 2)
+            assert twist_matrix(S, np.array(a)).tolist() == _transvection_product([a], J), a
             for curves in ([a, a], [a, a, a], [a, b, a], [a, b, a, b, b]):
-                got = cover_mod.transvect(S, cover_mod.identity(S), np.array(curves))
+                got = _twists(S, curves)
                 assert got.tolist() == _transvection_product(curves, J), curves
 
     def test_non_identity_matrix(self):
@@ -695,12 +754,12 @@ class TestClosedFormTransvect:
             M = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(m)]
             curves = self._curves(rng, m, rng.randrange(1, 6))
             before = np.array(M, dtype=np.int64)
-            got = cover_mod.transvect(S, before, np.array(curves))
+            got = cover_mod.mul(before, _twists(S, curves))
             assert got.tolist() == self._exact(M, curves, J), curves
             assert before.tolist() == M  # the input is not changed
         lifts = cover_mod.h_chain(S, 2)
         M = lift_rep(S, "r1")
-        assert cover_mod.transvect(S, M, lifts).tolist() == self._exact(
+        assert cover_mod.mul(M, _twists(S, lifts)).tolist() == self._exact(
             M.tolist(), lifts.tolist(), J
         )
 
@@ -864,14 +923,22 @@ class TestLiftProduct:
 
     @pytest.mark.parametrize("e", range(-7, 8))
     def test_matrix_power_is_the_repeated_product(self, S, e):
-        for kind, index in [("t", 1), ("h", 2), ("r1", None), ("zeta", None)]:
+        # matrix_power takes e >= 1; a lift token's sign picks its inverse factor
+        J, Jinv = S.J.astype(object), S.Jinv.astype(object)
+        for tok, kind, index in [("t1,2", "t", 1), ("h2", "h", 2), ("r1", "r1", None),
+                                 ("zeta", "zeta", None)]:
             M = lift_rep(S, kind, index)
-            base = M if e >= 0 else cover_mod.symplectic_inverse(S, M)
+            base = M.astype(object) if e >= 0 else Jinv @ M.T.astype(object) @ J
             want = identity(S)
             for _ in range(abs(e)):
-                want = want @ base.astype(object)
-            power = cover_mod.matrix_power(S, M, e)
-            assert np.array_equal(power, want) and power is not M, (kind, e)
+                want = want @ base
+            assert np.array_equal(lift_product(S, f"{tok}^{e}"), want), (kind, e)
+            if e >= 1:
+                power = cover_mod.matrix_power(M, e)
+                assert np.array_equal(power, want) and power is not M, (kind, e)
+            else:
+                with pytest.raises(ValueError, match="e >= 1"):
+                    cover_mod.matrix_power(M, e)
 
     @pytest.mark.parametrize("e", [10**9, -(10**9), 3 * 10**40 + 2])
     def test_huge_power_takes_few_products(self, S, e, few_products):
@@ -883,7 +950,9 @@ class TestLiftProduct:
             lift_product(S, "t1,2^1000000000000000000")
 
     def test_each_distinct_token_is_built_once_per_context(self, S, monkeypatch):
-        text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1"  # h2^1 is h2
+        # a lift is built once per context; its inverse and its factors to the
+        # powers 1 and -1 are cached, and a larger power is squared on each call
+        text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1 h2^3 zeta^-2"  # h2^1 is h2
         want = referees.lift_product(S, text)
         built = []
         real = cover_mod._build_lift
@@ -892,10 +961,23 @@ class TestLiftProduct:
         for _ in range(3):
             assert lift_product(S, text).tolist() == want.tolist()
         assert len(built) == len(set(built))  # r1 builds r and its F tokens, once each
-        assert {("t", 1, 1), ("h", 2, 1), ("r1", None, 1), ("zeta", None, 1)} <= set(built)
-        count = len(built)
-        lift_product(S, "h2^+1 r t1,2 h2^1")
+        assert {("t", 1, 1), ("h", 2, 1), ("r1", None, 1), ("zeta", None, -1)} <= set(built)
+        lifts = {key[1:] for key in cover_mod._LIFT_CACHE if key[1] != "gamma"}
+        assert lifts == set(built)  # no power is kept
+        count, size = len(built), len(cover_mod._LIFT_CACHE)
+        lift_product(S, "h2^+1 r t1,2 h2^1 h2^5 zeta^-7")
         assert len(built) == count  # a warm context builds nothing
+        assert len(cover_mod._LIFT_CACHE) == size
+
+    def test_powers_leave_the_cache_as_it_was(self):
+        # at (16, 16) each dense power of zeta is a 480 x 480 int64 matrix
+        S = build_cover(Context(16, 16))
+        lift_product(S, "zeta")
+        size = len(cover_mod._LIFT_CACHE)
+        for e in range(2, 22):
+            lift_product(S, f"zeta^{e}")
+        assert len(cover_mod._LIFT_CACHE) == size
+        assert np.array_equal(lift_product(S, "zeta^21"), lift_product(S, "zeta^5"))  # k = 16
 
     def test_one_token_text_is_a_fresh_array(self, S):
         for text in ("t1,2", "h2^-1", "r1"):

@@ -15,11 +15,9 @@ from superelliptic import (
     curve_monodromy,
     curve_parse,
     gamma_curve,
-    in_W,
     is_liftable_word,
     parity,
     psi,
-    w_parity_map,
     w_size,
 )
 from superelliptic.errors import WordSyntaxError
@@ -28,6 +26,11 @@ from superelliptic.liftability import _parity_of, enumerate_W, generated_group
 from superelliptic.theorems import verify_liftability
 
 CTX = Context(2, 3)
+
+
+def _parity_bit(perm, ctx) -> int:
+    """0 for a parity-preserving permutation, 1 for a parity-reversing one."""
+    return {ParityClass.PRESERVING: 0, ParityClass.REVERSING: 1}[parity(perm, ctx)]
 
 
 class TestParity:
@@ -59,14 +62,15 @@ class TestParity:
             assert parity(p, ctx) is by_image.get(image, ParityClass.NEITHER), images
 
     def test_parity_map_values(self):
-        assert w_parity_map(psi(gen_h(1, CTX), CTX), CTX) == 0
-        assert w_parity_map(psi(gen_r(CTX), CTX), CTX) == 1
+        assert parity(psi(gen_h(1, CTX), CTX), CTX) is ParityClass.PRESERVING
+        assert parity(psi(gen_r(CTX), CTX), CTX) is ParityClass.REVERSING
         rr = psi(gen_r(CTX), CTX)
-        assert w_parity_map(rr.compose(rr), CTX) == 0
+        assert parity(rr.compose(rr), CTX) is ParityClass.PRESERVING
 
     def test_parity_map_rejects_neither(self):
-        with pytest.raises(ValueError):
-            w_parity_map(psi(Word(CTX, (1,)), CTX), CTX)
+        s1 = Word(CTX, (1,))
+        assert parity(psi(s1, CTX), CTX) is ParityClass.NEITHER
+        assert not is_liftable_word(s1, CTX)
 
     def test_parity_map_is_homomorphism(self):
         rng = random.Random(3)
@@ -74,8 +78,8 @@ class TestParity:
         ctx = Context(1, 3)
         for _ in range(200):
             a, b = rng.choice(members), rng.choice(members)
-            assert w_parity_map(a.compose(b), ctx) == (
-                w_parity_map(a, ctx) + w_parity_map(b, ctx)
+            assert _parity_bit(a.compose(b), ctx) == (
+                _parity_bit(a, ctx) + _parity_bit(b, ctx)
             ) % 2
 
 
@@ -113,7 +117,7 @@ class TestWSize:
         for n in (1, 2):
             ctx = Context(n, 3)
             kernel = {
-                p.images for p in enumerate_W(ctx) if w_parity_map(p, ctx) == 0
+                p.images for p in enumerate_W(ctx) if _parity_bit(p, ctx) == 0
             }
             gens = [
                 Permutation.transposition(ctx.num_points, i, i + 2)
@@ -216,8 +220,9 @@ class TestLiftableWords:
             assert is_liftable_word(u.inverse(), CTX)
 
     def test_in_W_matches_parity(self):
-        assert in_W(psi(gen_r(CTX), CTX), CTX)
-        assert not in_W(psi(Word(CTX, (1,)), CTX), CTX)
+        for w in (gen_r(CTX), Word(CTX, (1,)), gen_h(2, CTX), Word(CTX, (2, 3))):
+            cls = parity(psi(w, CTX), CTX)
+            assert is_liftable_word(w, CTX) is (cls is not ParityClass.NEITHER), w
 
 
 class TestCurves:

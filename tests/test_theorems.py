@@ -778,6 +778,35 @@ class TestRunAll:
                                               if c.id != "new-homology-computed"])
         assert ("new-homology-computed", False) in reverify_report(missing)
 
+    def test_base_and_liftability_rows_need_k_at_least_3(self):
+        # at k = 2 every mapping class lifts, so the W rows would state the wrong group
+        ctx = Context(2, 2)
+        for row in theorems._rows(2):
+            if row.section in ("base", "liftability"):
+                with pytest.raises(ValueError, match="needs k >= 3; at k = 2 every mapping class"):
+                    verify(row.id, ctx)
+            else:
+                assert verify(row.id, ctx).passed, row.id
+        with pytest.raises(ValueError, match="'oracle-sphere-presentation' needs k >= 3"):
+            run_all(2, 2)
+        with pytest.raises(ValueError, match="'liftability-w-size' needs k >= 3"):
+            run_all(2, 2, bounds=Bounds(base_n=0))
+
+    def test_a_hand_made_k2_report_fails_its_w_rows(self):
+        report = run_all(2, 3).to_dict()
+        report["header"]["k"] = 2
+        for cdict in report["claims"]:
+            cdict["k"] = 2
+        results = dict(reverify_report(report))
+        w_rows = ["generation-lmod-sphere", "generation-lmod-star", "generation-lmod-disk",
+                  "liftability-w-size", "liftability-w-generation"]
+        assert all(results[cid] is False for cid in w_rows)
+        # the cover rows keep k = 2
+        cover_rows = [verify(row.id, Context(2, 2)).to_dict() for row in theorems._rows(2)
+                      if row.section == "cover"]
+        bundle = {"header": {}, "claims": cover_rows}
+        assert reverify_report(bundle) == [(c["id"], True) for c in cover_rows]
+
     def test_header_mentions_conventions(self):
         report = run_all(1, 3)
         assert "rightmost" in report.header["composition"]
