@@ -9,17 +9,20 @@ Subcommands::
     cover matrix NAME                 homology matrix of lift text as JSON
     verify-all                        run the claim suite, emit the report
 
-Words use generator tokens (``s1 h3 t1,2 r r1 F hchain_t``) with integer
-exponents; parenthesized exponents may be linear in n and k, e.g.
-``r1^(2n+2)``.  Exit codes: 0 all good, 1 claim failure or false verdict
-where a command defines one, 2 usage or parse error (a letter budget that
-is not a positive integer, and ``liftable`` or ``verify-all`` at k = 2), a
-report that ``--out`` cannot write (nothing is printed then) or a homology
-product that would overflow int64 (a lift power such as
-``t1,2^1000000000000000000``; lift exponents may be any size, since powers
-are taken by squaring), 3 letter budget exceeded.  A reader that closes
-stdout early (``| head -n 1``) ends the output quietly: nothing is printed
-to stderr and the exit code is the one the command computed.
+Word, lift and curve text share one token syntax (:func:`words.read_token`):
+a name, up to two comma-separated ASCII indices and an optional exponent, an
+ASCII integer or a linear expression in n and k in parentheses
+(``r1^(2n+2)``, ``zeta^(k-1)``).  Words use the names ``s1 h3 t1,2 r r1 F
+hchain_t``, lift text ``zeta zeta_prime r r1 h<i> t<i>,<i+1>``, and curves
+``x<j>`` with the exponent 1 or -1.  Exit codes: 0 all good, 1 claim failure
+or false verdict where a command defines one, 2 usage or parse error (a
+letter budget that is not a positive integer, and ``liftable`` or
+``verify-all`` at k = 2), a report that ``--out`` cannot write (nothing is
+printed then) or a homology product that would overflow int64 (a lift power
+such as ``t1,2^1000000000000000000``; lift exponents may be any size, since
+powers are taken by squaring), 3 letter budget exceeded.  A reader that
+closes stdout early (``| head -n 1``) ends the output quietly: nothing is
+printed to stderr and the exit code is the one the command computed.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--json", action="store_true")
     p_matrix = cover_sub.add_parser("matrix", help="homology matrix of a lift or a product of lifts")
     p_matrix.add_argument("name", help="lift text: tokens zeta, zeta_prime, r, r1, h<i> or "
-                          "t<i>,<i+1>, each with an optional integer exponent, multiplied left "
+                          "t<i>,<i+1>, each with an optional exponent (an integer, or a linear "
+                          "expression in n and k in parentheses such as 'zeta^(k-1)'), multiplied left "
                           "to right (e.g. 'r1 t1,2 r1^-1'); the sides of a homology certificate "
                           "instance are lift text")
     p_matrix.add_argument("--n", type=int, required=True)

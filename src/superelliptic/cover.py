@@ -50,7 +50,6 @@ falls back to object arithmetic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +60,7 @@ from .errors import DoesNotLiftError, WordSyntaxError
 from .generators import F_factors, factors_to_tokens, t_chain_factors
 from .intmat import Chain, _as_int64, _max_abs, mul
 from .liftability import CurveClass, curve_monodromy, gamma_curve
-from .words import Context
+from .words import Context, read_token
 
 # Global handedness of the intersection form.  Pinned by the requirement
 # that the boundary-twist factorization of the deck rotation reproduces the
@@ -571,24 +570,24 @@ def lift_rep(surface: CoverSurface, kind: str, index: int | None = None) -> np.n
     return _dense(surface, _lift(surface, kind, index, 1))
 
 
-# a lift token: a named lift, h<i> or t<i>,<j>, then an optional integer exponent
-_LIFT_TOKEN_RE = re.compile(r"(?:(zeta_prime|zeta|r1|r)|h(\d+)|t(\d+),(\d+))(?:\^([+-]?\d+))?")
+_LIFT_ARITY = {"zeta": 0, "zeta_prime": 0, "r": 0, "r1": 0, "h": 1, "t": 2}  # indices per name
 
 
 def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
     """Homology matrix of lift text, e.g. ``r1 t1,2 r1^-1`` or ``zeta h3^2``.
 
     The one lift evaluator.  Tokens are ``zeta``, ``zeta_prime``, ``r``,
-    ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the :func:`lift_rep` kinds), each
-    with an optional integer exponent of any size; the result is their
+    ``r1``, ``h<i>`` and ``t<i>,<i+1>`` (the :func:`lift_rep` kinds), read
+    by :func:`words.read_token`, each with an optional exponent: an integer
+    of any size or a linear expression in n and k; the result is their
     left-to-right product as a new int64 array, and empty text is the
     identity.  Each distinct token is read once per call (:func:`_lift`): a
     ``t`` or ``h`` power as a block ``(U, B)``, the others dense.  The
     running product is one :class:`intmat.Chain`, in which a block rewrites
     only the columns ``U`` of the product, or, as the first factor, the rows
     ``U`` of a dense second one.  So the result is exact or the call raises
-    ``OverflowError``.  An unknown token, a twist ``t<i>,<j>`` with ``j !=
-    i+1`` or a malformed exponent raises :class:`WordSyntaxError`, and an
+    ``OverflowError``.  A malformed or unknown token or a twist ``t<i>,<j>``
+    with ``j != i+1`` raises :class:`WordSyntaxError`, and an
     index out of range ``ValueError``.
     """
     tokens = text.split()
@@ -612,20 +611,13 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
 
 def _lift_token(surface: CoverSurface, tok: str) -> _Factor | None:
     """The factor of one lift token of :func:`lift_product`; None for a zeroth power."""
-    m = _LIFT_TOKEN_RE.fullmatch(tok)
-    if not m:
+    kind, indices, e = read_token(tok, surface.ctx)
+    if _LIFT_ARITY.get(kind) != len(indices):
         raise WordSyntaxError(f"unknown lift token {tok!r}")
-    named, h, i, j, e = m.groups()
-    if named:
-        kind, index = named, None
-    elif h:
-        kind, index = "h", int(h)
-    elif int(j) == int(i) + 1:
-        kind, index = "t", int(i)
-    else:
+    if kind == "t" and indices[1] != indices[0] + 1:
         raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
+    index = indices[0] if indices else None
     _check_lift(surface.ctx, kind, index)
-    e = 1 if e is None else int(e)
     return _lift(surface, kind, index, e) if e else None
 
 

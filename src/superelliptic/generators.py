@@ -22,13 +22,12 @@ exactly ``2n+2`` shifting the arcs, ``r`` an involution reversing them, and
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from operator import neg
 
 from . import oracle
 from .errors import BudgetError, WordSyntaxError
-from .words import Context, Word, psi  # noqa: F401  unused; perfbench traces generators.psi
+from .words import Context, Word, psi, read_token  # noqa: F401  unused; perfbench traces generators.psi
 
 # A product of named generators is a sequence of factors (kind, params,
 # exponent).  Kinds: "h" with params (i,), "t" with params (i, j), "r1" and
@@ -157,45 +156,22 @@ def gen_hchain_t(ctx: Context) -> Word:
 # -- rich word syntax --------------------------------------------------------
 #
 # CLI and certificate syntax: whitespace-separated generator tokens with
-# optional integer exponents, e.g.  "r1^2 h1 r1^-2"  or  "r1^(2n+2)".
-# Exponents in parentheses may be linear expressions in n and k.
+# optional exponents, e.g.  "r1^2 h1 r1^-2"  or  "r1^(2n+2)", each read by
+# :func:`words.read_token`.  A name takes _ARITY[name] indices.
 
-_NAME_RE = re.compile(r"^(s(\d+)|h(\d+)|t(\d+),(\d+)|r1|r|F|hchain_t)$")
 _WORDS = {"r1": gen_r1, "r": gen_r, "F": gen_F, "hchain_t": gen_hchain_t}
-_TERM_RE = re.compile(r"([+-]?)(\d+[nk]?|[nk])")
+_ARITY = {"s": 1, "h": 1, "t": 2, **dict.fromkeys(_WORDS, 0)}
 
 
-def _eval_linexpr(text: str, ctx: Context) -> int:
-    s = text.replace(" ", "")
-    total = 0
-    consumed = 0
-    for m in _TERM_RE.finditer(s):
-        if m.start() != consumed:
-            raise WordSyntaxError(f"malformed exponent expression {text!r}")
-        consumed = m.end()
-        sign = -1 if m.group(1) == "-" else 1
-        body = m.group(2)
-        if body.endswith("n") or body.endswith("k"):
-            var = ctx.n if body.endswith("n") else ctx.k
-            coef = int(body[:-1]) if len(body) > 1 else 1
-            total += sign * coef * var
-        else:
-            total += sign * int(body)
-    if consumed != len(s) or not s:
-        raise WordSyntaxError(f"malformed exponent expression {text!r}")
-    return total
-
-
-def _letter_count(m: re.Match, ctx: Context) -> int:
-    """Letters in the word of an ``h``, ``t`` or named token (a ``_NAME_RE`` match), unbuilt."""
-    if m.group(3) is not None:
-        return 3
-    if m.group(4) is not None:
-        i, j = _twist_chain(int(m.group(4)), int(m.group(5)), ctx)
+def _letter_count(name: str, indices: tuple[int, ...], ctx: Context) -> int:
+    """Letters in the word of a generator name with its indices, unbuilt."""
+    if name == "t":
+        i, j = _twist_chain(*indices, ctx)
         return (j - i) * (j - i + 1)
     n, A = ctx.n, ctx.num_arcs
     # F_factors(n): n^2 factors h^-1 (3 letters each) and t_{a,a+1}^m, m < n (2m letters)
-    return {"r1": A, "r": A * (A + 1) // 2, "F": 4 * n * n - n, "hchain_t": 6 * n - 1}[m.group(0)]
+    return {"s": 1, "h": 3, "r1": A, "r": A * (A + 1) // 2, "F": 4 * n * n - n,
+            "hchain_t": 6 * n - 1}[name]
 
 
 def _check_budget(tok: str, size: int, budget: int) -> None:
@@ -212,29 +188,17 @@ def _parse_token(tok: str, ctx: Context, size: int, budget: int) -> tuple[int, t
     within ``budget``.  ``s<i>`` letters are range-checked later, with the
     whole text, by :meth:`Word.from_letters`.
     """
-    name_part, caret, exp_part = tok.partition("^")
-    m = _NAME_RE.match(name_part)
-    if not m:
+    name, indices, e = read_token(tok, ctx)
+    if _ARITY.get(name) != len(indices):
         raise WordSyntaxError(f"unknown generator token {tok!r}")
-    e = 1
-    if caret:
-        if exp_part.startswith("(") and exp_part.endswith(")"):
-            e = _eval_linexpr(exp_part[1:-1], ctx)
-        else:
-            try:
-                e = int(exp_part)
-            except ValueError:
-                raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    count = (1 if m.group(2) else _letter_count(m, ctx)) * (abs(e) or 2)
+    count = _letter_count(name, indices, ctx) * (abs(e) or 2)
     _check_budget(tok, size + count, budget)
-    if m.group(2) is not None:
-        base = (int(m.group(2)),)
-    elif m.group(3) is not None:
-        base = gen_h(int(m.group(3)), ctx).letters
-    elif m.group(4) is not None:
-        base = gen_t(int(m.group(4)), int(m.group(5)), ctx).letters
+    if name == "s":
+        base = indices
+    elif indices:
+        base = (gen_h if name == "h" else gen_t)(*indices, ctx).letters
     else:
-        base = _WORDS[name_part](ctx).letters
+        base = _WORDS[name](ctx).letters
     if e == 1:
         return count, base, 1
     inverse = tuple(map(neg, reversed(base)))

@@ -16,14 +16,13 @@ and ``-1`` for even ``j``.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from math import factorial, prod
 from operator import neg
 
 from . import _kernels as K
 from .errors import WordSyntaxError
-from .words import Context, Permutation, Word, first_out_of_range, psi
+from .words import Context, Permutation, Word, first_out_of_range, psi, read_token
 
 
 class ParityClass(enum.Enum):
@@ -132,9 +131,6 @@ def enumerate_W(ctx: Context):
     yield from extend(1, 0)
 
 
-_CURVE_TOKEN_RE = re.compile(r"^x(\d+)(\^-1)?$")
-
-
 @dataclass(frozen=True)
 class CurveClass:
     """A free-homotopy class of a curve, as a cyclically reduced word.
@@ -178,13 +174,14 @@ class CurveClass:
 
 
 def curve_parse(text: str, ctx: Context) -> CurveClass:
+    """Curve text: tokens ``x<j>`` with an optional exponent of 1 or -1
+    (:func:`words.read_token`)."""
     letters = []
     for tok in text.split():
-        m = _CURVE_TOKEN_RE.match(tok)
-        if not m:
+        name, indices, e = read_token(tok, ctx)
+        if name != "x" or len(indices) != 1 or e not in (1, -1):
             raise WordSyntaxError(f"malformed curve token {tok!r}")
-        j = int(m.group(1))
-        letters.append(-j if m.group(2) else j)
+        letters.append(e * indices[0])
     return CurveClass.from_letters(ctx, letters)
 
 

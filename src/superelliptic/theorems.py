@@ -584,14 +584,10 @@ def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
         power = cover.mul(power, Mz)
         total = total + power
         ok = ok and not np.array_equal(power, ident)
-    # Given Mz^k = I, the sum vanishes iff rank(Mz - I) = 2g:
-    # (Mz - I) sum = Mz^k - I = 0, so a full-rank Mz - I forces sum = 0;
-    # and a fixed vector v has sum v = k v, so sum = 0 leaves none.
-    ok = (
-        ok
-        and np.array_equal(cover.mul(power, Mz), ident)
-        and not np.count_nonzero(total)
-    )
+    # (Mz - I) sum = Mz^k - I, so a zero sum gives Mz^k = I; and a fixed
+    # vector v has sum v = k v, so a zero sum leaves none: rank(Mz - I) = 2g.
+    # Conversely, Mz^k = I with rank(Mz - I) = 2g forces the sum to vanish.
+    ok = ok and not np.count_nonzero(total)
     return ok, (
         f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
         "(no invariant homology)"

@@ -9,15 +9,17 @@ letter acts first*, i.e. a word ``u v`` acts as the function ``u o v``.
 
 Words have one text form, generator tokens: :meth:`Word.to_text` writes
 ``s<i>``/``s<i>^-1`` tokens, and :func:`generators.expand_token_text`
-reads them back along with every named generator.
+reads them back along with every named generator.  :func:`read_token` is
+the one reader of a token, for word, lift and curve text alike.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import lt, neg
+from operator import add, lt, neg
 
 from . import _kernels as K
 from .errors import ContextMismatchError, WordSyntaxError
@@ -74,6 +76,41 @@ def _check_letters(ctx: Context, letters: tuple[int, ...]) -> None:
         raise WordSyntaxError(f"letter {bad} out of range 1..{top}")
 
 
+# A token: a name (``r1`` with no index, or ASCII letters and underscores), up
+# to two comma-separated indices, and an optional exponent, either an integer
+# or a linear expression in n and k in parentheses.  Digits are ASCII only.
+_TOKEN_RE = re.compile(r"(r1(?![\d,])|[A-Za-z_]+)(?:(\d+)(?:,(\d+))?)?(?:\^(?:([+-]?\d+)|\((.*)\)))?", re.ASCII)
+_TERM_RE = re.compile(r"[+-]?(?:\d+[nk]?|[nk])", re.ASCII)
+
+
+def _eval_linexpr(text: str, ctx: Context) -> int:
+    """The value of a sum of terms such as ``2n``, ``-k`` or ``+3``."""
+    terms = [m[0] for m in _TERM_RE.finditer(text)]
+    if not text or "".join(terms) != text:
+        raise WordSyntaxError(f"malformed exponent expression {text!r}")
+    var = {"n": ctx.n, "k": ctx.k}
+    return sum((-1 if t[0] == "-" else 1) * int(t.lstrip("+-").rstrip("nk") or 1) * var.get(t[-1], 1)
+               for t in terms)
+
+
+def read_token(tok: str, ctx: Context) -> tuple[str, tuple[int, ...], int]:
+    """A token as ``(name, indices, exponent)``: ``t2,3^(k-1)`` is
+    ``("t", (2, 3), k - 1)``, and an absent exponent is 1.
+
+    The one reader of a token, for word, lift and curve text; each caller
+    checks the name and the number of indices against its own table.  A
+    token of another shape raises :class:`WordSyntaxError`.
+    """
+    m = _TOKEN_RE.fullmatch(tok)
+    if not m:
+        raise WordSyntaxError(f"malformed token {tok!r}")
+    name, i, j, e, expr = m.groups()
+    indices = tuple(int(x) for x in (i, j) if x is not None)
+    if expr is not None:
+        return name, indices, _eval_linexpr(expr, ctx)
+    return name, indices, int(e or 1)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over ``sigma_1 .. sigma_{2n+1}``."""
@@ -83,6 +120,8 @@ class Word:
 
     def __post_init__(self):
         _check_letters(self.ctx, self.letters)
+        if 0 in map(add, self.letters, self.letters[1:]):
+            raise WordSyntaxError("a letter is followed by its inverse; Word.from_letters reduces")
 
     # -- construction ------------------------------------------------------
 

@@ -343,37 +343,82 @@ def eq(group: str, u: Word, v: Word, ctx, budget: int | None = None) -> bool:
     return act_dynnikov(w.letters, start) == start
 
 
+_DIGITS = "0123456789"
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_ARITY = {"s": 1, "h": 1, "t": 2, "r1": 0, "r": 0, "F": 0, "hchain_t": 0}
+
+
+def _number(text: str) -> int | None:
+    """The value of a nonempty run of ASCII digits, else None."""
+    return int(text) if text and not text.strip(_DIGITS) else None
+
+
+def _linexpr(text: str, ctx) -> int:
+    """A sum of terms ``[+-]? digits [n|k]`` or ``[+-]? (n|k)``, scanned one character at a time."""
+    total, at = 0, 0
+    while at < len(text):
+        sign = -1 if text[at] == "-" else 1
+        at += text[at] in "+-"
+        end = at
+        while end < len(text) and text[end] in _DIGITS:
+            end += 1
+        var = text[end] if end < len(text) and text[end] in "nk" else None
+        if end == at and var is None:
+            raise WordSyntaxError(f"malformed exponent expression {text!r}")
+        coef = int(text[at:end]) if end > at else 1
+        total += sign * coef * ({"n": ctx.n, "k": ctx.k}[var] if var else 1)
+        at = end + (var is not None)
+    if not text:
+        raise WordSyntaxError(f"malformed exponent expression {text!r}")
+    return total
+
+
+def read_token(tok: str, ctx) -> tuple[str, tuple[int, ...], int]:
+    """``(name, indices, exponent)`` of one token, read with string methods, no regex."""
+    body, caret, exp = tok.partition("^")
+    name = "r1" if body == "r1" else body[: len(body) - len(body.lstrip(_NAME_CHARS))]
+    parts = body[len(name):].split(",") if body[len(name):] else []
+    indices = tuple(map(_number, parts))
+    signed = exp[1:] if exp[:1] in ("+", "-") else exp
+    linear = len(exp) >= 2 and exp[0] == "(" and exp[-1] == ")"
+    if not name or len(parts) > 2 or None in indices or caret and not linear and _number(signed) is None:
+        raise WordSyntaxError(f"malformed token {tok!r}")
+    if not caret:
+        return name, indices, 1
+    return name, indices, _linexpr(exp[1:-1], ctx) if linear else int(exp)
+
+
 def _token_letters(tok: str, ctx, letters: list[int], budget: int) -> tuple[int, ...]:
-    """The letters of one token, parsed from its text, after the budget check."""
-    name_part, caret, exp_part = tok.partition("^")
-    m = G._NAME_RE.match(name_part)
-    if not m:
+    """The letters of one token, parsed from its text, after the budget check.
+
+    A name's letter count is that of its built word, except that ``s`` and
+    ``h`` count 1 and 3 unbuilt, so an ``h`` index out of range raises
+    only after the budget check.
+    """
+    name, indices, e = read_token(tok, ctx)
+    if _ARITY.get(name) != len(indices):
         raise WordSyntaxError(f"unknown generator token {tok!r}")
-    e = 1
-    if caret:
-        if exp_part.startswith("(") and exp_part.endswith(")"):
-            e = G._eval_linexpr(exp_part[1:-1], ctx)
-        else:
-            try:
-                e = int(exp_part)
-            except ValueError:
-                raise WordSyntaxError(f"malformed exponent in {tok!r}") from None
-    count = 1 if m.group(2) else G._letter_count(m, ctx)
-    G._check_budget(tok, len(letters) + count * (abs(e) or 2), budget)
-    if m.group(2) is not None:
-        base = (int(m.group(2)),)
-    elif m.group(3) is not None:
-        base = G.gen_h(int(m.group(3)), ctx).letters
-    elif m.group(4) is not None:
-        base = G.gen_t(int(m.group(4)), int(m.group(5)), ctx).letters
-    else:
-        base = G._WORDS[name_part](ctx).letters
+    if name == "s":
+        base = indices
+    elif name == "t":
+        base = G.gen_t(*indices, ctx).letters
+    elif name != "h":
+        base = G._WORDS[name](ctx).letters
+    count = {"s": 1, "h": 3}.get(name) or len(base)
+    _over_budget(tok, len(letters) + count * (abs(e) or 2), budget)
+    if name == "h":
+        base = G.gen_h(*indices, ctx).letters
     if e == 1:
         return base
     inverse = tuple(-a for a in reversed(base))
     if e == 0:
         return base + inverse
     return (base if e > 0 else inverse) * abs(e)
+
+
+def _over_budget(tok: str, size: int, budget: int) -> None:
+    if size > budget:
+        raise BudgetError(f"token {tok!r} takes word text to {size} letters, over budget {budget}")
 
 
 def expand_token_text(text: str, ctx, budget: int | None = None):
@@ -384,7 +429,7 @@ def expand_token_text(text: str, ctx, budget: int | None = None):
     built: dict[str, tuple[int, ...]] = {}
     for tok in text.split():
         if tok in built:
-            G._check_budget(tok, len(letters) + len(built[tok]), budget)
+            _over_budget(tok, len(letters) + len(built[tok]), budget)
         else:
             built[tok] = _token_letters(tok, ctx, letters, budget)
         letters.extend(built[tok])

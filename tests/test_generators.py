@@ -2,13 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 import referees
 
 from superelliptic import Context, Word, eq_disk, eq_sphere, generators, psi
+from superelliptic.cover import build_cover, lift_product
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
-    _NAME_RE,
     F_factors,
     _letter_count,
     _parse_token,
@@ -22,6 +23,7 @@ from superelliptic.generators import (
     gen_t,
     t_chain_factors,
 )
+from superelliptic.liftability import curve_parse
 from superelliptic.theorems import check_instance, verify
 
 CTX = Context(2, 3)
@@ -169,12 +171,14 @@ class TestTokenSyntax:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_letter_counts_match_the_words(self, n):
         ctx = Context(n, 3)
-        names = ["r", "r1", "F", "hchain_t"] + [f"h{i}" for i in range(1, 2 * n + 1)]
-        names += [f"t{i},{j}" for j in range(2, 2 * n + 3) for i in range(1, j)]
-        for name in names:
-            count, unit, repeats = _parse_token(name, ctx, 0, 10**7)
+        names = [(name, ()) for name in ("r", "r1", "F", "hchain_t")]
+        names += [("h", (i,)) for i in range(1, 2 * n + 1)]
+        names += [("t", (i, j)) for j in range(2, 2 * n + 3) for i in range(1, j)]
+        for name, indices in names:
+            tok = name + ",".join(map(str, indices))
+            count, unit, repeats = _parse_token(tok, ctx, 0, 10**7)
             built = unit * repeats
-            assert _letter_count(_NAME_RE.match(name), ctx) == len(built) == count, name
+            assert _letter_count(name, indices, ctx) == len(built) == count, tok
 
     @pytest.mark.parametrize("name, n", [("r", 1000), ("F", 300), ("hchain_t", 10**6),
                                          ("t1,2000", 1000), ("r1", 10**6)])
@@ -339,6 +343,52 @@ class TestTokenMemo:
         for _ in range(3):
             assert expand_token_text(text, ctx) == want
         assert built == [ctx]
+
+
+_READER_EXPONENTS = ("", "^0", "^1", "^-1", "^3", "^-3", "^(2n+2)", "^(k-1)", "^(-n)")
+
+
+class TestReadToken:
+    """Word, lift and curve text all read through ``words.read_token``."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_name_and_exponent_matches_the_referees(self, n):
+        ctx = Context(n, 3)
+        P, S = ctx.num_points, build_cover(ctx)
+        names = [f"s{i}" for i in range(1, P)] + [f"h{i}" for i in range(1, P - 1)]
+        names += [f"t{i},{j}" for j in range(2, P + 1) for i in range(1, j)]
+        for tok in (name + e for name in names + ["r1", "r", "F", "hchain_t"] for e in _READER_EXPONENTS):
+            assert expand_token_text(tok, ctx) == referees.expand_token_text(tok, ctx), tok
+        lifts = ["zeta", "zeta_prime", "r", "r1"] + [f"h{i}" for i in range(1, P - 1)]
+        lifts += [f"t{i},{i + 1}" for i in range(1, P - 1)]
+        for name in lifts:
+            for e in _READER_EXPONENTS[:6]:
+                want = referees.lift_product(S, name + e)
+                assert lift_product(S, name + e).tolist() == want.tolist(), name + e
+            for e, value in [("(2n+2)", 2 * n + 2), ("(k-1)", ctx.k - 1), ("(-n)", -n)]:
+                got = lift_product(S, f"{name}^{e}")
+                assert np.array_equal(got, lift_product(S, f"{name}^{value}")), (name, e)
+
+    def test_curve_text_takes_the_exponents_1_and_minus_1(self):
+        ctx = Context(1, 3)
+        assert curve_parse("x1^1 x2^+1 x3^(n) x4^-1", ctx).letters == (1, 2, 3, -4)
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("word", "s1^1_0", "malformed token"),  # int() reads 1_0 as 10
+        ("word", "s\u0661", "malformed token"),  # an Arabic-Indic 1
+        ("word", "h2^", "malformed token"),
+        ("lift", "zeta^\u0661", "malformed token"),
+        ("lift", "h2^", "malformed token"),
+        ("lift", "t1,3", "adjacent twists"),
+        ("curve", "x1^2", "malformed curve token"),
+        ("curve", "x\u0661", "malformed token"),
+    ])
+    def test_refusals(self, kind, text, message):
+        ctx = Context(2, 3)
+        read = {"word": expand_token_text, "curve": curve_parse,
+                "lift": lambda t, c: lift_product(build_cover(c), t)}[kind]
+        with pytest.raises(WordSyntaxError, match=message):
+            read(text, ctx)
 
 
 class TestOracleBackedIdentities:

@@ -5,6 +5,7 @@ from collections import Counter
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superelliptic import (
@@ -354,6 +355,20 @@ class TestCertificates:
             ("cover-homology", "skipped"),
             ("cover-deck-rotation", "skipped"),
         ]
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 4)])
+    def test_deck_rotation_fails_for_a_wrong_zeta(self, monkeypatch, n, k):
+        # the identity fails the zeta^j != I checks; -zeta at odd k has order
+        # 2k, so (-zeta)^k = -I and the sum of its powers is not zero
+        lift_rep, ctx = cover.lift_rep, Context(n, k)
+        assert verify("cover-deck-rotation", ctx).status == "pass"
+        for wrong in [lambda M: np.eye(len(M), dtype=M.dtype)] + [np.negative] * (k % 2):
+            def patched(S, kind, index=None, wrong=wrong):
+                M = lift_rep(S, kind, index)
+                return wrong(M) if kind == "zeta" else M
+
+            monkeypatch.setattr(cover, "lift_rep", patched)
+            assert verify("cover-deck-rotation", ctx).status == "fail"
 
     def test_tampered_smod_rhs_fails_alone(self, report_2_3):
         def edit(instances):

@@ -66,6 +66,18 @@ def test_from_letters_checks_letters_before_reducing(build):
         build()
 
 
+def test_word_refuses_unreduced_letters_after_its_range_check():
+    ctx = Context(2, 3)
+    with pytest.raises(WordSyntaxError, match="followed by its inverse"):
+        Word(ctx, (1, -1, 2))
+    with pytest.raises(WordSyntaxError, match="followed by its inverse"):
+        Word(ctx, (2, 3, -3))
+    with pytest.raises(WordSyntaxError, match="letter 9 out of range"):  # the range error comes first
+        Word(ctx, (9, -9))
+    assert Word.from_letters(ctx, (1, -1, 2)).letters == (2,)
+    assert Word(ctx, (1, 1, -2, 1)).letters == (1, 1, -2, 1)
+
+
 @pytest.mark.parametrize("n, k", [(True, 3), (1, True), (0, 3), (1, 1), (1.0, 3), (1, "3")])
 def test_context_rejects_a_bool_a_non_integer_or_a_small_size(n, k):
     with pytest.raises(ValueError, match="must be an integer"):
