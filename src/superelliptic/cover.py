@@ -16,20 +16,23 @@ lattice, and the pairing of two loop classes is the chord-crossing sign of
 their four ends in the cyclic order of the vertex link.
 
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
-``k`` lifts of a curve, and :func:`h_chain` the curves of a lifted
-half-rotation, as the rows of an int64 array with ``2g`` columns.
-Twists act by transvections ``x -> x + <x, c> c``.  A ``t`` or ``h`` lift
-is a product of them, kept as a block ``(U, B)``: the matrix is ``B`` on
-the rows and columns ``U``, the supports of its curves and of their
-``J``-images, and the identity elsewhere (:func:`_twist_block`, in
-compact-WY form).  The deck rotation and the half-turn act through their
-edge maps and are dense.  :func:`lift_product` is the one lift evaluator:
-it reads lift text (``r1 t1,2 r1^-1``) token by token, and a block
-factor rewrites only the columns ``U`` of the running product.
-:func:`lift_rep` returns one named lift as a dense matrix.  The homology
-representation is a necessary-condition shadow only (it is not
-faithful); every verification built on it is labeled accordingly by the
-theorem suite.
+``k`` lifts of a curve as the rows of an int64 array with ``2g`` columns.
+The lift table (:func:`_lift_table`, one per cover) holds every lift of
+every ``gamma_i`` from one product, with their ``J``-images and their Gram
+matrix; :func:`h_chain`, the ``t``/``h`` lifts and the chain-pattern claim
+read its rows.  Twists act by transvections ``x -> x + <x, c> c``.  A ``t``
+or ``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix
+is ``B`` on the rows and columns ``U``, the supports of its curves and of
+their ``J``-images, and the identity elsewhere (:func:`_twist_block`, in
+compact-WY form, whose inverse is closed-form too).  A ``t`` lift's ``B -
+I`` squares to zero, so its powers are ``I + e (B - I)``; other powers are
+squared.  The deck rotation and the half-turn act through their edge maps
+and are dense.  :func:`lift_product` is the one lift evaluator: it reads
+lift text (``r1 t1,2 r1^-1``) token by token, and a block factor rewrites
+only the columns ``U`` of the running product.  :func:`lift_rep` returns
+one named lift as a dense matrix.  The homology representation is a
+necessary-condition shadow only (it is not faithful); every verification
+built on it is labeled accordingly by the theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
@@ -52,14 +55,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import intmat
 from .errors import DoesNotLiftError, WordSyntaxError
 from .generators import F_factors, factors_to_tokens, t_chain_factors
-from .intmat import Chain, _as_int64, _max_abs, mul
-from .liftability import CurveClass, curve_monodromy, gamma_curve
+from .intmat import Chain, _as_int64, _check_bound, _max_abs, mul
+from .liftability import CurveClass, curve_monodromy
 from .words import Context, read_token
 
 # Global handedness of the intersection form.  Pinned by the requirement
@@ -284,14 +288,36 @@ def _round_sequence(ctx: Context, i: int) -> list[tuple[int, int]]:
     return [(i + 1, 1), (i - 1, -1)]
 
 
-def lift_cycle(
-    surface: CoverSurface, base: CurveClass, _sequence: list[tuple[int, int]] | None = None
-) -> np.ndarray:
+def _sheet_cycles(surface: CoverSurface, seq: list[tuple[int, int]]) -> np.ndarray:
+    """The loop-coordinate cycles of the ``k`` lifts of a closed crossing sequence.
+
+    Row ``l - 1`` of the ``k x m`` int64 array is the lift that starts on
+    sheet ``l``.  A crossing of a tree edge (label 1) counts minus one on
+    every other lift of its arc, the loops ``(arc, 2..k)``, which are
+    consecutive in the loop order.
+    """
+    k = surface.ctx.k
+    cycles = np.zeros((k, len(surface.loops)), dtype=np.int64)
+    for label in range(1, k + 1):
+        s, cycle = label, cycles[label - 1]
+        for arc, d in seq:
+            lab = _norm(s + _c(arc), k) if d > 0 else s
+            if lab >= 2:
+                cycle[surface.loop_index[(arc, lab)]] += d
+            else:
+                first = surface.loop_index[(arc, 2)]
+                cycle[first : first + k - 1] -= d
+            s = _norm(s + d * _c(arc), k)
+        if s != label:
+            raise AssertionError("zero-monodromy lift failed to close")
+    return cycles
+
+
+def lift_cycle(surface: CoverSurface, base: CurveClass) -> np.ndarray:
     """The ``k`` lifts of a liftable curve as a ``k x 2g`` int64 array.
 
-    Row ``l - 1`` is the class vector of the lift that starts on sheet ``l``.
-    A crossing of a tree edge (label 1) counts minus one on every other lift
-    of its arc; all ``k`` loop-coordinate cycles map in one product.
+    Row ``l - 1`` is the class vector of the lift that starts on sheet ``l``;
+    all ``k`` loop-coordinate cycles (:func:`_sheet_cycles`) map in one product.
     """
     ctx = surface.ctx
     mono = curve_monodromy(base, ctx)
@@ -299,24 +325,7 @@ def lift_cycle(
         raise DoesNotLiftError(
             f"curve {base.to_text()!r} has monodromy {mono} mod {ctx.k}; it does not lift"
         )
-    seq = _crossing_sequence(base) if _sequence is None else _sequence
-    k = ctx.k
-    cycles = []
-    for label in range(1, k + 1):
-        s = label
-        cycle = [0] * len(surface.loops)
-        for arc, d in seq:
-            lab = _norm(s + _c(arc), k) if d > 0 else s
-            if lab >= 2:
-                cycle[surface.loop_index[(arc, lab)]] += d
-            else:
-                for l in range(2, k + 1):
-                    cycle[surface.loop_index[(arc, l)]] -= d
-            s = _norm(s + d * _c(arc), k)
-        if s != label:
-            raise AssertionError("zero-monodromy lift failed to close")
-        cycles.append(cycle)
-    return mul(cycles, surface.basis, surface.Jinv.T)
+    return mul(_sheet_cycles(surface, _crossing_sequence(base)), surface.basis, surface.Jinv.T)
 
 
 def pairing(surface: CoverSurface, a: np.ndarray, b: np.ndarray) -> int:
@@ -328,32 +337,68 @@ def identity(surface: CoverSurface) -> np.ndarray:
     return np.eye(surface.h1_rank, dtype=np.int64)
 
 
-def _twist_block(surface: CoverSurface, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``T_{c_1} ... T_{c_r}`` over the rows ``c`` of ``curves`` as a block ``(U, B)``.
+class _Curves(NamedTuple):
+    """Class vectors as the rows of ``C``, their ``J``-images ``JC = -C J``
+    (row ``t`` is ``(J c_t)^T``) and their Gram matrix ``G = JC C^T``."""
 
-    ``T_c = I + c (J c)^T`` is the right twist about class ``c``.  With the
-    curves as the rows of ``C`` and ``JC`` the rows ``(J c_t)^T``, a product
-    of rank-one updates has the compact-WY form (Schreiber & Van Loan,
-    *SIAM J. Sci. Stat. Comput.* 10 (1989))
+    C: np.ndarray
+    JC: np.ndarray
+    G: np.ndarray
+
+    def rows(self, R) -> "_Curves":
+        """The curves ``R``, a slice or an index array."""
+        return _Curves(self.C[R], self.JC[R], self.G[R][:, R])
+
+
+def _curves(surface: CoverSurface, C) -> _Curves:
+    C = _as_int64(C)
+    JC = -mul(C, surface.J)
+    return _Curves(C, JC, mul(JC, C.T))
+
+
+@lru_cache(maxsize=None)
+def _lift_table(surface: CoverSurface) -> _Curves:
+    """Every lift of every ``gamma_i`` (the round curves of :func:`_round_sequence`).
+
+    Row ``(i - 1) k + l - 1`` is the lift of ``gamma_i`` that starts on sheet
+    ``l``.  All of them map to homology in one product ``cycles . basis .
+    Jinv^T``; ``JC`` and ``G`` take one product each.  The arrays are
+    read-only.
+    """
+    ctx = surface.ctx
+    cycles = [_sheet_cycles(surface, _round_sequence(ctx, i)) for i in range(1, ctx.num_arcs + 1)]
+    table = _curves(surface, mul(np.concatenate(cycles), surface.basis, surface.Jinv.T))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _twist_block(
+    surface: CoverSurface, curves, inverse: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``T_{c_1} ... T_{c_r}`` over the curves ``c`` as a block ``(U, B)``, or
+    with ``inverse`` the block of its inverse.
+
+    ``curves`` are rows of the lift table (:class:`_Curves`) or an ``r x 2g``
+    array of class vectors.  ``T_c = I + c (J c)^T`` is the right twist
+    about class ``c``.  With the curves as the rows of ``C`` and ``JC`` the
+    rows ``(J c_t)^T``, a product of rank-one updates has the compact-WY form
+    (Schreiber & Van Loan, *SIAM J. Sci. Stat. Comput.* 10 (1989))
 
         T_{c_1} ... T_{c_r} = I + C^T X JC,   X = (I - N)^{-1},
 
-    where ``N`` is the strict upper triangle of ``G = JC C^T``.  The update
-    ``C^T X JC`` is zero outside the rows and columns ``U``, the supports of
-    the ``c`` and the ``J c``, so the product is ``B = I + C^T X JC`` on
-    ``U`` and the identity elsewhere.  ``X`` is unit upper triangular and
+    where ``N`` is the strict upper triangle of ``G = JC C^T``.  Its inverse
+    ``J^-1 (I + C^T X JC)^T J`` is ``I - C^T X^T JC``, as ``J^-1 JC^T = C^T``
+    and ``C J = -JC``.  Both updates are zero outside the rows and columns
+    ``U``, the supports of the ``c`` and the ``J c``, so the block is ``B``
+    on ``U`` and the identity elsewhere.  ``X`` is unit upper triangular and
     ``r x r`` for ``r`` curves; it is solved by back-substitution in Python
-    ints and raises ``OverflowError`` if an entry does not fit int64.  Every
+    ints and raises ``OverflowError`` if an entry does not fit int64.  The
     product is a checked :func:`mul`, so ``B`` is exact or the call raises.
     """
-    C = _as_int64(curves)
-    on_c = np.flatnonzero(C.any(axis=0))  # only these columns of C are nonzero
-    JC = mul(C[:, on_c], surface.J[:, on_c].T)  # row t is (J c_t)^T
-    on = JC.any(axis=0)
-    on[on_c] = True
-    U = np.flatnonzero(on)
-    C, JC = C[:, U], JC[:, U]
-    G = mul(JC, C.T).tolist()  # G[i][j] = (J c_i)^T c_j
+    C, JC, G = curves if isinstance(curves, _Curves) else _curves(surface, curves)
+    U = np.flatnonzero(C.any(axis=0) | JC.any(axis=0))
+    G = G.tolist()  # G[i][j] = (J c_i)^T c_j
     r = len(G)
     X = [[0] * r for _ in range(r)]
     for i in range(r - 1, -1, -1):  # row i of X = I + N X
@@ -363,7 +408,8 @@ def _twist_block(surface: CoverSurface, curves: np.ndarray) -> tuple[np.ndarray,
             if q := G[i][l]:
                 for j in range(l, r):
                     row[j] += q * X[l][j]
-    B = mul(C.T, np.array(X, dtype=object), JC)
+    X = np.array(X, dtype=object)
+    B = mul(C[:, U].T, -X.T if inverse else X, JC[:, U])
     B.flat[:: len(U) + 1] += 1
     return U, B
 
@@ -389,18 +435,10 @@ def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = N
     return np.array_equal(chain.result(), J)
 
 
-def symplectic_inverse(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
-    """``I + J^-1 (M - I)^T J = J^-1 M^T J``, the inverse of a symplectic ``M``.
-
-    With ``U``, ``M`` is the ``B`` of a twist block and ``J``, ``J^-1`` are
-    restricted to ``U x U``, outside which ``J^-1 (B - I)^T J`` is zero (its
-    columns are curves ``c``, its rows ``J c``): the inverse block's ``B``.
-    """
-    J, Jinv = surface.J, surface.Jinv
-    if U is not None:
-        J, Jinv = J[U[:, None], U], Jinv[U[:, None], U]
+def symplectic_inverse(surface: CoverSurface, M: np.ndarray) -> np.ndarray:
+    """``I + J^-1 (M - I)^T J = J^-1 M^T J``, the inverse of a symplectic ``M``."""
     eye = np.eye(len(M), dtype=np.int64)
-    return mul(Jinv, (M - eye).T, J) + eye
+    return mul(surface.Jinv, (M - eye).T, surface.J) + eye
 
 
 def matrix_power(M: np.ndarray, e: int) -> np.ndarray:
@@ -460,41 +498,49 @@ def _half_turn_cycle_map(surface: CoverSurface) -> np.ndarray:
 _LIFT_CACHE: dict = {}
 
 
-def _gamma_lifts(surface: CoverSurface, i: int) -> np.ndarray:
-    """The ``k x 2g`` lifts of ``gamma_i`` (:func:`lift_cycle`), cached read-only."""
+def _gamma_rows(surface: CoverSurface, i: int) -> _Curves:
+    """The lifts of ``gamma_i``, the curves of the ``t`` lift ``i``: rows of
+    the lift table, kept in ``_LIFT_CACHE``."""
     key = (surface.ctx, "gamma", i)
     if key not in _LIFT_CACHE:
-        ctx = surface.ctx
-        lifts = lift_cycle(surface, gamma_curve(i, i + 1, ctx), _round_sequence(ctx, i))
-        lifts.flags.writeable = False
-        _LIFT_CACHE[key] = lifts
+        k = surface.ctx.k
+        _LIFT_CACHE[key] = _lift_table(surface).rows(slice((i - 1) * k, i * k))
     return _LIFT_CACHE[key]
 
 
-def h_chain(surface: CoverSurface, i: int) -> np.ndarray:
-    """The (2k-1)-chain of lifted curves whose twists make the lift of ``h_i``.
+def _gamma_lifts(surface: CoverSurface, i: int) -> np.ndarray:
+    """The ``k x 2g`` lifts of ``gamma_i``, read-only (:func:`_gamma_rows`)."""
+    return _gamma_rows(surface, i).C
 
-    Rows of a ``(2k-1) x 2g`` array: lifts of ``gamma_i`` and ``gamma_{i+1}``
-    alternate by label, ascending for odd ``i`` and descending for even
-    ``i``, and the chain closes with a lift of ``gamma_i``.
-    """
-    k = surface.ctx.k
-    low, high = _gamma_lifts(surface, i), _gamma_lifts(surface, i + 1)
+
+def _h_rows(ctx: Context, i: int) -> np.ndarray:
+    """The lift-table rows of the (2k-1)-chain whose twists make the lift of
+    ``h_i``: lifts of ``gamma_i`` and ``gamma_{i+1}`` alternate by label,
+    ascending for odd ``i`` and descending for even ``i``, and the chain
+    closes with a lift of ``gamma_i``."""
+    k = ctx.k
+    low, high = (i - 1) * k - 1, i * k - 1  # the rows of label l are low + l and high + l
     labels = range(1, k) if i % 2 == 1 else range(k, 1, -1)
-    chain = [c for l in labels for c in (low[l - 1], high[l - 1])]
-    return np.array(chain + [low[k - 1] if i % 2 == 1 else low[0]])
+    chain = [row for l in labels for row in (low + l, high + l)]
+    return np.array(chain + [low + k if i % 2 == 1 else low + 1])
+
+
+def h_chain(surface: CoverSurface, i: int) -> np.ndarray:
+    """The (2k-1)-chain of lifted curves of the ``h_i`` lift (:func:`_h_rows`),
+    as the rows of a ``(2k-1) x 2g`` array."""
+    return _lift_table(surface).C[_h_rows(surface.ctx, i)]
 
 
 class _Factor:
     """One lift token's matrix: ``B`` on the rows and columns ``U`` and the
-    identity elsewhere, or ``B`` itself when ``U`` is None; ``top = max|B|``.
-    ``B`` is read-only."""
+    identity elsewhere, or ``B`` itself when ``U`` is None; ``top = max|B|``,
+    and ``square_zero`` if ``(B - I)^2 = 0``.  ``B`` is read-only."""
 
-    __slots__ = ("U", "B", "top")
+    __slots__ = ("U", "B", "top", "square_zero")
 
-    def __init__(self, U: np.ndarray | None, B: np.ndarray):
+    def __init__(self, U: np.ndarray | None, B: np.ndarray, square_zero: bool = False):
         B.flags.writeable = False
-        self.U, self.B, self.top = U, B, _max_abs(B)
+        self.U, self.B, self.top, self.square_zero = U, B, _max_abs(B), square_zero
 
 
 def _check_lift(ctx: Context, kind: str, index) -> None:
@@ -512,26 +558,42 @@ def _check_lift(ctx: Context, kind: str, index) -> None:
 def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
     """The lift ``kind``/``index`` to the power ``e != 0``.
 
-    Its factors to the powers 1 and -1 are built once per context and cached:
-    a ``t`` or ``h`` lift is a block (:func:`_twist_block`), the others are
-    dense, each is checked symplectic once (:func:`is_symplectic`), and its
-    inverse is :func:`symplectic_inverse`.  A larger power is squared from
-    one of them on each call (:func:`matrix_power`) and not cached."""
+    Its factors to the powers 1 and -1 are built once per context and cached
+    (:func:`_build_lift`).  A larger power ``m = |e|`` of one of them is
+    formed on each call and not cached: ``I + m (B - I)`` when ``(B - I)^2 =
+    0``, as for a ``t`` lift, and else by squaring (:func:`matrix_power`)."""
     key = (surface.ctx, kind, index, 1 if e > 0 else -1)
     if key not in _LIFT_CACHE:
         _LIFT_CACHE[key] = _build_lift(surface, kind, index, key[3])
-    f = _LIFT_CACHE[key]
-    return f if abs(e) == 1 else _Factor(f.U, matrix_power(f.B, abs(e)))
+    f, m = _LIFT_CACHE[key], abs(e)
+    if m == 1:
+        return f
+    if not f.square_zero:
+        return _Factor(f.U, matrix_power(f.B, m))
+    N = f.B - np.eye(len(f.B), dtype=np.int64)
+    _check_bound(m * _max_abs(N), "power")  # so no entry of I + m N reaches 2**63
+    P = N * m
+    P.flat[:: len(P) + 1] += 1
+    return _Factor(f.U, P)
 
 
 def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> _Factor:
-    if sign < 0:
-        f = _lift(surface, kind, index, 1)
-        return _Factor(f.U, symplectic_inverse(surface, f.B, f.U))
     if kind in ("t", "h"):
         # the product of the twists about the lifted curves, in row order
-        curves = _gamma_lifts(surface, index) if kind == "t" else h_chain(surface, index)
-        f = _Factor(*_twist_block(surface, curves))
+        curves = (_gamma_rows(surface, index) if kind == "t"
+                  else _lift_table(surface).rows(_h_rows(surface.ctx, index)))
+        if sign < 0:  # the closed-form inverse, once the lift itself is built and checked
+            f = _lift(surface, kind, index, 1)
+            return _Factor(*_twist_block(surface, curves, inverse=True), f.square_zero)
+        U, B = _twist_block(surface, curves)
+        square_zero = False
+        if kind == "t":  # the k lifts of gamma_i are disjoint, so B - I = C^T JC squares to 0
+            N = B - np.eye(len(B), dtype=np.int64)
+            square_zero = not mul(N, N).any()
+        f = _Factor(U, B, square_zero)
+    elif sign < 0:
+        f = _lift(surface, kind, index, 1)
+        return _Factor(None, symplectic_inverse(surface, f.B))
     elif kind == "zeta":
         f = _Factor(None, _induced_matrix(surface, _deck_cycle_map(surface)))
     elif kind == "r":
@@ -539,11 +601,23 @@ def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) 
     elif kind == "r1":
         f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(surface.ctx.n))))
     else:  # zeta_prime
-        text = factors_to_tokens(t_chain_factors(1, surface.ctx.num_arcs))
-        f = _Factor(None, lift_product(surface, text))
+        f = _Factor(None, _zeta_prime(surface))
     if not is_symplectic(surface, f.B, f.U):
         raise AssertionError(f"lift {kind}/{index} is not symplectic")
     return f
+
+
+def _zeta_prime(surface: CoverSurface) -> np.ndarray:
+    """The lift of ``t_chain_factors(1, 2n+1)``, whose last ``n (2n - 2)``
+    factors are the run ``h_{2n-2} ... h_1`` repeated ``n`` times: the run
+    is evaluated once and raised to its power by squaring."""
+    n, fs = surface.ctx.n, t_chain_factors(1, surface.ctx.num_arcs)
+    cut = len(fs) - n * (2 * n - 2)
+    run = fs[cut : cut + 2 * n - 2]
+    if fs[cut:] != run * n:
+        raise AssertionError("the zeta_prime factors do not end in a repeated run")
+    head, run = (lift_product(surface, factors_to_tokens(f)) for f in (fs[:cut], run))
+    return mul(head, matrix_power(run, n))
 
 
 def _dense(surface: CoverSurface, f: _Factor) -> np.ndarray:

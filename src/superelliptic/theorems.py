@@ -574,24 +574,37 @@ def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
 def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
     if not _cover_build(ctx)[0]:
         return None, "cover-build did not pass"
-    surf = cover.build_cover(ctx)
-    Mz = cover.lift_rep(surf, "zeta")
-    ident = cover.identity(surf)
-    power = ident
-    total = ident.astype(object)  # sum of Mz^j, 0 <= j < k, in Python ints
-    ok = True
-    for _ in range(1, ctx.k):
-        power = cover.mul(power, Mz)
-        total = total + power
-        ok = ok and not np.array_equal(power, ident)
-    # (Mz - I) sum = Mz^k - I, so a zero sum gives Mz^k = I; and a fixed
-    # vector v has sum v = k v, so a zero sum leaves none: rank(Mz - I) = 2g.
-    # Conversely, Mz^k = I with rank(Mz - I) = 2g forces the sum to vanish.
-    ok = ok and not np.count_nonzero(total)
+    ok = _fixed_point_free_of_order(cover.lift_rep(cover.build_cover(ctx), "zeta"), ctx.k)
     return ok, (
         f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
         "(no invariant homology)"
     )
+
+
+def _fixed_point_free_of_order(M: np.ndarray, k: int) -> bool:
+    """Whether ``M`` has exact order ``k`` and fixes no nonzero vector.
+
+    ``S = I + M + ... + M^(k-1)`` is formed by binary doubling, ``S_2m = S_m
+    + M^m S_m`` and ``S_m+1 = S_m + M^m``, each sum's bound checked first.
+    As ``(M - I) S = M^k - I`` and ``S v = k v`` for a fixed ``v``, ``S = 0``
+    iff ``M^k = I`` with no fixed vector.  An order ``d < k`` would then
+    divide ``k / p`` for a prime ``p | k``: ``M^(k/p) != I`` rules it out.
+    """
+
+    def add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        intmat._check_bound(intmat._max_abs(A) + intmat._max_abs(B), "sum")
+        return A + B
+
+    ident = np.eye(len(M), dtype=np.int64)
+    S, P = ident, M  # S_m and M^m, from m = 1 through the bits of k
+    for bit in bin(k)[3:]:
+        S, P = add(S, cover.mul(P, S)), cover.mul(P, P)
+        if bit == "1":
+            S, P = add(S, P), cover.mul(M, P)
+    if S.any():
+        return False
+    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+    return not any(np.array_equal(cover.matrix_power(M, k // p), ident) for p in primes)
 
 
 def verify_cover(ctx: Context) -> list[Claim]:
@@ -620,25 +633,21 @@ def _chain_pattern(ctx: Context) -> tuple[bool, str]:
     The alternating family used by the half-rotation lifts
     (:func:`cover.h_chain`) must be a (2k-1)-chain: consecutive curves meet
     once (pairing +-1), all other pairs are disjoint (pairing 0).  Lifts of
-    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  A
-    chain's pairings are read from ``C J C^T`` over its rows ``C``, the
-    far pairs from blocks of one Gram matrix of every lift of every
-    ``gamma_i``.
+    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  Every
+    pairing is read from the Gram matrix of the lift table, which holds every
+    lift of every ``gamma_i`` (:func:`cover._lift_table`).
     """
     n, k = ctx.n, ctx.k
-    surf = cover.build_cover(ctx)
-    bad = []
-    for i in range(1, 2 * n + 1):
-        C = cover.h_chain(surf, i)
-        got = np.abs(np.triu(cover.mul(C, surf.J, C.T), 1))
-        wrong = got != np.eye(len(C), k=1, dtype=np.int64)  # only neighbours meet
-        bad += [(i, int(a), int(b), int(got[a, b])) for a, b in zip(*np.nonzero(wrong))]
-    V = np.concatenate([cover._gamma_lifts(surf, i) for i in range(1, 2 * n + 2)])
-    G = cover.mul(V, surf.J, V.T)
-    for i in range(1, 2 * n + 2):
-        for j in range(i + 2, 2 * n + 2):
-            block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
-            bad += [(i, j, int(la) + 1, int(lb) + 1) for la, lb in zip(*np.nonzero(block))]
+    G = cover._lift_table(cover.build_cover(ctx)).G
+    R = np.array([cover._h_rows(ctx, i) for i in range(1, 2 * n + 1)])
+    got = np.abs(np.triu(G[R[:, :, None], R[:, None, :]], 1))
+    wrong = got != np.eye(R.shape[1], k=1, dtype=np.int64)  # only neighbours meet
+    bad = [(i + 1, a, b, int(got[i, a, b])) for i, a, b in np.argwhere(wrong).tolist()]
+    fam = np.arange(len(G)) // k  # row a lifts gamma_(fam[a] + 1)
+    a, b = np.nonzero(G * (fam[None, :] >= fam[:, None] + 2))
+    order = np.lexsort((b, a, fam[b], fam[a]))  # by gamma_i, gamma_j, then labels
+    bad += [(int(fam[x]) + 1, int(fam[y]) + 1, int(x) % k + 1, int(y) % k + 1)
+            for x, y in zip(a[order], b[order])]
     detail = f"violations: {bad[:4]}" if bad else (
         f"alternating lifted families are (2k-1)-chains (k={k})"
     )

@@ -99,16 +99,22 @@ def read_token(tok: str, ctx: Context) -> tuple[str, tuple[int, ...], int]:
 
     The one reader of a token, for word, lift and curve text; each caller
     checks the name and the number of indices against its own table.  A
-    token of another shape raises :class:`WordSyntaxError`.
+    token of another shape, or with a number longer than ``int()`` reads
+    (4300 digits by default), raises :class:`WordSyntaxError`.
     """
     m = _TOKEN_RE.fullmatch(tok)
     if not m:
         raise WordSyntaxError(f"malformed token {tok!r}")
     name, i, j, e, expr = m.groups()
-    indices = tuple(int(x) for x in (i, j) if x is not None)
-    if expr is not None:
-        return name, indices, _eval_linexpr(expr, ctx)
-    return name, indices, int(e or 1)
+    try:
+        indices = tuple(int(x) for x in (i, j) if x is not None)
+        exponent = _eval_linexpr(expr, ctx) if expr is not None else int(e or 1)
+    except WordSyntaxError:
+        raise
+    except ValueError:  # int() refuses a string of more than sys.get_int_max_str_digits() digits
+        raise WordSyntaxError(
+            f"malformed exponent or index in token {tok!r}: too many digits") from None
+    return name, indices, exponent
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,68 @@ def twist_lift(J: np.ndarray, curves) -> np.ndarray:
     return M
 
 
+def gamma_lifts(surface, i: int) -> np.ndarray:
+    """The ``k x 2g`` lifts of ``gamma_i``, one curve at a time: a Python list
+    of loop coordinates per start sheet, crossing by crossing along the round
+    curve, mapped to homology in one :func:`intmat.mul` per curve."""
+    ctx, k = surface.ctx, surface.ctx.k
+    cycles = []
+    for label in range(1, k + 1):
+        s, cycle = label, [0] * len(surface.loops)
+        for arc, d in cover._round_sequence(ctx, i):
+            c = arc % 2
+            lab = (s + c - 1) % k + 1 if d > 0 else s
+            if lab >= 2:
+                cycle[surface.loop_index[(arc, lab)]] += d
+            else:
+                for l in range(2, k + 1):
+                    cycle[surface.loop_index[(arc, l)]] -= d
+            s = (s + d * c - 1) % k + 1
+        assert s == label, "zero-monodromy lift failed to close"
+        cycles.append(cycle)
+    return intmat.mul(cycles, surface.basis, surface.Jinv.T)
+
+
+def chain_pattern(surface, G=None) -> list[tuple[int, ...]]:
+    """The violations of the lifted chain pattern, as ``theorems._chain_pattern``
+    lists them, one h-chain and one pair of families at a time.
+
+    The pairings are read from ``G``, by default ``V J V^T`` over every lift
+    ``V`` of every ``gamma_i`` computed curve by curve (:func:`gamma_lifts`).
+    """
+    n, k = surface.ctx.n, surface.ctx.k
+    if G is None:
+        V = np.concatenate([gamma_lifts(surface, i) for i in range(1, 2 * n + 2)])
+        G = intmat.mul(V, surface.J, V.T)
+    bad = []
+    for i in range(1, 2 * n + 1):
+        low, high = (i - 1) * k - 1, i * k - 1  # the rows of label l are low + l and high + l
+        labels = range(1, k) if i % 2 == 1 else range(k, 1, -1)
+        R = [row for l in labels for row in (low + l, high + l)] + [low + (k if i % 2 else 1)]
+        got = np.abs(np.triu(G[np.ix_(R, R)], 1))
+        wrong = got != np.eye(len(R), k=1, dtype=np.int64)
+        bad += [(i, int(a), int(b), int(got[a, b])) for a, b in zip(*np.nonzero(wrong))]
+    for i in range(1, 2 * n + 2):
+        for j in range(i + 2, 2 * n + 2):
+            block = G[(i - 1) * k : i * k, (j - 1) * k : j * k]
+            bad += [(i, j, int(la) + 1, int(lb) + 1) for la, lb in zip(*np.nonzero(block))]
+    return bad
+
+
+def fixed_point_free_of_order(M: np.ndarray, k: int) -> bool:
+    """Whether ``M`` has exact order ``k`` and no fixed vector: every power
+    ``M^j`` for ``0 < j < k`` differs from ``I``, and the sum of the powers
+    ``M^j`` for ``0 <= j < k``, taken one dense product at a time and summed
+    in Python ints, is zero."""
+    ident = np.eye(len(M), dtype=np.int64)
+    power, total, ok = ident, ident.astype(object), True
+    for _ in range(1, k):
+        power = intmat.mul(power, M)
+        total = total + power
+        ok = ok and not np.array_equal(power, ident)
+    return ok and not np.count_nonzero(total)
+
+
 def lift_token(surface, name: str) -> np.ndarray:
     """The dense ``2g x 2g`` matrix of one lift name (a token without exponent).
 

@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import pytest
+import referees
 
 import superelliptic
 from superelliptic import cover as cover_mod
 from superelliptic.cli import _build_parser, main
+from superelliptic.cover import build_cover
 from superelliptic.theorems import Bounds
 from superelliptic.words import Context
 
@@ -151,8 +153,15 @@ class TestCover:
         assert code == 0 and out == want
 
     def test_matrix_overflow_exit_2(self, capsys, few_products):
-        code, out, err = run(capsys, "cover", "matrix", "t1,2^1000000000000000000", "--n", "1")
-        assert code == 2 and not out and err.startswith("error: int64 product bound")
+        # t1,2^(10^18) is exact (test_matrix_exact_huge_t_power); 10^19 is not
+        code, out, err = run(capsys, "cover", "matrix", "t1,2^10000000000000000000", "--n", "1")
+        assert code == 2 and not out and err.startswith("error: int64 power bound")
+        assert ">= 2**62" in err
+
+    def test_matrix_exact_huge_t_power(self, capsys, few_products):
+        code, out, err = run(capsys, "cover", "matrix", "t1,2^1000000000", "--n", "2")
+        want = referees.lift_product(build_cover(Context(2, 3)), "t1,2^1000000000")
+        assert code == 0 and not err and json.loads(out) == want.tolist()
 
 
 class TestVerifyAll:

@@ -946,8 +946,20 @@ class TestLiftProduct:
         assert np.array_equal(lift_product(S, f"zeta^{e}"), want)
 
     def test_overflowing_power_raises(self, S, few_products):
-        with pytest.raises(OverflowError):
-            lift_product(S, "t1,2^1000000000000000000")
+        # t1,2^(10^18) is exact (test_huge_t_powers_are_exact); 10^19 is not
+        with pytest.raises(OverflowError, match="2\\*\\*62"):
+            lift_product(S, "t1,2^10000000000000000000")
+
+    @pytest.mark.parametrize("n, text", [(1, "t1,2^1000000000000000000"), (2, "t1,2^1000000000"),
+                                         (2, "t1,2^-1000000000"), (1, "t2,3^-1000000000000000000")])
+    def test_huge_t_powers_are_exact(self, n, text, few_products):
+        # (B - I)^2 = 0 for a t lift, so its power e is I + e (B - I), whose
+        # entries are at most 2 |e| + 1 here
+        S = build_cover(Context(n, 3))
+        got = lift_product(S, text)
+        assert got.dtype == np.int64
+        assert got.tolist() == referees.lift_product(S, text).tolist()
+        assert int(np.abs(got).max()) > 10**9
 
     def test_each_distinct_token_is_built_once_per_context(self, S, monkeypatch):
         # a lift is built once per context; its inverse and its factors to the
@@ -1000,6 +1012,83 @@ class TestLiftProduct:
         assert built == [("h", 1, -1), ("h", 1, 1), ("t", 1, 1)]
 
 
+# the sizes on which the lift table's blocks, inverses and powers are checked
+TABLE_SIZES = [(1, 2), (1, 3), (2, 3), (3, 4), (5, 7), (8, 5)]
+
+
+class TestLiftTable:
+    """Every t/h block, its inverse and its powers, read from the lift table."""
+
+    @staticmethod
+    def _tokens(n):
+        return [("t", i, f"t{i},{i + 1}") for i in range(1, 2 * n + 2)] + [
+            ("h", i, f"h{i}") for i in range(1, 2 * n + 1)]
+
+    @pytest.mark.parametrize("n,k", TABLE_SIZES)
+    def test_table_rows_are_the_lifts_curve_by_curve(self, n, k):
+        S = build_cover(Context(n, k))
+        table = cover_mod._lift_table(S)
+        for i in range(1, 2 * n + 2):
+            assert np.array_equal(cover_mod._gamma_lifts(S, i), referees.gamma_lifts(S, i)), i
+        C, J = table.C.astype(object), S.J.astype(object)
+        assert table.JC.tolist() == (-C @ J).tolist()
+        assert table.G.tolist() == (-C @ J @ C.T).tolist()
+
+    @staticmethod
+    def _power(M, e):
+        """``M^e`` for ``e >= 1`` by repeated int64 products, each bounded below 2**62 first."""
+        P = M
+        for _ in range(e - 1):
+            assert int(np.abs(P).max()) * int(np.abs(M).max()) * len(M) < 2**62
+            P = P @ M
+        return P
+
+    @pytest.mark.parametrize("n,k", TABLE_SIZES)
+    def test_blocks_inverses_and_powers_match_the_referees(self, n, k):
+        S = build_cover(Context(n, k))
+        cover_mod._LIFT_CACHE.clear()
+        for kind, i, tok in self._tokens(n):
+            curves = cover_mod._gamma_lifts(S, i) if kind == "t" else cover_mod.h_chain(S, i)
+            M = referees.twist_lift(S.J, curves)
+            assert np.array_equal(lift_product(S, tok), M), tok
+            # T_c^-1 = I - c (J c)^T, in reverse order; the closed-form block is also J^-1 M^T J
+            M_inv = referees.twist_lift(-S.J, curves[::-1])
+            inverse = cover_mod._dense(S, cover_mod._lift(S, kind, i, -1))
+            assert np.array_equal(inverse, M_inv), tok
+            assert np.array_equal(inverse, cover_mod.symplectic_inverse(S, M)), tok
+            for e in (2, 7):
+                assert np.array_equal(lift_product(S, f"{tok}^{e}"), self._power(M, e)), (tok, e)
+                got = lift_product(S, f"{tok}^-{e}")
+                assert np.array_equal(got, self._power(M_inv, e)), (tok, -e)
+            # the object-arithmetic referee squares 10^9 in Python ints: every token at
+            # the small sizes, the first t and h lifts at the larger ones
+            if 2 * n * (k - 1) <= 18 or i == 1:
+                for e in (10**9, -(10**9)):
+                    want = referees.lift_product(S, f"{tok}^{e}")
+                    assert lift_product(S, f"{tok}^{e}").tolist() == want.tolist(), (tok, e)
+
+    @pytest.mark.parametrize("n,k", TABLE_SIZES)
+    def test_t_blocks_square_to_zero_and_h_powers_square(self, n, k, monkeypatch):
+        S = build_cover(Context(n, k))
+        for kind, i, _ in self._tokens(n):
+            f = cover_mod._lift(S, kind, i, 1)
+            N = f.B.astype(object) - np.eye(len(f.B), dtype=int).astype(object)
+            assert f.square_zero == (kind == "t") == (not (N @ N).any()), (kind, i)
+            assert cover_mod._lift(S, kind, i, -1).square_zero == f.square_zero
+        squared = []
+        real = cover_mod.matrix_power
+        monkeypatch.setattr(cover_mod, "matrix_power", lambda M, e: squared.append(e) or real(M, e))
+        lift_product(S, "t1,2^5 h1^6 t2,3^-3 h1^-3 zeta^4")
+        assert squared == [6, 3, 4]  # the t powers are I + e (B - I)
+
+    @pytest.mark.parametrize("n,k", TABLE_SIZES)
+    def test_zeta_prime_with_its_run_power_is_the_token_chain(self, n, k):
+        S = build_cover(Context(n, k))
+        text = generators.factors_to_tokens(generators.t_chain_factors(1, 2 * n + 1))
+        assert np.array_equal(lift_rep(S, "zeta_prime"), lift_product(S, text))
+        assert np.array_equal(cover_mod._zeta_prime(S), lift_product(S, text))
+
+
 class TestLiftEvaluator:
     """The block evaluator against the dense chain of ``referees.lift_product``."""
 
@@ -1038,7 +1127,7 @@ class TestLiftEvaluator:
 
     def test_overflowing_powers_and_products_raise_the_same_error_cold_and_warm(self):
         S = build_cover(Context(2, 3))
-        big = 10**18
+        big = 10**19  # t1,2^(10^18) is exact: test_huge_t_powers_are_exact
         for text in [f"t1,2^{big}", f"t1,2^{-big}", f"r1 t1,2^{big}",
                      "h1 t1,2^1000000000 t2,3^1000000000", "t1,2^1000000000 t2,3^1000000000 h1"]:
             cover_mod._LIFT_CACHE.clear()

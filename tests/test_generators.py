@@ -390,6 +390,19 @@ class TestReadToken:
         with pytest.raises(WordSyntaxError, match=message):
             read(text, ctx)
 
+    @pytest.mark.parametrize("kind, text", [
+        ("word", "s1^{}"), ("word", "s1^({}n)"), ("word", "s{}"),
+        ("lift", "zeta^{}"), ("lift", "zeta^-{}"),
+        ("curve", "x1^{}"),
+    ])
+    def test_a_number_longer_than_int_reads_is_malformed(self, kind, text):
+        # int() refuses more than 4300 digits with its own ValueError
+        ctx, tok = Context(1, 3), text.format("1" * 5000)
+        read = {"word": expand_token_text, "curve": curve_parse,
+                "lift": lambda t, c: lift_product(build_cover(c), t)}[kind]
+        with pytest.raises(WordSyntaxError, match="malformed exponent or index in token"):
+            read(tok, ctx)
+
 
 class TestOracleBackedIdentities:
     def test_h1_braid_partner(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import referees
 
 from superelliptic import (
     Context,
@@ -883,3 +884,53 @@ class TestWGeneration:
         assert claim.status == "fail"
         blocks = 1 if basis == "sphere" else 2
         assert f"s1}} != " in claim.detail and f"{blocks} blocks" in claim.detail
+
+
+class TestLiftTableClaims:
+    """The chain-pattern and deck-rotation checks against their former loops."""
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 3), (3, 4), (5, 7), (8, 5)])
+    def test_chain_pattern_from_the_gram_is_the_per_chain_loop(self, n, k):
+        ctx = Context(n, k)
+        assert referees.chain_pattern(cover.build_cover(ctx)) == []
+        assert theorems._chain_pattern(ctx) == (True, (
+            "homology-level (necessary condition only): "
+            f"alternating lifted families are (2k-1)-chains (k={k})"))
+
+    def test_a_flipped_gram_pairing_fails_the_chain_pattern(self, monkeypatch):
+        ctx, k = Context(2, 3), 3
+        S = cover.build_cover(ctx)
+        table = cover._lift_table(S)
+        # rows 0 and k, the first lifts of gamma_1 and gamma_2, are neighbours in
+        # the h1 chain; rows 0 and 2k, of gamma_1 and gamma_3, must be disjoint
+        flips = [[(0, k, 0)], [(0, 2 * k, 1)],
+                 [(0, k, 0), (2, 4 * k, -1), (k + 1, 3 * k, 1), (0, 4 * k, 1), (1, 2 * k, 1)]]
+        for flip in flips:
+            G = table.G.copy()
+            for a, b, value in flip:
+                G[a, b], G[b, a] = value, -value
+            monkeypatch.setattr(cover, "_lift_table", lambda surface, G=G: table._replace(G=G))
+            want = referees.chain_pattern(S, G)
+            ok, detail = theorems._chain_pattern(ctx)
+            assert not ok and want and detail.endswith(f"violations: {want[:4]}"), (detail, want)
+        # the chain pairs first, then the far pairs by family and label, not by row
+        assert want == [(1, 0, 1, 0), (1, 3, 2, 1), (1, 5, 1, 1), (1, 5, 3, 1), (2, 4, 2, 1)]
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_deck_order_by_doubling_is_the_power_loop(self, k):
+        zeta = cover.lift_rep(cover.build_cover(Context(1, k)), "zeta")
+        ident = np.eye(len(zeta), dtype=np.int64)
+        cases = [(zeta, k), (zeta, k + 1), (zeta, 2 * k), (cover.mul(zeta, zeta), k),
+                 (ident, k), (-ident, k), (-zeta, k)]
+        for M, order in cases:
+            want = referees.fixed_point_free_of_order(M, order)
+            assert theorems._fixed_point_free_of_order(M, order) == want, order
+        assert theorems._fixed_point_free_of_order(zeta, k)
+
+    def test_a_smaller_order_with_a_zero_power_sum_fails(self):
+        # -I has order 2, so I - I + I - I = 0 although (-I)^2 = I: only the
+        # check of M^(k/p) for the primes p | k tells order 2 from order 4
+        M = -np.eye(4, dtype=np.int64)
+        assert not referees.fixed_point_free_of_order(M, 4)
+        assert not theorems._fixed_point_free_of_order(M, 4)
+        assert theorems._fixed_point_free_of_order(M, 2)
