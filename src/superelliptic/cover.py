@@ -17,10 +17,11 @@ their four ends in the cyclic order of the vertex link.
 
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve as the rows of an int64 array with ``2g`` columns.
-The lift table (:func:`_lift_table`, one per cover) holds every lift of
-every ``gamma_i`` from one product, with their ``J``-images and their Gram
-matrix; :func:`h_chain`, the ``t``/``h`` lifts and the chain-pattern claim
-read its rows.  Twists act by transvections ``x -> x + <x, c> c``.  A ``t``
+The surface alone holds its homology state: its lift table ``table``, built
+on first read, and the lift factors built so far (``lifts``).  The ``t``/``h``
+lifts read the table's rows (:func:`_lift_rows`) and
+:func:`chain_pattern_violations` its Gram matrix.  Twists act by
+transvections ``x -> x + <x, c> c``.  A ``t``
 or ``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix
 is ``B`` on the rows and columns ``U``, the supports of its curves and of
 their ``J``-images, and the identity elsewhere (:func:`_twist_block`, in
@@ -53,8 +54,8 @@ falls back to object arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,7 @@ from .errors import DoesNotLiftError, WordSyntaxError
 from .generators import F_factors, factors_to_tokens, t_chain_factors
 from .intmat import Chain, _as_int64, _check_bound, _max_abs, mul
 from .liftability import CurveClass, curve_monodromy
-from .words import Context, read_token
+from .words import Context, read_token, require_context
 
 # Global handedness of the intersection form.  Pinned by the requirement
 # that the boundary-twist factorization of the deck rotation reproduces the
@@ -91,6 +92,23 @@ class CoverSurface:
     J: np.ndarray  # 2g x 2g, int64
     Jinv: np.ndarray  # 2g x 2g, int64
     P: np.ndarray  # 2g x 2g, int64: P^T J P is the standard symplectic form
+    lifts: dict = field(default_factory=dict, init=False, repr=False)  # filled by _lift
+
+    @cached_property
+    def table(self) -> "_Curves":
+        """Every lift of every ``gamma_i`` (the round curves of :func:`_round_sequence`).
+
+        Row ``(i - 1) k + l - 1`` is the lift of ``gamma_i`` that starts on
+        sheet ``l``.  All of them map to homology in one product ``cycles .
+        basis . Jinv^T``; ``JC`` and ``G`` take one product each.  The arrays
+        are read-only.
+        """
+        ctx = self.ctx
+        cycles = [_sheet_cycles(self, _round_sequence(ctx, i)) for i in range(1, ctx.num_arcs + 1)]
+        table = _curves(self, mul(np.concatenate(cycles), self.basis, self.Jinv.T))
+        for a in table:
+            a.flags.writeable = False
+        return table
 
     @property
     def genus(self) -> int:
@@ -320,6 +338,7 @@ def lift_cycle(surface: CoverSurface, base: CurveClass) -> np.ndarray:
     all ``k`` loop-coordinate cycles (:func:`_sheet_cycles`) map in one product.
     """
     ctx = surface.ctx
+    require_context(ctx, base)
     mono = curve_monodromy(base, ctx)
     if mono != 0:
         raise DoesNotLiftError(
@@ -354,23 +373,6 @@ def _curves(surface: CoverSurface, C) -> _Curves:
     C = _as_int64(C)
     JC = -mul(C, surface.J)
     return _Curves(C, JC, mul(JC, C.T))
-
-
-@lru_cache(maxsize=None)
-def _lift_table(surface: CoverSurface) -> _Curves:
-    """Every lift of every ``gamma_i`` (the round curves of :func:`_round_sequence`).
-
-    Row ``(i - 1) k + l - 1`` is the lift of ``gamma_i`` that starts on sheet
-    ``l``.  All of them map to homology in one product ``cycles . basis .
-    Jinv^T``; ``JC`` and ``G`` take one product each.  The arrays are
-    read-only.
-    """
-    ctx = surface.ctx
-    cycles = [_sheet_cycles(surface, _round_sequence(ctx, i)) for i in range(1, ctx.num_arcs + 1)]
-    table = _curves(surface, mul(np.concatenate(cycles), surface.basis, surface.Jinv.T))
-    for a in table:
-        a.flags.writeable = False
-    return table
 
 
 def _twist_block(
@@ -495,24 +497,6 @@ def _half_turn_cycle_map(surface: CoverSurface) -> np.ndarray:
     return C
 
 
-_LIFT_CACHE: dict = {}
-
-
-def _gamma_rows(surface: CoverSurface, i: int) -> _Curves:
-    """The lifts of ``gamma_i``, the curves of the ``t`` lift ``i``: rows of
-    the lift table, kept in ``_LIFT_CACHE``."""
-    key = (surface.ctx, "gamma", i)
-    if key not in _LIFT_CACHE:
-        k = surface.ctx.k
-        _LIFT_CACHE[key] = _lift_table(surface).rows(slice((i - 1) * k, i * k))
-    return _LIFT_CACHE[key]
-
-
-def _gamma_lifts(surface: CoverSurface, i: int) -> np.ndarray:
-    """The ``k x 2g`` lifts of ``gamma_i``, read-only (:func:`_gamma_rows`)."""
-    return _gamma_rows(surface, i).C
-
-
 def _h_rows(ctx: Context, i: int) -> np.ndarray:
     """The lift-table rows of the (2k-1)-chain whose twists make the lift of
     ``h_i``: lifts of ``gamma_i`` and ``gamma_{i+1}`` alternate by label,
@@ -525,10 +509,34 @@ def _h_rows(ctx: Context, i: int) -> np.ndarray:
     return np.array(chain + [low + k if i % 2 == 1 else low + 1])
 
 
-def h_chain(surface: CoverSurface, i: int) -> np.ndarray:
-    """The (2k-1)-chain of lifted curves of the ``h_i`` lift (:func:`_h_rows`),
-    as the rows of a ``(2k-1) x 2g`` array."""
-    return _lift_table(surface).C[_h_rows(surface.ctx, i)]
+def _lift_rows(surface: CoverSurface, kind: str, i: int) -> _Curves:
+    """The lift-table rows whose twists make the ``t`` or ``h`` lift ``i``:
+    the ``k`` lifts of ``gamma_i``, row ``l - 1`` from sheet ``l``, or the
+    chain of :func:`_h_rows`."""
+    k = surface.ctx.k
+    rows = slice((i - 1) * k, i * k) if kind == "t" else _h_rows(surface.ctx, i)
+    return surface.table.rows(rows)
+
+
+def chain_pattern_violations(surface: CoverSurface) -> list[tuple[int, int, int, int]]:
+    """The pairings, read from the lift table's Gram matrix, that break the
+    lifted chain pattern: ``(i, a, b, |pairing|)`` for positions ``a < b`` of
+    the ``h_i`` chain (:func:`_h_rows`) that are not neighbours yet meet, or
+    neighbours that do not meet once; then ``(i, j, l, m)`` for lifts of
+    ``gamma_i`` and ``gamma_j``, ``j >= i + 2``, from sheets ``l`` and ``m``
+    that meet.  Both in lexicographic order."""
+    n, k = surface.ctx.n, surface.ctx.k
+    G = surface.table.G
+    R = np.array([_h_rows(surface.ctx, i) for i in range(1, 2 * n + 1)])
+    got = np.abs(np.triu(G[R[:, :, None], R[:, None, :]], 1))
+    wrong = got != np.eye(R.shape[1], k=1, dtype=np.int64)  # only neighbours meet
+    bad = [(i + 1, a, b, int(got[i, a, b])) for i, a, b in np.argwhere(wrong).tolist()]
+    fam = np.arange(len(G)) // k  # row a lifts gamma_(fam[a] + 1)
+    a, b = np.nonzero(G * (fam[None, :] >= fam[:, None] + 2))
+    order = np.lexsort((b, a, fam[b], fam[a]))  # by gamma_i, gamma_j, then labels
+    bad += [(int(fam[x]) + 1, int(fam[y]) + 1, int(x) % k + 1, int(y) % k + 1)
+            for x, y in zip(a[order], b[order])]
+    return bad
 
 
 class _Factor:
@@ -558,14 +566,14 @@ def _check_lift(ctx: Context, kind: str, index) -> None:
 def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Factor:
     """The lift ``kind``/``index`` to the power ``e != 0``.
 
-    Its factors to the powers 1 and -1 are built once per context and cached
-    (:func:`_build_lift`).  A larger power ``m = |e|`` of one of them is
-    formed on each call and not cached: ``I + m (B - I)`` when ``(B - I)^2 =
-    0``, as for a ``t`` lift, and else by squaring (:func:`matrix_power`)."""
-    key = (surface.ctx, kind, index, 1 if e > 0 else -1)
-    if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = _build_lift(surface, kind, index, key[3])
-    f, m = _LIFT_CACHE[key], abs(e)
+    Its factors to the powers 1 and -1 are built once (:func:`_build_lift`)
+    and kept in ``surface.lifts[kind, index, +-1]``.  A larger power ``m =
+    |e|`` is formed on each call and not kept: ``I + m (B - I)`` when ``(B -
+    I)^2 = 0``, as for a ``t`` lift, and else by squaring."""
+    key = (kind, index, 1 if e > 0 else -1)
+    if key not in surface.lifts:
+        surface.lifts[key] = _build_lift(surface, kind, index, key[2])
+    f, m = surface.lifts[key], abs(e)
     if m == 1:
         return f
     if not f.square_zero:
@@ -580,8 +588,7 @@ def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Facto
 def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> _Factor:
     if kind in ("t", "h"):
         # the product of the twists about the lifted curves, in row order
-        curves = (_gamma_rows(surface, index) if kind == "t"
-                  else _lift_table(surface).rows(_h_rows(surface.ctx, index)))
+        curves = _lift_rows(surface, kind, index)
         if sign < 0:  # the closed-form inverse, once the lift itself is built and checked
             f = _lift(surface, kind, index, 1)
             return _Factor(*_twist_block(surface, curves, inverse=True), f.square_zero)

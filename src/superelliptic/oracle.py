@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from . import _kernels as K
 from .errors import BudgetError
-from .words import Context, Word, exponent_sum, first_out_of_range, psi
+from .words import Context, Word, exponent_sum, first_out_of_range, psi, require_context
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -156,6 +156,7 @@ def artin_action(w: Word, m: int, *, budget: int | None = None) -> FreeAutomorph
 
 def sphere_action(w: Word, ctx: Context, *, budget: int | None = None) -> FreeAutomorphism:
     """The marked-sphere action on the rank ``2n+1`` free group."""
+    require_context(ctx, w)
     m = ctx.num_arcs
     return _wrap(m, K.act_word(w.letters, m, m, resolve_budget(budget)))
 
@@ -209,6 +210,7 @@ def _require_disk_letters(w: Word, ctx: Context) -> None:
 
 def eq_disk(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> bool:
     """Equality in the disk group (braid group on ``2n+1`` strands)."""
+    require_context(ctx, u, v)
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
     _require_disk_letters(v, ctx)
@@ -223,6 +225,7 @@ def eq_star(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> boo
     action runs on the cyclic core of ``d`` only, which the budget counts,
     against the cached image of ``Delta^{2p}`` (see :func:`_is_twist_power`).
     """
+    require_context(ctx, u, v)
     budget = resolve_budget(budget)
     _require_disk_letters(u, ctx)
     _require_disk_letters(v, ctx)
@@ -328,6 +331,7 @@ def eq_sphere(u: Word, v: Word, ctx: Context, *, budget: int | None = None) -> b
     permutation; it then fixes point ``2n+2`` and is decided in the star
     group after :func:`cap_to_star`.
     """
+    require_context(ctx, u, v)
     budget = resolve_budget(budget)
     d = Word._trusted(ctx, K.cyclic_core((u * v.inverse()).letters))
     if not psi(d, ctx).is_identity:

@@ -237,7 +237,10 @@ def verify(cid: str, ctx: Context, budget: int | None = None) -> Claim:
     runs its check.  ``ok`` True passes, False fails and None skips.  An
     oracle that runs over its letter budget skips the claim; a witness is
     kept either way.  ``elapsed`` covers the verdict or the check alone.
+    A budget other than None or an integer >= 1 raises ``ValueError`` first
+    (:func:`oracle.resolve_budget`), for a computed claim too.
     """
+    budget = oracle.resolve_budget(budget)
     row = _table_row(cid, ctx)
     if row.kind == "computed":
         check, witness = partial(row.make, ctx), None
@@ -628,28 +631,13 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
 
 
 def _chain_pattern(ctx: Context) -> tuple[bool, str]:
-    """Intersection pattern of the lifted curve families.
-
-    The alternating family used by the half-rotation lifts
-    (:func:`cover.h_chain`) must be a (2k-1)-chain: consecutive curves meet
-    once (pairing +-1), all other pairs are disjoint (pairing 0).  Lifts of
-    ``gamma_i`` and ``gamma_j`` with ``j >= i + 2`` must be disjoint.  Every
-    pairing is read from the Gram matrix of the lift table, which holds every
-    lift of every ``gamma_i`` (:func:`cover._lift_table`).
-    """
-    n, k = ctx.n, ctx.k
-    G = cover._lift_table(cover.build_cover(ctx)).G
-    R = np.array([cover._h_rows(ctx, i) for i in range(1, 2 * n + 1)])
-    got = np.abs(np.triu(G[R[:, :, None], R[:, None, :]], 1))
-    wrong = got != np.eye(R.shape[1], k=1, dtype=np.int64)  # only neighbours meet
-    bad = [(i + 1, a, b, int(got[i, a, b])) for i, a, b in np.argwhere(wrong).tolist()]
-    fam = np.arange(len(G)) // k  # row a lifts gamma_(fam[a] + 1)
-    a, b = np.nonzero(G * (fam[None, :] >= fam[:, None] + 2))
-    order = np.lexsort((b, a, fam[b], fam[a]))  # by gamma_i, gamma_j, then labels
-    bad += [(int(fam[x]) + 1, int(fam[y]) + 1, int(x) % k + 1, int(y) % k + 1)
-            for x, y in zip(a[order], b[order])]
+    """Intersection pattern of the lifted curve families: the curves of each
+    half-rotation lift form a (2k-1)-chain, and lifts of ``gamma_i`` and
+    ``gamma_j`` with ``j >= i + 2`` are disjoint.  The detail lists the first
+    four violations (:func:`cover.chain_pattern_violations`)."""
+    bad = cover.chain_pattern_violations(cover.build_cover(ctx))
     detail = f"violations: {bad[:4]}" if bad else (
-        f"alternating lifted families are (2k-1)-chains (k={k})"
+        f"alternating lifted families are (2k-1)-chains (k={ctx.k})"
     )
     return not bad, f"{_HOMOLOGY_NOTE} {detail}"
 

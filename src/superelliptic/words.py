@@ -51,6 +51,13 @@ class Context:
         return self.n * (self.k - 1)
 
 
+def require_context(ctx: Context, *values) -> None:
+    """``ContextMismatchError`` unless every value (a word or a curve) is over ``ctx``."""
+    for x in values:
+        if x.ctx != ctx:
+            raise ContextMismatchError(f"a value over {x.ctx} was given with {ctx}")
+
+
 @lru_cache(maxsize=8)
 def _valid_letters(top: int) -> frozenset[int]:
     return frozenset(range(-top, top + 1)) - {0}

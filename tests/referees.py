@@ -190,8 +190,9 @@ def gamma_lifts(surface, i: int) -> np.ndarray:
 
 
 def chain_pattern(surface, G=None) -> list[tuple[int, ...]]:
-    """The violations of the lifted chain pattern, as ``theorems._chain_pattern``
-    lists them, one h-chain and one pair of families at a time.
+    """The violations of the lifted chain pattern, as
+    ``cover.chain_pattern_violations`` lists them, one h-chain and one pair of
+    families at a time.
 
     The pairings are read from ``G``, by default ``V J V^T`` over every lift
     ``V`` of every ``gamma_i`` computed curve by curve (:func:`gamma_lifts`).
@@ -244,10 +245,10 @@ def lift_token(surface, name: str) -> np.ndarray:
     if name == "zeta_prime":
         return lift_product(surface, G.factors_to_tokens(G.t_chain_factors(1, 2 * n + 1)))
     if name.startswith("h"):
-        return twist_lift(surface.J, cover.h_chain(surface, int(name[1:])))
+        return twist_lift(surface.J, cover._lift_rows(surface, "h", int(name[1:])).C)
     i, j = map(int, name[1:].split(","))
     assert j == i + 1, name
-    return twist_lift(surface.J, cover._gamma_lifts(surface, i))
+    return twist_lift(surface.J, cover._lift_rows(surface, "t", i).C)
 
 
 def lift_product(surface, text: str) -> np.ndarray:

@@ -1,6 +1,9 @@
 """The branched cover surface, its homology, and the lifted actions."""
 
+import gc
 import random
+import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,7 @@ from superelliptic import (
 from superelliptic import cover as cover_mod
 from superelliptic import generators, intmat
 from superelliptic.cover import lift_product
-from superelliptic.errors import DoesNotLiftError, WordSyntaxError
+from superelliptic.errors import ContextMismatchError, DoesNotLiftError, WordSyntaxError
 
 
 def identity(surface):
@@ -236,10 +239,10 @@ class TestReferees:
     def test_twist_lifts_match_dense_products(self, n, k):
         S = build_cover(Context(n, k))
         for i in range(1, 2 * n + 2):
-            want = referees.twist_lift(S.J, cover_mod._gamma_lifts(S, i))
+            want = referees.twist_lift(S.J, cover_mod._lift_rows(S, "t", i).C)
             assert np.array_equal(lift_rep(S, "t", i), want), ("t", i)
         for i in range(1, 2 * n + 1):
-            want = referees.twist_lift(S.J, cover_mod.h_chain(S, i))
+            want = referees.twist_lift(S.J, cover_mod._lift_rows(S, "h", i).C)
             assert np.array_equal(lift_rep(S, "h", i), want), ("h", i)
 
     @pytest.mark.parametrize("n,k", REFEREE_SIZES)
@@ -293,7 +296,7 @@ class TestInt64Overflow:
     def test_transvect_is_exact_within_the_bound(self):
         S = build_cover(Context(1, 3))
         M = np.full((S.h1_rank, S.h1_rank), 2**40, dtype=np.int64)
-        curves = cover_mod._gamma_lifts(S, 1)
+        curves = cover_mod._lift_rows(S, "t", 1).C
         exact = M.astype(object)
         for x in curves.astype(object):
             exact = exact + np.outer(exact @ x, S.J.astype(object) @ x)
@@ -534,6 +537,15 @@ class TestLiftCycle:
         with pytest.raises(DoesNotLiftError):
             lift_cycle(S, CurveClass(ctx, (1,)))
 
+    @pytest.mark.parametrize("built, given, i", [(Context(3, 3), Context(1, 3), 5),
+                                                 (Context(1, 3), Context(3, 3), 1),
+                                                 (Context(1, 3), Context(1, 4), 1)])
+    def test_a_curve_from_another_context_is_refused(self, built, given, i):
+        curve = gamma_curve(i, i + 1, built)
+        assert lift_cycle(build_cover(built), curve).shape[0] == built.k
+        with pytest.raises(ContextMismatchError, match=re.escape(f"over {built} was given with {given}")):
+            lift_cycle(build_cover(given), curve)
+
     def test_k_closed_lifts(self):
         ctx = Context(2, 3)
         S = build_cover(ctx)
@@ -550,7 +562,7 @@ class TestLiftCycle:
         S = build_cover(ctx)
         Mz = lift_rep(S, "zeta")
         for i in range(1, ctx.num_points):
-            lifts = cover_mod._gamma_lifts(S, i)
+            lifts = cover_mod._lift_rows(S, "t", i).C
             for l in range(ctx.k):
                 assert np.array_equal(Mz @ lifts[l], lifts[(l + 1) % ctx.k])
 
@@ -593,7 +605,7 @@ class TestTwistMatrices:
 
     def test_transvection_fixes_orthogonal_vectors(self):
         S = build_cover(Context(1, 3))
-        c = cover_mod._gamma_lifts(S, 1)[0]
+        c = cover_mod._lift_rows(S, "t", 1).C[0]
         T = twist_matrix(S, c)
         for x in np.eye(S.h1_rank, dtype=object):
             if int(x @ S.J @ c) == 0:
@@ -604,7 +616,7 @@ class TestTwistMatrices:
         ctx = Context(n, k)
         S = build_cover(ctx)
         for i in (1, 2):
-            for c in cover_mod._gamma_lifts(S, i):
+            for c in cover_mod._lift_rows(S, "t", i).C:
                 assert cover_mod.is_symplectic(S, twist_matrix(S, c))
 
 
@@ -623,7 +635,8 @@ class TestHyperelliptic:
     def twists(self, request):
         S = build_cover(Context(request.param, 2))
         arcs = S.ctx.num_arcs
-        return S, [twist_matrix(S, cover_mod._gamma_lifts(S, i)[0]) for i in range(1, arcs + 1)]
+        return S, [twist_matrix(S, cover_mod._lift_rows(S, "t", i).C[0])
+                   for i in range(1, arcs + 1)]
 
     def test_deck_rotation_is_minus_the_identity(self, twists):
         S, _ = twists
@@ -656,8 +669,8 @@ class TestChainPattern:
         ctx = Context(n, k)
         S = build_cover(ctx)
         for i in range(1, 2 * n + 1):
-            low = cover_mod._gamma_lifts(S, i)
-            high = cover_mod._gamma_lifts(S, i + 1)
+            low = cover_mod._lift_rows(S, "t", i).C
+            high = cover_mod._lift_rows(S, "t", i + 1).C
             if i % 2 == 1:
                 chain = [c for l in range(k - 1) for c in (low[l], high[l])] + [low[-1]]
             else:
@@ -674,8 +687,8 @@ class TestChainPattern:
         S = build_cover(ctx)
         for i in range(1, ctx.num_points):
             for j in range(i + 2, ctx.num_points):
-                for ca in cover_mod._gamma_lifts(S, i):
-                    for cb in cover_mod._gamma_lifts(S, j):
+                for ca in cover_mod._lift_rows(S, "t", i).C:
+                    for cb in cover_mod._lift_rows(S, "t", j).C:
                         assert pairing(S, ca, cb) == 0
 
 
@@ -757,7 +770,7 @@ class TestClosedFormTransvect:
             got = cover_mod.mul(before, _twists(S, curves))
             assert got.tolist() == self._exact(M, curves, J), curves
             assert before.tolist() == M  # the input is not changed
-        lifts = cover_mod.h_chain(S, 2)
+        lifts = cover_mod._lift_rows(S, "h", 2).C
         M = lift_rep(S, "r1")
         assert cover_mod.mul(M, _twists(S, lifts)).tolist() == self._exact(
             M.tolist(), lifts.tolist(), J
@@ -775,11 +788,11 @@ class TestLiftReps:
             return [[int(x) for x in c] for c in curves]
 
         for i in range(1, ctx.num_points):
-            want = _transvection_product(vectors(cover_mod._gamma_lifts(S, i)), J)
+            want = _transvection_product(vectors(cover_mod._lift_rows(S, "t", i).C), J)
             assert lift_rep(S, "t", i).tolist() == want, ("t", i)
         for i in range(1, 2 * n + 1):
-            low = cover_mod._gamma_lifts(S, i)
-            high = cover_mod._gamma_lifts(S, i + 1)
+            low = cover_mod._lift_rows(S, "t", i).C
+            high = cover_mod._lift_rows(S, "t", i + 1).C
             if i % 2 == 1:
                 order = [c for l in range(k - 1) for c in (low[l], high[l])] + [low[-1]]
             else:
@@ -847,9 +860,9 @@ class TestLiftReps:
 
     def test_a_stray_index_raises_the_same_error_cold_and_warm(self):
         S = build_cover(Context(1, 3))
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         errors = []
-        for _ in range(2):  # cold, then with t2, zeta and the gamma_2 lifts cached
+        for _ in range(2):  # cold, then with t2 and zeta kept
             for kind, index in [("t", 2.0), ("t", True), ("h", 1.0), ("zeta", 7), ("r1", 1),
                                 ("gamma", 2)]:
                 with pytest.raises(ValueError) as exc:
@@ -860,10 +873,8 @@ class TestLiftReps:
         assert errors[:6] == errors[6:]
         assert errors[0] == "t-lift index 2.0 out of range 1..3"
         assert errors[3] == "zeta-lift takes no index, got 7"
-        # t2 as its block to the power 1, zeta dense, and the gamma_2 lifts t2 is built from
-        assert {key[1:] for key in cover_mod._LIFT_CACHE} == {
-            ("t", 2, 1), ("gamma", 2), ("zeta", None, 1)
-        }
+        # t2 as its block to the power 1 and zeta dense
+        assert set(S.lifts) == {("t", 2, 1), ("zeta", None, 1)}
 
 
 class TestLiftProduct:
@@ -969,26 +980,25 @@ class TestLiftProduct:
         built = []
         real = cover_mod._build_lift
         monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or real(*a))
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         for _ in range(3):
             assert lift_product(S, text).tolist() == want.tolist()
         assert len(built) == len(set(built))  # r1 builds r and its F tokens, once each
         assert {("t", 1, 1), ("h", 2, 1), ("r1", None, 1), ("zeta", None, -1)} <= set(built)
-        lifts = {key[1:] for key in cover_mod._LIFT_CACHE if key[1] != "gamma"}
-        assert lifts == set(built)  # no power is kept
-        count, size = len(built), len(cover_mod._LIFT_CACHE)
+        assert set(S.lifts) == set(built)  # no power is kept
+        count, size = len(built), len(S.lifts)
         lift_product(S, "h2^+1 r t1,2 h2^1 h2^5 zeta^-7")
         assert len(built) == count  # a warm context builds nothing
-        assert len(cover_mod._LIFT_CACHE) == size
+        assert len(S.lifts) == size
 
     def test_powers_leave_the_cache_as_it_was(self):
         # at (16, 16) each dense power of zeta is a 480 x 480 int64 matrix
         S = build_cover(Context(16, 16))
         lift_product(S, "zeta")
-        size = len(cover_mod._LIFT_CACHE)
+        size = len(S.lifts)
         for e in range(2, 22):
             lift_product(S, f"zeta^{e}")
-        assert len(cover_mod._LIFT_CACHE) == size
+        assert len(S.lifts) == size
         assert np.array_equal(lift_product(S, "zeta^21"), lift_product(S, "zeta^5"))  # k = 16
 
     def test_one_token_text_is_a_fresh_array(self, S):
@@ -1004,7 +1014,7 @@ class TestLiftProduct:
         token, build = cover_mod._lift_token, cover_mod._build_lift
         monkeypatch.setattr(cover_mod, "_lift_token", lambda *a: read.append(a[1]) or token(*a))
         monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or build(*a))
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         for _ in range(2):
             assert lift_product(S, text).tolist() == want.tolist()
         assert read == ["h1^-1", "t1,2"] * 2  # once per distinct token and call
@@ -1027,12 +1037,28 @@ class TestLiftTable:
     @pytest.mark.parametrize("n,k", TABLE_SIZES)
     def test_table_rows_are_the_lifts_curve_by_curve(self, n, k):
         S = build_cover(Context(n, k))
-        table = cover_mod._lift_table(S)
+        table = S.table
         for i in range(1, 2 * n + 2):
-            assert np.array_equal(cover_mod._gamma_lifts(S, i), referees.gamma_lifts(S, i)), i
+            assert np.array_equal(cover_mod._lift_rows(S, "t", i).C, referees.gamma_lifts(S, i)), i
         C, J = table.C.astype(object), S.J.astype(object)
         assert table.JC.tolist() == (-C @ J).tolist()
         assert table.G.tolist() == (-C @ J @ C.T).tolist()
+
+    def test_clearing_build_cover_frees_the_surface_and_its_lifts(self):
+        # the surface holds all of a context's homology state, so no other cache keeps it
+        ctx, text = Context(2, 4), "t1,2 h2^-1 r1 zeta^2 t3,4^5 zeta_prime h1^3"
+        S = build_cover(ctx)
+        want = lift_product(S, text)
+        assert S.lifts and "table" in vars(S)
+        ref = weakref.ref(S)
+        del S
+        build_cover.cache_clear()
+        gc.collect()
+        assert ref() is None
+        S = build_cover(ctx)
+        assert not S.lifts and "table" not in vars(S)  # built on first read
+        got = lift_product(S, text)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     @staticmethod
     def _power(M, e):
@@ -1046,9 +1072,9 @@ class TestLiftTable:
     @pytest.mark.parametrize("n,k", TABLE_SIZES)
     def test_blocks_inverses_and_powers_match_the_referees(self, n, k):
         S = build_cover(Context(n, k))
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         for kind, i, tok in self._tokens(n):
-            curves = cover_mod._gamma_lifts(S, i) if kind == "t" else cover_mod.h_chain(S, i)
+            curves = cover_mod._lift_rows(S, kind, i).C
             M = referees.twist_lift(S.J, curves)
             assert np.array_equal(lift_product(S, tok), M), tok
             # T_c^-1 = I - c (J c)^T, in reverse order; the closed-form block is also J^-1 M^T J
@@ -1108,7 +1134,7 @@ class TestLiftEvaluator:
         S = build_cover(Context(n, k))
         texts = self._texts(n, random.Random(100 * n + k))
         want = [referees.lift_product(S, text) for text in texts]
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         for _ in range(2):  # cold, then with every token built
             for text, M in zip(texts, want):
                 got = lift_product(S, text)
@@ -1130,7 +1156,7 @@ class TestLiftEvaluator:
         big = 10**19  # t1,2^(10^18) is exact: test_huge_t_powers_are_exact
         for text in [f"t1,2^{big}", f"t1,2^{-big}", f"r1 t1,2^{big}",
                      "h1 t1,2^1000000000 t2,3^1000000000", "t1,2^1000000000 t2,3^1000000000 h1"]:
-            cover_mod._LIFT_CACHE.clear()
+            S.lifts.clear()
             errors = []
             for _ in range(2):  # cold, then with the tokens that fit built
                 with pytest.raises(OverflowError, match="2\\*\\*62") as exc:
@@ -1148,7 +1174,7 @@ class TestLiftEvaluator:
     def test_a_tampered_block_fails_the_block_check(self, monkeypatch):
         S = build_cover(Context(2, 3))
         J = S.J
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         f = cover_mod._lift(S, "h", 1, 1)
         assert cover_mod.is_symplectic(S, f.B, f.U)
         for a, b in [(0, 0), (0, 1), (len(f.U) - 1, 0)]:
@@ -1174,7 +1200,7 @@ class TestLiftEvaluator:
             return U, B
 
         monkeypatch.setattr(cover_mod, "_twist_block", tampered)
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()
         with pytest.raises(AssertionError, match="lift h/1 is not symplectic"):
             lift_product(S, "h1")
-        cover_mod._LIFT_CACHE.clear()
+        S.lifts.clear()

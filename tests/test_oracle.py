@@ -1,6 +1,7 @@
 """The word-problem backends: action examples, equality, innerness, orders."""
 
 import random
+import re
 from functools import partial
 
 import pytest
@@ -22,7 +23,7 @@ from superelliptic import (
     psi,
     sphere_action,
 )
-from superelliptic.errors import BudgetError
+from superelliptic.errors import BudgetError, ContextMismatchError
 from superelliptic.generators import gen_h, gen_r, gen_r1, gen_t
 from superelliptic.oracle import FreeAutomorphism, _point_push, cap_to_star
 
@@ -200,6 +201,28 @@ class TestEqSphere:
     def test_congruence_on_constructed_pairs(self, u, v):
         lhs = u * gen_r1(CTX) ** CTX.num_points * v
         assert eq_sphere(lhs, u * v, CTX)
+
+
+# (built over, given with): other n either way, and the same n with another k
+MISMATCHES = [(Context(1), Context(3)), (Context(3), Context(1)), (Context(1, 3), Context(1, 4))]
+
+
+@pytest.mark.parametrize("built, given", MISMATCHES)
+def test_words_from_another_context_are_refused(built, given):
+    # each pair is equal where it is built; at another context the verdict would
+    # be about other words, or psi would index past them
+    one = Word.identity(built)
+    full = Word.from_letters(built, list(range(1, 2 * built.n + 1)) * (2 * built.n + 1))
+    cases = [(eq_sphere, expand_token_text("r1^(2n+2)", built), one), (eq_star, full, one),
+             (eq_disk, full, full)]
+    for eq, u, v in cases:
+        assert eq(u, v, built), eq.__name__
+        for pair in [(u, v), (u, Word.identity(given)), (Word.identity(given), u)]:
+            with pytest.raises(ContextMismatchError, match=re.escape(f"over {built} was given with {given}")):
+                eq(*pair, given)
+    assert sphere_action(full, built)
+    with pytest.raises(ContextMismatchError):
+        sphere_action(full, given)
 
 
 def _trivial_powers(eq, w: Word, ctx, top: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -289,6 +290,15 @@ class TestVerifiers:
         assert claim.status == "skipped", claim.detail
         assert claim.detail.startswith("oracle budget exceeded: ")
         assert claim.witness["instances"]
+
+    @pytest.mark.parametrize("budget", [0, -3, True, 2.5])
+    def test_a_bad_budget_raises_on_entry_as_in_run_all(self, budget):
+        # cover-build is computed and runs no oracle, so only the entry check sees the budget
+        message = f"letter budget must be a positive integer, got {budget!r}"
+        for make in (partial(verify, "cover-build", Context(1, 3)), partial(run_all, 1, 3)):
+            with pytest.raises(ValueError) as info:
+                make(budget=budget)
+            assert str(info.value) == message
 
 
 class TestCertificates:
@@ -900,7 +910,7 @@ class TestLiftTableClaims:
     def test_a_flipped_gram_pairing_fails_the_chain_pattern(self, monkeypatch):
         ctx, k = Context(2, 3), 3
         S = cover.build_cover(ctx)
-        table = cover._lift_table(S)
+        table = S.table
         # rows 0 and k, the first lifts of gamma_1 and gamma_2, are neighbours in
         # the h1 chain; rows 0 and 2k, of gamma_1 and gamma_3, must be disjoint
         flips = [[(0, k, 0)], [(0, 2 * k, 1)],
@@ -909,7 +919,7 @@ class TestLiftTableClaims:
             G = table.G.copy()
             for a, b, value in flip:
                 G[a, b], G[b, a] = value, -value
-            monkeypatch.setattr(cover, "_lift_table", lambda surface, G=G: table._replace(G=G))
+            monkeypatch.setitem(vars(S), "table", table._replace(G=G))
             want = referees.chain_pattern(S, G)
             ok, detail = theorems._chain_pattern(ctx)
             assert not ok and want and detail.endswith(f"violations: {want[:4]}"), (detail, want)
