@@ -19,8 +19,11 @@ A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve as the rows of an int64 array with ``2g`` columns.
 The surface alone holds its homology state: its lift table ``table``, built
 on first read, and the lift factors built so far (``lifts``).  The ``t``/``h``
-lifts read the table's rows (:func:`_lift_rows`) and
-:func:`chain_pattern_violations` its Gram matrix.  Twists act by
+lifts read the table's rows (:func:`_lift_rows`).  Two checks read its
+sheet structure: :func:`deck_rotation_shifts_sheets` (``zeta`` moves each
+lift to the next sheet of a Z-basis of lifts, so it has exact order ``k``
+and no fixed class) and :func:`chain_pattern_violations` (the Gram matrix
+is the closed-form Squier form).  Twists act by
 transvections ``x -> x + <x, c> c``.  A ``t``
 or ``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix
 is ``B`` on the rows and columns ``U``, the supports of its curves and of
@@ -518,25 +521,43 @@ def _lift_rows(surface: CoverSurface, kind: str, i: int) -> _Curves:
     return surface.table.rows(rows)
 
 
-def chain_pattern_violations(surface: CoverSurface) -> list[tuple[int, int, int, int]]:
-    """The pairings, read from the lift table's Gram matrix, that break the
-    lifted chain pattern: ``(i, a, b, |pairing|)`` for positions ``a < b`` of
-    the ``h_i`` chain (:func:`_h_rows`) that are not neighbours yet meet, or
-    neighbours that do not meet once; then ``(i, j, l, m)`` for lifts of
-    ``gamma_i`` and ``gamma_j``, ``j >= i + 2``, from sheets ``l`` and ``m``
-    that meet.  Both in lexicographic order."""
-    n, k = surface.ctx.n, surface.ctx.k
-    G = surface.table.G
-    R = np.array([_h_rows(surface.ctx, i) for i in range(1, 2 * n + 1)])
-    got = np.abs(np.triu(G[R[:, :, None], R[:, None, :]], 1))
-    wrong = got != np.eye(R.shape[1], k=1, dtype=np.int64)  # only neighbours meet
-    bad = [(i + 1, a, b, int(got[i, a, b])) for i, a, b in np.argwhere(wrong).tolist()]
-    fam = np.arange(len(G)) // k  # row a lifts gamma_(fam[a] + 1)
-    a, b = np.nonzero(G * (fam[None, :] >= fam[:, None] + 2))
-    order = np.lexsort((b, a, fam[b], fam[a]))  # by gamma_i, gamma_j, then labels
-    bad += [(int(fam[x]) + 1, int(fam[y]) + 1, int(x) % k + 1, int(y) % k + 1)
-            for x, y in zip(a[order], b[order])]
-    return bad
+def chain_pattern_violations(surface: CoverSurface) -> list[tuple[int, int, int, int, int, int]]:
+    """The entries ``(i, l, j, m, got, want)``, in row order, where the lift
+    table's Gram matrix pairs ``c_{i,l}`` and ``c_{j,m}`` other than its closed
+    form, the Squier form: skew, with ``<c_{i,l}, c_{i+1,l}> = 1``, ``<c_{i,l},
+    c_{i+1,l-1}> = -1`` for odd ``i`` and ``<c_{i,l}, c_{i+1,l+1}> = -1`` for
+    even ``i`` (sheets mod ``k``), and 0 elsewhere."""
+    k, G = surface.ctx.k, surface.table.G
+    rows = np.arange(len(G)).reshape(-1, k)  # rows[i - 1, l - 1] holds c_{i,l}
+    low, high = rows[:-1], rows[1:]
+    W = np.zeros_like(G)
+    W[low, high] = 1  # and -1 with c_{i+1,l-1} where i is odd, that is low // k even:
+    W[low, np.where(low // k % 2 == 0, np.roll(high, 1, 1), np.roll(high, -1, 1))] = -1
+    W -= W.T
+    return [(a // k + 1, a % k + 1, b // k + 1, b % k + 1, int(G[a, b]), int(W[a, b]))
+            for a, b in np.argwhere(G != W).tolist()]
+
+
+def deck_rotation_shifts_sheets(surface: CoverSurface) -> bool:
+    """Whether ``zeta c_{i,l} = c_{i,l+1}`` (sheets mod ``k``) and ``sum_l
+    c_{i,l} = 0`` on the lift table, and the Gram matrix of ``B = {c_{i,l} :
+    i <= 2n, l < k}`` is unimodular.  Then ``B`` is a Z-basis, as ``det J =
+    1``, on which ``zeta`` is block companion for ``1 + t + ... + t^(k-1)``:
+    it has exact order ``k`` and, as that polynomial is ``k`` at ``t = 1``,
+    fixes no nonzero class."""
+    C, _, G = surface.table
+    rows = np.arange(len(C)).reshape(-1, surface.ctx.k)  # rows[i - 1, l - 1] holds c_{i,l}
+    if not np.array_equal(mul(lift_rep(surface, "zeta"), C.T), C[np.roll(rows, -1, 1).ravel()].T):
+        return False
+    _check_bound(surface.ctx.k * _max_abs(C), "sum")
+    if C[rows].sum(axis=1).any():
+        return False
+    B = rows[:-1, :-1].ravel()
+    try:
+        P = intmat.symplectic_change_of_basis(G_B := G[B[:, None], B])
+    except ValueError:
+        return False
+    return np.array_equal(mul(P.T, G_B, P), intmat.standard_symplectic(len(B)))
 
 
 class _Factor:

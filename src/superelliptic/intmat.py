@@ -1,4 +1,4 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Exact integer linear algebra on integer matrices.
 
 :func:`smith_normal_form` and the Bareiss elimination behind
 :func:`rank_rational` and :func:`det_exact` work on Python ints in numpy
@@ -9,9 +9,11 @@ computed only when a bound on every entry and partial sum is below
 ``2**62``, and raises ``OverflowError`` otherwise, so a result is exact or
 the call raises; it never wraps.  The
 cover derives its homology apparatus with these functions and stores it as
-int64 (see :mod:`superelliptic.cover`).  Sizes stay small (at most a few
-hundred rows), so the cubic classics are plenty: Smith form with
-transforms, fraction-free elimination, a symplectic basis for a skew
+int64 (see :mod:`superelliptic.cover`).  Sizes reach about two thousand
+rows (``2g = 1984`` at ``(n, k) = (32, 32)``), but the Smith form sees only
+the ``k`` face relations as columns, the symplectic basis works on sparse
+rows, and the products run in BLAS, so the classics are plenty: Smith form
+with transforms, fraction-free elimination, a symplectic basis for a skew
 unimodular form."""
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from operator import neg
 
 from . import _kernels as K
 from .errors import WordSyntaxError
-from .words import Context, Permutation, Word, first_out_of_range, psi, read_token
+from .words import Context, Permutation, Word, first_out_of_range, psi, read_token, require_context
 
 
 class ParityClass(enum.Enum):
@@ -193,7 +193,10 @@ def gamma_curve(i: int, j: int, ctx: Context) -> CurveClass:
 
 
 def curve_monodromy(c: CurveClass, ctx: Context) -> int:
-    """The mod-``k`` crossing residue; the curve lifts iff it is zero."""
+    """The mod-``k`` crossing residue; the curve lifts iff it is zero.  A
+    curve over another context, another ``k`` too, raises
+    :class:`ContextMismatchError` (:func:`words.require_context`)."""
+    require_context(ctx, c)
     total = 0
     for a in c.letters:
         j = abs(a)

@@ -268,7 +268,10 @@ def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
 
     A ``homology`` instance compares the lift-text products of its sides
     (:func:`cover.lift_product`); any other group's oracle decides word text.
+    A budget other than None or an integer >= 1 raises ``ValueError`` first
+    (:func:`oracle.resolve_budget`), for a ``homology`` instance too.
     """
+    budget = oracle.resolve_budget(budget)
     if inst["group"] == "homology":
         surface = cover.build_cover(ctx)
         lhs, rhs = (cover.lift_product(surface, inst[side]) for side in ("lhs", "rhs"))
@@ -577,37 +580,11 @@ def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
 def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
     if not _cover_build(ctx)[0]:
         return None, "cover-build did not pass"
-    ok = _fixed_point_free_of_order(cover.lift_rep(cover.build_cover(ctx), "zeta"), ctx.k)
+    ok = cover.deck_rotation_shifts_sheets(cover.build_cover(ctx))
     return ok, (
         f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
         "(no invariant homology)"
     )
-
-
-def _fixed_point_free_of_order(M: np.ndarray, k: int) -> bool:
-    """Whether ``M`` has exact order ``k`` and fixes no nonzero vector.
-
-    ``S = I + M + ... + M^(k-1)`` is formed by binary doubling, ``S_2m = S_m
-    + M^m S_m`` and ``S_m+1 = S_m + M^m``, each sum's bound checked first.
-    As ``(M - I) S = M^k - I`` and ``S v = k v`` for a fixed ``v``, ``S = 0``
-    iff ``M^k = I`` with no fixed vector.  An order ``d < k`` would then
-    divide ``k / p`` for a prime ``p | k``: ``M^(k/p) != I`` rules it out.
-    """
-
-    def add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        intmat._check_bound(intmat._max_abs(A) + intmat._max_abs(B), "sum")
-        return A + B
-
-    ident = np.eye(len(M), dtype=np.int64)
-    S, P = ident, M  # S_m and M^m, from m = 1 through the bits of k
-    for bit in bin(k)[3:]:
-        S, P = add(S, cover.mul(P, S)), cover.mul(P, P)
-        if bit == "1":
-            S, P = add(S, P), cover.mul(M, P)
-    if S.any():
-        return False
-    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
-    return not any(np.array_equal(cover.matrix_power(M, k // p), ident) for p in primes)
 
 
 def verify_cover(ctx: Context) -> list[Claim]:
@@ -631,10 +608,11 @@ def verify_smod_homology(ctx: Context) -> list[Claim]:
 
 
 def _chain_pattern(ctx: Context) -> tuple[bool, str]:
-    """Intersection pattern of the lifted curve families: the curves of each
+    """Intersection pattern of the lifted curve families: the lift table's
+    Gram matrix equals its closed form, signs included, so the curves of each
     half-rotation lift form a (2k-1)-chain, and lifts of ``gamma_i`` and
     ``gamma_j`` with ``j >= i + 2`` are disjoint.  The detail lists the first
-    four violations (:func:`cover.chain_pattern_violations`)."""
+    four differing entries (:func:`cover.chain_pattern_violations`)."""
     bad = cover.chain_pattern_violations(cover.build_cover(ctx))
     detail = f"violations: {bad[:4]}" if bad else (
         f"alternating lifted families are (2k-1)-chains (k={ctx.k})"

@@ -247,8 +247,10 @@ def psi(w: Word, ctx: Context) -> Permutation:
     """The marked-point permutation of a word: ``sigma_i`` maps to ``(i i+1)``.
 
     Homomorphic for the rightmost-first convention:
-    ``psi(u v) = psi(u) o psi(v)``.
+    ``psi(u v) = psi(u) o psi(v)``.  A word over another context raises
+    :class:`ContextMismatchError` (:func:`require_context`).
     """
+    require_context(ctx, w)
     im = list(range(1, ctx.num_points + 1))
     for a in w.letters:  # p o (i i+1) swaps entries i and i+1 of p's images
         i = abs(a)

@@ -190,9 +190,12 @@ def gamma_lifts(surface, i: int) -> np.ndarray:
 
 
 def chain_pattern(surface, G=None) -> list[tuple[int, ...]]:
-    """The violations of the lifted chain pattern, as
-    ``cover.chain_pattern_violations`` lists them, one h-chain and one pair of
-    families at a time.
+    """The violations of the unsigned lifted chain pattern, one h-chain and
+    one pair of families at a time: ``(i, a, b, |pairing|)`` for positions
+    ``a < b`` of the ``h_i`` chain that are not neighbours yet meet, or
+    neighbours that do not meet once; then ``(i, j, l, m)`` for lifts of
+    ``gamma_i`` and ``gamma_j``, ``j >= i + 2``, from sheets ``l`` and ``m``
+    that meet.  ``cover.chain_pattern_violations`` checks the signs too.
 
     The pairings are read from ``G``, by default ``V J V^T`` over every lift
     ``V`` of every ``gamma_i`` computed curve by curve (:func:`gamma_lifts`).

@@ -641,6 +641,7 @@ class TestHyperelliptic:
     def test_deck_rotation_is_minus_the_identity(self, twists):
         S, _ = twists
         assert np.array_equal(lift_rep(S, "zeta"), -identity(S))
+        assert cover_mod.deck_rotation_shifts_sheets(S)
 
     def test_twist_lift_is_the_square_of_one_twist(self, twists):
         S, T = twists

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +21,13 @@ from superelliptic import (
     psi,
     w_size,
 )
-from superelliptic.errors import WordSyntaxError
+from superelliptic.errors import ContextMismatchError, WordSyntaxError
 from superelliptic.generators import gen_F, gen_h, gen_hchain_t, gen_r, gen_r1, gen_t
 from superelliptic.liftability import _parity_of, enumerate_W, generated_group
 from superelliptic.theorems import verify_liftability
 
 CTX = Context(2, 3)
+MISMATCHES = [(Context(3), Context(1)), (Context(1), Context(3)), (Context(1, 3), Context(1, 4))]
 
 
 def _parity_bit(perm, ctx) -> int:
@@ -219,6 +221,13 @@ class TestLiftableWords:
             assert is_liftable_word(u * v, CTX)
             assert is_liftable_word(u.inverse(), CTX)
 
+    @pytest.mark.parametrize("built, given", MISMATCHES)
+    def test_a_word_from_another_context_is_refused(self, built, given):
+        w = gen_h(1, built)
+        assert is_liftable_word(w, built)
+        with pytest.raises(ContextMismatchError, match=re.escape(f"over {built} was given with {given}")):
+            is_liftable_word(w, given)
+
     def test_in_W_matches_parity(self):
         for w in (gen_r(CTX), Word(CTX, (1,)), gen_h(2, CTX), Word(CTX, (2, 3))):
             cls = parity(psi(w, CTX), CTX)
@@ -249,6 +258,14 @@ class TestCurves:
         for k in (3, 4, 5):
             ctx = Context(2, k)
             assert curve_monodromy(CurveClass(ctx, (1,)), ctx) == 1 % k != 0
+
+    @pytest.mark.parametrize("built, given", MISMATCHES)
+    def test_a_curve_from_another_context_is_refused(self, built, given):
+        # gamma_5,6 over Context(1) would read 0, and gamma_1,3 at k = 4 would read 1
+        c = gamma_curve(5, 6, built) if built.n == 3 else gamma_curve(1, 3, built)
+        assert curve_monodromy(c, built) == (0 if built.n == 3 else 1)
+        with pytest.raises(ContextMismatchError, match=re.escape(f"over {built} was given with {given}")):
+            curve_monodromy(c, given)
 
     def test_gamma_1_4(self):
         assert curve_monodromy(gamma_curve(1, 4, CTX), CTX) == 0

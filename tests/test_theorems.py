@@ -1,6 +1,7 @@
 """Claims, certificates, and report round-trips."""
 
 import json
+import re
 from collections import Counter
 from functools import partial
 from math import factorial
@@ -300,6 +301,17 @@ class TestVerifiers:
                 make(budget=budget)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("group", ["disk", "star", "sphere", "homology"])
+    @pytest.mark.parametrize("budget", [0, -3, True, 2.5])
+    def test_check_instance_refuses_a_bad_budget_in_every_group(self, group, budget):
+        # a homology instance runs no oracle, so only the entry check sees the budget
+        ctx = Context(1, 3)
+        side = "zeta^3" if group == "homology" else "s1 s2"
+        inst = {"group": group, "lhs": side, "rhs": side, "expect": True}
+        assert check_instance(inst, ctx)
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(budget))}$"):
+            check_instance(inst, ctx, budget=budget)
+
 
 class TestCertificates:
     def test_instances_reverify_individually(self):
@@ -369,8 +381,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 4)])
     def test_deck_rotation_fails_for_a_wrong_zeta(self, monkeypatch, n, k):
-        # the identity fails the zeta^j != I checks; -zeta at odd k has order
-        # 2k, so (-zeta)^k = -I and the sum of its powers is not zero
+        # the identity and -zeta do not move c_{i,l} to c_{i,l+1}
         lift_rep, ctx = cover.lift_rep, Context(n, k)
         assert verify("cover-deck-rotation", ctx).status == "pass"
         for wrong in [lambda M: np.eye(len(M), dtype=M.dtype)] + [np.negative] * (k % 2):
@@ -897,7 +908,8 @@ class TestWGeneration:
 
 
 class TestLiftTableClaims:
-    """The chain-pattern and deck-rotation checks against their former loops."""
+    """The chain-pattern and deck-rotation checks on the lift table against
+    their former loops (:mod:`referees`)."""
 
     @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 3), (3, 4), (5, 7), (8, 5)])
     def test_chain_pattern_from_the_gram_is_the_per_chain_loop(self, n, k):
@@ -906,6 +918,16 @@ class TestLiftTableClaims:
         assert theorems._chain_pattern(ctx) == (True, (
             "homology-level (necessary condition only): "
             f"alternating lifted families are (2k-1)-chains (k={k})"))
+
+    @staticmethod
+    def _flip_gram(monkeypatch, S, table, flip) -> np.ndarray:
+        """Patch the surface's table to ``table`` with ``G[a, b] = value = -G[b, a]``
+        for each ``(a, b, value)`` of ``flip``; the patched ``G``."""
+        G = table.G.copy()
+        for a, b, value in flip:
+            G[a, b], G[b, a] = value, -value
+        monkeypatch.setitem(vars(S), "table", table._replace(G=G))
+        return G
 
     def test_a_flipped_gram_pairing_fails_the_chain_pattern(self, monkeypatch):
         ctx, k = Context(2, 3), 3
@@ -916,31 +938,88 @@ class TestLiftTableClaims:
         flips = [[(0, k, 0)], [(0, 2 * k, 1)],
                  [(0, k, 0), (2, 4 * k, -1), (k + 1, 3 * k, 1), (0, 4 * k, 1), (1, 2 * k, 1)]]
         for flip in flips:
-            G = table.G.copy()
-            for a, b, value in flip:
-                G[a, b], G[b, a] = value, -value
-            monkeypatch.setitem(vars(S), "table", table._replace(G=G))
-            want = referees.chain_pattern(S, G)
+            G = self._flip_gram(monkeypatch, S, table, flip)
+            assert referees.chain_pattern(S, G)
+            entries = sorted({(a, b) for x, y, _ in flip for a, b in ((x, y), (y, x))})
+            want = [(a // k + 1, a % k + 1, b // k + 1, b % k + 1, int(G[a, b]), int(table.G[a, b]))
+                    for a, b in entries]
             ok, detail = theorems._chain_pattern(ctx)
-            assert not ok and want and detail.endswith(f"violations: {want[:4]}"), (detail, want)
-        # the chain pairs first, then the far pairs by family and label, not by row
-        assert want == [(1, 0, 1, 0), (1, 3, 2, 1), (1, 5, 1, 1), (1, 5, 3, 1), (2, 4, 2, 1)]
+            assert not ok and detail.endswith(f"violations: {want[:4]}"), (detail, want)
+            assert cover.chain_pattern_violations(S) == want
+        # (i, l, j, m, got, want) for c_{i,l} and c_{j,m}, in row order
+        assert want == [(1, 1, 2, 1, 0, 1), (1, 1, 5, 1, 1, 0), (1, 2, 3, 1, 1, 0),
+                        (1, 3, 5, 1, -1, 0), (2, 1, 1, 1, 0, -1), (2, 2, 4, 1, 1, 0),
+                        (3, 1, 1, 2, -1, 0), (4, 1, 2, 2, -1, 0), (5, 1, 1, 1, -1, 0),
+                        (5, 1, 1, 3, 1, 0)]
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_a_sign_flip_on_a_neighbour_pairing_fails_the_chain_pattern(self, monkeypatch, n, k):
+        # c_{1,1} and c_{2,1} pair to +1; -1 keeps the unsigned pattern
+        ctx = Context(n, k)
+        S = cover.build_cover(ctx)
+        assert S.table.G[0, k] == 1
+        G = self._flip_gram(monkeypatch, S, S.table, [(0, k, -1)])
+        assert referees.chain_pattern(S, G) == []
+        assert cover.chain_pattern_violations(S) == [(1, 1, 2, 1, -1, 1), (2, 1, 1, 1, 1, -1)]
+        assert verify("smod-chain-pattern", ctx).status == "fail"
+
+    @staticmethod
+    def _zeta_as(monkeypatch, M) -> None:
+        """Read ``M`` as the lift of ``zeta``."""
+        lift_rep = cover.lift_rep
+        monkeypatch.setattr(cover, "lift_rep", lambda S, kind, index=None:
+                            M.copy() if kind == "zeta" else lift_rep(S, kind, index))
 
     @pytest.mark.parametrize("k", range(2, 13))
-    def test_deck_order_by_doubling_is_the_power_loop(self, k):
-        zeta = cover.lift_rep(cover.build_cover(Context(1, k)), "zeta")
+    def test_deck_order_by_doubling_is_the_power_loop(self, monkeypatch, k):
+        # the sheet shift pins zeta on a basis, so only zeta itself passes;
+        # every matrix that the power loop rejects fails
+        S = cover.build_cover(Context(1, k))
+        zeta = cover.lift_rep(S, "zeta")
         ident = np.eye(len(zeta), dtype=np.int64)
-        cases = [(zeta, k), (zeta, k + 1), (zeta, 2 * k), (cover.mul(zeta, zeta), k),
-                 (ident, k), (-ident, k), (-zeta, k)]
-        for M, order in cases:
-            want = referees.fixed_point_free_of_order(M, order)
-            assert theorems._fixed_point_free_of_order(M, order) == want, order
-        assert theorems._fixed_point_free_of_order(zeta, k)
+        for M in [zeta, cover.mul(zeta, zeta), ident, -ident, -zeta]:
+            with monkeypatch.context() as m:
+                self._zeta_as(m, M)
+                got = cover.deck_rotation_shifts_sheets(S)
+            want = referees.fixed_point_free_of_order(M, k)
+            assert got == np.array_equal(M, zeta) and (want or not got), (got, want)
+        assert cover.deck_rotation_shifts_sheets(S)
 
-    def test_a_smaller_order_with_a_zero_power_sum_fails(self):
-        # -I has order 2, so I - I + I - I = 0 although (-I)^2 = I: only the
-        # check of M^(k/p) for the primes p | k tells order 2 from order 4
+    def test_a_smaller_order_with_a_zero_power_sum_fails(self, monkeypatch):
+        # -I has order 2, so I - I + I - I = 0 although (-I)^2 = I: the power
+        # loop tells order 2 from order 4, and so does the sheet shift
         M = -np.eye(4, dtype=np.int64)
         assert not referees.fixed_point_free_of_order(M, 4)
-        assert not theorems._fixed_point_free_of_order(M, 4)
-        assert theorems._fixed_point_free_of_order(M, 2)
+        assert referees.fixed_point_free_of_order(M, 2)
+        S = cover.build_cover(Context(1, 4))
+        self._zeta_as(monkeypatch, -np.eye(S.h1_rank, dtype=np.int64))
+        assert not cover.deck_rotation_shifts_sheets(S)
+
+    def test_a_table_of_doubled_curves_fails_the_basis_check(self, monkeypatch):
+        # 2 c_{i,l} still shift by one sheet and sum to 0, but their Gram
+        # matrix is 4 G_B, so they are not a Z-basis
+        ctx = Context(2, 3)
+        S = cover.build_cover(ctx)
+        table = S.table
+        monkeypatch.setitem(vars(S), "table", table._replace(C=2 * table.C, G=4 * table.G))
+        assert verify("cover-deck-rotation", ctx).status == "fail"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lifts_that_do_not_sum_to_zero_fail(self, monkeypatch, n):
+        # at k = 2, with both lifts of each gamma_i equal to the first, the
+        # identity shifts them and the first lifts are still a basis
+        S = cover.build_cover(Context(n, 2))
+        table, same = S.table, np.arange(len(S.table.C)) // 2 * 2
+        monkeypatch.setitem(vars(S), "table", table._replace(C=table.C[same],
+                                                             G=table.G[same[:, None], same]))
+        self._zeta_as(monkeypatch, np.eye(S.h1_rank, dtype=np.int64))
+        assert not cover.deck_rotation_shifts_sheets(S)
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (1, 5), (2, 3), (2, 7)])
+    def test_a_zeta_that_shifts_by_two_sheets_fails(self, monkeypatch, n, k):
+        # at odd k, zeta^2 has exact order k and no fixed vector
+        ctx = Context(n, k)
+        zeta2 = cover.lift_product(cover.build_cover(ctx), "zeta^2")
+        assert referees.fixed_point_free_of_order(zeta2, k)
+        self._zeta_as(monkeypatch, zeta2)
+        assert verify("cover-deck-rotation", ctx).status == "fail"

@@ -1,6 +1,7 @@
 """Words, free reduction, serialization, and the permutation shadow."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -234,6 +235,18 @@ class TestPsi:
     @given(wordstrat(max_size=14))
     def test_inverse_words(self, w):
         assert psi(w.inverse(), CTX) == psi(w, CTX).inverse()
+
+    @pytest.mark.parametrize("text, built, given", [
+        ("s5 s6", Context(3), Context(1)),
+        ("s1 s2", Context(1), Context(3)),
+        ("s1 s2", Context(1, 3), Context(1, 4)),
+    ])
+    def test_a_word_from_another_context_is_refused(self, text, built, given):
+        # over Context(1), s5 s6 would index past the four points
+        w = expand_token_text(text, built)
+        assert psi(w, built)
+        with pytest.raises(ContextMismatchError, match=re.escape(f"over {built} was given with {given}")):
+            psi(w, given)
 
 
 class TestPermutation:
