@@ -498,7 +498,7 @@ def _w_size(ctx: Context) -> tuple[bool | None, str]:
     if ctx.n > liftability.ENUMERATE_W_MAX_N:
         limit = liftability.ENUMERATE_W_MAX_N
         return None, f"exhaustive check limited to n <= {limit}; formula gives {expected}"
-    count = sum(1 for _ in liftability.enumerate_W(ctx))
+    count = liftability.count_W(ctx)
     return count == expected, f"|W| = {count} == 2((n+1)!)^2 = {expected} (exhaustive)"
 
 

@@ -5,7 +5,8 @@ direct method the package used before it was made fast: Python ints in
 ``object`` arrays, dense products, per-pair and per-entry loops, one
 coordinate slice per braid letter, token text parsed with no memo, the
 star check run on the full-twist power spelled out letter by letter and
-lift text as one chained product of dense token matrices.
+lift text as one chained product of dense token matrices, and the
+parity subgroup W listed member by member.
 Tests compare the package's results with these entry for entry.
 """
 
@@ -17,7 +18,7 @@ from superelliptic import cover, intmat
 from superelliptic import generators as G
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.oracle import cap_to_star, resolve_budget
-from superelliptic.words import Word, exponent_sum, psi
+from superelliptic.words import Permutation, Word, exponent_sum, psi
 
 
 def symplectic_change_of_basis(J) -> np.ndarray:
@@ -500,3 +501,34 @@ def expand_token_text(text: str, ctx, budget: int | None = None):
             built[tok] = _token_letters(tok, ctx, letters, budget)
         letters.extend(built[tok])
     return Word.from_letters(ctx, letters)
+
+
+def enumerate_W(ctx):
+    """Exhaustive iterator over the parity subgroup W, for ``n <= 3``.
+
+    A depth-first search over ``S_{2n+2}`` assigns ``p(1), p(2), ..`` in
+    turn, trying values in increasing order.  A permutation is in W iff
+    every shift ``p(x) - x`` has the parity of ``p(1) - 1``, and every
+    extension of a prefix whose shifts mix parities mixes them too, so the
+    search never extends such a prefix: it builds every member of W and
+    nothing else, in the lexicographic order of ``itertools.permutations``,
+    in ``O(|W| n)`` steps instead of ``(2n+2)!``.
+    """
+    if ctx.n > 3:
+        raise ValueError("exhaustive enumeration is limited to n <= 3")
+    top = ctx.num_points
+    images, used = [0] * top, [False] * (top + 1)
+
+    def extend(x, shift):
+        if x > top:
+            yield Permutation(tuple(images))
+            return
+        # p(1) may be any point; p(x) for x > 1 keeps the parity of p(1) - 1
+        values = range(1, top + 1) if x == 1 else range(2 - (x + shift) % 2, top + 1, 2)
+        for y in values:
+            if not used[y]:
+                used[y], images[x - 1] = True, y
+                yield from extend(x + 1, (y - x) % 2)
+                used[y] = False
+
+    yield from extend(1, 0)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from referees import enumerate_W
 
 from superelliptic import (
     Context,
@@ -25,7 +26,7 @@ from superelliptic import (
 from superelliptic import cover as cover_mod
 from superelliptic import intmat
 from superelliptic.generators import gen_F, gen_r, gen_r1
-from superelliptic.liftability import curve_monodromy, enumerate_W, w_size
+from superelliptic.liftability import curve_monodromy, w_size
 from superelliptic.theorems import (
     reverify_report,
     run_all,

@@ -1,11 +1,13 @@
 """Parity classes, the parity subgroup, and curve monodromy."""
 
 import itertools
+import math
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from referees import enumerate_W
 
 from superelliptic import (
     Context,
@@ -17,13 +19,14 @@ from superelliptic import (
     curve_parse,
     gamma_curve,
     is_liftable_word,
+    liftability,
     parity,
     psi,
     w_size,
 )
 from superelliptic.errors import ContextMismatchError, WordSyntaxError
 from superelliptic.generators import gen_F, gen_h, gen_hchain_t, gen_r, gen_r1, gen_t
-from superelliptic.liftability import _parity_of, enumerate_W, generated_group
+from superelliptic.liftability import _parity_of, count_W, generated_group, permanent
 from superelliptic.theorems import verify_liftability
 
 CTX = Context(2, 3)
@@ -74,6 +77,13 @@ class TestParity:
         assert parity(psi(s1, CTX), CTX) is ParityClass.NEITHER
         assert not is_liftable_word(s1, CTX)
 
+    @pytest.mark.parametrize("images", [(1, 2, 3, 4, 5, 6, 7, 8, 10, 9), (2, 1), (1, 2, 3, 4, 5, 6)])
+    def test_a_permutation_of_another_size_is_refused(self, images):
+        ctx = Context(1)
+        message = f"a permutation of {len(images)} points was given with {ctx}, which has 4 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parity(Permutation(images), ctx)
+
     def test_parity_map_is_homomorphism(self):
         rng = random.Random(3)
         members = list(enumerate_W(Context(1, 3)))
@@ -108,9 +118,32 @@ class TestWSize:
         count = sum(1 for _ in enumerate_W(ctx))
         assert count == expected
 
-    def test_index_in_symmetric_group(self):
-        import math
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_count_matches_enumeration(self, n):
+        ctx = Context(n, 3)
+        assert count_W(ctx) == sum(1 for _ in enumerate_W(ctx))
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_count_matches_formula_beyond_enumeration(self, n):
+        ctx = Context(n, 3)
+        assert count_W(ctx) == w_size(ctx)
+
+    @pytest.mark.parametrize("mutation, count", [("no parity condition", 80640), ("one class", 576)])
+    def test_a_wrong_count_fails_the_claim(self, monkeypatch, mutation, count):
+        real = liftability._parity_pattern
+
+        def pattern(ctx, s):
+            if mutation == "no parity condition":  # both terms count all of S_8
+                return [[1] * ctx.num_points for _ in range(ctx.num_points)]
+            # the reversing class left out
+            return real(ctx, s) if s == 0 else [[0] * ctx.num_points for _ in range(ctx.num_points)]
+
+        monkeypatch.setattr(liftability, "_parity_pattern", pattern)
+        claim = next(c for c in verify_liftability(Context(3, 3)) if c.id == "liftability-w-size")
+        assert claim.status == "fail"
+        assert claim.detail.startswith(f"|W| = {count} ")
+
+    def test_index_in_symmetric_group(self):
         ctx = Context(1, 3)
         assert math.factorial(4) // w_size(ctx) == 3
 
@@ -126,6 +159,35 @@ class TestWSize:
                 for i in range(1, 2 * n + 1)
             ]
             assert _brute_force_group(gens, ctx.num_points) == kernel
+
+
+def _brute_force_permanent(rows) -> int:
+    """The sum over all permutations ``p`` of ``prod_x rows[x][p(x)]``."""
+    return sum(
+        math.prod(rows[x][y] for x, y in enumerate(p))
+        for p in itertools.permutations(range(len(rows)))
+    )
+
+
+class TestPermanent:
+    def test_matches_brute_force_on_random_matrices(self):
+        rng = random.Random(11)
+        for m in range(1, 8):
+            for _ in range(6):
+                rows = [[int(rng.random() < 0.6) for _ in range(m)] for _ in range(m)]
+                assert permanent(rows) == _brute_force_permanent(rows), rows
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_all_ones_gives_m_factorial(self, m):
+        assert permanent([[1] * m for _ in range(m)]) == math.factorial(m)
+
+    def test_identity_gives_one(self):
+        assert permanent([[int(x == y) for y in range(6)] for x in range(6)]) == 1
+
+    def test_a_zero_row_gives_zero(self):
+        rows = [[1] * 5 for _ in range(5)]
+        rows[2] = [0] * 5
+        assert permanent(rows) == 0
 
 
 class TestEnumerateW:
@@ -179,6 +241,14 @@ class TestGeneratedGroup:
         order, blocks = generated_group(gens, ctx)
         assert order == len(group)
         assert blocks == [set(range(1, top, 2)), set(range(2, top, 2)), {top}]
+
+    @pytest.mark.parametrize("images", [(1, 2, 3, 4, 5, 6), (2, 1, 3)])
+    def test_a_generator_of_another_size_is_refused(self, images):
+        ctx = Context(1)
+        gens = [Permutation.identity(4), Permutation(images)]
+        message = f"a permutation of {len(images)} points was given with {ctx}, which has 4 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generated_group(gens, ctx)
 
     def test_order_matches_brute_force_on_all_pairs_of_four_points(self):
         ctx = Context(1, 3)
