@@ -149,7 +149,7 @@ def _cmd_cover(args) -> int:
         if args.json:
             info["intersection_form"] = surface.J.tolist()
             info["standard_symplectic_change"] = surface.P.tolist()
-            _emit(json.dumps(info, indent=2, sort_keys=True))
+            _emit(json.dumps(info, sort_keys=True))
         else:
             keys = ("n", "k", "vertices", "edges", "faces", "genus",
                     "euler_characteristic", "h1_rank")

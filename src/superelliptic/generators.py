@@ -208,16 +208,22 @@ def _parse_token(tok: str, ctx: Context, size: int, budget: int) -> tuple[int, t
 
 
 class _TokenMemo(dict):
-    """Token -> ``(letter count, unit letters, repeats)`` for one context value."""
+    """Token -> ``(letter count, unit letters, repeats)`` for one context value;
+    ``forms`` maps a token to its shift form (:func:`shift_forms`)."""
 
     size = 0  # one per token plus one per unit letter; bounded by _MEMO_SIZE
 
+    def __init__(self):
+        super().__init__()
+        self.forms: dict = {}  # at most _MEMO_SIZE tokens
+
 
 # Memory bounds: a pass of the oracle-queries benchmark uses 6 contexts, and
-# verify-all at (8,3) fills one memo to size 9850 (338 tokens).  Base-side
-# runs at n = 16 and 32 fill it (389 and 384 tokens); the tokens read after
-# that are parsed at each occurrence.  A full memo of 1-letter tokens holds
-# about 3.4 MB, so at most about 27 MB are held over 8 contexts.
+# verify-all at (8,3) fills one memo to size 3360 (138 tokens).  A base-side
+# run at n = 32 fills it (198 tokens); the tokens read after that are parsed
+# at each occurrence.  A full memo of 1-letter tokens holds about 3.4 MB, and
+# full shift forms about 4.2 MB more (n = 32 reads 4364), so at most about
+# 61 MB are held over 8 contexts.
 _MEMO_CONTEXTS = 8
 _MEMO_SIZE = 16384
 
@@ -261,3 +267,46 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
             _check_budget(tok, len(letters) + entry[0], budget)
         letters += entry[1] * entry[2]
     return Word.from_letters(ctx, letters)
+
+
+def _shift_form(tok: str, ctx: Context) -> tuple | bool:
+    """The shift form of one token (:func:`shift_forms`), or False if it never shifts."""
+    try:
+        name, indices, e = read_token(tok, ctx)
+    except WordSyntaxError:
+        return False
+    if name not in ("s", "h", "t") or _ARITY[name] != len(indices) or indices[0] < 1:
+        return False
+    if name == "t" and not indices[0] < indices[1] <= ctx.num_arcs:
+        return False  # t<i>,<2n+2> is rewritten to t_{1,i-1}, and a bad pair raises
+    high = indices[-1] - (name == "t") + (name == "h")
+    shape = (name, indices[-1] - indices[0], e)
+    return shape, indices[0], high, _letter_count(name, indices, ctx) * (abs(e) or 2)
+
+
+def shift_forms(tokens: list[str], ctx: Context) -> tuple | None:
+    """``(shapes, lows, high, letters)`` of a token list, or None if a token never shifts.
+
+    A token shifts if it is ``s<i>``, ``h<i>`` or ``t<i>,<j>`` with ``1 <= i``
+    and ``i < j <= 2n+1``: adding ``c`` to its indices adds ``c`` to each
+    letter of its word.  ``t<i>,<2n+2>`` (rewritten to ``t_{1,i-1}``), the
+    named words and a token that does not read never shift.  A token's shape
+    is ``(name, j - i, exponent)`` (``j - i`` is 0 for ``s`` and ``h``) and its
+    low is its least letter; ``high`` is the greatest letter of all (0 for
+    none), and ``letters`` the unreduced count that :func:`expand_token_text`
+    checks against the budget.  Forms are kept in the context's token memo.
+    """
+    memo = _token_memo(ctx).forms
+    forms = list(map(memo.get, tokens))
+    if None in forms:
+        for at, tok in enumerate(tokens):
+            if forms[at] is None:
+                forms[at] = _shift_form(tok, ctx)
+                if len(memo) < _MEMO_SIZE:
+                    memo[tok] = forms[at]
+    if False in forms:
+        return None
+    if not forms:
+        return (), (), 0, 0
+    shapes, lows, highs, counts = zip(*forms)
+    return shapes, lows, max(highs), sum(counts)

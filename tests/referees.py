@@ -4,9 +4,10 @@ Each function here computes what a package function computes, by the
 direct method the package used before it was made fast: Python ints in
 ``object`` arrays, dense products, per-pair and per-entry loops, one
 coordinate slice per braid letter, token text parsed with no memo, the
-star check run on the full-twist power spelled out letter by letter and
-lift text as one chained product of dense token matrices, and the
-parity subgroup W listed member by member.
+star check run on the full-twist power spelled out letter by letter,
+lift text as one chained product of dense token matrices, the parity
+subgroup W listed member by member, and every instance of a certificate
+given to the oracle.
 Tests compare the package's results with these entry for entry.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from superelliptic import cover, intmat
+from superelliptic import cover, intmat, theorems
 from superelliptic import generators as G
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.oracle import cap_to_star, resolve_budget
@@ -501,6 +502,12 @@ def expand_token_text(text: str, ctx, budget: int | None = None):
             built[tok] = _token_letters(tok, ctx, letters, budget)
         letters.extend(built[tok])
     return Word.from_letters(ctx, letters)
+
+
+def certificate_holds(instances, ctx, budget: int | None = None) -> bool:
+    """Whether every instance holds, each decided by the oracle
+    (:func:`theorems.check_instance`): no index shift and no rotation lemma."""
+    return all(theorems.check_instance(i, ctx, budget) for i in instances)
 
 
 def enumerate_W(ctx):

@@ -251,8 +251,9 @@ class TestClosedPipe:
             stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        # closing before any read makes every write of the command hit EPIPE
-        got = [proc.stdout.readline().strip() for _ in range(lines_read)]
+        # closing before any read makes every write of the command hit EPIPE; reading
+        # the first bytes alone closes the one-line JSON of cover info mid-output
+        got = [proc.stdout.read(len(first)) for _ in range(lines_read)]
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

@@ -141,7 +141,7 @@ class TestWSize:
         monkeypatch.setattr(liftability, "_parity_pattern", pattern)
         claim = next(c for c in verify_liftability(Context(3, 3)) if c.id == "liftability-w-size")
         assert claim.status == "fail"
-        assert claim.detail.startswith(f"|W| = {count} ")
+        assert claim.detail.startswith(f"|W| = {count} != 2((n+1)!)^2 = 1152 ")
 
     def test_index_in_symmetric_group(self):
         ctx = Context(1, 3)

@@ -19,9 +19,10 @@ from superelliptic import (
     eq_star,
     generators,
     liftability,
+    oracle,
     theorems,
 )
-from superelliptic.errors import BudgetError
+from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
     expand_token_text,
     factors_to_tokens,
@@ -637,6 +638,132 @@ class TestCertificates:
         broken = dict(claim.witness["instances"][0])
         broken["rhs"] = "h1 h1"
         assert not check_instance(broken, ctx)
+
+
+def _recording_oracle(monkeypatch, refute=None) -> list:
+    """Route every group's oracle through a recorder; return the list of
+    ``(group, u letters, v letters)`` it sees.  ``refute(group, u, v)`` true
+    makes the oracle answer False."""
+    seen = []
+    for group, eq in list(oracle._EQ.items()):
+        def recorded(u, v, ctx, *, budget=None, group=group, eq=eq):
+            seen.append((group, u.letters, v.letters))
+            if refute and refute(group, u, v):
+                return False
+            return eq(u, v, ctx, budget=budget)
+
+        monkeypatch.setitem(oracle._EQ, group, recorded)
+    return seen
+
+
+def _sides(inst: dict, ctx: Context) -> tuple:
+    return tuple(expand_token_text(inst[side], ctx).letters for side in ("lhs", "rhs"))
+
+
+class TestShiftRule:
+    """Base instances decided by index shift or the r1 rotation lemma agree with the oracle."""
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, 3) for n in range(1, 7)] + [(n, k) for n in (1, 2, 3) for k in (4, 5)]
+    )
+    def test_base_claims_match_the_oracle_alone(self, n, k):
+        ctx = Context(n, k)
+        for row in theorems._rows(n, section="base"):
+            for budget in (1, 7, 50, 1000, None):
+                claim = verify(row.id, ctx, budget)
+                instances = claim.witness["instances"]
+                try:
+                    holds = referees.certificate_holds(instances, ctx, budget)
+                except BudgetError as exc:
+                    want = ("skipped", f"oracle budget exceeded: {exc}")
+                else:
+                    want = ("pass" if holds else "fail", claim.detail)
+                    assert holds and re.fullmatch(f"(.* )?{len(instances)} instances", claim.detail)
+                assert (claim.status, claim.detail) == want, (row.id, budget)
+
+    @pytest.mark.parametrize(
+        "group, n, first, second",
+        [
+            ("sphere", 2, ("t2,5", "t2,5"), ("t3,6", "t3,6")),  # t3,6 is t1,2, not a shift
+            ("disk", 3, ("hchain_t^-1 h1 hchain_t", "h3"), ("hchain_t^-1 h2 hchain_t", "h4")),
+            ("sphere", 2, ("h2", "r1 h1 r1^-1"), ("h3", "r1 h2 r1^-1 r1 r1^-1")),
+        ],
+        ids=["t-to-2n+2", "named-token", "rotation-written-differently"],
+    )
+    def test_a_near_shift_goes_to_the_oracle(self, monkeypatch, group, n, first, second):
+        ctx = Context(n, 3)
+        seen = _recording_oracle(monkeypatch)
+        holds = theorems._instance_checker(ctx, None)
+        assert holds(theorems._inst(group, *first))
+        before = len(seen)
+        assert holds(theorems._inst(group, *second))
+        assert seen[before:] == [(group, *_sides(theorems._inst(group, *second), ctx))]
+
+    def test_a_shift_past_sigma_2n_in_the_disk_group_goes_to_the_oracle(self, monkeypatch):
+        ctx = Context(2, 3)
+        seen = _recording_oracle(monkeypatch)
+        holds = theorems._instance_checker(ctx, None)
+        assert holds(theorems._inst("disk", "h3", "s3 s4 s3"))
+        assert holds(theorems._inst("disk", "s1 s3", "s3 s1"))
+        assert len(seen) == 2
+        with pytest.raises(ValueError, match="outside the disk alphabet"):
+            holds(theorems._inst("disk", "h4", "s4 s5 s4"))
+        assert len(seen) == 3
+
+    def test_a_rotation_past_the_alphabet_goes_to_the_oracle(self, monkeypatch):
+        seen = _recording_oracle(monkeypatch)
+        holds = theorems._instance_checker(Context(2, 3), None)
+        assert holds(theorems._inst("sphere", "h2", "r1 h1 r1^-1")) and len(seen) == 4
+        with pytest.raises(WordSyntaxError, match="letter 6 out of range"):
+            holds(theorems._inst("sphere", "s6", "r1 s5 r1^-1"))
+
+    def test_exponents_are_part_of_the_key(self, monkeypatch):
+        seen = _recording_oracle(monkeypatch)
+        holds = theorems._instance_checker(Context(2, 3), None)
+        assert holds(theorems._inst("disk", "s1 s2", "s2 s1", False))
+        assert holds(theorems._inst("disk", "s2^0 s3", "s3 s2^0"))
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("group", ["disk", "star", "sphere"])
+    def test_a_shift_is_decided_once_for_either_verdict(self, monkeypatch, group):
+        ctx = Context(3, 3)
+        seen = _recording_oracle(monkeypatch)
+        holds = theorems._instance_checker(ctx, None)
+        for i in range(1, 6):
+            assert holds(theorems._inst(group, f"s{i} t{i + 1},{i + 2}", f"t{i + 1},{i + 2} s{i}",
+                                        False))
+            assert holds(theorems._inst(group, f"h{i}", f"s{i + 1} s{i} s{i + 1}"))
+        assert len(seen) == 2
+
+    def test_the_shift_waits_for_the_budget(self, monkeypatch):
+        # t1,3 = h1^2 is 6 + 6 letters: within a budget of 12 in the disk group,
+        # but 4n times that is over it in the sphere group
+        ctx = Context(2, 3)
+        for group, oracle_runs in (("disk", 1), ("sphere", 2)):
+            seen = _recording_oracle(monkeypatch)
+            holds = theorems._instance_checker(ctx, 12)
+            assert holds(theorems._inst(group, "t1,3", "h1^2"))
+            assert holds(theorems._inst(group, "t2,4", "h2^2"))
+            assert len(seen) == oracle_runs
+            monkeypatch.undo()
+
+    def test_a_refuted_lemma_sends_every_rotation_step_to_the_oracle(self, monkeypatch):
+        ctx = Context(3, 3)
+        lemma = expand_token_text("r1 s3 r1^-1", ctx).letters
+
+        def refute(group, u, v):
+            return group == "sphere" and (u.letters, v.letters) == (lemma, (4,))
+
+        for refuted in (False, True):
+            seen = _recording_oracle(monkeypatch, refute if refuted else None)
+            claim = verify("generation-lmod-sphere", ctx)
+            monkeypatch.undo()
+            assert claim.passed, claim.detail
+            steps = [i for i in claim.witness["instances"] if i["rhs"].startswith("r1 ")]
+            asked = [_sides(i, ctx) for i in steps if ("sphere", *_sides(i, ctx)) in seen]
+            lemmas = [s for s in seen if s[2] in {(i,) for i in range(2, 2 * ctx.n + 2)}]
+            assert len(steps) == 20 and len(asked) == (len(steps) if refuted else 0)
+            assert len(lemmas) == (3 if refuted else 2 * ctx.n)
 
 
 class TestVerdicts:
