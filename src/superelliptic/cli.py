@@ -58,39 +58,33 @@ def _build_parser() -> argparse.ArgumentParser:
                         "rewrite of that core), and the most letters word text expands "
                         "to before free reduction; a positive integer (default 10^7)")
     sub = parser.add_subparsers(dest="command", required=True)
+    nk = argparse.ArgumentParser(add_help=False)  # the context (n, k) of every command
+    nk.add_argument("--n", type=int, required=True)
+    nk.add_argument("--k", type=int, default=3)
 
-    p_eq = sub.add_parser("eq", help="decide equality of two words")
+    p_eq = sub.add_parser("eq", parents=[nk], help="decide equality of two words")
     p_eq.add_argument("group", choices=("disk", "star", "sphere"))
     p_eq.add_argument("u")
     p_eq.add_argument("v")
-    p_eq.add_argument("--n", type=int, required=True)
-    p_eq.add_argument("--k", type=int, default=3)
 
-    p_lift = sub.add_parser("liftable", help="liftability of a word or a curve")
+    p_lift = sub.add_parser("liftable", parents=[nk], help="liftability of a word or a curve")
     p_lift.add_argument("kind", choices=("word", "curve"))
     p_lift.add_argument("input")
-    p_lift.add_argument("--n", type=int, required=True)
-    p_lift.add_argument("--k", type=int, default=3)
 
     p_cover = sub.add_parser("cover", help="the branched cover surface")
     cover_sub = p_cover.add_subparsers(dest="cover_command", required=True)
-    p_info = cover_sub.add_parser("info", help="cell counts, genus, homology rank")
-    p_info.add_argument("--n", type=int, required=True)
-    p_info.add_argument("--k", type=int, default=3)
+    p_info = cover_sub.add_parser("info", parents=[nk], help="cell counts, genus, homology rank")
     p_info.add_argument("--json", action="store_true")
-    p_matrix = cover_sub.add_parser("matrix", help="homology matrix of a lift or a product of lifts")
+    p_matrix = cover_sub.add_parser("matrix", parents=[nk],
+                                    help="homology matrix of a lift or a product of lifts")
     p_matrix.add_argument("name", help="lift text: tokens zeta, zeta_prime, r, r1, h<i> or "
                           "t<i>,<i+1>, each with an optional exponent (an integer, or a linear "
                           "expression in n and k in parentheses such as 'zeta^(k-1)'), multiplied left "
                           "to right (e.g. 'r1 t1,2 r1^-1'); the sides of a homology certificate "
                           "instance are lift text")
-    p_matrix.add_argument("--n", type=int, required=True)
-    p_matrix.add_argument("--k", type=int, default=3)
 
     bounds = theorems.Bounds()
-    p_verify = sub.add_parser("verify-all", help="run the full claim suite")
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--k", type=int, default=3)
+    p_verify = sub.add_parser("verify-all", parents=[nk], help="run the full claim suite")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.add_argument("--bound-base-n", type=int, default=bounds.base_n)

@@ -28,10 +28,11 @@ transvections ``x -> x + <x, c> c``.  A ``t``
 or ``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix
 is ``B`` on the rows and columns ``U``, the supports of its curves and of
 their ``J``-images, and the identity elsewhere (:func:`_twist_block`, in
-compact-WY form, whose inverse is closed-form too).  A ``t`` lift's ``B -
-I`` squares to zero, so its powers are ``I + e (B - I)``; other powers are
-squared.  The deck rotation and the half-turn act through their edge maps
-and are dense.  :func:`lift_product` is the one lift evaluator: it reads
+compact-WY form, whose inverse is closed-form too).  A block whose curves
+are disjoint (a ``t`` lift, whose Gram is 0) has ``(B - I)^2 = 0``, so its
+powers are ``I + e (B - I)``; other powers are squared.  The deck rotation
+and the half-turn act through their edge maps (:func:`_cycle_map`) and are
+dense.  :func:`lift_product` is the one lift evaluator: it reads
 lift text (``r1 t1,2 r1^-1``) token by token, and a block factor rewrites
 only the columns ``U`` of the running product.  :func:`lift_rep` returns
 one named lift as a dense matrix.  The homology representation is a
@@ -41,9 +42,11 @@ built on it is labeled accordingly by the theorem suite.
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
 form from the vertex-link positions in one broadcast, and stores
-everything as ``int64`` (``OverflowError`` if an entry does not fit); the
-symplectic basis ``P`` is reduced on sparse rows of Python ints
-(:func:`intmat.symplectic_change_of_basis`).  Every later product of
+everything as read-only ``int64`` (``OverflowError`` if an entry does not
+fit), so the cached surface cannot be changed by a caller.  The symplectic
+basis ``P`` is reduced on sparse rows of Python ints and returned only with
+``P^T J P = J0`` checked (:func:`intmat.symplectic_change_of_basis`), the
+certificate that ``det J = 1``.  Every later product of
 homology matrices is a step of an :class:`intmat.Chain`, through
 :func:`intmat.mul` (imported here as ``mul``) or directly.  It bounds each
 step's entries and partial sums by ``max|A| * max|B| * inner_dim`` and
@@ -248,14 +251,13 @@ def build_cover(ctx: Context) -> CoverSurface:
         raise AssertionError("homology rank disagrees with the genus")
     if not np.array_equal(J, -J.T):
         raise AssertionError("intersection form is not skew")
-    try:  # an integer P with P^T J P = J0 certifies det J = 1
+    try:  # P comes checked: P^T J P = J0, which certifies det J = 1
         P = intmat.symplectic_change_of_basis(J)
     except ValueError as exc:
         raise AssertionError(f"intersection form is not unimodular: {exc}") from exc
-    J0 = intmat.standard_symplectic(J.shape[0])
-    if not np.array_equal(mul(P.T, J, P), J0):
-        raise AssertionError("intersection form is not unimodular")
-    Jinv = -mul(P, J0, P.T)
+    Jinv = -mul(P, intmat.standard_symplectic(J.shape[0]), P.T)
+    for a in (relations, crossing, basis, proj, J, Jinv, P):
+        a.flags.writeable = False
 
     surface = CoverSurface(
         ctx=ctx,
@@ -467,36 +469,16 @@ def _induced_matrix(surface: CoverSurface, chain_map: np.ndarray) -> np.ndarray:
     return mul(surface.proj, chain_map, surface.basis)
 
 
-def _deck_cycle_map(surface: CoverSurface) -> np.ndarray:
-    ctx = surface.ctx
-    k = ctx.k
-    m = len(surface.loops)
-    C = np.zeros((m, m), dtype=np.int64)
+def _cycle_map(surface: CoverSurface, image, sign: int) -> np.ndarray:
+    """The cycle-space map of the edge map ``image`` (labels mod ``k``): loop
+    ``(i, l)`` goes to ``sign`` times loop ``image(i, l)`` minus the image
+    ``image(i, 1)`` of its tree edge, and label 1, the tree, is dropped."""
+    k, index = surface.ctx.k, surface.loop_index
+    C = np.zeros((len(index), len(index)), dtype=np.int64)
     for t, (i, l) in enumerate(surface.loops):
-        nxt = _norm(l + 1, k)
-        if nxt != 1:
-            C[surface.loop_index[(i, nxt)], t] += 1
-        C[surface.loop_index[(i, 2)], t] -= 1
-    return C
-
-
-def _half_turn_cycle_map(surface: CoverSurface) -> np.ndarray:
-    ctx = surface.ctx
-    k = ctx.k
-    m = len(surface.loops)
-
-    def rho(i: int, l: int) -> int:
-        return _norm(k - l + 2, k) if i % 2 == 1 else _norm(k - l + 1, k)
-
-    C = np.zeros((m, m), dtype=np.int64)
-    for t, (i, l) in enumerate(surface.loops):
-        i2 = ctx.num_points - i
-        lab = rho(i, l)
-        if lab != 1:
-            C[surface.loop_index[(i2, lab)], t] -= 1
-        lab1 = rho(i, 1)
-        if lab1 != 1:
-            C[surface.loop_index[(i2, lab1)], t] += 1
+        for (j, lab), s in ((image(i, l), sign), (image(i, 1), -sign)):
+            if (lab := _norm(lab, k)) != 1:
+                C[index[(j, lab)], t] += s
     return C
 
 
@@ -553,11 +535,11 @@ def deck_rotation_shifts_sheets(surface: CoverSurface) -> bool:
     if C[rows].sum(axis=1).any():
         return False
     B = rows[:-1, :-1].ravel()
-    try:
-        P = intmat.symplectic_change_of_basis(G_B := G[B[:, None], B])
+    try:  # returns only a basis P with P^T G_B P = J0
+        intmat.symplectic_change_of_basis(G[B[:, None], B])
     except ValueError:
         return False
-    return np.array_equal(mul(P.T, G_B, P), intmat.standard_symplectic(len(B)))
+    return True
 
 
 class _Factor:
@@ -607,27 +589,25 @@ def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Facto
 
 
 def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> _Factor:
-    if kind in ("t", "h"):
-        # the product of the twists about the lifted curves, in row order
-        curves = _lift_rows(surface, kind, index)
-        if sign < 0:  # the closed-form inverse, once the lift itself is built and checked
-            f = _lift(surface, kind, index, 1)
-            return _Factor(*_twist_block(surface, curves, inverse=True), f.square_zero)
-        U, B = _twist_block(surface, curves)
-        square_zero = False
-        if kind == "t":  # the k lifts of gamma_i are disjoint, so B - I = C^T JC squares to 0
-            N = B - np.eye(len(B), dtype=np.int64)
-            square_zero = not mul(N, N).any()
-        f = _Factor(U, B, square_zero)
-    elif sign < 0:
+    if sign < 0:  # the inverse, once the lift itself is built and checked
         f = _lift(surface, kind, index, 1)
-        return _Factor(None, symplectic_inverse(surface, f.B))
-    elif kind == "zeta":
-        f = _Factor(None, _induced_matrix(surface, _deck_cycle_map(surface)))
-    elif kind == "r":
-        f = _Factor(None, _induced_matrix(surface, _half_turn_cycle_map(surface)))
+        if f.U is None:
+            return _Factor(None, symplectic_inverse(surface, f.B))
+        curves = _lift_rows(surface, kind, index)
+        return _Factor(*_twist_block(surface, curves, inverse=True), f.square_zero)
+    ctx = surface.ctx
+    if kind in ("t", "h"):
+        # the product of the twists about the lifted curves, in row order.  (B - I)^2
+        # is C^T X G X JC, so it is 0 when the curves are disjoint (G = 0), as for t
+        curves = _lift_rows(surface, kind, index)
+        f = _Factor(*_twist_block(surface, curves), not curves.G.any())
+    elif kind == "zeta":  # every label moves up one sheet
+        f = _Factor(None, _induced_matrix(surface, _cycle_map(surface, lambda i, l: (i, l + 1), 1)))
+    elif kind == "r":  # arc i goes to arc 2n + 2 - i, reversed
+        cycles = _cycle_map(surface, lambda i, l: (ctx.num_points - i, ctx.k - l + 1 + i % 2), -1)
+        f = _Factor(None, _induced_matrix(surface, cycles))
     elif kind == "r1":
-        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(surface.ctx.n))))
+        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(ctx.n))))
     else:  # zeta_prime
         f = _Factor(None, _zeta_prime(surface))
     if not is_symplectic(surface, f.B, f.U):

@@ -7,9 +7,11 @@ of Python ints, so none of them can overflow.  A :class:`Chain` of
 products, and :func:`mul` through it, works in ``int64``: each product is
 computed only when a bound on every entry and partial sum is below
 ``2**62``, and raises ``OverflowError`` otherwise, so a result is exact or
-the call raises; it never wraps.  The
-cover derives its homology apparatus with these functions and stores it as
-int64 (see :mod:`superelliptic.cover`).  Sizes reach about two thousand
+the call raises; it never wraps.  A symplectic basis is returned only once
+:func:`mul` confirms ``P^T J P = J0``, so it certifies ``det J = 1`` and
+callers do not check it again.  The cover derives its homology apparatus with these
+functions and stores it as read-only int64 (see
+:mod:`superelliptic.cover`).  Sizes reach about two thousand
 rows (``2g = 1984`` at ``(n, k) = (32, 32)``), but the Smith form sees only
 the ``k`` face relations as columns, the symplectic basis works on sparse
 rows, and the products run in BLAS, so the classics are plenty: Smith form
@@ -302,6 +304,9 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     the first unpaired ``u`` against the first smallest one and clears the
     rest against that vector ``w`` (negated if it pairs to -1).  ``P`` is
     int64 only if ``max|P| * max|J| * 2g < 2**62``, else ``OverflowError``.
+    It is returned only once a checked :func:`mul` gives ``P^T J P = J0``
+    (:func:`standard_symplectic`), or ``ValueError``: such an integer ``P``
+    certifies ``det J = 1``, as ``det(P)^2 det J = 1``.
     """
     J = _as_int64(J)
     if J.ndim != 2 or not np.array_equal(J, -J.T):
@@ -345,6 +350,8 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     P = np.zeros((m, m), dtype=np.int64)
     for col, v in enumerate(out):
         P[list(v), col] = list(v.values())
+    if not np.array_equal(mul(P.T, J, P), standard_symplectic(m)):
+        raise ValueError("P^T J P is not the standard symplectic form")
     return P
 
 

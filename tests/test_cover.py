@@ -20,6 +20,7 @@ from superelliptic import (
     lift_rep,
     pairing,
     twist_matrix,
+    verify,
 )
 from superelliptic import cover as cover_mod
 from superelliptic import generators, intmat
@@ -90,6 +91,34 @@ class TestHomology:
         P = intmat.symplectic_change_of_basis(S.J)
         assert abs(intmat.det_exact(P)) == 1
         assert np.array_equal(P.T @ S.J @ P, intmat.standard_symplectic(S.h1_rank))
+
+    def test_the_cached_surface_is_read_only(self):
+        # every later claim at (n, k) reads this one cached surface
+        build_cover.cache_clear()
+        ctx = Context(1, 3)
+        S = build_cover(ctx)
+        with pytest.raises(ValueError, match="read-only"):
+            S.P[0, 0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            S.Jinv[0, 1] += 5
+        for a in (S.relations, S.crossing, S.basis, S.proj, S.J, S.Jinv, S.P):
+            assert not a.flags.writeable
+        assert verify("cover-homology", ctx).status == "pass"
+        assert verify("cover-deck-rotation", ctx).status == "pass"
+
+    def test_a_basis_that_does_not_standardize_is_refused(self, monkeypatch):
+        # the one check P^T J P = J0 lives in symplectic_change_of_basis: with a
+        # wrong J0, the basis, the build and the deck-rotation certificate all refuse
+        ctx = Context(1, 3)
+        S = build_cover(ctx)
+        real = intmat.standard_symplectic
+        monkeypatch.setattr(intmat, "standard_symplectic", lambda m: -real(m))
+        with pytest.raises(ValueError, match="not the standard symplectic form"):
+            intmat.symplectic_change_of_basis(S.J)
+        assert cover_mod.deck_rotation_shifts_sheets(S) is False
+        build_cover.cache_clear()
+        with pytest.raises(AssertionError, match="^intersection form is not unimodular: "):
+            build_cover(ctx)
 
 
 class TestCheckedProduct:
