@@ -68,7 +68,7 @@ import numpy as np
 
 from . import intmat
 from .errors import DoesNotLiftError, WordSyntaxError
-from .generators import F_factors, factors_to_tokens, t_chain_factors
+from .generators import F_factors, t_chain_factors
 from .intmat import Chain, _as_int64, _check_bound, _max_abs, mul
 from .liftability import CurveClass, curve_monodromy
 from .words import Context, read_token, require_context
@@ -607,7 +607,7 @@ def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) 
         cycles = _cycle_map(surface, lambda i, l: (ctx.num_points - i, ctx.k - l + 1 + i % 2), -1)
         f = _Factor(None, _induced_matrix(surface, cycles))
     elif kind == "r1":
-        f = _Factor(None, lift_product(surface, "r " + factors_to_tokens(F_factors(ctx.n))))
+        f = _Factor(None, lift_product(surface, " ".join(["r", *F_factors(ctx.n)])))
     else:  # zeta_prime
         f = _Factor(None, _zeta_prime(surface))
     if not is_symplectic(surface, f.B, f.U):
@@ -617,14 +617,14 @@ def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) 
 
 def _zeta_prime(surface: CoverSurface) -> np.ndarray:
     """The lift of ``t_chain_factors(1, 2n+1)``, whose last ``n (2n - 2)``
-    factors are the run ``h_{2n-2} ... h_1`` repeated ``n`` times: the run
+    tokens are the run ``h_{2n-2} ... h_1`` repeated ``n`` times: the run
     is evaluated once and raised to its power by squaring."""
-    n, fs = surface.ctx.n, t_chain_factors(1, surface.ctx.num_arcs)
-    cut = len(fs) - n * (2 * n - 2)
-    run = fs[cut : cut + 2 * n - 2]
-    if fs[cut:] != run * n:
-        raise AssertionError("the zeta_prime factors do not end in a repeated run")
-    head, run = (lift_product(surface, factors_to_tokens(f)) for f in (fs[:cut], run))
+    n, tokens = surface.ctx.n, t_chain_factors(1, surface.ctx.num_arcs)
+    cut = len(tokens) - n * (2 * n - 2)
+    run = tokens[cut : cut + 2 * n - 2]
+    if tokens[cut:] != run * n:
+        raise AssertionError("the zeta_prime tokens do not end in a repeated run")
+    head, run = (lift_product(surface, " ".join(t)) for t in (tokens[:cut], run))
     return mul(head, matrix_power(run, n))
 
 

@@ -29,12 +29,9 @@ from . import oracle
 from .errors import BudgetError, WordSyntaxError
 from .words import Context, Word, psi, read_token  # noqa: F401  unused; perfbench traces generators.psi
 
-# A product of named generators is a sequence of factors (kind, params,
-# exponent).  Kinds: "h" with params (i,), "t" with params (i, j), "r1" and
-# "hchain_t" with params ().  A factor's token is its kind followed by its
-# params joined by commas (h3, t1,2, r1, hchain_t): the names that
-# expand_token_text reads.  factors_to_tokens renders a product as text.
-Factor = tuple[str, tuple[int, ...], int]
+# A product of named generators is a list of tokens, each a name with its
+# indices and, unless it is 1, a nonzero exponent (h3^-1, t4,5^2, r1): the
+# text that expand_token_text reads once the list is joined by spaces.
 
 
 def gen_h(i: int, ctx: Context) -> Word:
@@ -75,82 +72,44 @@ def gen_r(ctx: Context) -> Word:
     return Word(ctx, tuple(letters))
 
 
-def F_factors(n: int) -> tuple[Factor, ...]:
-    """Factor list of the correction ``F`` with ``r1 = r F``."""
-    if n == 1:
-        return (("h", (1,), -1),)
-    fs: list[Factor] = []
-    for top in range(2 * n - 2, 0, -2):
-        for i in range(1, top + 1):
-            fs.append(("h", (i,), -1))
-    for i in range(2 * n - 1, 0, -2):
-        fs.append(("h", (i,), -1))
-    for m in range(n - 1, 0, -1):
-        fs.append(("t", (2 * m + 2, 2 * m + 3), m))
-    return tuple(fs)
+def F_factors(n: int) -> list[str]:
+    """Token list of the correction ``F`` with ``r1 = r F``."""
+    tokens = [f"h{i}^-1" for top in range(2 * n - 2, 0, -2) for i in range(1, top + 1)]
+    tokens += [f"h{i}^-1" for i in range(2 * n - 1, 0, -2)]
+    twists = [(f"t{2 * m + 2},{2 * m + 3}", m) for m in range(n - 1, 0, -1)]
+    return tokens + [name if m == 1 else f"{name}^{m}" for name, m in twists]
 
 
-def t_chain_factors(i: int, j: int) -> tuple[Factor, ...]:
-    """Rewrite ``t_{i,j}`` (``j-i >= 2``) over adjacent twists and ``h``'s.
+def t_chain_factors(i: int, j: int) -> list[str]:
+    """Rewrite ``t_{i,j}`` (``j-i >= 2``) as a token list over adjacent twists and ``h``'s.
 
     ``j-i = 2`` gives ``h_i^2``; longer spans give the chain factorization
     with twist exponents ``-(j-i-3)/2`` (odd span) or ``-(j-i-2)/2`` (even
-    span).
+    span), which drop out when 0.
     """
     q = j - i
     if q < 2:
         raise ValueError("factorization needs j - i >= 2")
     if q == 2:
-        return (("h", (i,), 2),)
-    fs: list[Factor] = []
+        return [f"h{i}^2"]
     if q % 2 == 1:
-        e = -((q - 3) // 2)
-        if e:
-            for a in range(j - 1, i - 1, -2):
-                fs.append(("t", (a, a + 1), e))
-        for _ in range((q + 1) // 2):
-            for b in range(j - 2, i - 1, -1):
-                fs.append(("h", (b,), 1))
+        e, twists = -((q - 3) // 2), range(j - 1, i - 1, -2)
+        hs = [f"h{b}" for b in range(j - 2, i - 1, -1)] * ((q + 1) // 2)
     else:
-        e = -((q - 2) // 2)
-        if e:
-            for a in range(j - 2, i - 1, -2):
-                fs.append(("t", (a, a + 1), e))
-        for b in range(j - 2, i - 1, -2):
-            fs.append(("h", (b,), 1))
-        for b in range(i, j - 1, 2):
-            fs.append(("h", (b,), 1))
-        for _ in range(q // 2):
-            for b in range(j - 3, i - 1, -1):
-                fs.append(("h", (b,), 1))
-    return tuple(fs)
-
-
-def factors_to_tokens(factors) -> str:
-    """Token text of a factor list, e.g. ``h1^-1 t4,5 r1^2``; zero powers drop out."""
-    toks = []
-    for kind, params, e in factors:
-        if e == 0:
-            continue
-        name = kind + ",".join(map(str, params))
-        toks.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(toks)
+        e, twists = -((q - 2) // 2), range(j - 2, i - 1, -2)
+        hs = [f"h{b}" for b in [*range(j - 2, i - 1, -2), *range(i, j - 1, 2)]]
+        hs += [f"h{b}" for b in range(j - 3, i - 1, -1)] * (q // 2)
+    return [f"t{a},{a + 1}^{e}" for a in twists if e] + hs
 
 
 def gen_F(ctx: Context) -> Word:
-    """``F`` from its factor list; the caller's budget has counted its letters."""
-    letters: list[int] = []
-    for kind, params, e in F_factors(ctx.n):
-        base = (gen_h if kind == "h" else gen_t)(*params, ctx).letters
-        letters += (base if e > 0 else tuple(map(neg, reversed(base)))) * abs(e)
-    return Word.from_letters(ctx, letters)
+    """``F`` read from its token text under a budget of its letter count."""
+    return expand_token_text(" ".join(F_factors(ctx.n)), ctx, _letter_count("F", (), ctx))
 
 
 def gen_hchain_t(ctx: Context) -> Word:
-    out = Word.identity(ctx)
-    for i in range(2 * ctx.n - 1, 0, -1):
-        out = out * gen_h(i, ctx)
-    return out * gen_t(1, 2, ctx)
+    text = " ".join(f"h{i}" for i in range(2 * ctx.n - 1, 0, -1)) + " t1,2"
+    return expand_token_text(text, ctx, _letter_count("hchain_t", (), ctx))
 
 
 # -- rich word syntax --------------------------------------------------------
@@ -169,7 +128,7 @@ def _letter_count(name: str, indices: tuple[int, ...], ctx: Context) -> int:
         i, j = _twist_chain(*indices, ctx)
         return (j - i) * (j - i + 1)
     n, A = ctx.n, ctx.num_arcs
-    # F_factors(n): n^2 factors h^-1 (3 letters each) and t_{a,a+1}^m, m < n (2m letters)
+    # F_factors(n): n^2 tokens h^-1 (3 letters each) and t_{a,a+1}^m, m < n (2m letters)
     return {"s": 1, "h": 3, "r1": A, "r": A * (A + 1) // 2, "F": 4 * n * n - n,
             "hchain_t": 6 * n - 1}[name]
 
@@ -219,9 +178,9 @@ class _TokenMemo(dict):
 
 
 # Memory bounds: a pass of the oracle-queries benchmark uses 6 contexts, and
-# verify-all at (8,3) fills one memo to size 3360 (138 tokens).  A base-side
-# run at n = 32 fills it (198 tokens); the tokens read after that are parsed
-# at each occurrence.  A full memo of 1-letter tokens holds about 3.4 MB, and
+# verify-all at (8,3) fills one memo to size 3381 (145 tokens).  A base-side
+# run at n = 32 overfills it: it is cleared 13 times, and 2427 tokens are
+# parsed in all.  A full memo of 1-letter tokens holds about 3.4 MB, and
 # full shift forms about 4.2 MB more (n = 32 reads 4364), so at most about
 # 61 MB are held over 8 contexts.
 _MEMO_CONTEXTS = 8
@@ -247,8 +206,9 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
     A memo per :class:`Context` maps each token that was read without error
     (``s3``, ``s5^-1``, ``t2,4^-3``, ``h1^(2n)``, ``r1``) to ``(letter count,
     unit letters, repeats)``, which are pure functions of the token, ``n``
-    and ``k``.  A token that raises, or one that no longer fits in the memo
-    (:data:`_MEMO_SIZE`), is never stored and is parsed at each occurrence.
+    and ``k``.  A token that would take the memo past :data:`_MEMO_SIZE`
+    clears it first; one that raises, or one larger than the whole memo, is
+    never stored and is parsed at each occurrence.
     The budget check runs on every occurrence of a token, memoized or not,
     with the same count and before any of its letters are added.
     """
@@ -259,10 +219,13 @@ def expand_token_text(text: str, ctx: Context, budget: int | None = None) -> Wor
         entry = memo.get(tok)
         if entry is None:
             entry = _parse_token(tok, ctx, len(letters), budget)
-            size = memo.size + 1 + len(entry[1])
+            size = 1 + len(entry[1])
             if size <= _MEMO_SIZE:
+                if memo.size + size > _MEMO_SIZE:  # full: start again
+                    memo.clear()
+                    memo.size = 0
                 memo[tok] = entry
-                memo.size = size
+                memo.size += size
         elif len(letters) + entry[0] > budget:  # the call only raises; skip it otherwise
             _check_budget(tok, len(letters) + entry[0], budget)
         letters += entry[1] * entry[2]
@@ -294,7 +257,8 @@ def shift_forms(tokens: list[str], ctx: Context) -> tuple | None:
     is ``(name, j - i, exponent)`` (``j - i`` is 0 for ``s`` and ``h``) and its
     low is its least letter; ``high`` is the greatest letter of all (0 for
     none), and ``letters`` the unreduced count that :func:`expand_token_text`
-    checks against the budget.  Forms are kept in the context's token memo.
+    checks against the budget.  Forms are kept in the context's token memo,
+    up to :data:`_MEMO_SIZE` of them; a form that finds them full clears them.
     """
     memo = _token_memo(ctx).forms
     forms = list(map(memo.get, tokens))
@@ -302,6 +266,8 @@ def shift_forms(tokens: list[str], ctx: Context) -> tuple | None:
         for at, tok in enumerate(tokens):
             if forms[at] is None:
                 forms[at] = _shift_form(tok, ctx)
+                if len(memo) >= _MEMO_SIZE:  # full: start again
+                    memo.clear()
                 if len(memo) < _MEMO_SIZE:
                     memo[tok] = forms[at]
     if False in forms:

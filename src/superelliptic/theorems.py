@@ -53,13 +53,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import cover, liftability, oracle
 from .errors import BudgetError
-from .generators import (
-    Factor,
-    expand_token_text,
-    factors_to_tokens,
-    shift_forms,
-    t_chain_factors,
-)
+from .generators import expand_token_text, shift_forms, t_chain_factors
 from .words import Context, psi
 
 
@@ -140,8 +134,8 @@ class _Row(NamedTuple):
         """The instances that a certificate claim states at ``ctx``, in order."""
         if self.kind == "generation":
             return [
-                _inst(self.group, target, factors_to_tokens(word))
-                for target, word in generation_words(self.program, ctx)
+                _inst(self.group, target, " ".join(tokens))
+                for target, tokens in generation_words(self.program, ctx)
             ]
         return self.make(ctx)
 
@@ -447,7 +441,7 @@ def _twist_conjugation(ctx: Context) -> list[dict]:
 
 def _chain_twist_factorization(ctx: Context) -> list[dict]:
     return [
-        _inst("disk", f"t{i},{j}", factors_to_tokens(t_chain_factors(i, j)))
+        _inst("disk", f"t{i},{j}", " ".join(t_chain_factors(i, j)))
         for i in range(1, ctx.num_arcs)
         for j in range(i + 2, ctx.num_arcs + 1)
     ]
@@ -466,8 +460,8 @@ def _hchain_shift(ctx: Context) -> list[dict]:
     ]
 
 
-def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]:
-    """``(target token, factor list)``: one straight-line step per standard generator.
+def generation_words(group: str, ctx: Context) -> list[tuple[str, list[str]]]:
+    """``(target token, token list)``: one straight-line step per standard generator.
 
     A step writes its target over the basis (:func:`_basis_tokens`) and the
     targets before it; a basis target is the trivial step ``x = x``.
@@ -482,34 +476,27 @@ def generation_words(group: str, ctx: Context) -> list[tuple[str, list[Factor]]]
     then ``t1,2 = h1^-1 ... h_{2n-1}^-1 hchain_t``; at n = 1, ``h1, t1,2``.
     """
     n, arcs = ctx.n, ctx.num_arcs
-
-    def conj(a: Factor, x: Factor) -> list[Factor]:
-        return [a, x, (a[0], a[1], -a[2])]
-
     if group == "lmod_sphere":
-        r1 = ("r1", (), 1)
 
-        def twist(i: int, j: int) -> list[Factor]:
+        def twist(i: int, j: int) -> list[str]:
             if i > 1:
-                return conj(r1, ("t", (i - 1, j - 1), 1))
-            return [("t", (1, 2), 1)] if j == 2 else list(t_chain_factors(1, j))
+                return ["r1", f"t{i - 1},{j - 1}", "r1^-1"]
+            return ["t1,2"] if j == 2 else t_chain_factors(1, j)
 
         twists = [(i, i + 1) for i in range(1, arcs)]
         twists += [
             (i, j) for i in range(1, arcs) for j in range(i + 2, arcs + 1) if (i, j) != (1, arcs)
         ]
-        words = [("h1", [("h", (1,), 1)])]
-        words += [(f"h{i}", conj(r1, ("h", (i - 1,), 1))) for i in range(2, 2 * n + 1)]
+        words = [("h1", ["h1"])]
+        words += [(f"h{i}", ["r1", f"h{i - 1}", "r1^-1"]) for i in range(2, 2 * n + 1)]
         words += [(f"t{i},{j}", twist(i, j)) for i, j in twists]
-        words.append(("r1", [r1]))
+        words.append(("r1", ["r1"]))
     elif group in ("lmod_star", "lmod_disk"):
         if n == 1:
-            return [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
-        words = [(f"h{i}", [("h", (i,), 1)]) for i in (1, 2)]
-        words += [
-            (f"h{i}", conj(("hchain_t", (), -1), ("h", (i - 2,), 1))) for i in range(3, 2 * n)
-        ]
-        words.append(("t1,2", [("h", (i,), -1) for i in range(1, 2 * n)] + [("hchain_t", (), 1)]))
+            return [("h1", ["h1"]), ("t1,2", ["t1,2"])]
+        words = [(f"h{i}", [f"h{i}"]) for i in (1, 2)]
+        words += [(f"h{i}", ["hchain_t^-1", f"h{i - 2}", "hchain_t"]) for i in range(3, 2 * n)]
+        words.append(("t1,2", [f"h{i}^-1" for i in range(1, 2 * n)] + ["hchain_t"]))
     else:
         raise ValueError(f"unknown group {group!r}")
     return words

@@ -246,9 +246,9 @@ def lift_token(surface, name: str) -> np.ndarray:
     if name in ("zeta", "r"):
         return cover.lift_rep(surface, name)
     if name == "r1":
-        return lift_product(surface, "r " + G.factors_to_tokens(G.F_factors(n)))
+        return lift_product(surface, "r " + " ".join(G.F_factors(n)))
     if name == "zeta_prime":
-        return lift_product(surface, G.factors_to_tokens(G.t_chain_factors(1, 2 * n + 1)))
+        return lift_product(surface, " ".join(G.t_chain_factors(1, 2 * n + 1)))
     if name.startswith("h"):
         return twist_lift(surface.J, cover._lift_rows(surface, "h", int(name[1:])).C)
     i, j = map(int, name[1:].split(","))

@@ -26,6 +26,7 @@ from superelliptic import cover as cover_mod
 from superelliptic import generators, intmat
 from superelliptic.cover import lift_product
 from superelliptic.errors import ContextMismatchError, DoesNotLiftError, WordSyntaxError
+from superelliptic.words import read_token
 
 
 def identity(surface):
@@ -931,9 +932,9 @@ class TestLiftProduct:
     def test_r1_and_zeta_prime_are_their_factor_lists(self, n, k):
         S = build_cover(Context(n, k))
 
-        def product(factors, start):
+        def product(tokens, start):
             M = start.astype(object)
-            for kind, params, e in factors:
+            for kind, params, e in (read_token(tok, S.ctx) for tok in tokens):
                 base = lift_rep(S, kind, params[0])
                 base = base if e > 0 else cover_mod.symplectic_inverse(S, base)
                 for _ in range(abs(e)):
@@ -1140,7 +1141,7 @@ class TestLiftTable:
     @pytest.mark.parametrize("n,k", TABLE_SIZES)
     def test_zeta_prime_with_its_run_power_is_the_token_chain(self, n, k):
         S = build_cover(Context(n, k))
-        text = generators.factors_to_tokens(generators.t_chain_factors(1, 2 * n + 1))
+        text = " ".join(generators.t_chain_factors(1, 2 * n + 1))
         assert np.array_equal(lift_rep(S, "zeta_prime"), lift_product(S, text))
         assert np.array_equal(cover_mod._zeta_prime(S), lift_product(S, text))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import referees
 
-from superelliptic import Context, Word, eq_disk, eq_sphere, generators, psi
+from superelliptic import Context, Word, eq_disk, eq_sphere, generators, psi, theorems
 from superelliptic.cover import build_cover, lift_product
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
@@ -14,7 +14,6 @@ from superelliptic.generators import (
     _letter_count,
     _parse_token,
     expand_token_text,
-    factors_to_tokens,
     gen_F,
     gen_h,
     gen_hchain_t,
@@ -25,6 +24,7 @@ from superelliptic.generators import (
 )
 from superelliptic.liftability import curve_parse
 from superelliptic.theorems import check_instance, verify
+from superelliptic.words import read_token
 
 CTX = Context(2, 3)
 
@@ -82,12 +82,12 @@ class TestWords:
 
 class TestFactorLists:
     def test_span_two(self):
-        assert t_chain_factors(1, 3) == (("h", (1,), 2),)
+        assert t_chain_factors(1, 3) == ["h1^2"]
 
     def test_span_three_has_no_twists(self):
         factors = t_chain_factors(2, 5)
-        assert all(kind == "h" for kind, _, _ in factors)
-        assert [p[0] for _, p, _ in factors] == [3, 2, 3, 2]
+        assert all(tok.startswith("h") for tok in factors)
+        assert factors == ["h3", "h2", "h3", "h2"]
 
     def test_exponent_sums_match(self):
         # both sides of the factorization are exponent-balanced
@@ -97,12 +97,13 @@ class TestFactorLists:
         for i in range(1, ctx.num_arcs):
             for j in range(i + 2, ctx.num_arcs + 1):
                 lhs = gen_t(i, j, ctx)
-                rhs = expand_token_text(factors_to_tokens(t_chain_factors(i, j)), ctx)
+                rhs = expand_token_text(" ".join(t_chain_factors(i, j)), ctx)
                 assert exponent_sum(lhs) == exponent_sum(rhs) == (j - i) * (j - i + 1)
 
     def test_F_factor_exponents_positive_twists(self):
         for n in (2, 3, 4):
-            twists = [(p, e) for kind, p, e in F_factors(n) if kind == "t"]
+            factors = [read_token(tok, Context(n, 3)) for tok in F_factors(n)]
+            twists = [(p, e) for kind, p, e in factors if kind == "t"]
             assert twists == [
                 ((2 * m + 2, 2 * m + 3), m) for m in range(n - 1, 0, -1)
             ]
@@ -190,7 +191,7 @@ class TestTokenSyntax:
         # F is 33 letters at n = 3, and under a default budget of 20 its own
         # text would stop at h5^-1; the caller's budget of 100 is the only one
         ctx = Context(3, 3)
-        want = expand_token_text(factors_to_tokens(F_factors(3)), ctx)
+        want = expand_token_text(" ".join(F_factors(3)), ctx)
         monkeypatch.setattr(generators.oracle, "DEFAULT_BUDGET", 20)
         generators._token_memo.cache_clear()
         assert expand_token_text("F", ctx, budget=100) == want and len(want) == 33
@@ -199,11 +200,21 @@ class TestTokenSyntax:
             expand_token_text("F", ctx, budget=32)
 
     def test_factor_list_rendering(self):
-        factors = (("h", (1,), -1), ("t", (4, 5), 2), ("h", (2,), 0), ("t", (2, 3), 1))
-        assert factors_to_tokens(factors) == "h1^-1 t4,5^2 t2,3"
-        factors = (("r1", (), 2), ("hchain_t", (), -1), ("r1", (), 0), ("hchain_t", (), 1))
-        assert factors_to_tokens(factors) == "r1^2 hchain_t^-1 hchain_t"
-        assert factors_to_tokens((("h", (3,), 0),)) == ""
+        # every built token has a nonzero exponent, written only when it is not 1
+        assert F_factors(3) == ["h1^-1", "h2^-1", "h3^-1", "h4^-1", "h1^-1", "h2^-1",
+                                "h5^-1", "h3^-1", "h1^-1", "t6,7^2", "t4,5"]
+        for n in range(1, 7):
+            ctx = Context(n, 3)
+            tokens = list(F_factors(n))
+            for i in range(1, ctx.num_points):
+                for j in range(i + 2, ctx.num_points + 1):
+                    tokens += t_chain_factors(i, j)
+            for group in ("lmod_sphere", "lmod_star", "lmod_disk"):
+                tokens += [tok for _, word in theorems.generation_words(group, ctx) for tok in word]
+            for tok in tokens:
+                name, indices, e = read_token(tok, ctx)
+                assert e != 0, tok
+                assert tok == name + ",".join(map(str, indices)) + (f"^{e}" if e != 1 else ""), tok
 
 
 _EXPONENTS = ("", "", "", "^1", "^-1", "^2", "^-3", "^0", "^(2n+2)", "^(k-2)", "^(-n+1)", "^(n-k)")
@@ -292,15 +303,15 @@ class TestTokenMemo:
             expand_token_text("s1 s1^1000000000000", ctx)
 
     def test_a_full_memo_keeps_its_entries_and_parses_the_rest_at_each_occurrence(self, monkeypatch):
-        # 1-letter tokens s1, s2, ... each take size 2, so the last one no longer fits
+        # 1-letter tokens s1, s2, ... each take size 2, so the last one no longer
+        # fits: it clears the memo, and each token is then parsed once
         cap = generators._MEMO_SIZE
         ctx = Context(cap // 4 + 1, 3)  # cap // 2 + 3 arcs
         toks = [f"s{i}" for i in range(1, cap // 2 + 2)]
         generators._token_memo.cache_clear()
         assert expand_token_text(" ".join(toks), ctx).letters == tuple(range(1, cap // 2 + 2))
         memo = generators._token_memo(ctx)
-        assert (len(memo), memo.size) == (cap // 2, cap)
-        assert toks[-1] not in memo
+        assert (len(memo), memo.size) == (1, 2) and toks[-1] in memo
         parsed = []
 
         def parse(tok, *args):
@@ -311,8 +322,8 @@ class TestTokenMemo:
         text = f"{toks[0]} {toks[-1]} {toks[-1]}^-1 {toks[-1]}"
         for _ in range(2):
             assert expand_token_text(text, ctx) == referees.expand_token_text(text, ctx)
-        assert parsed == [toks[-1], f"{toks[-1]}^-1", toks[-1]] * 2
-        assert (len(memo), memo.size) == (cap // 2, cap) and toks[-1] not in memo
+        assert parsed == [toks[0], f"{toks[-1]}^-1"]
+        assert (len(memo), memo.size) == (3, 6) and memo.size <= cap
         generators._token_memo.cache_clear()  # free the large memo
 
     @pytest.mark.parametrize("memo_size", [0, generators._MEMO_SIZE])

@@ -25,7 +25,6 @@ from superelliptic import (
 from superelliptic.errors import BudgetError, WordSyntaxError
 from superelliptic.generators import (
     expand_token_text,
-    factors_to_tokens,
     gen_t,
     t_chain_factors,
 )
@@ -67,28 +66,22 @@ class TestExpress:
     def test_h3_over_sphere_basis(self):
         ctx = Context(2, 3)
         word = _generation_word("lmod_sphere", "h3", ctx)
-        assert word == [("r1", (), 1), ("h", (2,), 1), ("r1", (), -1)]
+        assert word == ["r1", "h2", "r1^-1"]
         assert eq_sphere(
-            expand_token_text(factors_to_tokens(word), ctx),
+            expand_token_text(" ".join(word), ctx),
             expand_token_text("h3", ctx),
             ctx,
         )
 
     def test_adjacent_twist_over_sphere_basis(self):
         ctx = Context(2, 3)
-        assert _generation_word("lmod_sphere", "t2,3", ctx) == [
-            ("r1", (), 1), ("t", (1, 2), 1), ("r1", (), -1)
-        ]
-        assert _generation_word("lmod_sphere", "t4,5", ctx) == [
-            ("r1", (), 1), ("t", (3, 4), 1), ("r1", (), -1)
-        ]
+        assert _generation_word("lmod_sphere", "t2,3", ctx) == ["r1", "t1,2", "r1^-1"]
+        assert _generation_word("lmod_sphere", "t4,5", ctx) == ["r1", "t3,4", "r1^-1"]
 
     def test_nested_twist_is_the_chain_factorization(self):
         ctx = Context(3, 3)
-        assert _generation_word("lmod_sphere", "t1,5", ctx) == list(t_chain_factors(1, 5))
-        assert _generation_word("lmod_sphere", "t3,7", ctx) == [
-            ("r1", (), 1), ("t", (2, 6), 1), ("r1", (), -1)
-        ]
+        assert _generation_word("lmod_sphere", "t1,5", ctx) == t_chain_factors(1, 5)
+        assert _generation_word("lmod_sphere", "t3,7", ctx) == ["r1", "t2,6", "r1^-1"]
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("group", ["lmod_sphere", "lmod_star", "lmod_disk"])
@@ -96,7 +89,7 @@ class TestExpress:
         ctx = Context(n, 3)
         known = set(theorems._basis_tokens("sphere" if group == "lmod_sphere" else "star", ctx))
         for target, word in generation_words(group, ctx):
-            used = {tok.partition("^")[0] for tok in factors_to_tokens(word).split()}
+            used = {tok.partition("^")[0] for tok in word}
             assert used <= known, (target, used - known)
             known.add(target)
 
@@ -115,20 +108,20 @@ class TestExpress:
     def test_star_t12_expansion(self):
         ctx = Context(2, 3)
         word = _generation_word("lmod_star", "t1,2", ctx)
-        assert word == [("h", (1,), -1), ("h", (2,), -1), ("h", (3,), -1), ("hchain_t", (), 1)]
+        assert word == ["h1^-1", "h2^-1", "h3^-1", "hchain_t"]
         assert eq_star(
-            expand_token_text(factors_to_tokens(word), ctx),
+            expand_token_text(" ".join(word), ctx),
             gen_t(1, 2, ctx),
             ctx,
         )
 
     def test_star_h_shift(self):
         word = _generation_word("lmod_disk", "h5", Context(3, 3))
-        assert word == [("hchain_t", (), -1), ("h", (3,), 1), ("hchain_t", (), 1)]
+        assert word == ["hchain_t^-1", "h3", "hchain_t"]
 
     def test_star_basis_n1_is_trivial(self):
         words = generation_words("lmod_star", Context(1, 3))
-        assert words == [("h1", [("h", (1,), 1)]), ("t1,2", [("t", (1, 2), 1)])]
+        assert words == [("h1", ["h1"]), ("t1,2", ["t1,2"])]
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError):
@@ -566,7 +559,7 @@ class TestCertificates:
         def proof(lhs):
             i, j = map(int, lhs[1:].split(","))
             if j - i >= 2:
-                return factors_to_tokens(t_chain_factors(i, j))
+                return " ".join(t_chain_factors(i, j))
             return f"h{i - 1} t{i - 1},{i} h{i - 1}^-1" if i > 1 else lhs
 
         def edit(instances):
@@ -627,7 +620,7 @@ class TestCertificates:
 
     def test_claim_checks_its_own_steps(self, monkeypatch):
         # every nested twist stated as itself: each step is true, none is a proof
-        monkeypatch.setattr(theorems, "t_chain_factors", lambda i, j: (("t", (i, j), 1),))
+        monkeypatch.setattr(theorems, "t_chain_factors", lambda i, j: [f"t{i},{j}"])
         claim = verify_generation("lmod_sphere", Context(2, 3))
         assert claim.status == "fail"
         assert claim.detail == "step t1,3 uses ['t1,3']: not in the basis or earlier"
