@@ -113,7 +113,7 @@ def generated_group(perms, ctx: Context) -> tuple[int, list[frozenset[int]]]:
 # The largest n at which liftability-w-size counts W; beyond it the claim is
 # skipped.  verify-sweep pins that skip at n = 4, so the bound moves with the
 # benchmark.
-ENUMERATE_W_MAX_N = 3
+COUNT_W_MAX_N = 3
 
 
 def permanent(rows) -> int:

@@ -2,8 +2,11 @@
 
 Every check is packaged as a :class:`Claim` with a stable id, a pass /
 fail / skipped status and, for word-level and lifted-homology claims, a
-witness: a list of ``{lhs, rhs, group, expect}`` instances, in generator-token
-syntax or, for group ``homology``, in lift text (:func:`cover.lift_product`).
+witness: a list of ``{group, lhs, rhs, expect, shifts}`` entries, in
+generator-token syntax or, for group ``homology``, in lift text
+(:func:`cover.lift_product`).  An entry stands for ``shifts`` instances: itself
+with every ``s<i>``, ``h<i>`` and ``t<i>,<j>`` index raised by 0 through
+``shifts - 1``.
 Every claim is one row of the claim table (:data:`_TABLE`), and
 :func:`verify` makes it from that row; :func:`run_all` makes the rows in
 table order.  A certificate claim's row holds what it states, a function of
@@ -15,22 +18,22 @@ alone and reports double as certificates.  A computed claim's row
 the claim stores no witness; :func:`reverify_report` runs that check again
 at its ``n``, ``k``.
 
-The verdict first requires the instances to equal the statement, in order,
-in ``group``, ``lhs``, ``rhs`` and ``expect``, reading token names alone: a
-file with fewer instances, a weaker group or a dropped inequality does not
-re-verify.  Generation claims are straight-line programs: one step per standard
-generator, in a fixed order, writes it over the small generating set and the
-generators before it, and the group's oracle confirms the step.  A step's
-``rhs`` is its proof, so it may differ from the run's, but it may use only
-basis tokens and earlier targets, or an oracle-true step such as ``h3 = h3``
-would prove nothing.
+The verdict first requires the entries to equal the statement, in order,
+in ``group``, ``lhs``, ``rhs``, ``expect`` and ``shifts``, reading token names
+alone: a file with fewer entries or shifts, a weaker group or a dropped
+inequality does not re-verify.  Generation claims are straight-line
+programs: one step per standard generator, in a fixed order, writes it over
+the small generating set and the generators before it, and the group's
+oracle confirms the step; a run of steps that are shifts of one another is
+one entry.  A step's ``rhs`` is its proof, so it may differ from the run's,
+but at each shift it may use only basis tokens and earlier targets, or an
+oracle-true step such as ``h3 = h3`` would prove nothing.
 
-Within one verdict, a base instance that is an index shift of one the
-oracle already decided takes that verdict, and a sphere step ``Y = r1 X
-r1^-1`` with ``Y`` the shift of ``X`` holds once the oracle has confirmed
-``r1 s<i> r1^-1 = s<i+1>``; the named tokens and ``t<i>,<2n+2>`` never shift,
-and an instance over the letter budget goes to the oracle
-(:func:`_instance_checker`).  The verdicts are those of the oracle alone.
+Conjugation by ``delta = sigma_1 ... sigma_m`` raises each ``sigma_i``, ``i < m``,
+by one, so an entry holds at every shift iff it holds at shift 0, as long as
+every shift stays in the group's alphabet.  One rule (:func:`check_instance`)
+checks that from token names and ``shifts`` alone, and then the oracle runs
+once, on shift 0; the letter budget bounds that run.
 
 Homology-level claims (the lifted conjugations, the deck-rotation
 factorization, deck normalization) are necessary-condition checks only:
@@ -40,21 +43,21 @@ the homology representation is not faithful, and their details say so.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from math import factorial
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from . import cover, liftability, oracle
-from .errors import BudgetError
-from .generators import expand_token_text, shift_forms, t_chain_factors
-from .words import Context, psi
+from .errors import BudgetError, WordSyntaxError
+from .generators import expand_token_text, t_chain_factors
+from .words import Context, psi, read_token
 
 
 @dataclass
@@ -112,7 +115,7 @@ class _Row(NamedTuple):
     """One claim of the claim table, which exists for ``lo <= n`` (and ``n <= hi``).
 
     ``section`` names the bound that skips it (:meth:`Bounds.skip`).  A
-    ``certificate`` or ``relation`` states the instances ``make(ctx)``; a
+    ``certificate`` or ``relation`` states the entries ``make(ctx)``; a
     ``generation`` claim states the steps of ``generation_words(program)``
     over ``_basis_tokens(basis)``; a ``computed`` claim runs ``make(ctx)``.
     """
@@ -131,11 +134,11 @@ class _Row(NamedTuple):
         return self.lo <= n and (self.hi is None or n <= self.hi)
 
     def statement(self, ctx: Context) -> list[dict]:
-        """The instances that a certificate claim states at ``ctx``, in order."""
+        """The entries that a certificate claim states at ``ctx``, in order."""
         if self.kind == "generation":
             return [
-                _inst(self.group, target, " ".join(tokens))
-                for target, tokens in generation_words(self.program, ctx)
+                _inst(self.group, target, " ".join(tokens), shifts=shifts)
+                for target, tokens, shifts in generation_words(self.program, ctx)
             ]
         return self.make(ctx)
 
@@ -194,7 +197,8 @@ def convention_header(ctx: Context, budget: int) -> dict:
         "homology claims are necessary conditions only (the representation is not faithful)",
         "oracle": "disk and star: Dynnikov coordinates of (0,1,...,0,1); "
         "sphere: pure words capped to the star group; "
-        "the budget counts the cyclic core of u v^-1 (sphere: of the rewrite of that core)",
+        "the budget counts the cyclic core of u v^-1 (sphere: of the rewrite of that core); "
+        "an entry of m shifts is decided by one run, on shift 0",
         "budget_letters": budget,
         "numpy": np.__version__,
         "n": ctx.n,
@@ -267,90 +271,87 @@ _EQ_BY_GROUP = oracle._EQ
 
 
 def check_instance(inst: dict, ctx: Context, budget: int | None = None) -> bool:
-    """Re-verify one stored witness instance.
+    """Re-verify one stored witness entry, at each of its ``shifts``.
 
-    A ``homology`` instance compares the lift-text products of its sides
-    (:func:`cover.lift_product`); any other group's oracle decides word text.
-    A budget other than None or an integer >= 1 raises ``ValueError`` first
-    (:func:`oracle.resolve_budget`), for a ``homology`` instance too.
+    The entry must pass the shift rule (:func:`_check_shifts`), which
+    raises :class:`WordSyntaxError` before any letter is built.  Then a
+    ``homology`` entry compares the lift-text products of its sides
+    (:func:`cover.lift_product`), and any other group's oracle decides the
+    word text of shift 0 once.  A budget other than None or an integer >= 1
+    raises ``ValueError`` first (:func:`oracle.resolve_budget`), for a
+    ``homology`` entry too.
     """
     budget = oracle.resolve_budget(budget)
+    _check_shifts(inst, ctx)
     if inst["group"] == "homology":
         surface = cover.build_cover(ctx)
         lhs, rhs = (cover.lift_product(surface, inst[side]) for side in ("lhs", "rhs"))
         return np.array_equal(lhs, rhs) == inst["expect"]
-    return _equal(inst, ctx, budget) == inst["expect"]
-
-
-def _equal(inst: dict, ctx: Context, budget: int) -> bool:
-    """Whether the sides of a base-group instance are equal in its group: one oracle run."""
     eq = _EQ_BY_GROUP[inst["group"]]
-    lhs = expand_token_text(inst["lhs"], ctx, budget)
-    rhs = expand_token_text(inst["rhs"], ctx, budget)
-    return eq(lhs, rhs, ctx, budget=budget)
+    lhs, rhs = (expand_token_text(inst[side], ctx, budget) for side in ("lhs", "rhs"))
+    return eq(lhs, rhs, ctx, budget=budget) == inst["expect"]
 
 
-def _instance_checker(ctx: Context, budget: int | None) -> Callable[[dict], bool]:
-    """:func:`check_instance` for the instances of one verdict, with base
-    instances decided without the oracle where its earlier runs settle them.
+# A shifting token's name -> (its number of indices, its largest letter minus its last index)
+_SHIFTING = {"s": (1, 0), "h": (1, 1), "t": (2, -1)}
 
-    (a) An instance whose tokens all shift (:func:`generators.shift_forms`),
-    with its letters in its group's alphabet, is keyed by its tokens shifted
-    down to least index 1: conjugation by ``sigma_1 ... sigma_m`` (``r1`` on the
-    sphere) raises each letter but the last by one, so the oracle runs once per
-    key.  (b) A sphere instance ``Y = r1 X r1^-1``, with ``X`` over
-    ``sigma_1..sigma_2n`` and ``Y`` its tokens raised by one, holds once the
-    oracle has confirmed ``r1 s<i> r1^-1 = s<i+1>`` for every ``i <= 2n``.  A
-    rule applies only if the unreduced letter count, times 4n in the sphere
-    group (:func:`oracle.cap_to_star` writes at most 4n letters per letter), is
-    within the budget, so the oracle could raise nothing; all else goes to it.
+
+def _check_shifts(inst: dict, ctx: Context) -> None:
+    """Raise :class:`WordSyntaxError` unless shift 0 decides the entry ``inst``.
+
+    ``shifts`` must be an integer >= 1, and 1 is the instance alone.  More
+    shifts need a base group in which every token shifts: ``s<i>``, ``h<i>``
+    or ``t<i>,<j>`` with ``j <= 2n+1`` at the last shift, and in the sphere
+    group also a power of ``r1`` whose letters are ``delta = sigma_1 ...
+    sigma_{2n+1}``, which conjugation by ``delta`` fixes.  The largest letter
+    of the last shift must be in the group's alphabet (``sigma_2n``, or
+    ``sigma_{2n+1}`` in the sphere group).  Conjugation by ``delta^c`` then
+    takes shift 0 to shift ``c`` and keeps equality and inequality alike.
     """
-    budget = oracle.resolve_budget(budget)
-    n = ctx.n
-    verdicts: dict = {}  # shift key -> whether its instances' sides are equal
-    lemma: list[bool] = []  # whether r1 conjugates s<i> to s<i+1>, once checked
-
-    def rotates() -> bool:
-        if not lemma:
-            steps = [_inst("sphere", f"r1 s{i} r1^-1", f"s{i + 1}") for i in range(1, 2 * n + 1)]
-            try:
-                lemma.append(all(_equal(step, ctx, budget) for step in steps))
-            except BudgetError:
-                lemma.append(False)
-        return lemma[0]
-
-    def holds(inst: dict) -> bool:
-        group = inst["group"]
-        if group not in _EQ_BY_GROUP:
-            return check_instance(inst, ctx, budget)
-        scale = 4 * n if group == "sphere" else 1
-        rhs_tokens = inst["rhs"].split()
-        lhs = shift_forms(inst["lhs"].split(), ctx)
-        rhs = shift_forms(rhs_tokens, ctx)
-        key = equal = None
-        if lhs and rhs and max(lhs[2], rhs[2]) <= 2 * n + (group == "sphere"):
-            lows = lhs[1] + rhs[1]
-            shift = min(lows, default=1) - 1
-            key = (group, lhs[0], rhs[0], tuple(map(sub, lows, repeat(shift))))
-            if scale * (lhs[3] + rhs[3]) <= budget:
-                equal = verdicts.get(key)
-        elif lhs and group == "sphere" and rhs_tokens[:1] == ["r1"] and rhs_tokens[-1] == "r1^-1":
-            x = shift_forms(rhs_tokens[1:-1], ctx)
-            raised = x and x[2] <= 2 * n and (x[0], tuple(map(add, x[1], repeat(1)))) == lhs[:2]
-            if raised and scale * (lhs[3] + x[3] + 2 * ctx.num_arcs) <= budget and rotates():
-                equal = True
-        if equal is None:
-            equal = _equal(inst, ctx, budget)
-            if key is not None:
-                verdicts[key] = equal
-        return equal == inst["expect"]
-
-    return holds
+    shifts, group = inst["shifts"], inst["group"]
+    if type(shifts) is not int or shifts < 1:
+        raise WordSyntaxError(f"shifts must be an integer >= 1, got {shifts!r}")
+    if shifts == 1:
+        return
+    if group not in _EQ_BY_GROUP:
+        raise WordSyntaxError(f"a {group} entry does not shift")
+    top = 2 * ctx.n + (group == "sphere")
+    high, rotates = 0, False
+    for tok in f"{inst['lhs']} {inst['rhs']}".split():
+        name, indices, _ = read_token(tok, ctx)
+        arity, over = _SHIFTING.get(name, (None, 0))
+        if name == "r1" and group == "sphere":
+            rotates = True
+        elif len(indices) != arity or (name == "t" and indices[1] + shifts - 1 > ctx.num_arcs):
+            raise WordSyntaxError(
+                f"token {tok!r} does not shift {shifts - 1} times in the {group} group"
+            )
+        else:
+            high = max(high, indices[-1] + over)
+    last = high + shifts - 1
+    if last > top:
+        lhs = inst["lhs"]
+        raise WordSyntaxError(f"shift {shifts - 1} of {lhs!r} takes letter {last} past sigma_{top}")
+    if rotates and expand_token_text("r1", ctx).letters != tuple(range(1, top + 1)):
+        raise WordSyntaxError("r1 is not sigma_1 ... sigma_{2n+1}, so a shift does not fix it")
 
 
-def _inst(group: str, lhs: str, rhs: str, expect: bool = True) -> dict:
-    """One witness instance: ``lhs`` and ``rhs`` are equal in ``group`` iff ``expect``."""
-    return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect}
+def _inst(group: str, lhs: str, rhs: str, expect: bool = True, shifts: int = 1) -> dict:
+    """One witness entry: ``lhs`` and ``rhs``, with every index raised by each
+    ``c < shifts``, are equal in ``group`` iff ``expect``."""
+    return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect, "shifts": shifts}
+
+
+_INDEXED = re.compile(r"([sht])(\d+)(?:,(\d+))?")
+
+
+def _shifted(name: str, c: int) -> str:
+    """A token name with its indices raised by ``c`` (``t2,3`` to ``t3,4`` for
+    ``c = 1``); a name with no index, such as ``r1`` or ``hchain_t``, is kept."""
+    m = _INDEXED.fullmatch(name)
+    if not (m and c):
+        return name
+    return m[1] + ",".join(str(int(i) + c) for i in m.groups()[1:] if i)
 
 
 def _certificate_verdict(
@@ -358,44 +359,49 @@ def _certificate_verdict(
 ) -> tuple[bool, str]:
     """``(ok, detail)`` of a certificate claim: the one verdict path.
 
-    The instances must state the claim: equal its ``statement`` in order, in
-    ``group``, ``lhs``, ``rhs`` and ``expect``.  A generation claim's step
-    ``rhs`` is its proof instead, and may use only basis tokens and earlier
-    targets.  These checks read token names alone.  Then every instance must
-    hold (:func:`check_instance`).  ``note`` leads a passing detail.
+    The entries must state the claim: equal its ``statement`` in order, in
+    ``group``, ``lhs``, ``rhs``, ``expect`` and ``shifts``.  A generation
+    claim's step ``rhs`` is its proof instead, and at each shift it may use
+    only basis tokens and earlier targets.  These checks read token names
+    alone.  Then every entry must hold (:func:`check_instance`).  ``note``
+    leads a passing detail.
     """
     proofs = row.kind == "generation"
-    key = itemgetter(*(("group", "lhs", "expect") if proofs else ("group", "lhs", "rhs", "expect")))
+    fields = ("group", "lhs", "rhs", "expect", "shifts")
+    key = itemgetter(*(fields[:2] + fields[3:] if proofs else fields))
     if list(map(key, instances)) != list(map(key, statement)):
-        return False, f"the {len(instances)} instances do not state the claim's {len(statement)}"
+        return False, f"the {len(instances)} entries do not state the claim's {len(statement)}"
     known = set(_basis_tokens(row.basis, ctx)) if proofs else None
-    for inst in (instances if proofs else ()):
-        unknown = {tok.partition("^")[0] for tok in inst["rhs"].split()} - known
+    for inst, c in ((i, c) for i in (instances if proofs else ()) for c in range(i["shifts"])):
+        unknown = {_shifted(tok.partition("^")[0], c) for tok in inst["rhs"].split()} - known
         if unknown:
-            return False, f"step {inst['lhs']} uses {sorted(unknown)}: not in the basis or earlier"
-        known.add(inst["lhs"])
-    holds = _instance_checker(ctx, budget)
-    bad = [i for i in instances if not holds(i)]
+            target = _shifted(inst["lhs"], c)
+            return False, f"step {target} uses {sorted(unknown)}: not in the basis or earlier"
+        known.add(_shifted(inst["lhs"], c))
+    try:
+        bad = [i for i in instances if not check_instance(i, ctx, budget)]
+    except WordSyntaxError as exc:
+        return False, f"malformed entry: {exc}"
     if bad:
-        return False, f"{len(bad)}/{len(instances)} instances refuted; first: {bad[0]}"
-    return True, f"{note} {len(instances)} instances".strip()
+        return False, f"{len(bad)}/{len(instances)} entries refuted; first: {bad[0]}"
+    count = sum(i["shifts"] for i in instances)
+    stored = f" ({len(instances)} stored)" if count > len(instances) else ""
+    return True, f"{note} {count} instances{stored}".strip()
 
 
 # -- statements ----------------------------------------------------------------
-# What each certificate claim states at ``ctx``: its instances, in order.
+# What each certificate claim states at ``ctx``: its entries, in order, one
+# per shift class.
 
 
 def _presentation(ctx: Context) -> list[dict]:
     """Classical presentation cross-check guarding the sphere oracle."""
     arcs = ctx.num_arcs
     instances = [
-        _inst("sphere", f"s{i} s{j}", f"s{j} s{i}")
-        for i in range(1, arcs + 1)
-        for j in range(i + 2, arcs + 1)
+        _inst("sphere", f"s1 s{1 + gap}", f"s{1 + gap} s1", shifts=arcs - gap)
+        for gap in range(2, arcs)
     ]
-    instances += [
-        _inst("sphere", f"s{i} s{i + 1} s{i}", f"s{i + 1} s{i} s{i + 1}") for i in range(1, arcs)
-    ]
+    instances.append(_inst("sphere", "s1 s2 s1", "s2 s1 s2", shifts=arcs - 1))
     up = " ".join(f"s{i}" for i in range(1, arcs + 1))
     down = " ".join(f"s{i}" for i in range(arcs, 0, -1))
     return instances + [
@@ -423,7 +429,7 @@ def _generator_validations(ctx: Context) -> list[dict]:
             _inst("disk", f"t{i},{j} s{m}", f"s{m} t{i},{j}") for m in range(j + 1, 2 * n + 1)
         ]
     instances += [_inst("sphere", f"r1^{d}", "", False) for d in range(1, arcs + 1)]
-    instances += [_inst("sphere", f"r1 s{i} r1^-1", f"s{i + 1}") for i in range(1, arcs)]
+    instances.append(_inst("sphere", "r1 s1 r1^-1", "s2", shifts=arcs - 1))
     instances.append(_inst("sphere", "r^2", ""))
     instances += [_inst("sphere", f"r s{i} r^-1", f"s{arcs + 1 - i}") for i in range(1, arcs + 1)]
     if n == 1:
@@ -432,26 +438,26 @@ def _generator_validations(ctx: Context) -> list[dict]:
 
 
 def _twist_conjugation(ctx: Context) -> list[dict]:
-    n = ctx.n
+    """``h_i t_{i,i+1} h_i^-1 = t_{i+1,i+2}``: in the disk group for ``i < 2n``, and
+    in the sphere group for ``i = 2n``, where ``t_{2n+1,2n+2}`` is rewritten."""
+    m = 2 * ctx.n
     return [
-        _inst("disk" if i < 2 * n else "sphere", f"h{i} t{i},{i + 1} h{i}^-1", f"t{i + 1},{i + 2}")
-        for i in range(1, 2 * n + 1)
+        _inst("disk", "h1 t1,2 h1^-1", "t2,3", shifts=m - 1),
+        _inst("sphere", f"h{m} t{m},{m + 1} h{m}^-1", f"t{m + 1},{m + 2}"),
     ]
 
 
 def _chain_twist_factorization(ctx: Context) -> list[dict]:
+    """``t_{i,j}`` by :func:`t_chain_factors`, one entry per span ``j - i >= 2``."""
+    arcs = ctx.num_arcs
     return [
-        _inst("disk", f"t{i},{j}", " ".join(t_chain_factors(i, j)))
-        for i in range(1, ctx.num_arcs)
-        for j in range(i + 2, ctx.num_arcs + 1)
+        _inst("disk", f"t1,{1 + q}", " ".join(t_chain_factors(1, 1 + q)), shifts=arcs - q)
+        for q in range(2, arcs)
     ]
 
 
 def _h_triple_conjugation(ctx: Context) -> list[dict]:
-    return [
-        _inst("disk", f"h{i}^-1 h{i + 1}^-1 h{i + 2}^-1 h{i} h{i + 2} h{i + 1} h{i}", f"h{i + 2}")
-        for i in range(1, 2 * ctx.n - 2)
-    ]
+    return [_inst("disk", "h1^-1 h2^-1 h3^-1 h1 h3 h2 h1", "h3", shifts=2 * ctx.n - 3)]
 
 
 def _hchain_shift(ctx: Context) -> list[dict]:
@@ -460,43 +466,36 @@ def _hchain_shift(ctx: Context) -> list[dict]:
     ]
 
 
-def generation_words(group: str, ctx: Context) -> list[tuple[str, list[str]]]:
-    """``(target token, token list)``: one straight-line step per standard generator.
+def generation_words(group: str, ctx: Context) -> list[tuple[str, list[str], int]]:
+    """``(target token, token list, shifts)``: straight-line steps, one per
+    standard generator, with a run of ``shifts`` steps that are index shifts
+    of one another as one entry.
 
     A step writes its target over the basis (:func:`_basis_tokens`) and the
     targets before it; a basis target is the trivial step ``x = x``.
-    ``lmod_sphere``: ``h_i = r1 h_{i-1} r1^-1``, then the adjacent twists
-    ``t_{i,i+1}`` and then the nested twists ``t_{i,j}`` on arcs 1..2n+1 but
-    the boundary-parallel ``t_{1,2n+1}``, each with ``i >= 2`` shifted from
-    the earlier target by ``t_{i,j} = r1 t_{i-1,j-1} r1^-1``, then ``r1``.
+    ``lmod_sphere``: ``h_i = r1 h_{i-1} r1^-1`` for ``2 <= i <= 2n``; then for
+    each span ``q = j - i`` from 1 to ``2n - 1``, ``t_{1,1+q}`` and the run
+    ``t_{i,j} = r1 t_{i-1,j-1} r1^-1`` for ``2 <= i <= 2n+1-q``; then ``r1``.
     A nested ``t_{1,j}`` is :func:`t_chain_factors` (it uses ``h``'s and
-    ``t_{a,a+1}`` with ``a > 1``, so every adjacent twist comes first); these
-    2n-2 steps are the only ones that restate a ``relation-*`` instance.
-    ``lmod_star`` and ``lmod_disk``: ``h_i = hchain_t^-1 h_{i-2} hchain_t``,
-    then ``t1,2 = h1^-1 ... h_{2n-1}^-1 hchain_t``; at n = 1, ``h1, t1,2``.
+    ``t_{a,a+1}`` with ``a > 1``, so the adjacent twists come first); these
+    2n-2 steps are the only ones that restate a ``relation-*`` instance.  The
+    boundary-parallel ``t_{1,2n+1}`` is left out.  ``lmod_star`` and
+    ``lmod_disk``: ``h_i = hchain_t^-1 h_{i-2} hchain_t``, then ``t1,2 = h1^-1
+    ... h_{2n-1}^-1 hchain_t``; at n = 1, ``h1, t1,2``.
     """
-    n, arcs = ctx.n, ctx.num_arcs
+    n = ctx.n
     if group == "lmod_sphere":
-
-        def twist(i: int, j: int) -> list[str]:
-            if i > 1:
-                return ["r1", f"t{i - 1},{j - 1}", "r1^-1"]
-            return ["t1,2"] if j == 2 else t_chain_factors(1, j)
-
-        twists = [(i, i + 1) for i in range(1, arcs)]
-        twists += [
-            (i, j) for i in range(1, arcs) for j in range(i + 2, arcs + 1) if (i, j) != (1, arcs)
-        ]
-        words = [("h1", ["h1"])]
-        words += [(f"h{i}", ["r1", f"h{i - 1}", "r1^-1"]) for i in range(2, 2 * n + 1)]
-        words += [(f"t{i},{j}", twist(i, j)) for i, j in twists]
-        words.append(("r1", ["r1"]))
+        words = [("h1", ["h1"], 1), ("h2", ["r1", "h1", "r1^-1"], 2 * n - 1)]
+        for q in range(1, 2 * n):
+            words.append((f"t1,{1 + q}", ["t1,2"] if q == 1 else t_chain_factors(1, 1 + q), 1))
+            words.append((f"t2,{2 + q}", ["r1", f"t1,{1 + q}", "r1^-1"], 2 * n - q))
+        words.append(("r1", ["r1"], 1))
     elif group in ("lmod_star", "lmod_disk"):
         if n == 1:
-            return [("h1", ["h1"]), ("t1,2", ["t1,2"])]
-        words = [(f"h{i}", [f"h{i}"]) for i in (1, 2)]
-        words += [(f"h{i}", ["hchain_t^-1", f"h{i - 2}", "hchain_t"]) for i in range(3, 2 * n)]
-        words.append(("t1,2", [f"h{i}^-1" for i in range(1, 2 * n)] + ["hchain_t"]))
+            return [("h1", ["h1"], 1), ("t1,2", ["t1,2"], 1)]
+        words = [(f"h{i}", [f"h{i}"], 1) for i in (1, 2)]
+        words += [(f"h{i}", ["hchain_t^-1", f"h{i - 2}", "hchain_t"], 1) for i in range(3, 2 * n)]
+        words.append(("t1,2", [f"h{i}^-1" for i in range(1, 2 * n)] + ["hchain_t"], 1))
     else:
         raise ValueError(f"unknown group {group!r}")
     return words
@@ -555,12 +554,12 @@ def verify_generation(group: str, ctx: Context, budget: int | None = None) -> Cl
 
 def _w_size(ctx: Context) -> tuple[bool | None, str]:
     expected = liftability.w_size(ctx)
-    if ctx.n > liftability.ENUMERATE_W_MAX_N:
-        limit = liftability.ENUMERATE_W_MAX_N
-        return None, f"exhaustive check limited to n <= {limit}; formula gives {expected}"
+    if ctx.n > liftability.COUNT_W_MAX_N:
+        limit = liftability.COUNT_W_MAX_N
+        return None, f"count limited to n <= {limit}; formula gives {expected}"
     count = liftability.count_W(ctx)
     relation = "==" if count == expected else "!="
-    return count == expected, f"|W| = {count} {relation} 2((n+1)!)^2 = {expected} (exhaustive)"
+    return count == expected, f"|W| = {count} {relation} 2((n+1)!)^2 = {expected} (exact count)"
 
 
 def _w_generation(ctx: Context) -> tuple[bool, str]:
@@ -743,8 +742,9 @@ def reverify_report(report: dict | Report, budget: int | None = None) -> list[tu
     from the header's (where the header states them; a bundle of claims may
     leave them out), an id and group not in the claim table at that ``n``
     (or a base or liftability claim at k = 2, :func:`_table_row`), a
-    malformed claim or instance (not an object, a missing field, text that
-    does not parse, a lift power that overflows), each listing of a claim
+    malformed claim or entry (not an object, a missing field, text that
+    does not parse, a lift power that overflows, shifts that the shift rule
+    refuses), each listing of a claim
     after its first at the same ``n`` and ``k`` (even of a skipped claim), and
     a table claim that the header's ``n`` calls for but is missing, fail; a
     claim without an id is listed as None.  A report that is not an object,

@@ -134,7 +134,7 @@ def test_06_liftability():
         assert curve_monodromy(CurveClass(kctx, (1,)), kctx) != 0
     announce(
         "6-liftability",
-        "|W| exhaustive n<=3; 10^4 closure pairs; curve verdicts for k=3,4,5",
+        "|W| counted n<=3; 10^4 closure pairs; curve verdicts for k=3,4,5",
     )
 
 

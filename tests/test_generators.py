@@ -210,7 +210,7 @@ class TestTokenSyntax:
                 for j in range(i + 2, ctx.num_points + 1):
                     tokens += t_chain_factors(i, j)
             for group in ("lmod_sphere", "lmod_star", "lmod_disk"):
-                tokens += [tok for _, word in theorems.generation_words(group, ctx) for tok in word]
+                tokens += [tok for _, word, _ in theorems.generation_words(group, ctx) for tok in word]
             for tok in tokens:
                 name, indices, e = read_token(tok, ctx)
                 assert e != 0, tok

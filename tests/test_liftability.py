@@ -208,8 +208,8 @@ class TestEnumerateW:
     @pytest.mark.parametrize(
         "n, status, detail",
         [
-            (3, "pass", "|W| = 1152 == 2((n+1)!)^2 = 1152 (exhaustive)"),
-            (4, "skipped", "exhaustive check limited to n <= 3; formula gives 28800"),
+            (3, "pass", "|W| = 1152 == 2((n+1)!)^2 = 1152 (exact count)"),
+            (4, "skipped", "count limited to n <= 3; formula gives 28800"),
         ],
     )
     def test_w_size_claim(self, n, status, detail):
