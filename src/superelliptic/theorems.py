@@ -372,12 +372,13 @@ def _certificate_verdict(
     if list(map(key, instances)) != list(map(key, statement)):
         return False, f"the {len(instances)} entries do not state the claim's {len(statement)}"
     known = set(_basis_tokens(row.basis, ctx)) if proofs else None
-    for inst, c in ((i, c) for i in (instances if proofs else ()) for c in range(i["shifts"])):
-        unknown = {_shifted(tok.partition("^")[0], c) for tok in inst["rhs"].split()} - known
-        if unknown:
+    for inst in (instances if proofs else ()):
+        for c in range(inst["shifts"]):
             target = _shifted(inst["lhs"], c)
-            return False, f"step {target} uses {sorted(unknown)}: not in the basis or earlier"
-        known.add(_shifted(inst["lhs"], c))
+            unknown = {_shifted(tok.partition("^")[0], c) for tok in inst["rhs"].split()} - known
+            if unknown:
+                return False, f"step {target} uses {sorted(unknown)}: not in the basis or earlier"
+            known.add(target)
     try:
         bad = [i for i in instances if not check_instance(i, ctx, budget)]
     except WordSyntaxError as exc:

@@ -709,7 +709,7 @@ def _statement_digest(cid: str) -> str:
 
 
 def _family(group: str, lhs: str, rhs: str, shifts, expect: bool = True) -> dict:
-    return {"group": group, "lhs": lhs, "rhs": rhs, "expect": expect, "shifts": shifts}
+    return theorems._inst(group, lhs, rhs, expect, shifts)
 
 
 class TestShiftRule:
