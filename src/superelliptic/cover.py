@@ -18,26 +18,29 @@ their four ends in the cyclic order of the vertex link.
 A lifted curve is its homology class vector: :func:`lift_cycle` returns the
 ``k`` lifts of a curve as the rows of an int64 array with ``2g`` columns.
 The surface alone holds its homology state: its lift table ``table``, built
-on first read, and the lift factors built so far (``lifts``).  The ``t``/``h``
-lifts read the table's rows (:func:`_lift_rows`).  Two checks read its
-sheet structure: :func:`deck_rotation_shifts_sheets` (``zeta`` moves each
-lift to the next sheet of a Z-basis of lifts, so it has exact order ``k``
-and no fixed class) and :func:`chain_pattern_violations` (the Gram matrix
-is the closed-form Squier form).  Twists act by
-transvections ``x -> x + <x, c> c``.  A ``t``
-or ``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix
-is ``B`` on the rows and columns ``U``, the supports of its curves and of
-their ``J``-images, and the identity elsewhere (:func:`_twist_block`, in
-compact-WY form, whose inverse is closed-form too).  A block whose curves
-are disjoint (a ``t`` lift, whose Gram is 0) has ``(B - I)^2 = 0``, so its
-powers are ``I + e (B - I)``; other powers are squared.  The deck rotation
-and the half-turn act through their edge maps (:func:`_cycle_map`) and are
-dense.  :func:`lift_product` is the one lift evaluator: it reads
-lift text (``r1 t1,2 r1^-1``) token by token, and a block factor rewrites
-only the columns ``U`` of the running product.  :func:`lift_rep` returns
-one named lift as a dense matrix.  The homology representation is a
-necessary-condition shadow only (it is not faithful); every verification
-built on it is labeled accordingly by the theorem suite.
+on first read, the lift factors built so far (``lifts``) and the parses of
+the lift tokens read so far with the exponent 1 or -1 (``tokens``).  The
+``t``/``h`` lifts read the table's rows (:func:`_lift_rows`).  Two checks
+read its sheet structure: :func:`deck_rotation_failure` (``zeta`` moves
+each lift to the next sheet of a Z-basis of lifts, so it has exact order
+``k`` and no fixed class; else the part that fails) and
+:func:`chain_pattern_violations` (the Gram matrix is the closed-form Squier
+form).  Twists act by transvections ``x -> x + <x, c> c``.  A ``t`` or
+``h`` lift is a product of them, kept as a block ``(U, B)``: the matrix is
+``B`` on the rows and columns ``U``, the supports of its curves and of
+their ``J``-images, and the identity elsewhere.  One build
+(:func:`_twist_block`, in compact-WY form) makes the block and its
+inverse: a ``t`` lift's curves are disjoint (its Gram is 0), so ``B = I +
+C^T JC`` is one product, ``(B - I)^2 = 0``, the inverse is ``2I - B`` and
+the powers are ``I + e (B - I)``; an ``h`` lift's ``X`` is solved once and
+both blocks are read from it, and its powers are squared.  The deck
+rotation and the half-turn act through their edge maps
+(:func:`_cycle_map`) and are dense.  :func:`lift_product` is the one lift
+evaluator: it reads lift text (``r1 t1,2 r1^-1``) token by token, and a
+block factor rewrites only the columns ``U`` of the running product.
+:func:`lift_rep` returns one named lift as a dense matrix.  The homology
+representation is a necessary-condition shadow only (it is not faithful);
+every verification built on it is labeled accordingly by the theorem suite.
 
 Arithmetic.  :func:`build_cover` derives the relations and the homology
 basis exactly in Python ints through :mod:`intmat`, computes the crossing
@@ -99,6 +102,7 @@ class CoverSurface:
     Jinv: np.ndarray  # 2g x 2g, int64
     P: np.ndarray  # 2g x 2g, int64: P^T J P is the standard symplectic form
     lifts: dict = field(default_factory=dict, init=False, repr=False)  # filled by _lift
+    tokens: dict = field(default_factory=dict, init=False, repr=False)  # filled by _lift_token
 
     @cached_property
     def table(self) -> "_Curves":
@@ -381,10 +385,10 @@ def _curves(surface: CoverSurface, C) -> _Curves:
 
 
 def _twist_block(
-    surface: CoverSurface, curves, inverse: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """``T_{c_1} ... T_{c_r}`` over the curves ``c`` as a block ``(U, B)``, or
-    with ``inverse`` the block of its inverse.
+    surface: CoverSurface, curves
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``T_{c_1} ... T_{c_r}`` over the curves ``c`` as a block ``(U, B)``,
+    returned as ``(U, B, B_inv)`` with the block of its inverse on the same ``U``.
 
     ``curves`` are rows of the lift table (:class:`_Curves`) or an ``r x 2g``
     array of class vectors.  ``T_c = I + c (J c)^T`` is the right twist
@@ -397,33 +401,44 @@ def _twist_block(
     where ``N`` is the strict upper triangle of ``G = JC C^T``.  Its inverse
     ``J^-1 (I + C^T X JC)^T J`` is ``I - C^T X^T JC``, as ``J^-1 JC^T = C^T``
     and ``C J = -JC``.  Both updates are zero outside the rows and columns
-    ``U``, the supports of the ``c`` and the ``J c``, so the block is ``B``
-    on ``U`` and the identity elsewhere.  ``X`` is unit upper triangular and
-    ``r x r`` for ``r`` curves; it is solved by back-substitution in Python
-    ints and raises ``OverflowError`` if an entry does not fit int64.  The
-    product is a checked :func:`mul`, so ``B`` is exact or the call raises.
+    ``U``, the supports of the ``c`` and the ``J c``, so each block is the
+    matrix on ``U`` and the identity elsewhere.  Disjoint curves (``G = 0``,
+    as for a ``t`` lift) have ``X = I``: ``B = I + C^T JC`` is one product,
+    and as ``(B - I)^2 = 0`` its inverse is ``2I - B``.  Otherwise ``X`` is
+    unit upper triangular and ``r x r`` for ``r`` curves; it is solved once
+    by back-substitution in Python ints and converted to int64 once, which
+    raises ``OverflowError`` if an entry does not fit, and both blocks are
+    read from it.  Every product is a checked :func:`mul`, so the blocks are
+    exact or the call raises.
     """
     C, JC, G = curves if isinstance(curves, _Curves) else _curves(surface, curves)
     U = np.flatnonzero(C.any(axis=0) | JC.any(axis=0))
-    G = G.tolist()  # G[i][j] = (J c_i)^T c_j
-    r = len(G)
-    X = [[0] * r for _ in range(r)]
-    for i in range(r - 1, -1, -1):  # row i of X = I + N X
-        row = X[i]
-        row[i] = 1
-        for l in range(i + 1, r):
-            if q := G[i][l]:
-                for j in range(l, r):
-                    row[j] += q * X[l][j]
-    X = np.array(X, dtype=object)
-    B = mul(C[:, U].T, -X.T if inverse else X, JC[:, U])
+    CU, JCU = C[:, U], JC[:, U]
+    if G.any():
+        G = G.tolist()  # G[i][j] = (J c_i)^T c_j
+        r = len(G)
+        X = [[0] * r for _ in range(r)]
+        for i in range(r - 1, -1, -1):  # row i of X = I + N X
+            row = X[i]
+            row[i] = 1
+            for l in range(i + 1, r):
+                if q := G[i][l]:
+                    for j in range(l, r):
+                        row[j] += q * X[l][j]
+        X = _as_int64(np.array(X, dtype=object))
+        B, B_inv = mul(CU.T, X, JCU), mul(CU.T, -X.T, JCU)
+    else:
+        B = mul(CU.T, JCU)
+        B_inv = -B
     B.flat[:: len(U) + 1] += 1
-    return U, B
+    B_inv.flat[:: len(U) + 1] += 1
+    return U, B, B_inv
 
 
 def twist_matrix(surface: CoverSurface, c: np.ndarray) -> np.ndarray:
     """Transvection of the right twist about class ``c``: ``x -> x + <x, c> c``."""
-    return _dense(surface, _Factor(*_twist_block(surface, np.asarray(c)[None])))
+    U, B, _ = _twist_block(surface, np.asarray(c)[None])
+    return _dense(surface, _Factor(U, B))
 
 
 def is_symplectic(surface: CoverSurface, M: np.ndarray, U: np.ndarray | None = None) -> bool:
@@ -520,26 +535,27 @@ def chain_pattern_violations(surface: CoverSurface) -> list[tuple[int, int, int,
             for a, b in np.argwhere(G != W).tolist()]
 
 
-def deck_rotation_shifts_sheets(surface: CoverSurface) -> bool:
-    """Whether ``zeta c_{i,l} = c_{i,l+1}`` (sheets mod ``k``) and ``sum_l
+def deck_rotation_failure(surface: CoverSurface) -> str | None:
+    """None if ``zeta c_{i,l} = c_{i,l+1}`` (sheets mod ``k``) and ``sum_l
     c_{i,l} = 0`` on the lift table, and the Gram matrix of ``B = {c_{i,l} :
-    i <= 2n, l < k}`` is unimodular.  Then ``B`` is a Z-basis, as ``det J =
-    1``, on which ``zeta`` is block companion for ``1 + t + ... + t^(k-1)``:
-    it has exact order ``k`` and, as that polynomial is ``k`` at ``t = 1``,
-    fixes no nonzero class."""
+    i <= 2n, l < k}`` is unimodular; else the first of these parts that
+    fails.  When all hold, ``B`` is a Z-basis, as ``det J = 1``, on which
+    ``zeta`` is block companion for ``1 + t + ... + t^(k-1)``: it has exact
+    order ``k`` and, as that polynomial is ``k`` at ``t = 1``, fixes no
+    nonzero class."""
     C, _, G = surface.table
     rows = np.arange(len(C)).reshape(-1, surface.ctx.k)  # rows[i - 1, l - 1] holds c_{i,l}
     if not np.array_equal(mul(lift_rep(surface, "zeta"), C.T), C[np.roll(rows, -1, 1).ravel()].T):
-        return False
+        return "zeta does not shift every lift c_{i,l} to c_{i,l+1}"
     _check_bound(surface.ctx.k * _max_abs(C), "sum")
     if C[rows].sum(axis=1).any():
-        return False
+        return "the lifts c_{i,1..k} of some gamma_i do not sum to 0"
     B = rows[:-1, :-1].ravel()
     try:  # returns only a basis P with P^T G_B P = J0
         intmat.symplectic_change_of_basis(G[B[:, None], B])
     except ValueError:
-        return False
-    return True
+        return "the Gram matrix of B = {c_{i,l} : i <= 2n, l < k} is not unimodular"
+    return None
 
 
 class _Factor:
@@ -570,12 +586,13 @@ def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Facto
     """The lift ``kind``/``index`` to the power ``e != 0``.
 
     Its factors to the powers 1 and -1 are built once (:func:`_build_lift`)
-    and kept in ``surface.lifts[kind, index, +-1]``.  A larger power ``m =
-    |e|`` is formed on each call and not kept: ``I + m (B - I)`` when ``(B -
-    I)^2 = 0``, as for a ``t`` lift, and else by squaring."""
+    and kept in ``surface.lifts[kind, index, +-1]``; one build of a ``t`` or
+    ``h`` lift keeps both.  A larger power ``m = |e|`` is formed on each call
+    and not kept: ``I + m (B - I)`` when ``(B - I)^2 = 0``, as for a ``t``
+    lift, and else by squaring."""
     key = (kind, index, 1 if e > 0 else -1)
     if key not in surface.lifts:
-        surface.lifts[key] = _build_lift(surface, kind, index, key[2])
+        surface.lifts.update(_build_lift(surface, kind, index, key[2]))
     f, m = surface.lifts[key], abs(e)
     if m == 1:
         return f
@@ -588,19 +605,26 @@ def _lift(surface: CoverSurface, kind: str, index: int | None, e: int) -> _Facto
     return _Factor(f.U, P)
 
 
-def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> _Factor:
-    if sign < 0:  # the inverse, once the lift itself is built and checked
-        f = _lift(surface, kind, index, 1)
-        if f.U is None:
-            return _Factor(None, symplectic_inverse(surface, f.B))
-        curves = _lift_rows(surface, kind, index)
-        return _Factor(*_twist_block(surface, curves, inverse=True), f.square_zero)
+def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) -> dict:
+    """The factors that one build of the lift to the power ``sign`` makes, by
+    their keys in ``surface.lifts``, once the lift itself is checked symplectic.
+
+    A ``t`` or ``h`` build makes the block and its inverse together
+    (:func:`_twist_block`).  A dense lift is built alone, and its inverse is
+    :func:`symplectic_inverse` of the kept lift."""
     ctx = surface.ctx
+    made = {}
     if kind in ("t", "h"):
         # the product of the twists about the lifted curves, in row order.  (B - I)^2
         # is C^T X G X JC, so it is 0 when the curves are disjoint (G = 0), as for t
         curves = _lift_rows(surface, kind, index)
-        f = _Factor(*_twist_block(surface, curves), not curves.G.any())
+        square_zero = not curves.G.any()
+        U, B, B_inv = _twist_block(surface, curves)
+        f = _Factor(U, B, square_zero)
+        made[kind, index, -1] = _Factor(U, B_inv, square_zero)
+    elif sign < 0:  # the inverse, once the lift itself is built and checked
+        f = _lift(surface, kind, index, 1)
+        return {(kind, index, -1): _Factor(None, symplectic_inverse(surface, f.B))}
     elif kind == "zeta":  # every label moves up one sheet
         f = _Factor(None, _induced_matrix(surface, _cycle_map(surface, lambda i, l: (i, l + 1), 1)))
     elif kind == "r":  # arc i goes to arc 2n + 2 - i, reversed
@@ -612,7 +636,8 @@ def _build_lift(surface: CoverSurface, kind: str, index: int | None, sign: int) 
         f = _Factor(None, _zeta_prime(surface))
     if not is_symplectic(surface, f.B, f.U):
         raise AssertionError(f"lift {kind}/{index} is not symplectic")
-    return f
+    made[kind, index, 1] = f
+    return made
 
 
 def _zeta_prime(surface: CoverSurface) -> np.ndarray:
@@ -663,14 +688,15 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
     by :func:`words.read_token`, each with an optional exponent: an integer
     of any size or a linear expression in n and k; the result is their
     left-to-right product as a new int64 array, and empty text is the
-    identity.  Each distinct token is read once per call (:func:`_lift`): a
-    ``t`` or ``h`` power as a block ``(U, B)``, the others dense.  The
-    running product is one :class:`intmat.Chain`, in which a block rewrites
-    only the columns ``U`` of the product, or, as the first factor, the rows
-    ``U`` of a dense second one.  So the result is exact or the call raises
-    ``OverflowError``.  A malformed or unknown token or a twist ``t<i>,<j>``
-    with ``j != i+1`` raises :class:`WordSyntaxError`, and an
-    index out of range ``ValueError``.
+    identity.  Each distinct token is read once per call
+    (:func:`_lift_token`), and one with the exponent 1 or -1 is parsed once
+    per surface: a ``t`` or ``h`` power as a block ``(U, B)``, the others
+    dense.  The running product is one :class:`intmat.Chain`, in which a
+    block rewrites only the columns ``U`` of the product, or, as the first
+    factor, the rows ``U`` of a dense second one.  So the result is exact
+    or the call raises ``OverflowError``.  A malformed or unknown token or a
+    twist ``t<i>,<j>`` with ``j != i+1`` raises :class:`WordSyntaxError`,
+    and an index out of range ``ValueError``.
     """
     tokens = text.split()
     built = {tok: _lift_token(surface, tok) for tok in dict.fromkeys(tokens)}
@@ -692,7 +718,14 @@ def lift_product(surface: CoverSurface, text: str) -> np.ndarray:
 
 
 def _lift_token(surface: CoverSurface, tok: str) -> _Factor | None:
-    """The factor of one lift token of :func:`lift_product`; None for a zeroth power."""
+    """The factor of one lift token of :func:`lift_product`; None for a zeroth power.
+
+    A token spelled as its lift to the power 1 or -1 (``h2``, ``h2^-1``) is
+    parsed once per surface: its parse is kept in ``surface.tokens`` once its
+    factor is built, so at most two per lift.  Any other token, a power
+    among them, is parsed on each read."""
+    if tok in surface.tokens:
+        return _lift(surface, *surface.tokens[tok])
     kind, indices, e = read_token(tok, surface.ctx)
     if _LIFT_ARITY.get(kind) != len(indices):
         raise WordSyntaxError(f"unknown lift token {tok!r}")
@@ -700,7 +733,12 @@ def _lift_token(surface: CoverSurface, tok: str) -> _Factor | None:
         raise WordSyntaxError(f"a twist lift needs adjacent twists t<i>,<i+1>, not {tok!r}")
     index = indices[0] if indices else None
     _check_lift(surface.ctx, kind, index)
-    return _lift(surface, kind, index, e) if e else None
+    if not e:
+        return None
+    f = _lift(surface, kind, index, e)
+    if abs(e) == 1 and tok == kind + ",".join(map(str, indices)) + ("^-1" if e < 0 else ""):
+        surface.tokens[tok] = (kind, index, e)
+    return f
 
 
 def check_normalizes_deck(M: np.ndarray, surface: CoverSurface) -> int | None:

@@ -302,8 +302,10 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     Each unpaired vector is a sparse row of Python ints kept with its
     nonzero pairings with the others.  A step gcd-reduces the pairings of
     the first unpaired ``u`` against the first smallest one and clears the
-    rest against that vector ``w`` (negated if it pairs to -1).  ``P`` is
-    int64 only if ``max|P| * max|J| * 2g < 2**62``, else ``OverflowError``.
+    rest against that vector ``w`` (negated if it pairs to -1).  ``J``'s
+    nonzeros are read in one pass and ``P`` is written in one assignment.
+    ``P`` is int64 only if ``max|P| * max|J| * 2g < 2**62``, else
+    ``OverflowError``.
     It is returned only once a checked :func:`mul` gives ``P^T J P = J0``
     (:func:`standard_symplectic`), or ``ValueError``: such an integer ``P``
     certifies ``det J = 1``, as ``det(P)^2 det J = 1``.
@@ -314,8 +316,9 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     m = J.shape[0]
     vec = [{i: 1} for i in range(m)]  # vec[i][coordinate] = entry of v_i
     gram: list[dict] = [{} for _ in range(m)]  # gram[i][j] = <v_i, v_j>
-    for i, j in np.argwhere(J).tolist():
-        gram[i][j] = int(J[i, j])
+    rows, cols = np.nonzero(J)
+    for i, j, g in zip(rows.tolist(), cols.tolist(), J[rows, cols].tolist()):
+        gram[i][j] = g
 
     def add(i: int, q: int, b: int) -> None:  # v_i += q v_b; <v_b, v_b> = 0
         for c, val in vec[b].items():
@@ -348,8 +351,8 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     top = max((abs(x) for v in out for x in v.values()), default=0)
     _check_bound(top * _max_abs(J) * m, "basis")  # the bound of P^T J in mul(P.T, J, P)
     P = np.zeros((m, m), dtype=np.int64)
-    for col, v in enumerate(out):
-        P[list(v), col] = list(v.values())
+    P[[c for v in out for c in v], [col for col, v in enumerate(out) for _ in v]] = [
+        x for v in out for x in v.values()]
     if not np.array_equal(mul(P.T, J, P), standard_symplectic(m)):
         raise ValueError("P^T J P is not the standard symplectic form")
     return P

@@ -630,8 +630,10 @@ def _cover_homology(ctx: Context) -> tuple[bool | None, str]:
 def _deck_rotation(ctx: Context) -> tuple[bool | None, str]:
     if not _cover_build(ctx)[0]:
         return None, "cover-build did not pass"
-    ok = cover.deck_rotation_shifts_sheets(cover.build_cover(ctx))
-    return ok, (
+    failed = cover.deck_rotation_failure(cover.build_cover(ctx))
+    if failed:
+        return False, f"deck rotation check failed: {failed}"
+    return True, (
         f"deck rotation has exact order {ctx.k}; rank(M-I) = {2 * ctx.genus} "
         "(no invariant homology)"
     )

@@ -69,6 +69,58 @@ def symplectic_change_of_basis(J) -> np.ndarray:
     return P
 
 
+def sparse_symplectic_change_of_basis(J) -> np.ndarray:
+    """:func:`superelliptic.intmat.symplectic_change_of_basis` as it read ``J``
+    and wrote ``P`` before that was made fast: each nonzero of ``J`` read as
+    one numpy scalar, and ``P`` written one column at a time.  The sparse
+    reduction, the bound check and the ``P^T J P = J0`` check are the same."""
+    J = intmat._as_int64(J)
+    if J.ndim != 2 or not np.array_equal(J, -J.T):
+        raise ValueError("a symplectic basis needs a square skew matrix")
+    m = J.shape[0]
+    vec = [{i: 1} for i in range(m)]  # vec[i][coordinate] = entry of v_i
+    gram: list[dict] = [{} for _ in range(m)]  # gram[i][j] = <v_i, v_j>
+    for i, j in np.argwhere(J).tolist():
+        gram[i][j] = int(J[i, j])
+
+    def add(i: int, q: int, b: int) -> None:  # v_i += q v_b; <v_b, v_b> = 0
+        for c, val in vec[b].items():
+            if new := vec[i].pop(c, 0) + q * val:
+                vec[i][c] = new
+        for x, g in gram[b].items():
+            if x != i:
+                gram[x].pop(i, None)
+                if new := gram[i].pop(x, 0) + q * g:
+                    gram[i][x], gram[x][i] = new, -new
+
+    unpaired, out = list(range(m)), []
+    while unpaired:
+        pairs = gram[u := unpaired.pop(0)]
+        if not pairs:
+            raise ValueError("form is degenerate on the remaining sublattice")
+        while len(pairs) > 1:  # v_i - q v_b pairs to p - q pairs[b] with u
+            b = min(pairs, key=lambda i: (abs(pairs[i]), i))
+            for i, p in list(pairs.items()):
+                if i != b:
+                    add(i, -(p // pairs[b]), b)
+        [(b, d)] = pairs.items()  # v_b is the only vector that pairs with u
+        if abs(d) != 1:
+            raise ValueError("could not reach a unimodular pairing; form not unimodular?")
+        for x, g in list(gram[b].items()):  # x - <x, w> u pairs to 0 with w = d v_b
+            if x != u:
+                add(x, d * g, u)
+        unpaired.remove(b)
+        out += [vec[u], {c: d * val for c, val in vec[b].items()}]
+    top = max((abs(x) for v in out for x in v.values()), default=0)
+    intmat._check_bound(top * intmat._max_abs(J) * m, "basis")
+    P = np.zeros((m, m), dtype=np.int64)
+    for col, v in enumerate(out):
+        P[list(v), col] = list(v.values())
+    if not np.array_equal(intmat.mul(P.T, J, P), intmat.standard_symplectic(m)):
+        raise ValueError("P^T J P is not the standard symplectic form")
+    return P
+
+
 def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """``(D, U, Uinv, V, r)`` of :func:`superelliptic.intmat.smith_normal_form`,
     with the pivot search and the divisibility pass run one entry at a time.

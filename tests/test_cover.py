@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import referees
+from hypothesis import given, settings, strategies as st
 
 from superelliptic import (
     Context,
@@ -116,7 +117,8 @@ class TestHomology:
         monkeypatch.setattr(intmat, "standard_symplectic", lambda m: -real(m))
         with pytest.raises(ValueError, match="not the standard symplectic form"):
             intmat.symplectic_change_of_basis(S.J)
-        assert cover_mod.deck_rotation_shifts_sheets(S) is False
+        assert cover_mod.deck_rotation_failure(S) == (
+            "the Gram matrix of B = {c_{i,l} : i <= 2n, l < k} is not unimodular")
         build_cover.cache_clear()
         with pytest.raises(AssertionError, match="^intersection form is not unimodular: "):
             build_cover(ctx)
@@ -265,6 +267,38 @@ class TestReferees:
         assert P.tolist() == want
         assert S.P.tolist() == want
 
+    @pytest.mark.parametrize("n,k", [(3, 4), (6, 6), (8, 5), (16, 16)])
+    def test_symplectic_basis_of_J_and_G_B_matches_the_per_entry_reader(self, n, k):
+        # the bulk read of J and the one assignment of P against the former loops
+        S = build_cover(Context(n, k))
+        rows = np.arange(len(S.table.G)).reshape(-1, k)[:-1, :-1].ravel()
+        for form in (S.J, S.table.G[rows[:, None], rows]):
+            P = intmat.symplectic_change_of_basis(form)
+            want = referees.sparse_symplectic_change_of_basis(form)
+            assert (P.dtype, P.shape, P.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=60)
+    def test_symplectic_basis_matches_the_per_entry_reader_on_drawn_forms(self, g, data):
+        # J0 congruenced by drawn elementary integer matrices, so skew and
+        # unimodular; half the time scaled by a drawn factor, so not unimodular
+        m = 2 * g
+        E = np.eye(m, dtype=np.int64)
+        for _ in range(data.draw(st.integers(0, 3 * m))):
+            i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+            E[i] += data.draw(st.sampled_from([-2, -1, 1, 2])) * E[j]
+        E = E[data.draw(st.permutations(range(m)))]
+        scale = data.draw(st.sampled_from([1, 1, 2, 3]))
+        J = scale * (E @ intmat.standard_symplectic(m) @ E.T)
+        try:
+            want = referees.sparse_symplectic_change_of_basis(J)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                intmat.symplectic_change_of_basis(J)
+            return
+        P = intmat.symplectic_change_of_basis(J)
+        assert (P.dtype, P.tobytes()) == (want.dtype, want.tobytes())
+
     @pytest.mark.parametrize("n,k", REFEREE_SIZES)
     def test_twist_lifts_match_dense_products(self, n, k):
         S = build_cover(Context(n, k))
@@ -302,7 +336,7 @@ class TestInt64Overflow:
     @staticmethod
     def _block_step(S, M, curves):
         """``M T_{c_1} ... T_{c_r}`` as one block step of an :class:`intmat.Chain`."""
-        U, B = cover_mod._twist_block(S, curves)
+        U, B, _ = cover_mod._twist_block(S, curves)
         chain = intmat.Chain(M.copy())
         chain.times(B, int(np.abs(B).max()), U)
         return chain.result()
@@ -671,7 +705,7 @@ class TestHyperelliptic:
     def test_deck_rotation_is_minus_the_identity(self, twists):
         S, _ = twists
         assert np.array_equal(lift_rep(S, "zeta"), -identity(S))
-        assert cover_mod.deck_rotation_shifts_sheets(S)
+        assert cover_mod.deck_rotation_failure(S) is None
 
     def test_twist_lift_is_the_square_of_one_twist(self, twists):
         S, T = twists
@@ -746,7 +780,7 @@ def _transvection_product(curves, J):
 
 def _twists(S, curves):
     """``T_{c_1} ... T_{c_r}`` from its compact-WY block (``cover._twist_block``), dense."""
-    U, B = cover_mod._twist_block(S, np.array(curves))
+    U, B, _ = cover_mod._twist_block(S, np.array(curves))
     M = np.eye(S.h1_rank, dtype=np.int64)
     M[np.ix_(U, U)] = B
     return M
@@ -904,8 +938,8 @@ class TestLiftReps:
         assert errors[:6] == errors[6:]
         assert errors[0] == "t-lift index 2.0 out of range 1..3"
         assert errors[3] == "zeta-lift takes no index, got 7"
-        # t2 as its block to the power 1 and zeta dense
-        assert set(S.lifts) == {("t", 2, 1), ("zeta", None, 1)}
+        # t2 as its block and its inverse, from one build, and zeta dense alone
+        assert set(S.lifts) == {("t", 2, 1), ("t", 2, -1), ("zeta", None, 1)}
 
 
 class TestLiftProduct:
@@ -1004,21 +1038,26 @@ class TestLiftProduct:
         assert int(np.abs(got).max()) > 10**9
 
     def test_each_distinct_token_is_built_once_per_context(self, S, monkeypatch):
-        # a lift is built once per context; its inverse and its factors to the
-        # powers 1 and -1 are cached, and a larger power is squared on each call
+        # a lift is built once per context: a t or h build keeps the block and its
+        # inverse from one solve, a dense inverse is built from the kept lift, and a
+        # larger power is formed on each call
         text = "t1,2 h2 r1 t1,2 zeta h2 r h2^1 h2^3 zeta^-2"  # h2^1 is h2
         want = referees.lift_product(S, text)
-        built = []
-        real = cover_mod._build_lift
+        built, solved = [], []
+        real, block = cover_mod._build_lift, cover_mod._twist_block
         monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or real(*a))
+        monkeypatch.setattr(cover_mod, "_twist_block", lambda *a: solved.append(1) or block(*a))
         S.lifts.clear()
         for _ in range(3):
             assert lift_product(S, text).tolist() == want.tolist()
         assert len(built) == len(set(built))  # r1 builds r and its F tokens, once each
         assert {("t", 1, 1), ("h", 2, 1), ("r1", None, 1), ("zeta", None, -1)} <= set(built)
-        assert set(S.lifts) == set(built)  # no power is kept
+        blocks = {(kind, i) for kind, i, _ in built if kind in ("t", "h")}
+        assert len(solved) == len(blocks)  # one solve per t or h lift, its inverse included
+        # each t or h build keeps both signs, and no power is kept
+        assert set(S.lifts) == set(built) | {(kind, i, s) for kind, i in blocks for s in (1, -1)}
         count, size = len(built), len(S.lifts)
-        lift_product(S, "h2^+1 r t1,2 h2^1 h2^5 zeta^-7")
+        lift_product(S, "h2^+1 r t1,2 h2^1 h2^5 zeta^-7 h2^-1 t1,2^-1")
         assert len(built) == count  # a warm context builds nothing
         assert len(S.lifts) == size
 
@@ -1039,19 +1078,33 @@ class TestLiftProduct:
             assert not np.array_equal(lift_product(S, text), M), text
 
     def test_repeated_tokens_are_read_once(self, S, monkeypatch):
-        text = "h1^-1 h1^-1 t1,2 h1^-1 t1,2"
+        text = "h1^-1 h1^-1 t1,2 h1^-1 t1,2 h1^2"
         want = referees.lift_product(S, text)
-        read, built = [], []
-        token, build = cover_mod._lift_token, cover_mod._build_lift
-        monkeypatch.setattr(cover_mod, "_lift_token", lambda *a: read.append(a[1]) or token(*a))
+        parsed, built = [], []
+        parse, build = cover_mod.read_token, cover_mod._build_lift
+        monkeypatch.setattr(cover_mod, "read_token", lambda *a: parsed.append(a[0]) or parse(*a))
         monkeypatch.setattr(cover_mod, "_build_lift", lambda *a: built.append(a[1:]) or build(*a))
         S.lifts.clear()
+        S.tokens.clear()
         for _ in range(2):
             assert lift_product(S, text).tolist() == want.tolist()
-        assert read == ["h1^-1", "t1,2"] * 2  # once per distinct token and call
-        # h1^-1 is the closed-form inverse of the checked h1 block; all built once
-        assert built == [("h", 1, -1), ("h", 1, 1), ("t", 1, 1)]
+        # the exponent +-1 tokens once per surface; the power on each call, and not kept
+        assert parsed == ["h1^-1", "t1,2", "h1^2", "h1^2"]
+        assert S.tokens == {"h1^-1": ("h", 1, -1), "t1,2": ("t", 1, 1)}
+        # h1^-1 and the checked h1 block come from one build; all built once
+        assert built == [("h", 1, -1), ("t", 1, 1)]
+        # another spelling of the exponent 1 is parsed on each read and not kept
+        for _ in range(2):
+            assert np.array_equal(lift_product(S, "h1^+1 h1^1 h1^(n-1)"), lift_product(S, "h1 h1 h1"))
+        assert parsed.count("h1^+1") == parsed.count("h1^(n-1)") == 2
+        assert set(S.tokens) == {"h1^-1", "t1,2", "h1"}
 
+    @pytest.mark.parametrize("tok", ["t1,3", "t9,10", "h0", "zeta1", "w", "h1^x"])
+    def test_a_token_that_raises_is_not_kept(self, S, tok):
+        S.tokens.clear()
+        with pytest.raises((WordSyntaxError, ValueError)):
+            lift_product(S, tok)
+        assert not S.tokens
 
 # the sizes on which the lift table's blocks, inverses and powers are checked
 TABLE_SIZES = [(1, 2), (1, 3), (2, 3), (3, 4), (5, 7), (8, 5)]
@@ -1123,6 +1176,23 @@ class TestLiftTable:
                 for e in (10**9, -(10**9)):
                     want = referees.lift_product(S, f"{tok}^{e}")
                     assert lift_product(S, f"{tok}^{e}").tolist() == want.tolist(), (tok, e)
+
+    @pytest.mark.parametrize("n,k", TABLE_SIZES)
+    def test_each_block_and_its_inverse_come_from_one_build(self, n, k):
+        S = build_cover(Context(n, k))
+        S.lifts.clear()
+        eye = np.eye(S.h1_rank, dtype=np.int64).astype(object)
+        for kind, i, tok in self._tokens(n):
+            f = cover_mod._lift(S, kind, i, 1)
+            inv = cover_mod._lift(S, kind, i, -1)
+            assert inv.U is f.U, tok  # the same support
+            B, B_inv = (cover_mod._dense(S, x).astype(object) for x in (f, inv))
+            assert (B @ B_inv).tolist() == eye.tolist() == (B_inv @ B).tolist(), tok
+            # the referee's inverse: J^-1 M^T J of the dense twist product, in Python ints
+            assert cover_mod._dense(S, inv).tolist() == referees.lift_product(S, f"{tok}^-1").tolist()
+            if kind == "t":  # (B - I)^2 = 0, so the inverse is 2I - B, bit for bit
+                two_minus = 2 * np.eye(len(f.B), dtype=np.int64) - f.B
+                assert (inv.B.dtype, inv.B.tobytes()) == (np.int64, two_minus.tobytes()), tok
 
     @pytest.mark.parametrize("n,k", TABLE_SIZES)
     def test_t_blocks_square_to_zero_and_h_powers_square(self, n, k, monkeypatch):
@@ -1226,12 +1296,15 @@ class TestLiftEvaluator:
         real = cover_mod._twist_block
 
         def tampered(surface, curves):
-            U, B = real(surface, curves)
+            U, B, B_inv = real(surface, curves)
             B[0, 0] += 1
-            return U, B
+            return U, B, B_inv
 
         monkeypatch.setattr(cover_mod, "_twist_block", tampered)
-        S.lifts.clear()
-        with pytest.raises(AssertionError, match="lift h/1 is not symplectic"):
-            lift_product(S, "h1")
+        for text in ("h1", "h1^-1"):
+            S.lifts.clear()
+            S.tokens.clear()
+            with pytest.raises(AssertionError, match="lift h/1 is not symplectic"):
+                lift_product(S, text)
+            assert not S.lifts and not S.tokens  # neither sign nor the token is kept
         S.lifts.clear()

@@ -1256,6 +1256,12 @@ class TestWGeneration:
         assert f"s1}} != " in claim.detail and f"{blocks} blocks" in claim.detail
 
 
+# the parts of the cover-deck-rotation check, as cover.deck_rotation_failure names them
+_SHEET_SHIFT = "zeta does not shift every lift c_{i,l} to c_{i,l+1}"
+_ZERO_SUMS = "the lifts c_{i,1..k} of some gamma_i do not sum to 0"
+_UNIMODULAR = "the Gram matrix of B = {c_{i,l} : i <= 2n, l < k} is not unimodular"
+
+
 class TestLiftTableClaims:
     """The chain-pattern and deck-rotation checks on the lift table against
     their former loops (:mod:`referees`)."""
@@ -1329,10 +1335,10 @@ class TestLiftTableClaims:
         for M in [zeta, cover.mul(zeta, zeta), ident, -ident, -zeta]:
             with monkeypatch.context() as m:
                 self._zeta_as(m, M)
-                got = cover.deck_rotation_shifts_sheets(S)
+                got = cover.deck_rotation_failure(S) is None
             want = referees.fixed_point_free_of_order(M, k)
             assert got == np.array_equal(M, zeta) and (want or not got), (got, want)
-        assert cover.deck_rotation_shifts_sheets(S)
+        assert cover.deck_rotation_failure(S) is None
 
     def test_a_smaller_order_with_a_zero_power_sum_fails(self, monkeypatch):
         # -I has order 2, so I - I + I - I = 0 although (-I)^2 = I: the power
@@ -1342,7 +1348,7 @@ class TestLiftTableClaims:
         assert referees.fixed_point_free_of_order(M, 2)
         S = cover.build_cover(Context(1, 4))
         self._zeta_as(monkeypatch, -np.eye(S.h1_rank, dtype=np.int64))
-        assert not cover.deck_rotation_shifts_sheets(S)
+        assert cover.deck_rotation_failure(S) == _SHEET_SHIFT
 
     def test_a_table_of_doubled_curves_fails_the_basis_check(self, monkeypatch):
         # 2 c_{i,l} still shift by one sheet and sum to 0, but their Gram
@@ -1362,7 +1368,26 @@ class TestLiftTableClaims:
         monkeypatch.setitem(vars(S), "table", table._replace(C=table.C[same],
                                                              G=table.G[same[:, None], same]))
         self._zeta_as(monkeypatch, np.eye(S.h1_rank, dtype=np.int64))
-        assert not cover.deck_rotation_shifts_sheets(S)
+        assert cover.deck_rotation_failure(S) == _ZERO_SUMS
+
+    @pytest.mark.parametrize("part", [_SHEET_SHIFT, _ZERO_SUMS, _UNIMODULAR])
+    def test_a_failing_deck_rotation_names_the_part_that_failed(self, monkeypatch, part):
+        # each part in turn fails while the parts before it hold
+        ctx = Context(1, 2)
+        S = cover.build_cover(ctx)
+        table, ident = S.table, np.eye(S.h1_rank, dtype=np.int64)
+        if part == _SHEET_SHIFT:
+            self._zeta_as(monkeypatch, ident)
+        elif part == _ZERO_SUMS:  # both lifts of each gamma_i are the first, so I shifts them
+            same = np.arange(len(table.C)) // 2 * 2
+            monkeypatch.setitem(vars(S), "table", table._replace(C=table.C[same],
+                                                                 G=table.G[same[:, None], same]))
+            self._zeta_as(monkeypatch, ident)
+        else:  # doubled curves still shift and sum to 0, but their Gram matrix is 4 G_B
+            monkeypatch.setitem(vars(S), "table", table._replace(C=2 * table.C, G=4 * table.G))
+        assert cover.deck_rotation_failure(S) == part
+        claim = verify("cover-deck-rotation", ctx)
+        assert (claim.status, claim.detail) == ("fail", f"deck rotation check failed: {part}")
 
     @pytest.mark.parametrize("n, k", [(1, 3), (1, 5), (2, 3), (2, 7)])
     def test_a_zeta_that_shifts_by_two_sheets_fails(self, monkeypatch, n, k):
