@@ -736,7 +736,7 @@ def _lift_token(surface: CoverSurface, tok: str) -> _Factor | None:
     if not e:
         return None
     f = _lift(surface, kind, index, e)
-    if abs(e) == 1 and tok == kind + ",".join(map(str, indices)) + ("^-1" if e < 0 else ""):
+    if tok == kind + ",".join(map(str, indices)) + ("^-1" if e < 0 else ""):  # e is 1 or -1
         surface.tokens[tok] = (kind, index, e)
     return f
 
